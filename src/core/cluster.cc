@@ -1127,12 +1127,10 @@ void Cluster::ExecutePaxosCommit(TxnId id, NodeId node, const TxnSpec& spec,
         inst.value = quasi;
         inst.epoch = stream.epoch;
         inst.prepared_txn = id;
-        inst.release_locks = release_locks;
         inst.result = result;
         inst.done = done;
-        inst.after = after;
         // The proposer timeout only bounds how long the *client* waits:
-        // the value stays prepared and the recovery rounds finish the
+        // the slot stays proposed and the recovery rounds finish the
         // commit — it is never abandoned (the non-blocking property).
         inst.client_timeout = engine_->AfterNode(
             node, config_.majority_ack_timeout, [this, node, key] {
@@ -1148,34 +1146,45 @@ void Cluster::ExecutePaxosCommit(TxnId id, NodeId node, const TxnSpec& spec,
                       "recovery"));
             });
 
-        PaxosWait wait;
-        wait.ballot = 0;
-        wait.needed = MajoritySizeFor(wf);
-        wait.ackers = {node};
-        if (wait.acks >= wait.needed) {
-          // Single-replica slot: decided by the proposer's own accept.
-          PaxosDecide(node, wf, seq);
-          return;
-        }
-        paxos_waits_[node][key] = std::move(wait);
-        SchedulePaxosRecovery(node, wf, seq);
-
-        auto accept = std::make_shared<PaxosAccept>();
-        accept->ballot = 0;
-        accept->quasi = quasi;
-        accept->epoch = stream.epoch;
-        accept->proposer = node;
-        auto broadcast = [this, node, wf, id, seq, accept] {
+        const bool single_replica = MajoritySizeFor(wf) <= 1;
+        // Proposing fixes the slot's value for good, so the home applies
+        // the writes and releases the locks right here: the next slot on
+        // this fragment may prepare (reading these writes) while this one
+        // is still being decided. Only the client ack waits for the
+        // decide.
+        auto propose = [this, node, wf, id, seq, release_locks, after,
+                        single_replica] {
           auto& shard = paxos_acceptors_[node];
           auto it = shard.find(std::make_pair(wf, seq));
           // An amnesia crash inside the fsync window wiped the slot (and
-          // possibly re-filled it for a different txn): the accepts were
-          // never sent, so the seq is genuinely free for reuse. A downed
-          // node stays silent; revival re-arms the recovery rounds.
-          if (it == shard.end() || it->second.prepared_txn != id ||
-              it->second.decided || !topology_.IsNodeUp(node)) {
+          // possibly re-filled it for a different txn): the writes were
+          // never applied and the accepts never sent, so the seq is
+          // genuinely free for reuse.
+          if (it == shard.end() || it->second.prepared_txn != id) return;
+          PaxosInstance& inst = it->second;
+          runtimes_[node]->scheduler().CommitPrepared(
+              id, wf, inst.value.writes, seq, release_locks);
+          inst.commit_owed = true;
+          after();
+          if (single_replica) {
+            // Decided by the proposer's own accept.
+            PaxosDecide(node, wf, seq);
             return;
           }
+          PaxosWait wait;
+          wait.ballot = 0;
+          wait.needed = MajoritySizeFor(wf);
+          wait.ackers = {node};
+          paxos_waits_[node][{wf, seq}] = std::move(wait);
+          SchedulePaxosRecovery(node, wf, seq);
+          // A crash-stopped home stays silent; revival re-arms the
+          // recovery rounds, which propose the slot at a higher ballot.
+          if (!topology_.IsNodeUp(node)) return;
+          auto accept = std::make_shared<PaxosAccept>();
+          accept->ballot = 0;
+          accept->quasi = inst.value;
+          accept->epoch = inst.epoch;
+          accept->proposer = node;
           Status st = SendToReplicas(node, wf, accept);
           FRAGDB_CHECK(st.ok());
           if (tracing_active()) {
@@ -1183,18 +1192,20 @@ void Cluster::ExecutePaxosCommit(TxnId id, NodeId node, const TxnSpec& spec,
                   "T" + std::to_string(id) + " ballot=0");
           }
         };
-        if (NodeDurability* d = durability(node)) {
+        NodeDurability* d = single_replica ? nullptr : durability(node);
+        if (d != nullptr) {
           // Gray & Lamport's coordinator log write: the slot allocation
           // must be durable before any acceptor can see the slot, or an
           // amnesia-revived home could re-allocate the seq for a different
           // value — two values for one slot, and replica divergence. The
-          // broadcast therefore waits out the group-commit fsync window.
+          // propose (and with it the lock release) therefore waits out the
+          // group-commit fsync window.
           d->OnPaxosSlotAllocated(quasi, stream.epoch);
           engine_->AfterNode(node, config_.durability.wal_fsync_time,
-                             std::move(broadcast));
+                             std::move(propose));
         } else {
           // No durability ⇒ no amnesia crashes ⇒ slots are never reused.
-          broadcast();
+          propose();
         }
       });
 }
@@ -1280,14 +1291,10 @@ void Cluster::PaxosDecide(NodeId node, FragmentId fragment, SeqNum seq) {
   HistorySink(node).RecordDecision(rec);
   MarkCommittedAt(node, txn, seq);
   if (obs_) obs_->PaxosDecided(node)->Add();
-  NodeRuntime& rt = *runtimes_[node];
-  if (inst.prepared_txn != kInvalidTxn && node == inst.value.origin_node) {
-    rt.scheduler().CommitPrepared(inst.prepared_txn, fragment,
-                                  inst.value.writes, seq,
-                                  inst.release_locks);
-    rt.RecordLocalCommit(inst.value);
+  if (inst.commit_owed) {
+    RecordPaxosHomeCommits(node, fragment);
   } else {
-    rt.EnqueueQuasi(inst.value, inst.epoch);
+    runtimes_[node]->EnqueueQuasi(inst.value, inst.epoch);
   }
   if (tracing_active()) {
     Trace("paxos-decide", node, fragment, txn, seq,
@@ -1296,17 +1303,27 @@ void Cluster::PaxosDecide(NodeId node, FragmentId fragment, SeqNum seq) {
   FinishPaxosClient(node, inst, Status::Ok());
 }
 
+void Cluster::RecordPaxosHomeCommits(NodeId node, FragmentId fragment) {
+  auto& shard = paxos_acceptors_[node];
+  NodeRuntime& rt = *runtimes_[node];
+  for (;;) {
+    auto it = shard.find({fragment, rt.stream(fragment).applied_seq + 1});
+    if (it == shard.end() || !it->second.decided || !it->second.commit_owed) {
+      return;
+    }
+    it->second.commit_owed = false;
+    rt.RecordLocalCommit(it->second.value);
+  }
+}
+
 void Cluster::FinishPaxosClient(NodeId node, PaxosInstance& inst,
                                 Status status) {
   if (!inst.done) return;
   if (status.ok()) engine_->CancelNode(node, inst.client_timeout);
   inst.result->status = std::move(status);
   inst.result->finished_at = engine_->Now();
-  auto after = std::move(inst.after);
   auto done = std::move(inst.done);
-  inst.after = nullptr;
   inst.done = nullptr;
-  if (after) after();
   done(*inst.result);
 }
 

@@ -432,10 +432,13 @@ class Cluster {
     bool decided = false;
     QuasiTxn value;
     Epoch epoch = 0;
-    /// Origin home only: the scheduler-prepared transaction to commit on
-    /// decide, and whether CommitPrepared should release its locks.
+    /// Origin home only: the transaction this incarnation prepared for the
+    /// slot (guards the deferred propose against a crash that wiped it).
     TxnId prepared_txn = kInvalidTxn;
-    bool release_locks = false;
+    /// Origin home only: the writes were applied when the slot was
+    /// proposed; the local commit record (applied_seq, log, WAL) is still
+    /// owed, and is written in seq order once the slot decides.
+    bool commit_owed = false;
     /// Recovery rounds already started at this node (ballot numbering).
     int round = 0;
     bool recovery_armed = false;
@@ -447,7 +450,6 @@ class Cluster {
     /// never abandoned).
     std::shared_ptr<TxnResult> result;
     TxnCallback done;
-    std::function<void()> after;
     EventId client_timeout = -1;
   };
   /// A proposer counting PaxosAccepted votes for one (fragment, seq) slot
@@ -498,17 +500,25 @@ class Cluster {
                          TxnCallback done);
   /// Completes a finished quorum read: freshest versions, body, records.
   void FinishQuorumRead(TxnId id, NodeId node, QuorumReadWait wait);
-  /// Paxos Commit execution: prepare, propose at ballot 0 to the
-  /// fragment's 2F+1 replicas, decide on F+1 accepts. Never aborts; a
-  /// proposer timeout reports Unavailable and leaves the recovery rounds
-  /// to finish the commit (non-blocking).
+  /// Paxos Commit execution: prepare, then propose at ballot 0 to the
+  /// fragment's 2F+1 replicas, decide on F+1 accepts. A proposed value is
+  /// never abandoned, so the home applies the writes and releases its
+  /// locks as the accepts leave (after the kPaxosSlot fsync when durable):
+  /// several slots per fragment can be in flight, and only the client ack
+  /// waits for the decide. Never aborts; a proposer timeout reports
+  /// Unavailable and leaves the recovery rounds to finish the commit.
   void ExecutePaxosCommit(TxnId id, NodeId node, const TxnSpec& spec,
                           bool x_preacquired, TxnCallback done,
                           std::function<void()> after);
   /// Marks a Paxos slot decided at `node` and applies the value: the
-  /// origin home commits its prepared transaction; replicas feed the
-  /// quasi-transaction into the ordinary install pipeline.
+  /// origin home records its already-applied commit (in seq order);
+  /// replicas feed the quasi-transaction into the ordinary install
+  /// pipeline.
   void PaxosDecide(NodeId node, FragmentId fragment, SeqNum seq);
+  /// Writes the home's owed local commit records for `fragment` strictly
+  /// in seq order: decides can arrive out of order (loss, recovery
+  /// rounds), so a decided slot waits until every earlier one decided.
+  void RecordPaxosHomeCommits(NodeId node, FragmentId fragment);
   /// Fires the home's client callback for a decided/timed-out slot (once).
   void FinishPaxosClient(NodeId node, PaxosInstance& inst, Status status);
   /// Arms (once) the per-slot recovery timer at `node`.

@@ -34,7 +34,7 @@ NodeRuntime::NodeRuntime(Cluster* cluster, NodeId id)
     }
   };
   hooks.on_install = [this](NodeId node, const QuasiTxn& quasi, SimTime at) {
-    cluster_->HistorySink(id_).RecordInstall(node, quasi, at);
+    cluster_->HistorySink(id_).RecordInstall(node, quasi, at, incarnation_);
   };
   scheduler_ = std::make_unique<Scheduler>(id, cluster->engine(), store_.get(),
                                            locks_.get(),
@@ -598,6 +598,7 @@ void NodeRuntime::WipeVolatile() {
   durability_ = nullptr;
   gap_repair_armed_.assign(streams_.size(), 0);
   gap_repair_strikes_.assign(streams_.size(), 0);
+  ++incarnation_;
 }
 
 void NodeRuntime::OnRecoveryQuery(const RecoveryQuery& msg) {

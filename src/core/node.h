@@ -210,6 +210,10 @@ class NodeRuntime {
   std::vector<uint8_t> gap_repair_armed_;
   std::vector<int> gap_repair_strikes_;
   uint64_t gap_repair_queries_ = 0;
+  /// Volatile lifetimes so far (bumped by every WipeVolatile); stamped on
+  /// install records so checkers can tell a post-amnesia re-install from
+  /// a duplicate install.
+  int incarnation_ = 0;
 
   friend class Cluster;
 };

@@ -224,6 +224,38 @@ CheckReport CheckCommitAtomicity(const History& history) {
       return CheckReport::Fail(os.str(), {d->txn});
     }
   }
+  return CheckDecidedInstalls(history);
+}
+
+CheckReport CheckDecidedInstalls(const History& history) {
+  if (history.decisions().empty()) return CheckReport::Pass();
+  std::map<std::pair<FragmentId, SeqNum>, const CommitDecisionRecord*> decided;
+  for (const CommitDecisionRecord& d : history.decisions()) {
+    decided.try_emplace({d.fragment, d.seq}, &d);
+  }
+  std::vector<std::tuple<FragmentId, SeqNum, NodeId, int>> installed;
+  for (const InstallRecord& rec : history.installs()) {
+    auto it = decided.find({rec.fragment, rec.seq});
+    if (it == decided.end()) continue;
+    const CommitDecisionRecord& d = *it->second;
+    if (!d.commit || rec.writer != d.txn) {
+      std::ostringstream os;
+      os << "N" << rec.node << " installed T" << rec.writer << " at F"
+         << rec.fragment << " seq " << rec.seq << ", but the slot decided "
+         << (d.commit ? "T" + std::to_string(d.txn) : std::string("abort"));
+      return CheckReport::Fail(os.str(), {rec.writer, d.txn});
+    }
+    installed.emplace_back(rec.fragment, rec.seq, rec.node, rec.incarnation);
+  }
+  std::sort(installed.begin(), installed.end());
+  auto dup = std::adjacent_find(installed.begin(), installed.end());
+  if (dup != installed.end()) {
+    const auto& [fragment, seq, node, incarnation] = *dup;
+    std::ostringstream os;
+    os << "N" << node << " installed F" << fragment << " seq " << seq
+       << " twice in one lifetime (incarnation " << incarnation << ")";
+    return CheckReport::Fail(os.str(), {decided.at({fragment, seq})->txn});
+  }
   return CheckReport::Pass();
 }
 

@@ -72,8 +72,17 @@ CheckReport CheckQuorumFreshness(const HistoryIndex& index);
 /// Paxos Commit atomicity: every (fragment, seq) slot's recorded
 /// decisions agree on the outcome, and a slot decided `commit` has its
 /// transaction marked committed in the history — participants never
-/// disagree about whether a transaction happened.
+/// disagree about whether a transaction happened. Includes
+/// CheckDecidedInstalls.
 CheckReport CheckCommitAtomicity(const History& history);
+
+/// Every install of a decided (fragment, seq) slot — at the home, which
+/// applies its proposal before the decide, and at each replica — carries
+/// the decided transaction, and no node installs a slot twice within one
+/// volatile lifetime (an amnesia crash wipes the install, so the revived
+/// node installs it again). Slots without decision records are not
+/// checked.
+CheckReport CheckDecidedInstalls(const History& history);
 
 /// Mutual consistency: all replicas hold identical contents. Valid only at
 /// quiescence (all propagation drained).

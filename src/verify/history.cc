@@ -88,7 +88,8 @@ void History::RecordDecision(const CommitDecisionRecord& record) {
   decisions_.push_back(record);
 }
 
-void History::RecordInstall(NodeId node, const QuasiTxn& quasi, SimTime at) {
+void History::RecordInstall(NodeId node, const QuasiTxn& quasi, SimTime at,
+                            int incarnation) {
   InstallRecord rec;
   rec.node = node;
   rec.writer = quasi.origin_txn;
@@ -99,6 +100,7 @@ void History::RecordInstall(NodeId node, const QuasiTxn& quasi, SimTime at) {
   rec.node_order = next_node_order_[node]++;
   rec.origin_node = quasi.origin_node;
   rec.origin_time = quasi.origin_time;
+  rec.incarnation = incarnation;
   installs_.push_back(std::move(rec));
 }
 

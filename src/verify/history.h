@@ -45,6 +45,9 @@ struct ReadRecord {
 /// paper's serialization-graph definitions consult.
 struct InstallRecord {
   NodeId node = kInvalidNode;
+  /// The installing node's volatile lifetime (0 until its first amnesia
+  /// crash): a node legitimately re-installs what an amnesia crash wiped.
+  int incarnation = 0;
   TxnId writer = kInvalidTxn;
   FragmentId fragment = kInvalidFragment;
   SeqNum seq = 0;
@@ -126,7 +129,8 @@ class History {
   void RecordRead(const ReadRecord& read);
 
   /// Records an install; assigns node_order automatically.
-  void RecordInstall(NodeId node, const QuasiTxn& quasi, SimTime at);
+  void RecordInstall(NodeId node, const QuasiTxn& quasi, SimTime at,
+                     int incarnation = 0);
 
   void RecordQuorumWrite(const QuorumWriteRecord& record);
   void RecordQuorumRead(const QuorumReadRecord& record);

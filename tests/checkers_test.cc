@@ -338,5 +338,71 @@ TEST(CommitAtomicityTest, AbortDecisionsNeedNoCommittedTxn) {
   EXPECT_TRUE(CheckCommitAtomicity(b.h).ok);
 }
 
+// A decided slot (fragment 0, seq 1) for T1, plus its installs.
+struct DecidedSlotHistory {
+  DecidedSlotHistory() {
+    b.Txn(1, 0, 0);
+    b.Commit(1, 1);
+    b.h.RecordDecision(Decision(0, 1, 1, true));
+    b.h.RecordDecision(Decision(1, 1, 1, true));
+  }
+  void Install(NodeId node, TxnId writer, int incarnation = 0) {
+    QuasiTxn q;
+    q.origin_txn = writer;
+    q.fragment = 0;
+    q.seq = 1;
+    q.origin_node = 0;
+    q.writes = {{0, static_cast<Value>(writer)}};
+    b.h.RecordInstall(node, q, 50, incarnation);
+  }
+  HistoryBuilder b;
+};
+
+TEST(DecidedInstallsTest, InstallsOfTheDecidedValuePass) {
+  DecidedSlotHistory d;
+  d.Install(0, 1);
+  d.Install(1, 1);
+  d.Install(2, 1);
+  // An amnesia crash wiped node 0's install; it installs again afterwards.
+  d.Install(0, 1, /*incarnation=*/1);
+  EXPECT_TRUE(CheckDecidedInstalls(d.b.h).ok);
+  EXPECT_TRUE(CheckCommitAtomicity(d.b.h).ok);
+}
+
+TEST(DecidedInstallsTest, InstallOfAnotherTxnAtADecidedSlotFails) {
+  // Node 2 filled the slot with T5's writes although every decision
+  // record names T1: two values for one slot.
+  DecidedSlotHistory d;
+  d.b.Txn(5, 0, 0);
+  d.Install(0, 1);
+  d.Install(1, 1);
+  d.Install(2, 5);
+  CheckReport report = CheckDecidedInstalls(d.b.h);
+  EXPECT_FALSE(report.ok);
+  EXPECT_NE(report.detail.find("N2 installed T5 at F0 seq 1"),
+            std::string::npos)
+      << report.detail;
+  EXPECT_FALSE(CheckCommitAtomicity(d.b.h).ok);
+}
+
+TEST(DecidedInstallsTest, DoubleInstallInOneLifetimeFails) {
+  DecidedSlotHistory d;
+  d.Install(0, 1);
+  d.Install(1, 1);
+  d.Install(1, 1);
+  CheckReport report = CheckDecidedInstalls(d.b.h);
+  EXPECT_FALSE(report.ok);
+  EXPECT_NE(report.detail.find("N1 installed F0 seq 1 twice"),
+            std::string::npos)
+      << report.detail;
+}
+
+TEST(DecidedInstallsTest, UndecidedSlotsAreNotChecked) {
+  DecidedSlotHistory d;
+  d.b.Write(9, 0, 2, {{0, 9}});
+  d.b.Write(9, 0, 2, {{0, 9}});
+  EXPECT_TRUE(CheckDecidedInstalls(d.b.h).ok);
+}
+
 }  // namespace
 }  // namespace fragdb

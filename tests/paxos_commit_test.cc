@@ -9,7 +9,11 @@
 #include <string>
 #include <vector>
 
+#include "cc/lock_manager.h"
 #include "core/cluster.h"
+#include "core/messages.h"
+#include "recovery/checkpoint.h"
+#include "recovery/node_durability.h"
 #include "recovery/wal.h"
 #include "sim/engine.h"
 #include "verify/checkers.h"
@@ -263,6 +267,175 @@ TEST_F(PaxosCommitFixture, InDoubtSlotBlocksNewWorkUntilDecided) {
   EXPECT_TRUE(CheckMutualConsistency(cluster->Replicas()).ok);
   EXPECT_TRUE(cluster->CheckCommitNonBlocking().ok);
   EXPECT_TRUE(CheckCommitAtomicity(cluster->history()).ok);
+}
+
+TEST_F(PaxosCommitFixture, BackToBackUpdatesEachAckAfterOneRoundTrip) {
+  Build(MoveProtocol::kPaxosCommit);
+  std::vector<SimTime> held;
+  LockManager::Observer obs;
+  obs.now = [this] { return cluster->Now(); };
+  obs.on_release = [&held](ResourceId, SimTime h) { held.push_back(h); };
+  cluster->runtime(0).locks().SetObserver(std::move(obs));
+  TxnResult first, second;
+  Update(7, &first);
+  Update(5, &second);
+  cluster->RunToQuiescence();
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+  ASSERT_TRUE(second.status.ok()) << second.status.ToString();
+  // One round trip on the 5 ms mesh is 10 ms. The second update waits for
+  // the fragment lock only while the first executes, not while it is
+  // decided: both slots are in flight together.
+  const SimTime exec = cluster->cfg().scheduler.exec_time;
+  EXPECT_EQ(first.finished_at, Millis(10) + exec);
+  EXPECT_EQ(second.finished_at, Millis(10) + 2 * exec);
+  ASSERT_EQ(held.size(), 2u);
+  for (SimTime h : held) EXPECT_EQ(h, exec);
+  for (NodeId n = 0; n < 5; ++n) {
+    EXPECT_EQ(cluster->ReadAt(n, x), 12) << "node " << n;
+  }
+  EXPECT_EQ(cluster->runtime(0).stream(frag).applied_seq, 2);
+  EXPECT_TRUE(CheckCommitAtomicity(cluster->history()).ok);
+  EXPECT_TRUE(cluster->CheckCommitNonBlocking().ok);
+}
+
+TEST_F(PaxosCommitFixture, AmnesiaWithTwoAppliedUndecidedSlotsDeclinesNewWork) {
+  Build(MoveProtocol::kPaxosCommit, /*durable=*/true);
+  Update(7);
+  Update(5);
+  // Each slot holds the lock for exec + the 500us kPaxosSlot fsync, so the
+  // second proposes at 1.2ms. At 7ms both are applied at the home and
+  // their accepts have landed, but neither has decided.
+  cluster->RunFor(Millis(7));
+  EXPECT_EQ(cluster->ReadAt(0, x), 12);
+  EXPECT_EQ(cluster->runtime(0).stream(frag).applied_seq, 0);
+  ASSERT_TRUE(cluster->CrashNode(0, CrashMode::kAmnesia).ok());
+  cluster->RunFor(Millis(1));
+  ASSERT_TRUE(cluster->ReviveNode(0).ok());
+  // Replay marks both slots in doubt; the acceptors' recovery rounds (100ms
+  // timeout) have not decided them yet, so new work is declined.
+  cluster->RunFor(Millis(50));
+  TxnResult blocked;
+  Update(3, &blocked);
+  cluster->RunFor(Millis(1));
+  EXPECT_TRUE(blocked.status.IsUnavailable()) << blocked.status.ToString();
+  EXPECT_NE(blocked.status.ToString().find("in doubt"), std::string::npos)
+      << blocked.status.ToString();
+  cluster->RunToQuiescence();
+  EXPECT_EQ(cluster->runtime(0).stream(frag).applied_seq, 2);
+  TxnResult after;
+  Update(3, &after);
+  cluster->RunToQuiescence();
+  ASSERT_TRUE(after.status.ok()) << after.status.ToString();
+  for (NodeId n = 0; n < 5; ++n) {
+    EXPECT_EQ(cluster->ReadAt(n, x), 15) << "node " << n;
+  }
+  EXPECT_TRUE(CheckMutualConsistency(cluster->Replicas()).ok);
+  EXPECT_TRUE(cluster->CheckCommitNonBlocking().ok)
+      << cluster->CheckCommitNonBlocking().detail;
+  EXPECT_TRUE(CheckCommitAtomicity(cluster->history()).ok)
+      << CheckCommitAtomicity(cluster->history()).detail;
+}
+
+TEST_F(PaxosCommitFixture, CheckpointOfAppliedUndecidedSlotSurvivesHomeCrash) {
+  Build(MoveProtocol::kPaxosCommit, /*durable=*/true);
+  Update(7);
+  // Applied at the home at 0.6ms; the decide is due at 10.6ms. The forced
+  // checkpoint captures the write now and publishes it 5ms later.
+  cluster->RunFor(Millis(1));
+  cluster->durability(0)->ForceCheckpoint();
+  cluster->RunFor(Millis(6));
+  CheckpointImage image;
+  ASSERT_TRUE(CheckpointImage::Decode(
+      cluster->stable_storage(0)->Read(kCheckpointFile), &image));
+  EXPECT_EQ(image.versions[x].value, 7);
+  EXPECT_EQ(image.StreamFor(frag).applied_seq, 0);
+  ASSERT_TRUE(cluster->CrashNode(0, CrashMode::kAmnesia).ok());
+  cluster->RunFor(Millis(1));
+  ASSERT_TRUE(cluster->ReviveNode(0).ok());
+  cluster->RunToQuiescence();
+  for (NodeId n = 0; n < 5; ++n) {
+    EXPECT_EQ(cluster->ReadAt(n, x), 7) << "node " << n;
+  }
+  // The home installed the slot once per lifetime: at the propose, and
+  // again once the recovered in-doubt slot decided.
+  std::vector<int> home_installs;
+  for (const InstallRecord& rec : cluster->history().installs()) {
+    if (rec.node == 0 && rec.fragment == frag && rec.seq == 1) {
+      home_installs.push_back(rec.incarnation);
+    }
+  }
+  EXPECT_EQ(home_installs, (std::vector<int>{0, 1}));
+  EXPECT_TRUE(CheckMutualConsistency(cluster->Replicas()).ok);
+  EXPECT_TRUE(CheckDecidedInstalls(cluster->history()).ok)
+      << CheckDecidedInstalls(cluster->history()).detail;
+  EXPECT_TRUE(CheckCommitAtomicity(cluster->history()).ok);
+  EXPECT_TRUE(cluster->CheckCommitNonBlocking().ok);
+}
+
+TEST(PaxosReadLocksTest, PlanLocksReleasedOnceAtProposeEvenOnClientTimeout) {
+  // §4.1 read locks with Paxos Commit: alice updates F0 at node 0 under a
+  // remote shared lock on F1 (homed at node 1). The home side {0, 1} holds
+  // no acceptor majority, so the client times out after 200ms — but the
+  // plan locks go as soon as the slot is proposed, and only once.
+  ClusterConfig config;
+  config.control = ControlOption::kReadLocks;
+  config.move_protocol = MoveProtocol::kPaxosCommit;
+  Cluster cluster(config, Topology::FullMesh(5, Millis(5)));
+  FragmentId f0 = cluster.DefineFragment("F0");
+  FragmentId f1 = cluster.DefineFragment("F1");
+  ObjectId a = *cluster.DefineObject(f0, "a", 10);
+  ObjectId b = *cluster.DefineObject(f1, "b", 20);
+  AgentId alice = cluster.DefineUserAgent("alice");
+  AgentId bob = cluster.DefineUserAgent("bob");
+  ASSERT_TRUE(cluster.AssignToken(f0, alice).ok());
+  ASSERT_TRUE(cluster.AssignToken(f1, bob).ok());
+  ASSERT_TRUE(cluster.SetAgentHome(alice, 0).ok());
+  ASSERT_TRUE(cluster.SetAgentHome(bob, 1).ok());
+  ASSERT_TRUE(cluster.Start().ok());
+
+  int lock_releases_sent = 0;
+  cluster.network().SetSendObserver(
+      [&lock_releases_sent](const MessagePayload& p, size_t) {
+        if (dynamic_cast<const ReadLockRelease*>(&p) != nullptr) {
+          ++lock_releases_sent;
+        }
+      });
+  std::vector<SimTime> f1_released_at;
+  LockManager::Observer obs;
+  obs.now = [&cluster] { return cluster.Now(); };
+  obs.on_release = [&](ResourceId r, SimTime) {
+    if (r == FragmentResource(f1)) f1_released_at.push_back(cluster.Now());
+  };
+  cluster.runtime(1).locks().SetObserver(std::move(obs));
+
+  ASSERT_TRUE(cluster.Partition({{0, 1}, {2, 3, 4}}).ok());
+  TxnSpec spec;
+  spec.agent = alice;
+  spec.write_fragment = f0;
+  spec.read_set = {a, b};
+  spec.body = [a](const std::vector<Value>& reads)
+      -> Result<std::vector<WriteOp>> {
+    return std::vector<WriteOp>{{a, reads[0] + reads[1]}};
+  };
+  TxnResult out;
+  cluster.Submit(spec, [&out](const TxnResult& r) { out = r; });
+  cluster.RunToQuiescence();
+  EXPECT_TRUE(out.status.IsUnavailable()) << out.status.ToString();
+  EXPECT_EQ(lock_releases_sent, 1);
+  // Granted at ~5ms, released by the propose at ~10ms, heard at ~15ms:
+  // long before the 200ms client timeout.
+  ASSERT_EQ(f1_released_at.size(), 1u);
+  EXPECT_LT(f1_released_at[0], Millis(20));
+
+  cluster.HealAll();
+  cluster.RunToQuiescence();
+  EXPECT_EQ(lock_releases_sent, 1);
+  for (NodeId n = 0; n < 5; ++n) {
+    EXPECT_EQ(cluster.ReadAt(n, a), 30) << "node " << n;
+  }
+  EXPECT_TRUE(CheckMutualConsistency(cluster.Replicas()).ok);
+  EXPECT_TRUE(CheckCommitAtomicity(cluster.history()).ok);
+  EXPECT_TRUE(cluster.CheckCommitNonBlocking().ok);
 }
 
 TEST_F(PaxosCommitFixture, PaxosCommitRunsOnParallelEngine) {
