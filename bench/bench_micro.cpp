@@ -1,6 +1,6 @@
 // E9 — micro-benchmarks of the machinery itself (google-benchmark):
-// event queue, lock manager, reliable broadcast sequencing, serialization
-// graph checking, and end-to-end transaction throughput in the simulator.
+// event queue, lock manager, serialization graph checking, and end-to-end
+// transaction throughput in the simulator.
 
 #include <benchmark/benchmark.h>
 
@@ -12,7 +12,6 @@
 #include "common/rng.h"
 #include "core/cluster.h"
 #include "cc/scheduler.h"
-#include "net/broadcast.h"
 #include "sim/event_queue.h"
 #include "verify/serialization_graph.h"
 
@@ -106,27 +105,6 @@ void BM_LockManagerExclusiveConvoy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_LockManagerExclusiveConvoy)->Arg(1000);
-
-void BM_ReliableBroadcastFanout(benchmark::State& state) {
-  const int nodes = static_cast<int>(state.range(0));
-  struct Tag : MessagePayload {};
-  for (auto _ : state) {
-    Simulator sim;
-    Topology topo = Topology::FullMesh(nodes, Millis(1));
-    Network net(&sim, &topo);
-    ReliableBroadcast rb(&net, nodes);
-    for (NodeId n = 0; n < nodes; ++n) {
-      net.SetHandler(n, [&rb, n](const Message& m) {
-        rb.HandleIfBroadcast(n, m);
-      });
-    }
-    for (int i = 0; i < 100; ++i) rb.Broadcast(0, std::make_shared<Tag>());
-    sim.RunToQuiescence();
-    benchmark::DoNotOptimize(rb.DeliveredUpTo(1, 0));
-  }
-  state.SetItemsProcessed(state.iterations() * 100 * (nodes - 1));
-}
-BENCHMARK(BM_ReliableBroadcastFanout)->Arg(4)->Arg(16);
 
 void BM_GlobalSerializationGraphCheck(benchmark::State& state) {
   // Build a history of n committed transactions over 64 objects, then

@@ -8,6 +8,17 @@
 #include "common/logging.h"
 
 namespace fragdb {
+namespace {
+
+TxnResult FailResult(TxnId id, Status status, SimTime now) {
+  TxnResult r;
+  r.id = id;
+  r.status = std::move(status);
+  r.finished_at = now;
+  return r;
+}
+
+}  // namespace
 
 const char* ControlOptionName(ControlOption option) {
   switch (option) {
@@ -288,14 +299,39 @@ Status Cluster::Start() {
       runtimes_[n]->HandleMessage(msg);
     });
   }
-  amnesia_down_.assign(topology_.node_count(), 0);
-  remote_waits_.resize(topology_.node_count());
-  ack_waits_.resize(topology_.node_count());
-  quorum_write_waits_.resize(topology_.node_count());
-  quorum_read_waits_.resize(topology_.node_count());
-  paxos_acceptors_.resize(topology_.node_count());
-  paxos_waits_.resize(topology_.node_count());
-  paxos_indoubt_.resize(topology_.node_count());
+  const int nodes = topology_.node_count();
+  amnesia_down_.assign(nodes, 0);
+  remote_locks_.Init(engine_.get(), nodes, config_.remote_lock_timeout,
+                     [](NodeId, const auto&, std::function<void(Status)> k) {
+                       k(Status::TimedOut("remote read lock timed out"));
+                     });
+  majority_acks_.Init(engine_.get(), nodes, config_.majority_ack_timeout,
+                      [this](NodeId node, TxnId id, MajorityWait w) {
+                        AbortMajority(node, id, std::move(w));
+                      });
+  quorum_writes_.Init(
+      engine_.get(), nodes, config_.majority_ack_timeout,
+      [this](NodeId node, TxnId id, QuorumWriteWait w) {
+        w.result.status = Status::Unavailable(
+            "write quorum not reached (committed locally; still "
+            "propagating)");
+        w.result.finished_at = engine_->Now();
+        Trace("fail", node, w.fragment, id, w.result.frag_seq,
+              "T" + std::to_string(id) +
+                  " Unavailable: write quorum not reached");
+        w.done(w.result);
+      });
+  quorum_reads_.Init(
+      engine_.get(), nodes, config_.quorum_read_timeout,
+      [this](NodeId node, TxnId id, QuorumReadWait w) {
+        Trace("fail", node, kInvalidFragment, id, 0,
+              "T" + std::to_string(id) + " Unavailable: quorum read timeout");
+        w.done(FailResult(id, Status::Unavailable("quorum read timed out"),
+                          engine_->Now()));
+      });
+  paxos_votes_.Init(engine_.get(), nodes);
+  paxos_acceptors_.resize(nodes);
+  paxos_indoubt_.resize(nodes);
   if (parallel_) {
     history_shards_.resize(topology_.node_count());
     txn_stripe_next_.assign(topology_.node_count() + 1, 0);
@@ -317,18 +353,6 @@ Status Cluster::Start() {
 // --------------------------------------------------------------------------
 // Submission
 // --------------------------------------------------------------------------
-
-namespace {
-
-TxnResult FailResult(TxnId id, Status status, SimTime now) {
-  TxnResult r;
-  r.id = id;
-  r.status = std::move(status);
-  r.finished_at = now;
-  return r;
-}
-
-}  // namespace
 
 Status Cluster::ValidateSpec(NodeId node, const TxnSpec& spec,
                              FragmentId* type_fragment) const {
@@ -573,7 +597,7 @@ void Cluster::AcquireLockPlan(TxnId id, NodeId node,
   const LockPlanStep& step = (*plan)[next];
   auto proceed = [this, id, node, plan, next, done, spec, run](Status st) {
     if (!st.ok()) {
-      FailLockPlan(id, node, *plan, next, spec, done,
+      FailLockPlan(id, node, *plan, next, done,
                    Status::Unavailable("read lock unavailable: " +
                                        st.ToString()));
       return;
@@ -586,22 +610,7 @@ void Cluster::AcquireLockPlan(TxnId id, NodeId node,
     return;
   }
   // Remote shared lock with timeout.
-  auto key = std::make_pair(id, step.fragment);
-  RemoteLockWait wait;
-  wait.cont = proceed;
-  wait.home = step.home;
-  wait.requester = node;
-  wait.timeout_event = engine_->AfterNode(
-      node, config_.remote_lock_timeout, [this, key, node] {
-        auto& shard = remote_waits_[node];
-        auto it = shard.find(key);
-        if (it == shard.end() || it->second.abandoned) return;
-        it->second.abandoned = true;
-        auto cont = std::move(it->second.cont);
-        // Entry stays so a late grant is released; cont fails the plan.
-        cont(Status::TimedOut("remote read lock timed out"));
-      });
-  remote_waits_[node][key] = std::move(wait);
+  remote_locks_.Open(node, {id, step.fragment}, 1, std::move(proceed));
   auto req = std::make_shared<ReadLockRequest>();
   req->txn = id;
   req->fragment = step.fragment;
@@ -610,32 +619,23 @@ void Cluster::AcquireLockPlan(TxnId id, NodeId node,
   FRAGDB_CHECK(send.ok());
 }
 
-void Cluster::OnRemoteLockGrant(NodeId node, const ReadLockGrant& grant) {
-  auto key = std::make_pair(grant.txn, grant.fragment);
-  auto& shard = remote_waits_[node];
-  auto it = shard.find(key);
-  if (it == shard.end()) return;
-  RemoteLockWait& wait = it->second;
-  if (wait.abandoned) {
-    // Grant arrived after the timeout: release it right back.
-    auto rel = std::make_shared<ReadLockRelease>();
-    rel->txn = grant.txn;
-    rel->fragment = grant.fragment;
-    network_->Send(node, wait.home, rel);
-    shard.erase(it);
+void Cluster::OnRemoteLockGrant(NodeId node, NodeId home,
+                                const ReadLockGrant& grant) {
+  if (auto cont = remote_locks_.Close(node, {grant.txn, grant.fragment})) {
+    (*cont)(Status::Ok());
     return;
   }
-  engine_->CancelNode(node, wait.timeout_event);
-  auto cont = std::move(wait.cont);
-  shard.erase(it);
-  cont(Status::Ok());
+  // No live wait (it timed out, or died in an amnesia crash): release the
+  // lock right back so it does not leak at the home.
+  auto rel = std::make_shared<ReadLockRelease>();
+  rel->txn = grant.txn;
+  rel->fragment = grant.fragment;
+  network_->Send(node, home, rel);
 }
 
 void Cluster::FailLockPlan(TxnId id, NodeId node,
                            const std::vector<LockPlanStep>& plan,
-                           size_t acquired, const TxnSpec& spec,
-                           TxnCallback done, Status why) {
-  (void)spec;
+                           size_t acquired, TxnCallback done, Status why) {
   ReleasePlanLocks(id, node, plan, acquired);
   done(FailResult(id, std::move(why), engine_->Now()));
 }
@@ -658,17 +658,11 @@ void Cluster::ReleasePlanLocks(TxnId id, NodeId node,
       network_->Send(node, step.home, rel);
     }
   }
-  // Drop any still-pending remote waits of this transaction (the grant, if
-  // it ever comes, is released by the abandoned path). All of them live in
-  // the requester's shard — the transaction submitted at `node`.
-  auto& shard = remote_waits_[node];
-  for (auto it = shard.begin(); it != shard.end();) {
-    if (it->first.first == id && !it->second.abandoned) {
-      engine_->CancelNode(node, it->second.timeout_event);
-      it = shard.erase(it);
-    } else {
-      ++it;
-    }
+  // Close any still-pending remote wait of this transaction (all live in
+  // the requester's shard). Its grant, if it ever comes, then matches no
+  // live wait and OnRemoteLockGrant releases it back to the home.
+  for (const LockPlanStep& step : plan) {
+    if (step.home != node) remote_locks_.Close(node, {id, step.fragment});
   }
 }
 
@@ -744,30 +738,8 @@ void Cluster::ExecuteAndPropagate(TxnId id, NodeId node, const TxnSpec& spec,
             done(std::move(result));
             return;
           }
-          QuorumWriteWait wait;
-          wait.fragment = wf;
-          wait.seq = seq;
-          wait.needed = needed;
-          wait.ackers = {node};
-          wait.result = std::make_shared<TxnResult>(std::move(result));
-          wait.done = std::move(done);
-          wait.timeout_event = engine_->AfterNode(
-              node, config_.majority_ack_timeout, [this, id, node] {
-                auto& shard = quorum_write_waits_[node];
-                auto it = shard.find(id);
-                if (it == shard.end()) return;
-                QuorumWriteWait w = std::move(it->second);
-                shard.erase(it);
-                w.result->status = Status::Unavailable(
-                    "write quorum not reached (committed locally; still "
-                    "propagating)");
-                w.result->finished_at = engine_->Now();
-                Trace("fail", node, w.fragment, id, w.seq,
-                      "T" + std::to_string(id) +
-                          " Unavailable: write quorum not reached");
-                w.done(*w.result);
-              });
-          quorum_write_waits_[node][id] = std::move(wait);
+          quorum_writes_.Open(node, id, needed,
+                              {wf, std::move(result), std::move(done)});
           return;
         }
         after();
@@ -776,30 +748,24 @@ void Cluster::ExecuteAndPropagate(TxnId id, NodeId node, const TxnSpec& spec,
 }
 
 void Cluster::OnQuorumAppliedAck(NodeId home, const QuorumAppliedAck& ack) {
-  auto& shard = quorum_write_waits_[home];
-  auto it = shard.find(ack.txn);
-  if (it == shard.end()) return;
-  QuorumWriteWait& wait = it->second;
-  if (!wait.ackers.insert(ack.acker).second) return;
-  if (static_cast<int>(wait.ackers.size()) < wait.needed) return;
-  engine_->CancelNode(home, wait.timeout_event);
-  QuorumWriteWait w = std::move(wait);
-  shard.erase(it);
+  std::optional<QuorumWriteWait> w =
+      quorum_writes_.Reply(home, ack.txn, ack.acker);
+  if (!w) return;
   QuorumWriteRecord rec;
   rec.txn = ack.txn;
-  rec.fragment = w.fragment;
-  rec.seq = w.seq;
-  rec.acks = static_cast<int>(w.ackers.size());
+  rec.fragment = w->fragment;
+  rec.seq = w->result.frag_seq;
+  rec.acks = WriteQuorumFor(w->fragment);  // the wait closes at exactly W
   rec.acked_at = engine_->Now();
   HistorySink(home).RecordQuorumWrite(rec);
   if (obs_) obs_->QuorumWriteAcked(home)->Add();
-  w.result->finished_at = engine_->Now();
+  w->result.finished_at = engine_->Now();
   if (tracing_active()) {
-    Trace("quorum-write", home, w.fragment, ack.txn, w.seq,
+    Trace("quorum-write", home, w->fragment, ack.txn, rec.seq,
           "T" + std::to_string(ack.txn) + " W=" + std::to_string(rec.acks) +
               " acked");
   }
-  w.done(*w.result);
+  w->done(w->result);
 }
 
 void Cluster::ExecuteQuorumRead(TxnId id, NodeId node, const TxnSpec& spec,
@@ -850,28 +816,15 @@ void Cluster::ExecuteQuorumRead(TxnId id, NodeId node, const TxnSpec& spec,
     FinishQuorumRead(id, node, std::move(wait));
     return;
   }
-  wait.timeout_event = engine_->AfterNode(
-      node, config_.quorum_read_timeout, [this, id, node] {
-        auto& shard = quorum_read_waits_[node];
-        auto it = shard.find(id);
-        if (it == shard.end()) return;
-        QuorumReadWait w = std::move(it->second);
-        shard.erase(it);
-        Trace("fail", node, kInvalidFragment, id, 0,
-              "T" + std::to_string(id) + " Unavailable: quorum read timeout");
-        w.done(FailResult(id, Status::Unavailable("quorum read timed out"),
-                          engine_->Now()));
-      });
-  quorum_read_waits_[node][id] = std::move(wait);
+  // The per-fragment gathers count their own repliers.
+  quorum_reads_.Open(node, id, 0, std::move(wait));
 }
 
 void Cluster::OnQuorumReadReply(NodeId node, const QuorumReadReply& reply) {
-  auto& shard = quorum_read_waits_[node];
-  auto it = shard.find(reply.txn);
-  if (it == shard.end()) return;
-  QuorumReadWait& wait = it->second;
-  auto git = wait.gathers.find(reply.fragment);
-  if (git == wait.gathers.end()) return;
+  QuorumReadWait* wait = quorum_reads_.Find(node, reply.txn);
+  if (wait == nullptr) return;
+  auto git = wait->gathers.find(reply.fragment);
+  if (git == wait->gathers.end()) return;
   QuorumReadWait::FragmentGather& g = git->second;
   if (static_cast<int>(g.repliers.size()) >= g.needed) return;
   if (!g.repliers.insert(reply.replier).second) return;
@@ -886,13 +839,10 @@ void Cluster::OnQuorumReadReply(NodeId node, const QuorumReadReply& reply) {
     }
   }
   if (static_cast<int>(g.repliers.size()) < g.needed) return;
-  for (const auto& [f, gather] : wait.gathers) {
+  for (const auto& [f, gather] : wait->gathers) {
     if (static_cast<int>(gather.repliers.size()) < gather.needed) return;
   }
-  engine_->CancelNode(node, wait.timeout_event);
-  QuorumReadWait w = std::move(wait);
-  shard.erase(it);
-  FinishQuorumRead(reply.txn, node, std::move(w));
+  FinishQuorumRead(reply.txn, node, *quorum_reads_.Close(node, reply.txn));
 }
 
 void Cluster::FinishQuorumRead(TxnId id, NodeId node, QuorumReadWait wait) {
@@ -953,117 +903,106 @@ void Cluster::FinishQuorumRead(TxnId id, NodeId node, QuorumReadWait wait) {
   wait.done(std::move(result));
 }
 
-void Cluster::ExecuteMajority(TxnId id, NodeId node, const TxnSpec& spec,
-                              bool x_preacquired, TxnCallback done,
-                              std::function<void()> after) {
-  NodeRuntime& rt = *runtimes_[node];
-  FragmentId wf = spec.write_fragment;
-  bool release_locks = !x_preacquired;
-  rt.scheduler().Prepare(
+void Cluster::PrepareUpdate(
+    TxnId id, NodeId node, const TxnSpec& spec, bool x_preacquired,
+    TxnCallback done, std::function<void()> after,
+    std::function<void(TxnResult, QuasiTxn)> prepared) {
+  const FragmentId wf = spec.write_fragment;
+  const bool release_locks = !x_preacquired;
+  runtimes_[node]->scheduler().Prepare(
       id, spec, x_preacquired,
-      [this, id, node, wf, release_locks, done,
-       after](TxnResult prepared) {
+      [this, id, node, wf, release_locks, done = std::move(done),
+       after = std::move(after),
+       prepared = std::move(prepared)](TxnResult result) {
         NodeRuntime& rt = *runtimes_[node];
-        if (!prepared.status.ok()) {
+        if (!result.status.ok()) {
           rt.scheduler().AbortPrepared(id, release_locks);
-          Trace(prepared.status.IsFailedPrecondition() ? "decline" : "fail",
+          Trace(result.status.IsFailedPrecondition() ? "decline" : "fail",
                 node, wf, id, 0,
-                "T" + std::to_string(id) + " " + prepared.status.ToString());
+                "T" + std::to_string(id) + " " + result.status.ToString());
           after();
-          done(std::move(prepared));
+          done(std::move(result));
           return;
         }
-        FragmentStream& stream = rt.stream(wf);
-        SeqNum seq = stream.next_seq++;
-        auto result = std::make_shared<TxnResult>(std::move(prepared));
-        result->frag_seq = seq;
-
+        result.frag_seq = rt.stream(wf).next_seq++;
         QuasiTxn quasi;
         quasi.origin_txn = id;
         quasi.fragment = wf;
-        quasi.seq = seq;
+        quasi.seq = result.frag_seq;
         quasi.origin_node = node;
         quasi.origin_time = engine_->Now();
-        quasi.writes = result->writes;
-
-        auto prep = std::make_shared<QuasiPrepare>();
-        prep->quasi = quasi;
-        prep->epoch = stream.epoch;
-        Status st = SendToReplicas(node, wf, prep);
-        FRAGDB_CHECK(st.ok());
-
-        TxnId key = id;
-        AckWait wait;
-        wait.fragment = wf;
-        wait.home = node;
-        wait.needed = MajoritySizeFor(wf);
-        wait.on_majority = [this, id, node, wf, seq, quasi, release_locks,
-                            result, done, after, key] {
-          NodeRuntime& rt = *runtimes_[node];
-          rt.scheduler().CommitPrepared(id, wf, quasi.writes, seq,
-                                        release_locks);
-          MarkCommittedAt(node, id, seq);
-          rt.RecordLocalCommit(quasi);
-          auto cmt = std::make_shared<QuasiCommit>();
-          cmt->fragment = wf;
-          cmt->seq = seq;
-          Status s2 = SendToReplicas(node, wf, cmt);
-          FRAGDB_CHECK(s2.ok());
-          result->status = Status::Ok();
-          result->finished_at = engine_->Now();
-          if (tracing_active()) {
-            Trace("commit", node, wf, id, seq,
-                  "T" + std::to_string(id) + " OK (majority)");
-            Trace("broadcast", node, wf, id, seq,
-                  "T" + std::to_string(id) + " seq=" + std::to_string(seq));
-          }
-          after();
-          done(*result);
-        };
-        wait.timeout_event = engine_->AfterNode(
-            node, config_.majority_ack_timeout, [this, id, node, wf,
-                                                 release_locks, result,
-                                                 done, after, key] {
-              auto& shard = ack_waits_[node];
-              auto it = shard.find(key);
-              if (it == shard.end()) return;
-              shard.erase(it);
-              NodeRuntime& rt = *runtimes_[node];
-              // Roll the tentative sequence back; the exclusive fragment
-              // lock is still held, so nothing else allocated meanwhile.
-              rt.stream(wf).next_seq--;
-              rt.scheduler().AbortPrepared(id, release_locks);
-              result->status = Status::Unavailable(
-                  "majority acknowledgments not received");
-              result->finished_at = engine_->Now();
-              Trace("fail", node, wf, id, 0,
-                    "T" + std::to_string(id) +
-                        " Unavailable: no majority acks");
-              after();
-              done(*result);
-            });
-        if (wait.acks >= wait.needed) {
-          // Single-node majority: commit immediately.
-          engine_->CancelNode(node, wait.timeout_event);
-          auto go = wait.on_majority;
-          go();
-          return;
-        }
-        ack_waits_[node][key] = std::move(wait);
+        quasi.writes = result.writes;
+        prepared(std::move(result), std::move(quasi));
       });
 }
 
+void Cluster::ExecuteMajority(TxnId id, NodeId node, const TxnSpec& spec,
+                              bool x_preacquired, TxnCallback done,
+                              std::function<void()> after) {
+  PrepareUpdate(
+      id, node, spec, x_preacquired, done, after,
+      [this, id, node, release_locks = !x_preacquired, done,
+       after](TxnResult result, QuasiTxn quasi) {
+        const FragmentId wf = quasi.fragment;
+        auto prep = std::make_shared<QuasiPrepare>();
+        prep->quasi = quasi;
+        prep->epoch = runtimes_[node]->stream(wf).epoch;
+        Status st = SendToReplicas(node, wf, prep);
+        FRAGDB_CHECK(st.ok());
+        const int needed = MajoritySizeFor(wf);
+        majority_acks_.Open(node, id, needed,
+                            {std::move(quasi), release_locks,
+                             std::move(result), done, after});
+        if (needed <= 1) {
+          // Single-node majority: commit immediately.
+          CommitMajority(node, id, *majority_acks_.Close(node, id));
+        }
+      });
+}
+
+void Cluster::CommitMajority(NodeId node, TxnId id, MajorityWait w) {
+  const FragmentId wf = w.quasi.fragment;
+  const SeqNum seq = w.quasi.seq;
+  NodeRuntime& rt = *runtimes_[node];
+  rt.scheduler().CommitPrepared(id, wf, w.quasi.writes, seq, w.release_locks);
+  MarkCommittedAt(node, id, seq);
+  rt.RecordLocalCommit(w.quasi);
+  auto cmt = std::make_shared<QuasiCommit>();
+  cmt->fragment = wf;
+  cmt->seq = seq;
+  Status st = SendToReplicas(node, wf, cmt);
+  FRAGDB_CHECK(st.ok());
+  w.result.status = Status::Ok();
+  w.result.finished_at = engine_->Now();
+  if (tracing_active()) {
+    Trace("commit", node, wf, id, seq,
+          "T" + std::to_string(id) + " OK (majority)");
+    Trace("broadcast", node, wf, id, seq,
+          "T" + std::to_string(id) + " seq=" + std::to_string(seq));
+  }
+  w.after();
+  w.done(w.result);
+}
+
+void Cluster::AbortMajority(NodeId node, TxnId id, MajorityWait w) {
+  const FragmentId wf = w.quasi.fragment;
+  NodeRuntime& rt = *runtimes_[node];
+  // Roll the tentative sequence back; the exclusive fragment lock is still
+  // held, so nothing else allocated meanwhile.
+  rt.stream(wf).next_seq--;
+  rt.scheduler().AbortPrepared(id, w.release_locks);
+  w.result.status =
+      Status::Unavailable("majority acknowledgments not received");
+  w.result.finished_at = engine_->Now();
+  Trace("fail", node, wf, id, 0,
+        "T" + std::to_string(id) + " Unavailable: no majority acks");
+  w.after();
+  w.done(w.result);
+}
+
 void Cluster::OnMajorityAck(NodeId home, const QuasiAck& ack) {
-  auto& shard = ack_waits_[home];
-  auto it = shard.find(ack.txn);
-  if (it == shard.end()) return;
-  AckWait& wait = it->second;
-  wait.acks += 1;
-  if (wait.acks >= wait.needed) {
-    engine_->CancelNode(home, wait.timeout_event);
-    auto go = std::move(wait.on_majority);
-    shard.erase(it);
-    go();
+  if (auto w = majority_acks_.Reply(home, ack.txn, ack.acker)) {
+    CommitMajority(home, ack.txn, std::move(*w));
   }
 }
 
@@ -1078,9 +1017,7 @@ constexpr int kPaxosMaxStrikes = 10;
 void Cluster::ExecutePaxosCommit(TxnId id, NodeId node, const TxnSpec& spec,
                                  bool x_preacquired, TxnCallback done,
                                  std::function<void()> after) {
-  NodeRuntime& rt = *runtimes_[node];
-  FragmentId wf = spec.write_fragment;
-  bool release_locks = !x_preacquired;
+  const FragmentId wf = spec.write_fragment;
   if (PaxosFragmentInDoubt(node, wf)) {
     // A revived home with an undecided durable slot: the slot's locks died
     // in the crash, so a new prepare could read past its pending write.
@@ -1094,40 +1031,19 @@ void Cluster::ExecutePaxosCommit(TxnId id, NodeId node, const TxnSpec& spec,
         engine_->Now()));
     return;
   }
-  rt.scheduler().Prepare(
-      id, spec, x_preacquired,
-      [this, id, node, wf, release_locks, done,
-       after](TxnResult prepared) {
-        NodeRuntime& rt = *runtimes_[node];
-        if (!prepared.status.ok()) {
-          rt.scheduler().AbortPrepared(id, release_locks);
-          Trace(prepared.status.IsFailedPrecondition() ? "decline" : "fail",
-                node, wf, id, 0,
-                "T" + std::to_string(id) + " " + prepared.status.ToString());
-          after();
-          done(std::move(prepared));
-          return;
-        }
-        FragmentStream& stream = rt.stream(wf);
-        SeqNum seq = stream.next_seq++;
-        auto result = std::make_shared<TxnResult>(std::move(prepared));
-        result->frag_seq = seq;
-
-        QuasiTxn quasi;
-        quasi.origin_txn = id;
-        quasi.fragment = wf;
-        quasi.seq = seq;
-        quasi.origin_node = node;
-        quasi.origin_time = engine_->Now();
-        quasi.writes = result->writes;
-
+  PrepareUpdate(
+      id, node, spec, x_preacquired, done, after,
+      [this, id, node, wf, release_locks = !x_preacquired, done,
+       after](TxnResult result, QuasiTxn quasi) {
+        const SeqNum seq = quasi.seq;
+        const Epoch epoch = runtimes_[node]->stream(wf).epoch;
         const auto key = std::make_pair(wf, seq);
         PaxosInstance& inst = paxos_acceptors_[node][key];
         inst.has_value = true;
         inst.value = quasi;
-        inst.epoch = stream.epoch;
+        inst.epoch = epoch;
         inst.prepared_txn = id;
-        inst.result = result;
+        inst.result = std::make_shared<TxnResult>(std::move(result));
         inst.done = done;
         // The proposer timeout only bounds how long the *client* waits:
         // the slot stays proposed and the recovery rounds finish the
@@ -1171,11 +1087,7 @@ void Cluster::ExecutePaxosCommit(TxnId id, NodeId node, const TxnSpec& spec,
             PaxosDecide(node, wf, seq);
             return;
           }
-          PaxosWait wait;
-          wait.ballot = 0;
-          wait.needed = MajoritySizeFor(wf);
-          wait.ackers = {node};
-          paxos_waits_[node][{wf, seq}] = std::move(wait);
+          paxos_votes_.Open(node, {wf, seq}, MajoritySizeFor(wf), 0);
           SchedulePaxosRecovery(node, wf, seq);
           // A crash-stopped home stays silent; revival re-arms the
           // recovery rounds, which propose the slot at a higher ballot.
@@ -1200,7 +1112,7 @@ void Cluster::ExecutePaxosCommit(TxnId id, NodeId node, const TxnSpec& spec,
           // value — two values for one slot, and replica divergence. The
           // propose (and with it the lock release) therefore waits out the
           // group-commit fsync window.
-          d->OnPaxosSlotAllocated(quasi, stream.epoch);
+          d->OnPaxosSlotAllocated(quasi, epoch);
           engine_->AfterNode(node, config_.durability.wal_fsync_time,
                              std::move(propose));
         } else {
@@ -1210,8 +1122,7 @@ void Cluster::ExecutePaxosCommit(TxnId id, NodeId node, const TxnSpec& spec,
       });
 }
 
-void Cluster::OnPaxosAccept(NodeId node, NodeId from, const PaxosAccept& msg) {
-  (void)from;
+void Cluster::OnPaxosAccept(NodeId node, const PaxosAccept& msg) {
   const auto key = std::make_pair(msg.quasi.fragment, msg.quasi.seq);
   PaxosInstance& inst = paxos_acceptors_[node][key];
   if (inst.decided) {
@@ -1240,16 +1151,10 @@ void Cluster::OnPaxosAccept(NodeId node, NodeId from, const PaxosAccept& msg) {
 }
 
 void Cluster::OnPaxosAccepted(NodeId node, const PaxosAccepted& msg) {
-  auto& shard = paxos_waits_[node];
   const auto key = std::make_pair(msg.fragment, msg.seq);
-  auto it = shard.find(key);
-  if (it == shard.end()) return;
-  PaxosWait& wait = it->second;
-  if (wait.ballot != msg.ballot) return;
-  if (!wait.ackers.insert(msg.acceptor).second) return;
-  wait.acks = static_cast<int>(wait.ackers.size());
-  if (wait.acks < wait.needed) return;
-  shard.erase(it);
+  const uint64_t* ballot = paxos_votes_.Find(node, key);
+  if (ballot == nullptr || *ballot != msg.ballot) return;
+  if (!paxos_votes_.Reply(node, key, msg.acceptor)) return;
   PaxosDecide(node, msg.fragment, msg.seq);
   auto out = std::make_shared<PaxosOutcome>();
   out->fragment = msg.fragment;
@@ -1278,7 +1183,7 @@ void Cluster::PaxosDecide(NodeId node, FragmentId fragment, SeqNum seq) {
   PaxosInstance& inst = it->second;
   if (inst.decided) return;
   inst.decided = true;
-  paxos_waits_[node].erase({fragment, seq});
+  paxos_votes_.Close(node, {fragment, seq});
   FRAGDB_CHECK(inst.has_value);
   const TxnId txn = inst.value.origin_txn;
   CommitDecisionRecord rec;
@@ -1394,15 +1299,11 @@ void Cluster::PaxosRecoveryTick(NodeId node, FragmentId fragment,
   const uint64_t ballot =
       static_cast<uint64_t>(inst.round) * topology_.node_count() + node + 1;
   if (inst.max_ballot < ballot) inst.max_ballot = ballot;
-  PaxosWait wait;
-  wait.ballot = ballot;
-  wait.needed = MajoritySizeFor(fragment);
-  wait.ackers = {node};
-  if (wait.acks >= wait.needed) {
+  if (MajoritySizeFor(fragment) <= 1) {
     PaxosDecide(node, fragment, seq);
     return;
   }
-  paxos_waits_[node][{fragment, seq}] = std::move(wait);
+  paxos_votes_.Open(node, {fragment, seq}, MajoritySizeFor(fragment), ballot);
   auto accept = std::make_shared<PaxosAccept>();
   accept->ballot = ballot;
   accept->quasi = inst.value;
@@ -1724,41 +1625,25 @@ Status Cluster::CrashNode(NodeId node, CrashMode mode) {
   FRAGDB_RETURN_IF_ERROR(topology_.SetNodeUp(node, false));
   if (availability_) availability_->SetNodeDown(node, engine_->Now(), true);
   recovery_->Abort(node);  // a crash during recovery drops the session
-  // §4.4.1 waits prepared at this node die with its volatile state. Their
-  // timeout lambdas would touch the wiped stream (next_seq rollback), so
+  // Every wait opened at this node dies with its volatile state. Their
+  // timeouts would touch wiped state (the §4.4.1 next_seq rollback), so
   // they must not fire; the submitters' callbacks are simply lost, like
-  // any client talking to a crashed server.
-  for (auto& [id, wait] : ack_waits_[node]) {
-    engine_->CancelNode(node, wait.timeout_event);
-  }
-  ack_waits_[node].clear();
-  // Quorum and Paxos volatile state dies with the node the same way. The
-  // Paxos slot values themselves are safe to forget: a slot carries one
-  // unique value, so a wiped acceptor can never enable a conflicting
-  // decision — at worst a recovery round has to find its majority among
-  // the survivors. Pending recovery-tick events no-op on the empty map.
-  for (auto& [id, wait] : quorum_write_waits_[node]) {
-    engine_->CancelNode(node, wait.timeout_event);
-  }
-  quorum_write_waits_[node].clear();
-  for (auto& [id, wait] : quorum_read_waits_[node]) {
-    engine_->CancelNode(node, wait.timeout_event);
-  }
-  quorum_read_waits_[node].clear();
+  // any client talking to a crashed server. A late §4.1 grant then matches
+  // no wait and is released back to its home. The Paxos slot values are
+  // safe to forget too: a slot carries one unique value, so a wiped
+  // acceptor can never enable a conflicting decision — at worst a
+  // recovery round has to find its majority among the survivors. Pending
+  // recovery-tick events no-op on the empty map.
+  majority_acks_.Wipe(node);
+  quorum_writes_.Wipe(node);
+  quorum_reads_.Wipe(node);
   for (auto& [key, inst] : paxos_acceptors_[node]) {
     engine_->CancelNode(node, inst.client_timeout);
   }
   paxos_acceptors_[node].clear();
-  paxos_waits_[node].clear();
+  paxos_votes_.Wipe(node);
   paxos_indoubt_[node].clear();  // re-derived from the WAL at revival
-  // Remote read-lock waits this node initiated: mark abandoned so a late
-  // grant is released back to its home instead of leaking the lock.
-  for (auto& [key, wait] : remote_waits_[node]) {
-    if (!wait.abandoned) {
-      engine_->CancelNode(node, wait.timeout_event);
-      wait.abandoned = true;
-    }
-  }
+  remote_locks_.Wipe(node);
   runtimes_[node]->WipeVolatile();
   // A fresh pipeline: destroying the old one expires the weak references
   // held by its staged-WAL sync and in-flight checkpoint events, which is

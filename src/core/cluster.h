@@ -14,7 +14,7 @@
 #include "common/types.h"
 #include "core/config.h"
 #include "core/node.h"
-#include "net/broadcast.h"
+#include "core/reply_waits.h"
 #include "net/network.h"
 #include "net/topology.h"
 #include "obs/availability.h"
@@ -308,8 +308,10 @@ class Cluster {
   /// Called by runtimes when a fragment's applied sequence advances, so
   /// §4.4.2B catch-up waits can complete.
   void OnAppliedAdvanced(NodeId node, FragmentId fragment);
-  /// A remote read-lock grant arrived at `node` (§4.1).
-  void OnRemoteLockGrant(NodeId node, const ReadLockGrant& grant);
+  /// A remote read-lock grant from `home` arrived at `node` (§4.1). A
+  /// grant that matches no live wait (timed out, or wiped by an amnesia
+  /// crash) is released straight back to `home`.
+  void OnRemoteLockGrant(NodeId node, NodeId home, const ReadLockGrant& grant);
   /// A majority-commit acknowledgment arrived at `home` (§4.4.1). The
   /// handler runs in the home node's event context; `home` routes the
   /// lookup to that node's ack-wait shard.
@@ -320,7 +322,7 @@ class Cluster {
   void OnQuorumReadReply(NodeId node, const QuorumReadReply& reply);
   /// Paxos Commit acceptor/proposer/learner steps, each running in the
   /// event context of the node the message arrived at.
-  void OnPaxosAccept(NodeId node, NodeId from, const PaxosAccept& msg);
+  void OnPaxosAccept(NodeId node, const PaxosAccept& msg);
   void OnPaxosAccepted(NodeId node, const PaxosAccepted& msg);
   void OnPaxosOutcome(NodeId node, const PaxosOutcome& msg);
   /// §4.4.3 A(2): commit the surviving writes of a missing transaction as
@@ -372,26 +374,14 @@ class Cluster {
     LockMode mode;
     NodeId home;
   };
-  /// An outstanding §4.1 remote read-lock request. After a timeout the
-  /// request is abandoned but remembered, so a late grant is immediately
-  /// released back.
-  struct RemoteLockWait {
-    std::function<void(Status)> cont;
-    EventId timeout_event = -1;
-    bool abandoned = false;
-    NodeId home = kInvalidNode;
-    NodeId requester = kInvalidNode;
-  };
-  /// An update transaction waiting for §4.4.1 majority acknowledgments.
-  struct AckWait {
-    FragmentId fragment = kInvalidFragment;
-    /// Home node the transaction is preparing at; its waits die with it
-    /// when the node loses its volatile state.
-    NodeId home = kInvalidNode;
-    int acks = 1;  // self
-    int needed = 0;
-    std::function<void()> on_majority;
-    EventId timeout_event = -1;
+  /// An update transaction prepared at its home, waiting for §4.4.1
+  /// majority acknowledgments (keyed by txn id).
+  struct MajorityWait {
+    QuasiTxn quasi;
+    bool release_locks = false;
+    TxnResult result;
+    TxnCallback done;
+    std::function<void()> after;
   };
   /// A committed quorum write waiting for W installed-acks before the
   /// client callback fires. The transaction is already committed locally
@@ -399,12 +389,8 @@ class Cluster {
   /// reports Unavailable while the write keeps propagating).
   struct QuorumWriteWait {
     FragmentId fragment = kInvalidFragment;
-    SeqNum seq = 0;
-    int needed = 0;
-    std::set<NodeId> ackers;  // replicas counted, including the home
-    std::shared_ptr<TxnResult> result;
+    TxnResult result;
     TxnCallback done;
-    EventId timeout_event = -1;
   };
   /// An R-quorum read gathering per-fragment version sets.
   struct QuorumReadWait {
@@ -418,7 +404,6 @@ class Cluster {
     SimTime started_at = 0;
     std::map<FragmentId, FragmentGather> gathers;
     TxnCallback done;
-    EventId timeout_event = -1;
   };
   /// One Paxos Commit consensus slot at one node: acceptor state
   /// (max_ballot, the value accepted) plus, at the origin home, the
@@ -452,16 +437,6 @@ class Cluster {
     TxnCallback done;
     EventId client_timeout = -1;
   };
-  /// A proposer counting PaxosAccepted votes for one (fragment, seq) slot
-  /// at one ballot. Carries no client state — that lives in the home's
-  /// PaxosInstance — so recovery rounds can overwrite it freely.
-  struct PaxosWait {
-    uint64_t ballot = 0;
-    int acks = 1;  // self
-    int needed = 0;
-    std::set<NodeId> ackers;
-  };
-
   /// Validation + registration shared by Submit/SubmitReadOnlyAt.
   void SubmitAt(NodeId node, const TxnSpec& spec, TxnCallback done);
   /// Re-derives every (node, fragment) home-reachability flag for the
@@ -480,7 +455,7 @@ class Cluster {
                        std::function<void(bool x_preacquired)> run);
   void FailLockPlan(TxnId id, NodeId node,
                     const std::vector<LockPlanStep>& plan, size_t acquired,
-                    const TxnSpec& spec, TxnCallback done, Status why);
+                    TxnCallback done, Status why);
   void ReleasePlanLocks(TxnId id, NodeId node,
                         const std::vector<LockPlanStep>& plan,
                         size_t acquired);
@@ -489,10 +464,22 @@ class Cluster {
   void ExecuteAndPropagate(TxnId id, NodeId node, const TxnSpec& spec,
                            bool x_preacquired, TxnCallback done,
                            std::function<void()> after);
+  /// The front half shared by §4.4.1 and Paxos Commit: prepare `spec` at
+  /// `node`. A failed prepare is aborted, traced, and reported (after
+  /// `after`); a successful one takes the fragment's next seq and hands
+  /// `prepared` the result and its quasi-transaction.
+  void PrepareUpdate(TxnId id, NodeId node, const TxnSpec& spec,
+                     bool x_preacquired, TxnCallback done,
+                     std::function<void()> after,
+                     std::function<void(TxnResult, QuasiTxn)> prepared);
   /// §4.4.1 execution: prepare, collect majority acks, commit, broadcast.
   void ExecuteMajority(TxnId id, NodeId node, const TxnSpec& spec,
                        bool x_preacquired, TxnCallback done,
                        std::function<void()> after);
+  /// A majority acked: commit at the home, broadcast the commit, report.
+  void CommitMajority(NodeId node, TxnId id, MajorityWait wait);
+  /// No majority in time: roll the seq back, abort, report Unavailable.
+  void AbortMajority(NodeId node, TxnId id, MajorityWait wait);
   /// kQuorum read-only execution: gather versions from R replicas per
   /// fragment and serve each object's freshest version. Bypasses the
   /// scheduler (no local read), so it works at non-replica nodes too.
@@ -571,22 +558,24 @@ class Cluster {
   std::map<FragmentId, CorrectiveAction> corrective_;
   std::vector<std::unique_ptr<NodeRuntime>> runtimes_;
   std::map<AgentId, AgentState> agent_state_;
-  /// §4.1 remote-lock waits, sharded by the requesting node (the only
-  /// node whose events touch the entry). Sized at Start().
-  std::vector<std::map<std::pair<TxnId, FragmentId>, RemoteLockWait>>
-      remote_waits_;
-  /// §4.4.1 ack waits, sharded by the home node preparing the update.
-  std::vector<std::map<TxnId, AckWait>> ack_waits_;
-  /// kQuorum write waits, sharded by the origin home node.
-  std::vector<std::map<TxnId, QuorumWriteWait>> quorum_write_waits_;
-  /// kQuorum read gathers, sharded by the requesting node.
-  std::vector<std::map<TxnId, QuorumReadWait>> quorum_read_waits_;
+  /// Reply collectors, sharded by the node that opened the wait (the only
+  /// node whose events touch it). Initialized at Start().
+  /// §4.1 remote read locks, keyed (txn, fragment); data: the plan's
+  /// continuation.
+  ReplyWaits<std::pair<TxnId, FragmentId>, std::function<void(Status)>>
+      remote_locks_;
+  /// §4.4.1 majority acks at the preparing home.
+  ReplyWaits<TxnId, MajorityWait> majority_acks_;
+  /// kQuorum W installed-acks at the origin home, and R-read gathers at
+  /// the requester.
+  ReplyWaits<TxnId, QuorumWriteWait> quorum_writes_;
+  ReplyWaits<TxnId, QuorumReadWait> quorum_reads_;
+  /// Paxos phase-2b votes per (fragment, seq) slot at the proposer; data:
+  /// the ballot being counted. Recovery rounds replace it; no timeout.
+  ReplyWaits<std::pair<FragmentId, SeqNum>, uint64_t> paxos_votes_;
   /// Paxos Commit consensus slots, sharded by node (acceptor + home state).
   std::vector<std::map<std::pair<FragmentId, SeqNum>, PaxosInstance>>
       paxos_acceptors_;
-  /// Paxos proposer vote counts, sharded by the proposing node.
-  std::vector<std::map<std::pair<FragmentId, SeqNum>, PaxosWait>>
-      paxos_waits_;
   /// Durable Paxos slots found still undecided when a home revived from
   /// amnesia, sharded by node. The crash destroyed the slots' locks, so
   /// until a slot's outcome lands, new update prepares on its fragment are

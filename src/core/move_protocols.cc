@@ -60,14 +60,10 @@ Status Cluster::MoveAgent(AgentId agent, NodeId to_node, MoveCallback done) {
   // one of the agent's fragments (the paper's protocols assume the last
   // transaction at the old home completed there).
   for (FragmentId f : catalog_.TokensOf(agent)) {
-    for (const auto& shard : ack_waits_) {
-      for (const auto& [txn, wait] : shard) {
-        (void)txn;
-        if (wait.fragment == f) {
-          return Status::FailedPrecondition(
-              "an update on the agent's fragment is awaiting majority acks");
-        }
-      }
+    if (majority_acks_.Any(
+            [f](const MajorityWait& w) { return w.quasi.fragment == f; })) {
+      return Status::FailedPrecondition(
+          "an update on the agent's fragment is awaiting majority acks");
     }
   }
   st.phase = AgentPhase::kInTransit;

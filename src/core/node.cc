@@ -63,13 +63,13 @@ void NodeRuntime::HandleMessage(const Message& msg) {
   } else if (auto* m = dynamic_cast<const ReadLockRequest*>(p)) {
     OnReadLockRequest(msg.from, *m);
   } else if (auto* m = dynamic_cast<const ReadLockGrant*>(p)) {
-    OnReadLockGrant(*m);
+    cluster_->OnRemoteLockGrant(id_, msg.from, *m);
   } else if (auto* m = dynamic_cast<const ReadLockRelease*>(p)) {
     OnReadLockRelease(*m);
   } else if (auto* m = dynamic_cast<const QuasiPrepare*>(p)) {
     OnPrepare(msg.from, *m);
   } else if (auto* m = dynamic_cast<const QuasiAck*>(p)) {
-    OnAck(*m);
+    cluster_->OnMajorityAck(id_, *m);
   } else if (auto* m = dynamic_cast<const QuasiCommit*>(p)) {
     OnCommit(*m);
   } else if (auto* m = dynamic_cast<const M0Msg*>(p)) {
@@ -95,7 +95,7 @@ void NodeRuntime::HandleMessage(const Message& msg) {
   } else if (auto* m = dynamic_cast<const QuorumAppliedAck*>(p)) {
     cluster_->OnQuorumAppliedAck(id_, *m);
   } else if (auto* m = dynamic_cast<const PaxosAccept*>(p)) {
-    cluster_->OnPaxosAccept(id_, msg.from, *m);
+    cluster_->OnPaxosAccept(id_, *m);
   } else if (auto* m = dynamic_cast<const PaxosAccepted*>(p)) {
     cluster_->OnPaxosAccepted(id_, *m);
   } else if (auto* m = dynamic_cast<const PaxosOutcome*>(p)) {
@@ -311,10 +311,6 @@ void NodeRuntime::OnReadLockRequest(NodeId from, const ReadLockRequest& msg) {
       });
 }
 
-void NodeRuntime::OnReadLockGrant(const ReadLockGrant& msg) {
-  cluster_->OnRemoteLockGrant(id_, msg);
-}
-
 void NodeRuntime::OnReadLockRelease(const ReadLockRelease& msg) {
   if (!locks_->CancelWait(msg.txn, FragmentResource(msg.fragment))) {
     locks_->Release(msg.txn, FragmentResource(msg.fragment));
@@ -343,10 +339,6 @@ void NodeRuntime::OnPrepare(NodeId from, const QuasiPrepare& msg) {
   ack->seq = seq;
   ack->acker = id_;
   cluster_->network().Send(id_, from, ack);
-}
-
-void NodeRuntime::OnAck(const QuasiAck& msg) {
-  cluster_->OnMajorityAck(id_, msg);
 }
 
 void NodeRuntime::OnCommit(const QuasiCommit& msg) {

@@ -154,10 +154,8 @@ class NodeRuntime {
   // --- Message handlers --------------------------------------------------
   void OnQuasi(const QuasiTxnMsg& msg);
   void OnReadLockRequest(NodeId from, const ReadLockRequest& msg);
-  void OnReadLockGrant(const ReadLockGrant& msg);
   void OnReadLockRelease(const ReadLockRelease& msg);
   void OnPrepare(NodeId from, const QuasiPrepare& msg);
-  void OnAck(const QuasiAck& msg);
   void OnCommit(const QuasiCommit& msg);
   void OnM0(const M0Msg& msg);
   void OnForwardMissing(const ForwardMissing& msg);

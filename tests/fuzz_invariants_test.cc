@@ -11,7 +11,6 @@
 #include "cc/lock_manager.h"
 #include "common/rng.h"
 #include "core/cluster.h"
-#include "net/broadcast.h"
 #include "workload/banking.h"
 
 namespace fragdb {
@@ -86,75 +85,6 @@ TEST_P(LockManagerFuzz, ModesStayCompatibleUnderRandomChurn) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LockManagerFuzz,
                          ::testing::Values(1, 7, 42, 1337, 9001));
-
-// ---------------------------------------------------------------------------
-// Broadcast under random link flaps: per-origin FIFO and completeness.
-// ---------------------------------------------------------------------------
-
-class BroadcastFlapFuzz : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(BroadcastFlapFuzz, FifoAndCompletenessSurviveLinkFlaps) {
-  Rng rng(GetParam());
-  const int kNodes = 5;
-  struct Tag : MessagePayload {
-    explicit Tag(int v) : value(v) {}
-    int value;
-  };
-  Simulator sim;
-  Topology topo = Topology::FullMesh(kNodes, Millis(3));
-  Network net(&sim, &topo);
-  ReliableBroadcast rb(&net, kNodes);
-  // delivered[node][origin] = sequence of observed payload values.
-  std::vector<std::vector<std::vector<int>>> delivered(
-      kNodes, std::vector<std::vector<int>>(kNodes));
-  for (NodeId n = 0; n < kNodes; ++n) {
-    net.SetHandler(n, [&rb, n](const Message& m) {
-      rb.HandleIfBroadcast(n, m);
-    });
-    rb.Subscribe(n, [&delivered, n](NodeId origin, SeqNum seq,
-                                    std::shared_ptr<const MessagePayload> p) {
-      auto tag = std::dynamic_pointer_cast<const Tag>(p);
-      ASSERT_NE(tag, nullptr);
-      ASSERT_EQ(seq,
-                static_cast<SeqNum>(delivered[n][origin].size()) + 1);
-      delivered[n][origin].push_back(tag->value);
-    });
-  }
-
-  std::vector<int> sent_count(kNodes, 0);
-  for (int step = 0; step < 200; ++step) {
-    // Random link flap.
-    if (rng.NextBool(0.3)) {
-      NodeId a = static_cast<NodeId>(rng.NextBelow(kNodes));
-      NodeId b = static_cast<NodeId>(rng.NextBelow(kNodes));
-      if (a != b) {
-        (void)topo.SetLinkUp(a, b, rng.NextBool(0.5));
-      }
-    }
-    // Random broadcast.
-    NodeId origin = static_cast<NodeId>(rng.NextBelow(kNodes));
-    rb.Broadcast(origin, std::make_shared<Tag>(sent_count[origin]));
-    ++sent_count[origin];
-    sim.RunUntil(sim.Now() + Millis(2));
-  }
-  topo.HealAll();
-  sim.RunToQuiescence();
-
-  for (NodeId n = 0; n < kNodes; ++n) {
-    for (NodeId origin = 0; origin < kNodes; ++origin) {
-      if (origin == n) continue;
-      ASSERT_EQ(delivered[n][origin].size(),
-                static_cast<size_t>(sent_count[origin]))
-          << "node " << n << " origin " << origin << " seed " << GetParam();
-      for (int i = 0; i < sent_count[origin]; ++i) {
-        EXPECT_EQ(delivered[n][origin][i], i);
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, BroadcastFlapFuzz,
-                         ::testing::Values(3, 17, 256, 4096));
 
 // ---------------------------------------------------------------------------
 // Banking end-to-end stress: random deposits/withdrawals from several

@@ -36,6 +36,7 @@ struct QuorumFixture : ::testing::Test {
     config.read_quorum = read_quorum;
     config.write_quorum = write_quorum;
     config.engine = engine;
+    config.durability.enabled = true;  // amnesia crashes need it
     cluster =
         std::make_unique<Cluster>(config, Topology::FullMesh(5, Millis(5)));
     frag = cluster->DefineFragment("F");
@@ -61,7 +62,8 @@ struct QuorumFixture : ::testing::Test {
         -> Result<std::vector<WriteOp>> {
       return std::vector<WriteOp>{{obj, reads[0] + v}};
     };
-    cluster->Submit(spec, [out](const TxnResult& r) {
+    cluster->Submit(spec, [this, out](const TxnResult& r) {
+      ++callbacks;
       if (out) *out = r;
     });
   }
@@ -69,10 +71,13 @@ struct QuorumFixture : ::testing::Test {
     TxnSpec probe;
     probe.agent = kInvalidAgent;
     probe.read_set = {x};
-    cluster->SubmitReadOnlyAt(node, probe,
-                              [out](const TxnResult& r) { *out = r; });
+    cluster->SubmitReadOnlyAt(node, probe, [this, out](const TxnResult& r) {
+      ++callbacks;
+      *out = r;
+    });
   }
   std::unique_ptr<Cluster> cluster;
+  int callbacks = 0;
   FragmentId frag;
   ObjectId x;
   AgentId agent;
@@ -183,6 +188,21 @@ TEST_F(QuorumFixture, ReadAtReplicalessNodeGathersRemotely) {
   ASSERT_EQ(r.reads.size(), 1u);
   EXPECT_EQ(r.reads[0], 9);
   EXPECT_TRUE(CheckQuorumFreshness(cluster->history()).ok);
+}
+
+TEST_F(QuorumFixture, AmnesiaCrashDropsPendingWriteAndReadWaits) {
+  // 5 ms links: at t=2 ms node 0 has committed the write and sent its read
+  // requests, but no installed-ack or read reply is back. The crash wipes
+  // both waits: neither callback may fire, not even from a timeout.
+  ASSERT_TRUE(Build(3, 3).ok());
+  TxnResult w, r;
+  Update(7, &w);
+  ReadOnlyAt(0, &r);
+  cluster->RunFor(Millis(2));
+  ASSERT_EQ(callbacks, 0);  // both waits are pending
+  ASSERT_TRUE(cluster->CrashNode(0, CrashMode::kAmnesia).ok());
+  cluster->RunToQuiescence();
+  EXPECT_EQ(callbacks, 0);
 }
 
 TEST_F(QuorumFixture, QuorumRunsOnParallelEngine) {

@@ -262,7 +262,8 @@ struct RecoveryFixture : ::testing::Test {
         -> Result<std::vector<WriteOp>> {
       return std::vector<WriteOp>{{obj, reads[0] + v}};
     };
-    cluster->Submit(spec, [out](const TxnResult& r) {
+    cluster->Submit(spec, [this, out](const TxnResult& r) {
+      ++callbacks;
       if (out) *out = r;
     });
   }
@@ -276,6 +277,7 @@ struct RecoveryFixture : ::testing::Test {
   FragmentId frag;
   ObjectId x;
   AgentId agent;
+  int callbacks = 0;
 };
 
 TEST_F(RecoveryFixture, AmnesiaCrashRequiresDurability) {
@@ -456,6 +458,34 @@ TEST_F(RecoveryFixture, HomeNodeAmnesiaCrashResumesItsStream) {
   ASSERT_TRUE(t2.status.ok());
   EXPECT_EQ(t2.frag_seq, 3);  // continues where the durable stream ended
   ExpectAllReplicasRead(12);
+}
+
+TEST_F(RecoveryFixture, HomeAmnesiaCrashDropsPendingMajorityAckWait) {
+  Build(MoveProtocol::kMajorityCommit);
+  TxnResult t1;
+  Update(1, &t1);
+  cluster->RunToQuiescence();
+  ASSERT_TRUE(t1.status.ok());
+  ASSERT_EQ(t1.frag_seq, 1);
+
+  // 5 ms links: at +2 ms the prepare for seq 2 is out and no ack is back.
+  // The crash takes the ack wait with it, so the client never hears back.
+  // Nothing may act on the wait after revival: a late ack would commit the
+  // lost transaction, and its timeout would roll next_seq back.
+  Update(1);
+  cluster->RunFor(Millis(2));
+  ASSERT_EQ(callbacks, 1);  // the second update is waiting for acks
+  ASSERT_TRUE(cluster->CrashNode(0, CrashMode::kAmnesia).ok());
+  ASSERT_TRUE(cluster->ReviveNode(0, nullptr).ok());
+  cluster->RunToQuiescence();
+  EXPECT_EQ(callbacks, 1);
+
+  TxnResult t2;
+  Update(10, &t2);
+  cluster->RunToQuiescence();
+  ASSERT_TRUE(t2.status.ok()) << t2.status.ToString();
+  EXPECT_EQ(t2.frag_seq, 2);  // continues the durable stream
+  ExpectAllReplicasRead(11);
 }
 
 TEST_F(RecoveryFixture, UpdatesCommittedDuringOutageAreFetchedFromPeers) {
