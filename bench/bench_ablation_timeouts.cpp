@@ -62,8 +62,9 @@ RowResult RunOnce(SimTime lock_timeout) {
     for (int i = 0; i < 4; ++i) {
       int foreign = static_cast<int>(rng.NextBelow(4));
       if (foreign == i) foreign = (i + 1) % 4;
-      cluster.sim().At(t, [&cluster, &row, &agents, &frags, &objs, i,
-                           foreign] {
+      // Agent i is homed at node i: the submit is an event there.
+      cluster.engine()->AtNode(i, t, [&cluster, &row, &agents, &frags, &objs,
+                                      i, foreign] {
         TxnSpec spec;
         spec.agent = agents[i];
         spec.write_fragment = frags[i];

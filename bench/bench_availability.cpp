@@ -15,12 +15,10 @@
 //   --duration_ms=N      traffic window (default 700)
 //   --bucket_ms=N        timeline bucket width (default 25)
 //   --out=FILE           also write the full JSON report to FILE
-//   --engine=E           serial (default) | pdes: run the cell on the
-//                        windowed PDES scheduler with --sim_threads
-//                        workers / --sim_partitions partitions
-//   --verify_serial=1    (pdes only) re-run the cell single-threaded on
-//                        the same scheduler and fail if the timeline or
-//                        availability fingerprints diverge
+//   --sim_threads=N      PDES workers (--sim_partitions sets the node
+//                        partitions)
+//   --verify_serial=1    re-run the cell with one PDES worker and fail if
+//                        the timeline or availability fingerprints diverge
 
 #include <cstdio>
 #include <cstdlib>
@@ -94,16 +92,8 @@ int main(int argc, char** argv) {
   opt.observability.flight_recorder = true;
   opt.observability.timeline_bucket_width = bucket;
 
-  std::string engine_name = opts.ExtraOr("engine", "serial");
-  if (engine_name == "pdes") {
-    opt.engine.kind = EngineKind::kParallel;
-    opt.engine.threads = opts.sim_threads;
-    opt.engine.partitions = opts.sim_partitions;
-  } else if (engine_name != "serial") {
-    std::fprintf(stderr, "unknown --engine '%s' (serial|pdes)\n",
-                 engine_name.c_str());
-    return 2;
-  }
+  opt.engine.threads = opts.sim_threads;
+  opt.engine.partitions = opts.sim_partitions;
 
   ScenarioRunner runner(Scenario(merged), opt);
   Status started = runner.Start();
@@ -113,8 +103,7 @@ int main(int argc, char** argv) {
   }
   ScenarioCellReport report = runner.Run();
 
-  if (opts.ExtraOr("verify_serial", "0") != "0" &&
-      opt.engine.kind == EngineKind::kParallel) {
+  if (opts.ExtraOr("verify_serial", "0") != "0") {
     ScenarioRunOptions ref_opt = opt;
     ref_opt.engine.threads = 1;
     ScenarioRunner ref_runner(Scenario(merged), ref_opt);

@@ -90,7 +90,7 @@ RowResult RunCluster(const std::string& name, const std::string& guarantee,
       SimTime when = Millis(200) * (i + 1);
       AgentId agent = static_cast<AgentId>(rng.NextBelow(kNodes));
       NodeId to = static_cast<NodeId>(rng.NextBelow(kNodes));
-      cluster.sim().At(when, [&cluster, agent, to] {
+      cluster.engine()->AtGlobal(when, [&cluster, agent, to] {
         (void)cluster.MoveAgent(agent, to, nullptr);
       });
     }

@@ -53,7 +53,7 @@ RowResult RunOnce(ControlOption control, double partition_fraction,
                                               (1.0 - partition_fraction));
   for (SimTime t = 0; t < kDuration; t += kCycle) {
     if (partition_fraction > 0) {
-      cluster.sim().At(t + partition_at, [&cluster, &rng] {
+      cluster.engine()->AtGlobal(t + partition_at, [&cluster, &rng] {
         // Cut a random warehouse (or two) away from the central office.
         std::vector<NodeId> cut, keep{0};
         for (NodeId n = 1; n < cluster.node_count(); ++n) {
@@ -61,13 +61,15 @@ RowResult RunOnce(ControlOption control, double partition_fraction,
         }
         if (!cut.empty()) (void)cluster.Partition({keep, cut});
       });
-      cluster.sim().At(t + kCycle - 1, [&cluster] { cluster.HealAll(); });
+      cluster.engine()->AtGlobal(t + kCycle - 1,
+                                 [&cluster] { cluster.HealAll(); });
     }
   }
   // Sales every 15ms at a rotating warehouse; plans every 60ms.
   for (SimTime t = 0; t < kDuration; t += Millis(15)) {
     int w = static_cast<int>((t / Millis(15)) % opt.warehouses);
-    cluster.sim().At(t, [&wh, w, &sales_submitted, &sales_served] {
+    cluster.engine()->AtNode(wh.warehouse_node(w), t,
+                             [&wh, w, &sales_submitted, &sales_served] {
       ++sales_submitted;
       wh.Sell(w, 0, 1, [&sales_served](const TxnResult& r) {
         if (r.status.ok() || r.status.IsFailedPrecondition()) ++sales_served;
@@ -75,7 +77,8 @@ RowResult RunOnce(ControlOption control, double partition_fraction,
     });
   }
   for (SimTime t = Millis(30); t < kDuration; t += Millis(60)) {
-    cluster.sim().At(t, [&wh, &plans_submitted, &plans_served] {
+    cluster.engine()->AtNode(wh.central_node(), t,
+                             [&wh, &plans_submitted, &plans_served] {
       ++plans_submitted;
       // RunCentralPlan records into workload metrics; count directly.
       wh.RunCentralPlan(nullptr);

@@ -6,10 +6,11 @@
 // configuration order, so aggregate output is byte-identical regardless
 // of thread count or scheduling (see docs/PERFORMANCE.md).
 //
-// Each job must be self-contained: it builds its own Simulator / Cluster
+// Each job must be self-contained: it builds its own engine / Cluster
 // from its (seed, config) inputs and touches no shared mutable state.
-// The simulation core itself stays single-threaded per instance — the
-// harness exploits the embarrassing parallelism *between* instances.
+// An instance runs one PDES worker unless its bench passes --sim_threads
+// on; the harness exploits the embarrassing parallelism *between*
+// instances.
 
 #include <cstddef>
 #include <cstdint>

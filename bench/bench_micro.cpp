@@ -261,8 +261,7 @@ void BM_SchedulerRunLocal(benchmark::State& state) {
   Catalog catalog;
   FragmentId f = catalog.AddFragment("F");
   ObjectId x = *catalog.AddObject(f, "x", 0);
-  Simulator sim;
-  SerialEngine engine(&sim);
+  SimEngine engine(1);
   ObjectStore store(&catalog);
   LockManager locks;
   Scheduler sched(0, &engine, &store, &locks, Scheduler::Config{}, {});
@@ -279,7 +278,7 @@ void BM_SchedulerRunLocal(benchmark::State& state) {
   for (auto _ : state) {
     sched.RunLocal(id++, spec, false, [&seq] { return ++seq; },
                    [](TxnResult) {});
-    sim.RunToQuiescence();
+    engine.RunToQuiescence();
   }
   state.SetItemsProcessed(state.iterations());
 }

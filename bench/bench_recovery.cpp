@@ -60,7 +60,7 @@ RunResult RunOnce(SimTime history, SimTime downtime,
   SimTime traffic_end =
       traffic_during_outage ? history + downtime + Millis(50) : history;
   for (SimTime t = 0; t < traffic_end; t += Millis(2)) {
-    cluster.sim().At(t, [&cluster, &result, agent, frag, x] {
+    cluster.engine()->AtNode(0, t, [&cluster, &result, agent, frag, x] {
       TxnSpec spec;
       spec.agent = agent;
       spec.write_fragment = frag;

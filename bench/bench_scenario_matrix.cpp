@@ -28,21 +28,13 @@
 //                        flight_<cell>.jsonl per failing cell
 //   --force_fail=N       mark cell N failed after its checks pass, to
 //                        exercise the flight-recorder dump path end-to-end
-//   --engine=E           serial (default) | pdes: run every cell's full
-//                        protocol stack on the windowed PDES scheduler
-//                        with --sim_threads workers / --sim_partitions
-//                        partitions. All BENCH_JSON cell lines are
+//   --sim_threads=N      PDES workers per cell (--sim_partitions sets the
+//                        node partitions). All BENCH_JSON cell lines are
 //                        byte-identical at any --sim_threads; only the
 //                        "scenario_matrix_wall" line (wall clock) varies,
 //                        and determinism diffs strip it.
-//   --verify_serial=1    (pdes only) re-run every cell single-threaded on
-//                        the same scheduler and byte-compare its JSON and
-//                        fingerprints. The reference is pdes at one
-//                        worker, not the serial engine: pdes stripes txn
-//                        ids per node and draws workload/loss RNG streams
-//                        per agent/sender, so its (equally valid)
-//                        schedule differs from the serial engine's by
-//                        design — see docs/PERFORMANCE.md.
+//   --verify_serial=1    re-run every cell with one PDES worker and
+//                        byte-compare its JSON and fingerprints.
 
 #include <chrono>
 #include <cstdio>
@@ -156,10 +148,8 @@ CellResult RunCellOnce(const Cell& cell, int nodes, SimTime duration,
   out.report = runner.Run();
   const ScenarioCellReport& r = out.report;
   const WorkloadMetrics& m = r.metrics;
-  const bool pdes = engine.kind == EngineKind::kParallel;
   std::ostringstream os;
   os << "{\"config\":\"scenario_matrix\""
-     << (pdes ? ",\"engine\":\"pdes\"" : "")
      << ",\"scenario\":\"" << cell.scenario << "\""
      << ",\"workload\":\"" << cell.workload << "\""
      << ",\"control\":\"" << cell.control_name << "\""
@@ -194,7 +184,7 @@ CellResult RunCellOnce(const Cell& cell, int nodes, SimTime duration,
 CellResult RunCell(const Cell& cell, int nodes, SimTime duration,
                    const EngineConfig& engine, bool verify_serial) {
   CellResult out = RunCellOnce(cell, nodes, duration, engine);
-  if (verify_serial && engine.kind == EngineKind::kParallel) {
+  if (verify_serial) {
     EngineConfig reference = engine;
     reference.threads = 1;
     CellResult ref = RunCellOnce(cell, nodes, duration, reference);
@@ -257,17 +247,9 @@ int main(int argc, char** argv) {
   std::string out_dir = opts.ExtraOr("out_dir", "");
   int force_fail = std::atoi(opts.ExtraOr("force_fail", "-1").c_str());
 
-  std::string engine_name = opts.ExtraOr("engine", "serial");
   EngineConfig engine;
-  if (engine_name == "pdes") {
-    engine.kind = EngineKind::kParallel;
-    engine.threads = opts.sim_threads;
-    engine.partitions = opts.sim_partitions;
-  } else if (engine_name != "serial") {
-    std::fprintf(stderr, "unknown --engine '%s' (serial|pdes)\n",
-                 engine_name.c_str());
-    return 2;
-  }
+  engine.threads = opts.sim_threads;
+  engine.partitions = opts.sim_partitions;
   bool verify_serial = opts.ExtraOr("verify_serial", "0") != "0";
 
   std::vector<Cell> cells;
@@ -290,10 +272,9 @@ int main(int argc, char** argv) {
   }
 
   // Thread count goes to stderr: stdout is byte-identical at any --threads
-  // (and, in pdes mode, at any --sim_threads).
-  std::fprintf(stderr, "running %zu cells on %d threads (engine=%s"
-               " sim_threads=%d)\n", cells.size(), opts.threads,
-               engine_name.c_str(), opts.sim_threads);
+  // and any --sim_threads.
+  std::fprintf(stderr, "running %zu cells on %d threads (sim_threads=%d)\n",
+               cells.size(), opts.threads, opts.sim_threads);
   std::printf("scenario matrix: %zu cells (%zu scenarios x %zu workloads"
               " x %zu controls x %zu seeds)\n\n",
               cells.size(), scenarios.size(), workloads.size(),
@@ -335,10 +316,10 @@ int main(int argc, char** argv) {
   {
     char wall_json[256];
     std::snprintf(wall_json, sizeof(wall_json),
-                  "{\"config\":\"scenario_matrix_wall\",\"engine\":\"%s\","
+                  "{\"config\":\"scenario_matrix_wall\","
                   "\"threads\":%d,\"sim_threads\":%d,\"sim_partitions\":%d,"
                   "\"cells\":%zu,\"wall_ms\":%.1f}",
-                  engine_name.c_str(), opts.threads, opts.sim_threads,
+                  opts.threads, opts.sim_threads,
                   opts.sim_partitions, cells.size(), wall_ms);
     PrintJsonLine(wall_json);
   }

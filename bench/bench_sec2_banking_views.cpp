@@ -51,16 +51,18 @@ RowResult RunOnce(SimTime partition_len) {
   const SimTime kDepositEvery = Millis(10);
   SimTime t = 0;
   const SimTime kPartitionStart = Millis(100);
+  const NodeId home = *cluster.catalog().HomeOf(bank.customer_agent(0));
   for (int i = 0; i < 80; ++i) {
-    cluster.sim().At(t, [&bank] { bank.Deposit(0, 10, nullptr); });
+    cluster.engine()->AtNode(home, t,
+                             [&bank] { bank.Deposit(0, 10, nullptr); });
     t += kDepositEvery;
   }
   (void)t;
-  cluster.sim().At(kPartitionStart, [&cluster] {
+  cluster.engine()->AtGlobal(kPartitionStart, [&cluster] {
     (void)cluster.Partition({{1}, {0, 2}});
   });
-  cluster.sim().At(kPartitionStart + partition_len,
-                   [&cluster] { cluster.HealAll(); });
+  cluster.engine()->AtGlobal(kPartitionStart + partition_len,
+                             [&cluster] { cluster.HealAll(); });
 
   // Sample the divergence every 5ms.
   SimTime heal_at = kPartitionStart + partition_len;

@@ -64,10 +64,11 @@ RowResult RunOnce(ControlOption control, double partition_fraction,
       SimTime cut_at =
           t + static_cast<SimTime>(kCycle * (1.0 - partition_fraction));
       const auto& split = kSplits[split_index++ % kSplits.size()];
-      cluster.sim().At(cut_at, [&cluster, split] {
+      cluster.engine()->AtGlobal(cut_at, [&cluster, split] {
         (void)cluster.Partition(split);
       });
-      cluster.sim().At(t + kCycle - 1, [&cluster] { cluster.HealAll(); });
+      cluster.engine()->AtGlobal(t + kCycle - 1,
+                                 [&cluster] { cluster.HealAll(); });
     }
   }
   // Each customer requests one seat on a rotating flight every ~80ms;
@@ -76,7 +77,7 @@ RowResult RunOnce(ControlOption control, double partition_fraction,
   for (SimTime t = Millis(10); t < kDuration; t += Millis(80)) {
     for (int c = 0; c < opt.customers; ++c) {
       int flight = static_cast<int>((t / Millis(80) + c) % opt.flights);
-      cluster.sim().At(t + c, [&air, c, flight] {
+      cluster.engine()->AtNode(air.customer_node(c), t + c, [&air, c, flight] {
         air.Request(c, flight, 1, nullptr);
       });
       ++request_count;
@@ -84,7 +85,8 @@ RowResult RunOnce(ControlOption control, double partition_fraction,
   }
   (void)request_count;
   for (SimTime t = Millis(50); t < kDuration; t += Millis(100)) {
-    cluster.sim().At(t, [&air] { air.RunAllScans(nullptr); });
+    // Scans touch every flight's home: a global event.
+    cluster.engine()->AtGlobal(t, [&air] { air.RunAllScans(nullptr); });
   }
   cluster.RunUntil(kDuration);
   cluster.HealAll();

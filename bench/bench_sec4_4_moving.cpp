@@ -83,7 +83,8 @@ RowResult RunOnce(MoveProtocol protocol) {
   });
   // Updates every 25ms during the 400ms window; count what gets served.
   for (SimTime t = Millis(25); t <= Millis(400); t += Millis(25)) {
-    cluster.sim().After(t - (cluster.Now() - move_started), [&, t] {
+    // The agent is in transit: submits are global events.
+    cluster.engine()->AtGlobal(move_started + t, [&, t] {
       ++row.window_total;
       update(static_cast<int>(t / Millis(25)), 1, [&](bool ok) {
         if (ok) ++row.served;

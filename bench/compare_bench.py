@@ -29,11 +29,10 @@ as a soft gate (continue-on-error), so a failure annotates the build
 without blocking it.
 
 Regenerating the committed baseline (from the build directory):
-    ./bench/bench_scenario_matrix --seeds=1 --engine=serial
-    ./bench/bench_scenario_matrix --seeds=1 --engine=pdes
+    ./bench/bench_scenario_matrix --seeds=1
     ./bench/bench_scenario_matrix --scenarios=flapping_split \
         --workloads=flash_hotkey --controls=fragmentwise --seeds=1 \
-        --nodes=48 --duration_ms=700 --engine=pdes
+        --nodes=48 --duration_ms=700
 and concatenate the BENCH_JSON lines into BENCH_BASELINE.json.
 """
 

@@ -28,6 +28,7 @@ int main() {
   config.move_protocol = MoveProtocol::kMajorityCommit;
   config.durability.enabled = true;
   config.durability.checkpoint_interval = Millis(10);
+  config.observability.tracing = true;
   Cluster cluster(config, Topology::FullMesh(5, Millis(5)));
   FragmentId ledger = cluster.DefineFragment("ledger");
   ObjectId total = *cluster.DefineObject(ledger, "total", 0);
@@ -36,10 +37,16 @@ int main() {
   (void)cluster.SetAgentHome(owner, 0);
   if (!cluster.Start().ok()) return 1;
 
-  cluster.SetTraceSink([](const TraceEvent& ev) {
-    std::printf("  [%6lldus] %-13s %s\n", (long long)ev.at, ev.kind.c_str(),
-                ev.detail.c_str());
-  });
+  // Runs the cluster until nothing is left to do, then prints (and
+  // clears) the trace the step recorded.
+  auto run = [&cluster] {
+    cluster.RunToQuiescence();
+    for (const TraceEvent& ev : cluster.tracer()->events()) {
+      std::printf("  [%6lldus] %-13s %s\n", (long long)ev.at,
+                  ev.kind.c_str(), ev.detail.c_str());
+    }
+    cluster.tracer()->Clear();
+  };
 
   auto add = [&](Value v) {
     TxnSpec spec;
@@ -56,26 +63,28 @@ int main() {
 
   std::printf("normal operation (majority commit):\n");
   add(10);
-  cluster.RunToQuiescence();
+  run();
 
   std::printf("\nnode 0 (the agent's home) crashes:\n");
   (void)cluster.SetNodeUp(0, false);
+  run();
   std::printf("\nthe token is reconstituted at node 3 from a majority:\n");
   (void)cluster.RecoverAgent(owner, 3, nullptr);
-  cluster.RunToQuiescence();
+  run();
 
   std::printf("\nbusiness resumes at the new home:\n");
   add(5);
-  cluster.RunToQuiescence();
+  run();
 
   std::printf("\nthe crashed node returns and catches up:\n");
   (void)cluster.SetNodeUp(0, true);
-  cluster.RunToQuiescence();
+  run();
 
   std::printf(
       "\nnode 3 loses power — replica, locks and stream positions are\n"
       "volatile and vanish; only its stable storage survives:\n");
   (void)cluster.CrashNode(3, CrashMode::kAmnesia);
+  run();
   std::printf("  node 3 reads total=%lld while down (replica wiped)\n",
               (long long)cluster.ReadAt(3, total));
 
@@ -88,12 +97,11 @@ int main() {
         (long long)s.wal_records_replayed, (long long)s.peer_quasis_fetched,
         s.peers_replied, s.peers_queried);
   });
-  cluster.RunToQuiescence();
+  run();
 
   std::printf("\nbusiness resumes at the recovered home:\n");
   add(2);
-  cluster.RunToQuiescence();
-  cluster.SetTraceSink(nullptr);
+  run();
 
   for (NodeId n = 0; n < 5; ++n) {
     std::printf("node %d: total=%lld\n", n, (long long)cluster.ReadAt(n, total));

@@ -15,8 +15,10 @@ struct LogTransformEngine::OpMsg : MessagePayload {
 
 LogTransformEngine::LogTransformEngine(const Catalog* catalog,
                                        Topology topology, Config config)
-    : catalog_(catalog), topology_(std::move(topology)), config_(config) {
-  network_ = std::make_unique<Network>(&sim_, &topology_);
+    : catalog_(catalog), topology_(std::move(topology)),
+      engine_(topology_.node_count()),
+      config_(config) {
+  network_ = std::make_unique<Network>(&engine_, &topology_);
   int n = topology_.node_count();
   logs_.resize(n);
   next_local_seq_.assign(n, 1);
@@ -46,8 +48,8 @@ void LogTransformEngine::Submit(NodeId node, const TxnSpec& spec,
 void LogTransformEngine::Submit(NodeId node, const TxnSpec& decision,
                                 const TxnSpec& effect, TxnCallback done) {
   ++stats_.submitted;
-  sim_.After(config_.exec_time, [this, node, decision, effect,
-                                 done = std::move(done)] {
+  engine_.AfterNode(node, config_.exec_time, [this, node, decision, effect,
+                                              done = std::move(done)] {
     // Evaluate the accept-time decision against the local state
     // ("free-for-all": always possible, possibly on stale data).
     ObjectStore& store = *stores_[node];
@@ -58,7 +60,7 @@ void LogTransformEngine::Submit(NodeId node, const TxnSpec& decision,
     Result<std::vector<WriteOp>> out = decision.body
         ? decision.body(result.reads)
         : Result<std::vector<WriteOp>>(std::vector<WriteOp>{});
-    result.finished_at = sim_.Now();
+    result.finished_at = engine_.Now();
     if (!out.ok()) {
       ++stats_.declined;
       result.status = out.status();
@@ -70,7 +72,7 @@ void LogTransformEngine::Submit(NodeId node, const TxnSpec& decision,
 
     // Log and apply the effect.
     LogOp op;
-    op.ts = sim_.Now();
+    op.ts = engine_.Now();
     op.origin = node;
     op.local_seq = next_local_seq_[node]++;
     op.spec = effect;
@@ -82,7 +84,7 @@ void LogTransformEngine::Submit(NodeId node, const TxnSpec& decision,
     if (eff.ok()) {
       result.writes = *eff;
       for (const WriteOp& w : result.writes) {
-        store.Write(w.object, w.value, 0, 0, sim_.Now());
+        store.Write(w.object, w.value, 0, 0, engine_.Now());
       }
     }
     logs_[node].push_back(op);
@@ -134,7 +136,7 @@ bool LogTransformEngine::ApplyOp(NodeId node, const LogOp& op,
     return false;
   }
   for (const WriteOp& w : *out) {
-    store.Write(w.object, w.value, 0, 0, sim_.Now());
+    store.Write(w.object, w.value, 0, 0, engine_.Now());
   }
   return true;
 }
@@ -173,9 +175,9 @@ Status LogTransformEngine::Partition(
 
 void LogTransformEngine::HealAll() { topology_.HealAll(); }
 void LogTransformEngine::RunFor(SimTime duration) {
-  sim_.RunUntil(sim_.Now() + duration);
+  engine_.RunUntil(engine_.Now() + duration);
 }
-void LogTransformEngine::RunToQuiescence() { sim_.RunToQuiescence(); }
+void LogTransformEngine::RunToQuiescence() { engine_.RunToQuiescence(); }
 
 Value LogTransformEngine::ReadAt(NodeId node, ObjectId object) const {
   return stores_[node]->Read(object);

@@ -12,7 +12,7 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "net/network.h"
-#include "sim/simulator.h"
+#include "sim/engine.h"
 #include "storage/catalog.h"
 #include "storage/object_store.h"
 #include "verify/checkers.h"
@@ -80,7 +80,7 @@ class LogTransformEngine {
   void HealAll();
   void RunFor(SimTime duration);
   void RunToQuiescence();
-  SimTime Now() const { return sim_.Now(); }
+  SimTime Now() const { return engine_.Now(); }
 
   Value ReadAt(NodeId node, ObjectId object) const;
   std::vector<const ObjectStore*> Replicas() const;
@@ -112,8 +112,9 @@ class LogTransformEngine {
   void CheckPredicates(NodeId node);
 
   const Catalog* catalog_;
-  Simulator sim_;
   Topology topology_;
+  /// One partition, every event in (time, node, seq) order.
+  SimEngine engine_;
   std::unique_ptr<Network> network_;
   std::vector<std::unique_ptr<ObjectStore>> stores_;
   std::vector<std::vector<LogOp>> logs_;  // per node, kept sorted

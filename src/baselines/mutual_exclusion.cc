@@ -25,9 +25,11 @@ struct MutualExclusionEngine::ApplyMsg : MessagePayload {
 
 MutualExclusionEngine::MutualExclusionEngine(const Catalog* catalog,
                                              Topology topology, Config config)
-    : catalog_(catalog), topology_(std::move(topology)), config_(config) {
+    : catalog_(catalog), topology_(std::move(topology)),
+      engine_(topology_.node_count()),
+      config_(config) {
   (void)catalog_;
-  network_ = std::make_unique<Network>(&sim_, &topology_);
+  network_ = std::make_unique<Network>(&engine_, &topology_);
   int n = topology_.node_count();
   applied_.assign(n, 0);
   holdback_.resize(n);
@@ -57,14 +59,15 @@ void MutualExclusionEngine::Submit(NodeId node, const TxnSpec& spec,
     ++stats_.rejected_minority;
     TxnResult r;
     r.status = Status::Unavailable("node is not in a majority component");
-    r.finished_at = sim_.Now();
+    r.finished_at = engine_.Now();
     done(std::move(r));
     return;
   }
   int64_t request_id = next_request_id_++;
   PendingRequest pending;
   pending.done = std::move(done);
-  pending.timeout = sim_.After(config_.reply_timeout, [this, request_id] {
+  pending.timeout = engine_.AfterNode(
+      node, config_.reply_timeout, [this, request_id] {
     auto it = pending_.find(request_id);
     if (it == pending_.end()) return;
     TxnCallback cb = std::move(it->second.done);
@@ -72,7 +75,7 @@ void MutualExclusionEngine::Submit(NodeId node, const TxnSpec& spec,
     ++stats_.timed_out;
     TxnResult r;
     r.status = Status::TimedOut("no reply from sequencer");
-    r.finished_at = sim_.Now();
+    r.finished_at = engine_.Now();
     cb(std::move(r));
   });
   pending_[request_id] = std::move(pending);
@@ -92,8 +95,8 @@ void MutualExclusionEngine::ExecuteAtSequencer(NodeId seq_node,
                                                const TxnSpec& spec,
                                                NodeId reply_to,
                                                int64_t request_id) {
-  sim_.After(config_.exec_time, [this, seq_node, spec, reply_to,
-                                 request_id] {
+  engine_.AfterNode(seq_node, config_.exec_time, [this, seq_node, spec,
+                                                  reply_to, request_id] {
     ObjectStore& store = *stores_[seq_node];
     TxnResult result;
     result.reads.reserve(spec.read_set.size());
@@ -109,7 +112,7 @@ void MutualExclusionEngine::ExecuteAtSequencer(NodeId seq_node,
       SeqNum seq = next_global_seq_++;
       result.frag_seq = seq;
       for (const WriteOp& w : result.writes) {
-        store.Write(w.object, w.value, 0, seq, sim_.Now());
+        store.Write(w.object, w.value, 0, seq, engine_.Now());
       }
       applied_[seq_node] = seq;
       auto apply = std::make_shared<ApplyMsg>();
@@ -118,11 +121,11 @@ void MutualExclusionEngine::ExecuteAtSequencer(NodeId seq_node,
       Status st = network_->SendToAll(seq_node, apply);
       FRAGDB_CHECK(st.ok());
     }
-    result.finished_at = sim_.Now();
+    result.finished_at = engine_.Now();
     if (reply_to == seq_node) {
       auto it = pending_.find(request_id);
       if (it != pending_.end()) {
-        sim_.Cancel(it->second.timeout);
+        engine_.CancelNode(reply_to, it->second.timeout);
         TxnCallback cb = std::move(it->second.done);
         pending_.erase(it);
         if (result.status.ok()) {
@@ -151,7 +154,7 @@ void MutualExclusionEngine::HandleMessage(NodeId node, const Message& msg) {
   if (auto* reply = dynamic_cast<const ReplyMsg*>(p)) {
     auto it = pending_.find(reply->request_id);
     if (it == pending_.end()) return;  // timed out earlier
-    sim_.Cancel(it->second.timeout);
+    engine_.CancelNode(node, it->second.timeout);
     TxnCallback cb = std::move(it->second.done);
     pending_.erase(it);
     if (reply->result.status.ok()) {
@@ -160,7 +163,7 @@ void MutualExclusionEngine::HandleMessage(NodeId node, const Message& msg) {
       ++stats_.declined;
     }
     TxnResult result = reply->result;
-    result.finished_at = sim_.Now();  // when the submitter learned of it
+    result.finished_at = engine_.Now();  // when the submitter learned of it
     cb(std::move(result));
     return;
   }
@@ -177,7 +180,7 @@ void MutualExclusionEngine::TryApply(NodeId node) {
     auto it = hb.find(applied_[node] + 1);
     if (it == hb.end()) break;
     for (const WriteOp& w : it->second) {
-      stores_[node]->Write(w.object, w.value, 0, it->first, sim_.Now());
+      stores_[node]->Write(w.object, w.value, 0, it->first, engine_.Now());
     }
     applied_[node] = it->first;
     hb.erase(it);
@@ -191,9 +194,9 @@ Status MutualExclusionEngine::Partition(
 
 void MutualExclusionEngine::HealAll() { topology_.HealAll(); }
 void MutualExclusionEngine::RunFor(SimTime duration) {
-  sim_.RunUntil(sim_.Now() + duration);
+  engine_.RunUntil(engine_.Now() + duration);
 }
-void MutualExclusionEngine::RunToQuiescence() { sim_.RunToQuiescence(); }
+void MutualExclusionEngine::RunToQuiescence() { engine_.RunToQuiescence(); }
 
 Value MutualExclusionEngine::ReadAt(NodeId node, ObjectId object) const {
   return stores_[node]->Read(object);

@@ -11,7 +11,7 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "net/network.h"
-#include "sim/simulator.h"
+#include "sim/engine.h"
 #include "storage/catalog.h"
 #include "storage/object_store.h"
 
@@ -62,7 +62,7 @@ class MutualExclusionEngine {
   void HealAll();
   void RunFor(SimTime duration);
   void RunToQuiescence();
-  SimTime Now() const { return sim_.Now(); }
+  SimTime Now() const { return engine_.Now(); }
 
   Value ReadAt(NodeId node, ObjectId object) const;
   std::vector<const ObjectStore*> Replicas() const;
@@ -83,8 +83,9 @@ class MutualExclusionEngine {
   void TryApply(NodeId node);
 
   const Catalog* catalog_;
-  Simulator sim_;
   Topology topology_;
+  /// One partition, every event in (time, node, seq) order.
+  SimEngine engine_;
   std::unique_ptr<Network> network_;
   std::vector<std::unique_ptr<ObjectStore>> stores_;
   /// Global total order of committed writes.

@@ -14,8 +14,10 @@ struct OptimisticEngine::EraLogMsg : MessagePayload {
 
 OptimisticEngine::OptimisticEngine(const Catalog* catalog, Topology topology,
                                    Config config)
-    : catalog_(catalog), topology_(std::move(topology)), config_(config) {
-  network_ = std::make_unique<Network>(&sim_, &topology_);
+    : catalog_(catalog), topology_(std::move(topology)),
+      engine_(topology_.node_count()),
+      config_(config) {
+  network_ = std::make_unique<Network>(&engine_, &topology_);
   int n = topology_.node_count();
   era_.resize(n);
   for (NodeId node = 0; node < n; ++node) {
@@ -29,14 +31,15 @@ OptimisticEngine::OptimisticEngine(const Catalog* catalog, Topology topology,
 void OptimisticEngine::Submit(NodeId node, const TxnSpec& spec,
                               TxnCallback done) {
   ++stats_.submitted;
-  sim_.After(config_.exec_time, [this, node, spec, done = std::move(done)] {
+  engine_.AfterNode(node, config_.exec_time,
+                    [this, node, spec, done = std::move(done)] {
     ObjectStore& store = *stores_[node];
     TxnResult result;
     for (ObjectId o : spec.read_set) result.reads.push_back(store.Read(o));
     Result<std::vector<WriteOp>> out = spec.body
         ? spec.body(result.reads)
         : Result<std::vector<WriteOp>>(std::vector<WriteOp>{});
-    result.finished_at = sim_.Now();
+    result.finished_at = engine_.Now();
     if (!out.ok()) {
       ++stats_.declined;
       result.status = out.status();
@@ -49,12 +52,12 @@ void OptimisticEngine::Submit(NodeId node, const TxnSpec& spec,
     EraTxn txn;
     txn.id = next_txn_id_++;
     txn.node = node;
-    txn.ts = sim_.Now();
+    txn.ts = engine_.Now();
     txn.spec = spec;
     txn.reads.insert(spec.read_set.begin(), spec.read_set.end());
     for (const WriteOp& w : result.writes) {
       txn.writes.insert(w.object);
-      store.Write(w.object, w.value, 0, 0, sim_.Now());
+      store.Write(w.object, w.value, 0, 0, engine_.Now());
     }
     era_[node].push_back(std::move(txn));
     done(std::move(result));
@@ -176,7 +179,7 @@ void OptimisticEngine::DoMerge(SimTime exchange_latency) {
         : Result<std::vector<WriteOp>>(std::vector<WriteOp>{});
     if (!out.ok()) return false;
     for (const WriteOp& w : *out) {
-      merged.Write(w.object, w.value, 0, 0, sim_.Now());
+      merged.Write(w.object, w.value, 0, 0, engine_.Now());
     }
     return true;
   };
@@ -192,10 +195,12 @@ void OptimisticEngine::DoMerge(SimTime exchange_latency) {
 
   // Install the merged state everywhere once the exchange would have
   // completed.
-  sim_.After(exchange_latency, [this, merged = std::move(merged)] {
+  // The install touches every replica: a global event.
+  engine_.AtGlobal(engine_.Now() + exchange_latency,
+                   [this, merged = std::move(merged)] {
     for (auto& store : stores_) {
       for (ObjectId o = 0; o < catalog_->object_count(); ++o) {
-        store->Write(o, merged.Read(o), 0, 0, sim_.Now());
+        store->Write(o, merged.Read(o), 0, 0, engine_.Now());
       }
     }
   });
@@ -208,9 +213,9 @@ Status OptimisticEngine::Partition(
 
 void OptimisticEngine::HealAll() { topology_.HealAll(); }
 void OptimisticEngine::RunFor(SimTime duration) {
-  sim_.RunUntil(sim_.Now() + duration);
+  engine_.RunUntil(engine_.Now() + duration);
 }
-void OptimisticEngine::RunToQuiescence() { sim_.RunToQuiescence(); }
+void OptimisticEngine::RunToQuiescence() { engine_.RunToQuiescence(); }
 
 Value OptimisticEngine::ReadAt(NodeId node, ObjectId object) const {
   return stores_[node]->Read(object);

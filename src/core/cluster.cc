@@ -54,33 +54,28 @@ const char* MoveProtocolName(MoveProtocol protocol) {
 
 Cluster::Cluster(ClusterConfig config, Topology topology)
     : config_(config), topology_(std::move(topology)) {
-  if (config_.engine.kind == EngineKind::kParallel) {
-    const int nodes = topology_.node_count();
-    const int parts = config_.engine.partitions > 0
-                          ? std::min(config_.engine.partitions, nodes)
-                          : nodes;
-    PdesScheduler::Options opts;
-    opts.threads = config_.engine.threads;
-    engine_ = std::make_unique<PdesEngine>(
-        PartitionPlan::Contiguous(nodes, parts),
-        [this](const PartitionPlan& p) {
-          return topology_.MinCrossPartitionLatency(p.owners());
-        },
-        opts);
-    parallel_ = true;
-    // Topology mutations happen in global events. Precompute the routing
-    // rows there so concurrent node events never race on the lazy row
-    // cache, and tell the scheduler its lookahead bound may have moved.
-    // Registered before the Network's flush listener: lookahead shrinks
-    // before any flushed message is posted.
+  const int nodes = topology_.node_count();
+  const int parts = config_.engine.partitions > 0
+                        ? std::min(config_.engine.partitions, nodes)
+                        : nodes;
+  PdesScheduler::Options opts;
+  opts.threads = config_.engine.threads;
+  engine_ = std::make_unique<SimEngine>(
+      PartitionPlan::Contiguous(nodes, parts),
+      [this](const PartitionPlan& p) {
+        return topology_.MinCrossPartitionLatency(p.owners());
+      },
+      opts);
+  // Topology mutations happen in global events. Precompute the routing
+  // rows there so concurrent node events never race on the lazy row
+  // cache, and tell the scheduler its lookahead bound may have moved.
+  // Registered before the Network's flush listener: lookahead shrinks
+  // before any flushed message is posted.
+  topology_.PrecomputeAllRows();
+  topology_.OnChange([this] {
     topology_.PrecomputeAllRows();
-    topology_.OnChange([this] {
-      topology_.PrecomputeAllRows();
-      engine_->NotifyTopologyChanged();
-    });
-  } else {
-    engine_ = std::make_unique<SerialEngine>(&sim_);
-  }
+    engine_->NotifyTopologyChanged();
+  });
   network_ = std::make_unique<Network>(engine_.get(), &topology_);
 }
 
@@ -166,11 +161,6 @@ ControlOption Cluster::ControlFor(FragmentId fragment) const {
 
 Status Cluster::Start() {
   if (started_) return Status::FailedPrecondition("already started");
-  // The metrics registry and the tracer keep single append-only sinks;
-  // they are not sharded, so the parallel engine refuses them. Timelines,
-  // availability, and the flight recorder shard per node and work.
-  FRAGDB_CHECK(!parallel_ || (!config_.observability.metrics &&
-                              !config_.observability.tracing));
   rag_ = std::make_unique<ReadAccessGraph>(catalog_.fragment_count());
   for (const auto& [from, to] : declared_reads_) {
     FRAGDB_RETURN_IF_ERROR(rag_->AddEdge(from, to));
@@ -245,16 +235,15 @@ Status Cluster::Start() {
   // Observability comes up before the runtimes so their constructors can
   // wire instruments (lock observers, read-staleness hooks).
   if (config_.observability.metrics) {
-    metrics_ = std::make_unique<MetricsRegistry>();
+    metrics_.resize(topology_.node_count() + 1);
     obs_ = std::make_unique<ClusterInstruments>(
-        metrics_.get(), topology_.node_count(), catalog_.fragment_count(),
-        config_.durability.enabled);
+        &metrics_, catalog_.fragment_count(), config_.durability.enabled);
     network_->SetSendObserver([this](const MessagePayload& p, size_t bytes) {
-      obs_->OnMessageSent(p.TypeName(), bytes);
+      obs_->OnMessageSent(engine_->CurrentNode(), p.TypeName(), bytes);
     });
   }
   if (config_.observability.tracing) {
-    tracer_ = std::make_unique<Tracer>();
+    tracer_ = std::make_unique<Tracer>(topology_.node_count());
   }
   if (config_.observability.timelines) {
     timelines_ = std::make_unique<ClusterTimelines>(
@@ -273,9 +262,8 @@ Status Cluster::Start() {
     topology_.OnChange([this] { RefreshHomeReachability(); });
   }
   if (config_.observability.flight_recorder) {
-    flight_ = std::make_unique<FlightRecorder>(
+    flight_ = std::make_unique<Tracer>(
         topology_.node_count(), config_.observability.flight_recorder_capacity);
-    if (parallel_) flight_->SetParallelMode(true);
   }
   if (flight_ || tracer_) {
     // A dropped message is invisible to its receiver; the trace (and the
@@ -332,10 +320,8 @@ Status Cluster::Start() {
   paxos_votes_.Init(engine_.get(), nodes);
   paxos_acceptors_.resize(nodes);
   paxos_indoubt_.resize(nodes);
-  if (parallel_) {
-    history_shards_.resize(topology_.node_count());
-    txn_stripe_next_.assign(topology_.node_count() + 1, 0);
-  }
+  history_shards_.resize(nodes);
+  txn_stripe_next_.assign(nodes + 1, 0);
   if (config_.durability.enabled) {
     recovery_ = std::make_unique<RecoveryManager>(this);
     for (NodeId n = 0; n < topology_.node_count(); ++n) {
@@ -1513,7 +1499,7 @@ void Cluster::Trace(const char* kind, std::string detail) {
 
 void Cluster::Trace(const char* kind, NodeId node, FragmentId fragment,
                     TxnId txn, SeqNum seq, std::string detail) {
-  if (!trace_sink_ && !tracer_ && !flight_) return;
+  if (!tracer_ && !flight_) return;
   TraceEvent ev;
   ev.at = engine_->Now();
   ev.kind = kind;
@@ -1522,13 +1508,13 @@ void Cluster::Trace(const char* kind, NodeId node, FragmentId fragment,
   ev.txn = txn;
   ev.seq = seq;
   ev.detail = std::move(detail);
-  if (trace_sink_) trace_sink_(ev);
-  if (flight_) flight_->Record(ev, engine_->CurrentNode());
-  if (tracer_) tracer_->Record(std::move(ev));
+  const NodeId acting = engine_->CurrentNode();
+  if (flight_) flight_->Record(ev, acting);
+  if (tracer_) tracer_->Record(std::move(ev), acting);
 }
 
 MetricsSnapshot Cluster::SnapshotMetrics() const {
-  if (!metrics_) return MetricsSnapshot{};
+  if (!obs_) return MetricsSnapshot{};
   // Durability gauges are polled lazily at snapshot time: the pipelines
   // are replaced wholesale on amnesia crashes, so the instruments cannot
   // pre-resolve stable pointers into them.
@@ -1544,7 +1530,9 @@ MetricsSnapshot Cluster::SnapshotMetrics() const {
           static_cast<int64_t>(st.wal_bytes_truncated));
     }
   }
-  return metrics_->Snapshot();
+  MetricsSnapshot merged;
+  for (const MetricsRegistry& shard : metrics_) merged.Merge(shard.Snapshot());
+  return merged;
 }
 
 const CorrectiveAction* Cluster::corrective_action(FragmentId f) const {
@@ -1844,23 +1832,17 @@ void Cluster::RunToQuiescence() {
 SimTime Cluster::Now() const { return engine_->Now(); }
 
 History& Cluster::HistorySink(NodeId node) {
-  if (parallel_ && node >= 0 &&
-      node < static_cast<NodeId>(history_shards_.size())) {
+  if (node >= 0 && node < static_cast<NodeId>(history_shards_.size())) {
     return history_shards_[node];
   }
   return history_;
 }
 
 void Cluster::MarkCommittedAt(NodeId node, TxnId id, SeqNum frag_seq) {
-  if (parallel_) {
-    HistorySink(node).MarkCommittedPartial(id, frag_seq);
-  } else {
-    history_.MarkCommitted(id, frag_seq);
-  }
+  HistorySink(node).MarkCommittedPartial(id, frag_seq);
 }
 
 TxnId Cluster::NewTxnId() {
-  if (!parallel_) return next_txn_id_++;
   const NodeId node = engine_->CurrentNode();
   const size_t stripe = node == kInvalidNode ? txn_stripe_next_.size() - 1
                                              : static_cast<size_t>(node);
@@ -1870,7 +1852,18 @@ TxnId Cluster::NewTxnId() {
 }
 
 void Cluster::CollapseHistoryShards() {
-  for (History& shard : history_shards_) history_.AbsorbShard(&shard);
+  std::vector<TxnId> committed;
+  for (History& shard : history_shards_) {
+    for (const auto& [id, rec] : shard.txns()) {
+      if (rec.committed) committed.push_back(id);
+    }
+    history_.AbsorbShard(&shard);
+  }
+  // A commit may be recorded in another shard than its registration, so
+  // the registered-before-committed check runs once every shard is in.
+  for (TxnId id : committed) {
+    FRAGDB_CHECK(history_.FindTxn(id)->registered());
+  }
 }
 
 int Cluster::node_count() const { return topology_.node_count(); }

@@ -18,7 +18,6 @@
 #include "net/network.h"
 #include "net/topology.h"
 #include "obs/availability.h"
-#include "obs/flight_recorder.h"
 #include "obs/instruments.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
@@ -28,7 +27,6 @@
 #include "recovery/recovery_manager.h"
 #include "recovery/stable_storage.h"
 #include "sim/engine.h"
-#include "sim/simulator.h"
 #include "storage/catalog.h"
 #include "storage/read_access_graph.h"
 #include "verify/checkers.h"
@@ -197,18 +195,13 @@ class Cluster {
   NetworkStats net_stats() const;
   const ClusterConfig& config() const { return config_; }
   std::vector<const ObjectStore*> Replicas() const;
-  /// The serial event queue. Only meaningful under EngineKind::kSerial —
-  /// existing tests drive it directly; new code should use engine().
-  Simulator& sim() { return sim_; }
-  /// The discrete-event engine the protocol stack runs on (serial shim or
-  /// the PDES scheduler, per config().engine).
+  /// The discrete-event engine the protocol stack runs on. Harnesses
+  /// schedule submissions with AtNode (on the submitting node) and faults
+  /// with AtGlobal.
   SimEngine* engine() { return engine_.get(); }
-  /// The windowed scheduler when running on the parallel engine, else
-  /// nullptr. Exposes mid-run plan reassignment and window/merge stats.
-  PdesScheduler* pdes_scheduler() {
-    return parallel_ ? &static_cast<PdesEngine*>(engine_.get())->scheduler()
-                     : nullptr;
-  }
+  /// The windowed scheduler: mid-run plan reassignment and window/merge
+  /// stats.
+  PdesScheduler* pdes_scheduler() { return &engine_->scheduler(); }
   Topology& topology() { return topology_; }
   NodeRuntime& runtime(NodeId node) { return *runtimes_[node]; }
 
@@ -230,20 +223,11 @@ class Cluster {
   CheckReport CheckConfiguredProperty(const HistoryIndex* index =
                                           nullptr) const;
 
-  /// Registers an observer for the cluster's structured event trace
-  /// (transaction lifecycle, installs, moves, partitions). Pass nullptr
-  /// to disable. Tracing is off by default and costs nothing when off.
-  void SetTraceSink(std::function<void(const TraceEvent&)> sink) {
-    trace_sink_ = std::move(sink);
-  }
-
   // --- Observability ------------------------------------------------------
 
-  /// The live metrics registry, or nullptr unless
-  /// config().observability.metrics. Valid after Start().
-  MetricsRegistry* metrics() { return metrics_.get(); }
-  /// The structured-event tracer, or nullptr unless
-  /// config().observability.tracing. Valid after Start().
+  /// The structured-event tracer (transaction lifecycle, installs,
+  /// moves, partitions), or nullptr unless config().observability.tracing.
+  /// Valid after Start(); read it after the run.
   Tracer* tracer() { return tracer_.get(); }
   /// Per-node bucketed time series, or nullptr unless
   /// config().observability.timelines. Valid after Start().
@@ -254,9 +238,10 @@ class Cluster {
   AvailabilityTracker* availability() { return availability_.get(); }
   /// Bounded ring of recent trace events, or nullptr unless
   /// config().observability.flight_recorder. Valid after Start().
-  FlightRecorder* flight_recorder() { return flight_.get(); }
+  Tracer* flight_recorder() { return flight_.get(); }
   /// Refreshes the durability/recovery gauges and returns a frozen copy of
-  /// every metric series. Empty snapshot when metrics are off.
+  /// every metric series, the per-node registries merged. Empty snapshot
+  /// when metrics are off.
   MetricsSnapshot SnapshotMetrics() const;
 
   /// Quiescence-time mutual consistency that honors partial replication:
@@ -282,19 +267,17 @@ class Cluster {
 
   Network& network() { return *network_; }
   const ClusterConfig& cfg() const { return config_; }
-  History& mutable_history() { return history_; }
-  /// The history sink for events acting on `node`: the merged history in
-  /// serial mode, the node's private shard under the parallel engine
-  /// (folded back in by CollapseHistoryShards at the end of every run).
+  /// The history sink for events acting on `node`: the node's private
+  /// shard (folded back in by CollapseHistoryShards at the end of every
+  /// run), or the merged history for global contexts (kInvalidNode).
   History& HistorySink(NodeId node);
-  /// Records a commit through the sink for `node`. Serial mode keeps the
-  /// strict registered-then-committed check; parallel mode upserts,
-  /// because the commit may land in a different shard than the
-  /// registration (e.g. a repackaged commit after an agent move).
+  /// Records a commit through the sink for `node`. Upserts, because the
+  /// commit may land in a different shard than the registration (e.g. a
+  /// repackaged commit after an agent move); CollapseHistoryShards checks
+  /// that every commit found its registration.
   void MarkCommittedAt(NodeId node, TxnId id, SeqNum frag_seq);
-  /// Fresh transaction id. Serial mode counts up by one; parallel mode
-  /// stripes the id space by acting node so concurrent partitions never
-  /// share a counter (ids are unique but not dense).
+  /// Fresh transaction id, striped by acting node so concurrent
+  /// partitions never share a counter (ids are unique but not dense).
   TxnId NewTxnId();
   int MajoritySize() const;
   /// §4.4.1 majority within `fragment`'s replica set (the whole network
@@ -330,10 +313,9 @@ class Cluster {
   /// corrective action.
   void CommitRepackaged(NodeId home, FragmentId fragment,
                         const QuasiTxn& missing, std::vector<WriteOp> kept);
-  /// True when any trace consumer (sink, tracer, or flight recorder) is
-  /// attached — guard call sites whose detail strings are expensive to
-  /// build.
-  bool tracing_active() const { return trace_sink_ || tracer_ || flight_; }
+  /// True when any trace consumer (tracer or flight recorder) is attached
+  /// — guard call sites whose detail strings are expensive to build.
+  bool tracing_active() const { return tracer_ || flight_; }
   /// Emits a cluster-scoped trace event if a consumer is attached.
   void Trace(const char* kind, std::string detail);
   /// Emits a fully structured trace event (node / fragment / txn / seq).
@@ -362,9 +344,9 @@ class Cluster {
     std::deque<std::pair<TxnSpec, TxnCallback>> queued;
     /// §4.4.2B: per fragment, the sequence the new home must reach.
     std::map<FragmentId, SeqNum> must_reach;
-    /// Parallel engine: a FinishMove has been deferred to a global event
-    /// and not yet run (suppresses duplicate completions from later
-    /// installs in the same window).
+    /// A FinishMove has been deferred to a global event and not yet run
+    /// (suppresses duplicate completions from later installs in the same
+    /// window).
     bool finishing = false;
     MoveCallback move_done;
   };
@@ -527,29 +509,23 @@ class Cluster {
                   std::map<FragmentId, SeqNum> carried_seqs,
                   std::map<FragmentId, QuasiSeqMap> logs);
   void FinishMove(AgentId agent);
-  /// FinishMove, routed by context: direct in serial mode (and from
-  /// globals), deferred to a global event under the parallel engine —
-  /// FinishMove mutates shared agent/catalog state that node events may
-  /// not touch.
+  /// FinishMove, routed by context: direct from setup and globals,
+  /// deferred to a global event from a node event — FinishMove mutates
+  /// shared agent/catalog state that node events may not touch.
   void CompleteMove(AgentId agent);
   void DrainQueuedSubmissions(AgentId agent);
   /// Folds the per-node history shards back into history_ (ascending node
   /// order); called at the end of every Run* so inspection sees one merged
-  /// history. No-op in serial mode.
+  /// history. Checks that every commit absorbed carries its registration.
   void CollapseHistoryShards();
 
   friend class NodeRuntime;
 
   ClusterConfig config_;
-  Simulator sim_;
   Topology topology_;
-  /// The engine every runtime, timer, and message rides on. SerialEngine
-  /// wraps sim_ (byte-identical to the pre-engine code); PdesEngine owns
-  /// its scheduler and ignores sim_. Declared before network_ (which
-  /// holds a pointer to it).
+  /// The engine every runtime, timer, and message rides on. Declared
+  /// before network_ (which holds a pointer to it).
   std::unique_ptr<SimEngine> engine_;
-  /// Cached engine_->parallel() for hot paths.
-  bool parallel_ = false;
   std::unique_ptr<Network> network_;
   Catalog catalog_;
   std::unique_ptr<ReadAccessGraph> rag_;  // built at Start()
@@ -588,23 +564,23 @@ class Cluster {
   std::unique_ptr<RecoveryManager> recovery_;
   /// Per node: down with volatile state wiped (must revive via recovery).
   /// uint8_t, not bool: vector<bool> bit-packs, and adjacent flags may be
-  /// read from concurrent partitions under the parallel engine.
+  /// read from concurrent partitions.
   std::vector<uint8_t> amnesia_down_;
   History history_;
-  /// Parallel engine: per-node history shards (single writer each),
-  /// absorbed into history_ at the end of every run. Empty in serial mode.
+  /// Per-node history shards (single writer each), absorbed into
+  /// history_ at the end of every run.
   std::vector<History> history_shards_;
-  std::function<void(const TraceEvent&)> trace_sink_;
-  /// Observability (null unless enabled in config_.observability).
-  std::unique_ptr<MetricsRegistry> metrics_;
+  /// Observability (null/empty unless enabled in config_.observability).
+  /// Metrics: one registry per node plus one for global contexts (last),
+  /// merged at snapshot time.
+  std::vector<MetricsRegistry> metrics_;
   std::unique_ptr<Tracer> tracer_;
   std::unique_ptr<ClusterInstruments> obs_;
   std::unique_ptr<ClusterTimelines> timelines_;
   std::unique_ptr<AvailabilityTracker> availability_;
-  std::unique_ptr<FlightRecorder> flight_;
-  TxnId next_txn_id_ = 1;
-  /// Parallel engine: per-stripe counters for NewTxnId — one stripe per
-  /// node plus one for global/setup contexts.
+  std::unique_ptr<Tracer> flight_;
+  /// Per-stripe counters for NewTxnId — one stripe per node plus one for
+  /// global/setup contexts.
   std::vector<TxnId> txn_stripe_next_;
   bool started_ = false;
 };

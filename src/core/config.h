@@ -65,24 +65,23 @@ enum class MoveProtocol {
 const char* ControlOptionName(ControlOption option);
 const char* MoveProtocolName(MoveProtocol protocol);
 
-/// Which discrete-event engine drives the cluster's protocol stack.
+/// The cluster's discrete-event engine. There is one: the conservative
+/// windowed PDES scheduler (node events run concurrently, partitioned
+/// across worker threads, with shared-state work serialized at window
+/// barriers; output is deterministic at any thread count). The enum and
+/// EngineConfig::kind survive only because the benchmark program under
+/// fragbench/ still names EngineKind::kParallel; drop both at its next
+/// change.
 enum class EngineKind {
-  /// The classic single-threaded Simulator; event order (and every byte
-  /// of output) identical to all prior releases.
-  kSerial,
-  /// The conservative windowed PDES scheduler: node events run
-  /// concurrently, partitioned across worker threads, with shared-state
-  /// work serialized at window barriers. Output is deterministic at any
-  /// thread count, but is a *different* (equally valid) schedule than the
-  /// serial engine's — see docs/PERFORMANCE.md.
   kParallel,
 };
 
+/// Shape of the PDES engine.
 struct EngineConfig {
-  EngineKind kind = EngineKind::kSerial;
-  /// Worker threads (kParallel): 1 = inline, 0 = hardware concurrency.
+  EngineKind kind = EngineKind::kParallel;
+  /// Worker threads: 1 = inline, 0 = hardware concurrency.
   int threads = 1;
-  /// Node partitions (kParallel): 0 = one per node.
+  /// Node partitions: 0 = one per node.
   int partitions = 0;
 };
 
@@ -149,9 +148,7 @@ struct ClusterConfig {
   /// instrumentation site.
   ObservabilityConfig observability;
 
-  /// Discrete-event engine selection. kParallel requires
-  /// observability.metrics and observability.tracing to stay off (their
-  /// sinks are not sharded); timelines and the flight recorder work.
+  /// Discrete-event engine shape (worker threads, node partitions).
   EngineConfig engine;
 };
 

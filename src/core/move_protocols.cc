@@ -112,7 +112,7 @@ void Cluster::StartMove(AgentId agent, NodeId from, NodeId to) {
       }
     }
     // Arrival mutates the catalog (SetHome) and shared agent state, so it
-    // is a global event. Serial engine: identical to the old sim_.After.
+    // is a global event.
     engine_->AtGlobal(
         engine_->Now() + config_.agent_travel_time,
         [this, agent, from, to, snapshots = std::move(snapshots),
@@ -310,13 +310,12 @@ void Cluster::OnAppliedAdvanced(NodeId node, FragmentId fragment) {
 }
 
 void Cluster::CompleteMove(AgentId agent) {
-  // From setup, a global event, or the serial engine, FinishMove runs
-  // inline (exactly the historical behavior). From a node event under the
-  // parallel engine it is deferred to a global: FinishMove flips shared
-  // agent state and drains queued submissions, neither of which a node
-  // event may touch. The catch-up conditions cannot regress meanwhile —
-  // streams only advance — so no re-check is needed at the global.
-  if (!parallel_ || engine_->CurrentNode() == kInvalidNode) {
+  // From setup or a global event, FinishMove runs inline. From a node
+  // event it is deferred to a global: FinishMove flips shared agent state
+  // and drains queued submissions, neither of which a node event may
+  // touch. The catch-up conditions cannot regress meanwhile — streams
+  // only advance — so no re-check is needed at the global.
+  if (engine_->CurrentNode() == kInvalidNode) {
     FinishMove(agent);
     return;
   }

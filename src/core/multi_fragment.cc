@@ -44,72 +44,77 @@ void MultiFragmentCoordinator::Submit(
 
   cluster->SubmitReadOnlyAt(
       coord_node, probe,
-      [cluster, coordinator, coord_node, writes_out, body_status, label,
+      [cluster, coord_node, writes_out, body_status, label,
        done](const TxnResult& probe_result) {
-        if (!probe_result.status.ok()) {
-          done(MultiFragmentResult{probe_result.status, {}});
-          return;
-        }
-        if (!body_status->ok()) {
-          done(MultiFragmentResult{*body_status, {}});
-          return;
-        }
+        Status status =
+            probe_result.status.ok() ? *body_status : probe_result.status;
         // Group writes per fragment.
         std::map<FragmentId, std::vector<WriteOp>> groups;
         for (const WriteOp& w : *writes_out) {
+          if (!status.ok()) break;
           if (!cluster->catalog().ValidObject(w.object)) {
-            done(MultiFragmentResult{
-                Status::InvalidArgument("write to unknown object"), {}});
-            return;
+            status = Status::InvalidArgument("write to unknown object");
+            break;
           }
           groups[cluster->catalog().FragmentOf(w.object)].push_back(w);
-        }
-        if (groups.empty()) {
-          done(MultiFragmentResult{Status::Ok(), {}});
-          return;
         }
         // Phase 1: every involved agent's home must be reachable now.
         for (const auto& [fragment, writes] : groups) {
           (void)writes;
+          if (!status.ok()) break;
           Result<NodeId> fhome = cluster->catalog().HomeOfFragment(fragment);
           if (!fhome.ok()) {
-            done(MultiFragmentResult{fhome.status(), {}});
-            return;
-          }
-          if (!cluster->topology().Reachable(coord_node, *fhome)) {
-            done(MultiFragmentResult{
-                Status::Unavailable(
-                    "agent of " +
-                    cluster->catalog().FragmentName(fragment) +
-                    " unreachable; multi-fragment transaction aborted"),
-                {}});
-            return;
+            status = fhome.status();
+          } else if (!cluster->topology().Reachable(coord_node, *fhome)) {
+            status = Status::Unavailable(
+                "agent of " + cluster->catalog().FragmentName(fragment) +
+                " unreachable; multi-fragment transaction aborted");
           }
         }
-        // Phase 2: hand each group to its agent as a normal update.
-        auto result = std::make_shared<MultiFragmentResult>();
-        result->status = Status::Ok();
-        auto remaining = std::make_shared<int>(static_cast<int>(groups.size()));
-        for (const auto& [fragment, writes] : groups) {
-          Result<AgentId> agent = cluster->catalog().AgentOf(fragment);
-          FRAGDB_CHECK(agent.ok());
-          TxnSpec part;
-          part.agent = *agent;
-          part.write_fragment = fragment;
-          std::vector<WriteOp> ws = writes;
-          part.body = [ws](const std::vector<Value>&)
-              -> Result<std::vector<WriteOp>> { return ws; };
-          part.label = label + "/part(F" + std::to_string(fragment) + ")";
-          cluster->Submit(part, [result, remaining,
-                                 done](const TxnResult& part_result) {
-            result->parts.push_back(part_result);
-            if (!part_result.status.ok()) {
-              result->status = part_result.status;
-            }
-            if (--*remaining == 0) done(*result);
-          });
-        }
-        (void)coordinator;
+        // The probe completed on the coordinator's node, which may touch
+        // neither the other homes' state nor the caller's: the outcome,
+        // or phase 2's hand-off, runs as a global event.
+        SimEngine* engine = cluster->engine();
+        engine->AtGlobal(engine->Now(), [cluster, status,
+                                         groups = std::move(groups), label,
+                                         done] {
+          if (!status.ok() || groups.empty()) {
+            done(MultiFragmentResult{status, {}});
+            return;
+          }
+          // Phase 2: hand each group to its agent as a normal update;
+          // each part's completion joins the shared result in a global
+          // event too.
+          auto result = std::make_shared<MultiFragmentResult>();
+          result->status = Status::Ok();
+          result->parts.resize(groups.size());
+          auto remaining =
+              std::make_shared<int>(static_cast<int>(groups.size()));
+          size_t index = 0;
+          for (const auto& [fragment, writes] : groups) {
+            Result<AgentId> agent = cluster->catalog().AgentOf(fragment);
+            FRAGDB_CHECK(agent.ok());
+            TxnSpec part;
+            part.agent = *agent;
+            part.write_fragment = fragment;
+            part.body = [ws = writes](const std::vector<Value>&)
+                -> Result<std::vector<WriteOp>> { return ws; };
+            part.label = label + "/part(F" + std::to_string(fragment) + ")";
+            cluster->Submit(part, [cluster, result, remaining, index,
+                                   done](const TxnResult& part_result) {
+              SimEngine* engine = cluster->engine();
+              engine->AtGlobal(engine->Now(), [result, remaining, index, done,
+                                               part_result] {
+                result->parts[index] = part_result;
+                if (!part_result.status.ok()) {
+                  result->status = part_result.status;
+                }
+                if (--*remaining == 0) done(*result);
+              });
+            });
+            ++index;
+          }
+        });
       });
 }
 

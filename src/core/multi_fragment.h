@@ -55,7 +55,9 @@ class MultiFragmentCoordinator {
   /// Runs a multi-fragment transaction coordinated by `coordinator` (the
   /// agent initiating the work). `body` may return writes in any fragment
   /// whose agent is reachable; writes are grouped and committed per
-  /// fragment. `done` fires after every part commits (or on abort).
+  /// fragment. `done` fires after every part commits (or on abort), in a
+  /// global event. Call from setup, a global event, or an event on the
+  /// coordinator's home node.
   void Submit(AgentId coordinator, std::vector<ObjectId> read_set,
               TxnBody body, std::string label,
               std::function<void(MultiFragmentResult)> done);

@@ -8,24 +8,13 @@ namespace fragdb {
 
 namespace {
 
-/// Per-sender loss-stream seed under the parallel engine: derived so each
-/// sender's drop pattern is an independent deterministic stream.
+/// Per-sender loss-stream seed: derived so each sender's drop pattern is
+/// an independent deterministic stream.
 uint64_t SenderSeed(uint64_t seed, NodeId from) {
   return seed ^ (0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(from + 1));
 }
 
 }  // namespace
-
-Network::Network(Simulator* sim, Topology* topology)
-    : owned_engine_(std::make_unique<SerialEngine>(sim)),
-      engine_(owned_engine_.get()),
-      topology_(topology) {
-  handlers_.resize(topology->node_count());
-  channel_floor_.assign(
-      static_cast<size_t>(topology->node_count()) * topology->node_count(), 0);
-  stats_.resize(topology->node_count());
-  topology_->OnChange([this] { FlushPending(); });
-}
 
 Network::Network(SimEngine* engine, Topology* topology)
     : engine_(engine), topology_(topology) {
@@ -33,10 +22,8 @@ Network::Network(SimEngine* engine, Topology* topology)
   channel_floor_.assign(
       static_cast<size_t>(topology->node_count()) * topology->node_count(), 0);
   stats_.resize(topology->node_count());
-  if (engine_->parallel()) {
-    pending_by_sender_.resize(topology->node_count());
-    loss_rngs_.resize(topology->node_count());
-  }
+  pending_by_sender_.resize(topology->node_count());
+  loss_rngs_.resize(topology->node_count());
   topology_->OnChange([this] { FlushPending(); });
 }
 
@@ -47,7 +34,6 @@ void Network::SetHandler(NodeId node,
 }
 
 Rng* Network::LossRngFor(NodeId from) {
-  if (!engine_->parallel()) return loss_rng_.get();
   std::unique_ptr<Rng>& rng = loss_rngs_[from];
   if (rng == nullptr && have_loss_seed_) {
     rng = std::make_unique<Rng>(SenderSeed(loss_seed_, from));
@@ -77,9 +63,8 @@ Status Network::Send(NodeId from, NodeId to,
   Result<SimTime> lat = topology_->PathLatency(from, to);
   if (!lat.ok()) {
     ++sender_stats.messages_queued;
-    std::deque<Message>& q =
-        engine_->parallel() ? pending_by_sender_[from] : pending_;
-    q.push_back(Message{from, to, sent_at, std::move(payload)});
+    pending_by_sender_[from].push_back(
+        Message{from, to, sent_at, std::move(payload)});
     return Status::Ok();
   }
   SimTime deliver_at = ArrivalTime(from, to, *lat);
@@ -108,14 +93,10 @@ void Network::SetLossProbability(double p, uint64_t seed) {
   // so reopening a window continues (rather than replays) the drop
   // pattern; only a different seed restarts it. While p == 0 no draws
   // happen, so the stream position is unchanged by a closed window.
-  if (engine_->parallel()) {
-    if (!have_loss_seed_ || seed != loss_seed_) {
-      for (NodeId n = 0; n < topology_->node_count(); ++n) {
-        loss_rngs_[n] = std::make_unique<Rng>(SenderSeed(seed, n));
-      }
+  if (!have_loss_seed_ || seed != loss_seed_) {
+    for (NodeId n = 0; n < topology_->node_count(); ++n) {
+      loss_rngs_[n] = std::make_unique<Rng>(SenderSeed(seed, n));
     }
-  } else if (loss_rng_ == nullptr || seed != loss_seed_) {
-    loss_rng_ = std::make_unique<Rng>(seed);
   }
   loss_seed_ = seed;
   have_loss_seed_ = true;
@@ -178,42 +159,25 @@ void Network::FlushPending() {
   // pick up anything new.
   if (flushing_) return;
   flushing_ = true;
-  if (engine_->parallel()) {
-    // Per-sender queues, flushed sender-major: deterministic, and legal
-    // because FlushPending only runs from globals/setup (topology changes
-    // are global events under the parallel engine).
-    for (NodeId n = 0; n < topology_->node_count(); ++n) {
-      std::deque<Message>& q = pending_by_sender_[n];
-      std::deque<Message> still_pending;
-      while (!q.empty()) {
-        Message m = std::move(q.front());
-        q.pop_front();
-        Result<SimTime> lat = topology_->PathLatency(m.from, m.to);
-        if (!lat.ok()) {
-          still_pending.push_back(std::move(m));
-          continue;
-        }
-        Dispatch(m.from, m.to, ArrivalTime(m.from, m.to, *lat),
-                 std::move(m.payload), m.sent_at);
+  // Per-sender queues, flushed sender-major: deterministic, and legal
+  // because FlushPending only runs from globals/setup (topology changes
+  // are global events).
+  for (NodeId n = 0; n < topology_->node_count(); ++n) {
+    std::deque<Message>& q = pending_by_sender_[n];
+    std::deque<Message> still_pending;
+    while (!q.empty()) {
+      Message m = std::move(q.front());
+      q.pop_front();
+      Result<SimTime> lat = topology_->PathLatency(m.from, m.to);
+      if (!lat.ok()) {
+        still_pending.push_back(std::move(m));
+        continue;
       }
-      q = std::move(still_pending);
+      Dispatch(m.from, m.to, ArrivalTime(m.from, m.to, *lat),
+               std::move(m.payload), m.sent_at);
     }
-    flushing_ = false;
-    return;
+    q = std::move(still_pending);
   }
-  std::deque<Message> still_pending;
-  while (!pending_.empty()) {
-    Message m = std::move(pending_.front());
-    pending_.pop_front();
-    Result<SimTime> lat = topology_->PathLatency(m.from, m.to);
-    if (!lat.ok()) {
-      still_pending.push_back(std::move(m));
-      continue;
-    }
-    Dispatch(m.from, m.to, ArrivalTime(m.from, m.to, *lat),
-             std::move(m.payload), m.sent_at);
-  }
-  pending_ = std::move(still_pending);
   flushing_ = false;
 }
 
@@ -230,7 +194,7 @@ NetworkStats Network::stats() const {
 }
 
 size_t Network::pending_count() const {
-  size_t n = pending_.size();
+  size_t n = 0;
   for (const std::deque<Message>& q : pending_by_sender_) n += q.size();
   return n;
 }

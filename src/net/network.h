@@ -14,7 +14,6 @@
 #include "net/message.h"
 #include "net/topology.h"
 #include "sim/engine.h"
-#include "sim/simulator.h"
 
 namespace fragdb {
 
@@ -42,15 +41,11 @@ struct NetworkStats {
 ///    overtake each other even when path latencies change (TCP-like).
 class Network {
  public:
-  /// `sim` and `topology` must outlive the network.
-  Network(Simulator* sim, Topology* topology);
-
-  /// Engine-attributed variant: deliveries ride engine->Post(from, to),
-  /// so under the parallel engine messages become real cross-partition
-  /// mailbox traffic. With a parallel engine the loss RNG and the
-  /// unreachable-queue become per-sender (each sender draws and queues
-  /// only from its own events); counters shard per acting node. `engine`
-  /// and `topology` must outlive the network.
+  /// Deliveries ride engine->Post(from, to), so messages between
+  /// partitions become real cross-partition mailbox traffic. The loss RNG
+  /// and the unreachable-queue are per-sender (each sender draws and
+  /// queues only from its own events); counters shard per acting node.
+  /// `engine` and `topology` must outlive the network.
   Network(SimEngine* engine, Topology* topology);
 
   Network(const Network&) = delete;
@@ -123,7 +118,7 @@ class Network {
 
   /// Summed over the per-node shards (sends/drops/queues are counted at
   /// the sender, deliveries at the receiver, so each shard has a single
-  /// writer under the parallel engine).
+  /// writer).
   NetworkStats stats() const;
 
   /// Number of messages currently queued waiting for connectivity.
@@ -137,18 +132,14 @@ class Network {
   /// Arrival instant for a message routed now on (from, to) with the
   /// given path latency: now + latency + any gray-link extra delay.
   SimTime ArrivalTime(NodeId from, NodeId to, SimTime latency) const;
-  /// Loss stream for messages sent by `from` (the shared stream under the
-  /// serial engine, a per-sender stream under the parallel one).
+  /// Loss stream for messages sent by `from`.
   Rng* LossRngFor(NodeId from);
 
-  std::unique_ptr<SerialEngine> owned_engine_;  // Simulator-ctor shim
   SimEngine* engine_;
   Topology* topology_;
   std::vector<std::function<void(const Message&)>> handlers_;
-  // Messages waiting for a route, in send order per sender. Serial engine:
-  // one queue in global send order (flush preserves the exact interleave).
-  // Parallel engine: per-sender queues, flushed in (sender, send order).
-  std::deque<Message> pending_;
+  // Messages waiting for a route: per-sender queues in send order,
+  // flushed in (sender, send order).
   std::vector<std::deque<Message>> pending_by_sender_;
   // FIFO channel floor: earliest permissible next delivery per (from, to),
   // stored dense at index from*n+to (0 = unconstrained, since deliveries
@@ -165,8 +156,7 @@ class Network {
   double loss_probability_ = 0.0;
   uint64_t loss_seed_ = 0;
   bool have_loss_seed_ = false;
-  std::unique_ptr<Rng> loss_rng_;                // serial engine
-  std::vector<std::unique_ptr<Rng>> loss_rngs_;  // parallel: per sender
+  std::vector<std::unique_ptr<Rng>> loss_rngs_;  // per sender
 };
 
 }  // namespace fragdb

@@ -90,7 +90,7 @@ class Topology {
   /// flip, partition, heal). Listeners are invoked in registration order.
   void OnChange(std::function<void()> fn);
 
-  /// Fills every shortest-path row now. The parallel engine calls this
+  /// Fills every shortest-path row now. The cluster calls this
   /// after each connectivity change (a global event) so per-message
   /// PathLatency queries from concurrent node events are pure reads —
   /// the lazy cache fill never races.

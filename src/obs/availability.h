@@ -140,10 +140,10 @@ class AvailabilityTracker {
   std::vector<CellState> write_;  // per (node, fragment)
 
   /// Closed intervals and retroactive stale observations accumulate in
-  /// per-node shards (indexed by the cell's node, which under the
-  /// parallel engine is also the acting node for every node-event call
-  /// site). Finalize concatenates node-major and sorts — the same total
-  /// order the unsharded tracker produced, at any worker-thread count.
+  /// per-node shards (indexed by the cell's node, which is also the
+  /// acting node for every node-event call site). Finalize concatenates
+  /// node-major and sorts — the same total order the unsharded tracker
+  /// produced, at any worker-thread count.
   std::vector<std::vector<AvailabilityInterval>> interval_shards_;
   std::vector<std::vector<AvailabilityInterval>> stale_shards_;
   std::vector<SimTime> max_staleness_by_node_;

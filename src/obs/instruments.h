@@ -17,10 +17,10 @@ namespace fragdb {
 /// registry nor a tracer and every instrumentation site is a null-pointer
 /// check.
 struct ObservabilityConfig {
-  /// Allocate a MetricsRegistry and wire the built-in instruments.
+  /// Allocate the metrics registries (one per node plus one for global
+  /// events) and wire the built-in instruments.
   bool metrics = false;
-  /// Allocate a Tracer recording every structured TraceEvent (independent
-  /// of any SetTraceSink callback).
+  /// Allocate a Tracer recording every structured TraceEvent.
   bool tracing = false;
   /// Allocate the time-series layer (ClusterTimelines + AvailabilityTracker):
   /// per-node bucketed series of commits/unavailability/lag plus
@@ -37,7 +37,8 @@ struct ObservabilityConfig {
   /// Keep a bounded per-node ring of recent trace events, dumpable as
   /// JSONL when a verify check fails.
   bool flight_recorder = false;
-  /// Events retained per node ring (and for the cluster-wide ring).
+  /// Events retained per node ring (and for the cluster-wide ring); 0
+  /// keeps everything.
   int flight_recorder_capacity = 256;
 
   bool enabled() const {
@@ -48,12 +49,19 @@ struct ObservabilityConfig {
 /// The cluster's built-in instrument panel: every handle pre-resolved at
 /// Start() so hot paths do no map lookups. Metric catalog (units and
 /// meanings) is documented in docs/OBSERVABILITY.md.
+///
+/// Handles are sharded so concurrent partitions never share a series:
+/// node n's series live in `registries[n]`, the cluster-wide environment
+/// counters (bumped only from global events) in the last registry, and
+/// per-type traffic counters in the registry of the acting node.
+/// Merging the registries' snapshots yields the same series an unsharded
+/// registry would hold.
 class ClusterInstruments {
  public:
-  ClusterInstruments(MetricsRegistry* registry, int nodes, int fragments,
+  /// `registries` holds one registry per node plus one for global
+  /// contexts (last); it must outlive the instruments.
+  ClusterInstruments(std::vector<MetricsRegistry>* registries, int fragments,
                      bool durability);
-
-  MetricsRegistry* registry() const { return registry_; }
 
   // Per-node transaction outcomes.
   Counter* TxnSubmitted(NodeId n) { return txn_submitted_[n]; }
@@ -85,7 +93,7 @@ class ClusterInstruments {
     return applied_seq_[Index(n, f)];
   }
 
-  // Cluster-wide environment events.
+  // Cluster-wide environment events (global events only).
   Counter* Partitions() { return partitions_; }
   Counter* Heals() { return heals_; }
   Counter* NodeDowns() { return node_down_; }
@@ -114,18 +122,23 @@ class ClusterInstruments {
   }
 
   /// Traffic accounting by payload type ("messages_sent_total" /
-  /// "bytes_sent_total" with label=type). The per-type counters are cached
-  /// by the type-name pointer — TypeName() returns static literals, so the
-  /// steady state is a short pointer-compare scan with no string work.
-  void OnMessageSent(const char* type, size_t bytes) {
-    for (const TypeCounters& tc : message_fast_) {
+  /// "bytes_sent_total" with label=type), counted in the shard of the
+  /// acting node (kInvalidNode = a global event). The per-type counters
+  /// are cached by the type-name pointer — TypeName() returns static
+  /// literals, so the steady state is a short pointer-compare scan with
+  /// no string work.
+  void OnMessageSent(NodeId acting, const char* type, size_t bytes) {
+    TrafficShard& shard =
+        traffic_[acting == kInvalidNode ? traffic_.size() - 1
+                                        : static_cast<size_t>(acting)];
+    for (const TypeCounters& tc : shard.fast) {
       if (tc.type == type) {
         tc.messages->Add();
         tc.bytes->Add(bytes);
         return;
       }
     }
-    OnMessageSentSlow(type, bytes);
+    OnMessageSentSlow(&shard, type, bytes);
   }
 
   bool has_durability() const { return durability_; }
@@ -136,15 +149,20 @@ class ClusterInstruments {
     Counter* messages;
     Counter* bytes;
   };
+  /// One shard's per-type traffic counters.
+  struct TrafficShard {
+    MetricsRegistry* registry;
+    std::map<std::string, std::pair<Counter*, Counter*>> by_name;
+    std::vector<TypeCounters> fast;
+  };
 
   size_t Index(NodeId n, FragmentId f) const {
     return static_cast<size_t>(n) * fragments_ + f;
   }
 
-  void OnMessageSentSlow(const char* type, size_t bytes);
+  static void OnMessageSentSlow(TrafficShard* shard, const char* type,
+                                size_t bytes);
 
-  MetricsRegistry* registry_;
-  int nodes_;
   int fragments_;
   bool durability_;
 
@@ -166,8 +184,7 @@ class ClusterInstruments {
       wal_bytes_truncated_;
   std::vector<Histogram*> recovery_duration_us_;
   std::vector<Counter*> wal_replayed_, peer_quasis_fetched_;
-  std::map<std::string, std::pair<Counter*, Counter*>> message_counters_;
-  std::vector<TypeCounters> message_fast_;
+  std::vector<TrafficShard> traffic_;  // nodes + 1 (global last)
 };
 
 }  // namespace fragdb

@@ -1,7 +1,11 @@
 #include "obs/trace.h"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <utility>
+
+#include "common/logging.h"
 
 namespace fragdb {
 
@@ -100,17 +104,83 @@ std::string ParseStringField(const std::string& line,
 
 }  // namespace
 
+Tracer::Tracer(int nodes, int capacity)
+    : capacity_(capacity), rings_(static_cast<size_t>(nodes) + 1) {
+  FRAGDB_CHECK(nodes >= 0 && capacity >= 0);
+}
+
+size_t Tracer::RingIndex(NodeId node) const {
+  if (node < 0 || static_cast<size_t>(node) + 1 >= rings_.size()) {
+    return rings_.size() - 1;
+  }
+  return static_cast<size_t>(node);
+}
+
+void Tracer::Record(TraceEvent ev, NodeId acting) {
+  // The acting node is the only context that may write concurrently;
+  // globals and setup route by subject.
+  Ring& ring = rings_[RingIndex(acting != kInvalidNode ? acting : ev.node)];
+  Slot slot{ring.next_seq++, std::move(ev)};
+  if (capacity_ == 0 || ring.slots.size() < static_cast<size_t>(capacity_)) {
+    ring.slots.push_back(std::move(slot));
+    return;
+  }
+  ring.slots[ring.next] = std::move(slot);
+  ring.next = (ring.next + 1) % ring.slots.size();
+}
+
+void Tracer::Clear() {
+  for (Ring& ring : rings_) ring = Ring{};
+}
+
+uint64_t Tracer::total_recorded() const {
+  uint64_t total = 0;
+  for (const Ring& ring : rings_) total += ring.next_seq;
+  return total;
+}
+
+std::vector<TraceEvent> Tracer::events() const {
+  std::vector<std::pair<size_t, const Slot*>> all;
+  for (size_t r = 0; r < rings_.size(); ++r) {
+    for (const Slot& slot : rings_[r].slots) all.emplace_back(r, &slot);
+  }
+  // Per-ring seqs are not globally ordered; (time, ring, seq) is the
+  // deterministic total order.
+  std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+    if (a.second->ev.at != b.second->ev.at) {
+      return a.second->ev.at < b.second->ev.at;
+    }
+    if (a.first != b.first) return a.first < b.first;
+    return a.second->seq < b.second->seq;
+  });
+  std::vector<TraceEvent> out;
+  out.reserve(all.size());
+  for (const auto& [ring, slot] : all) out.push_back(slot->ev);
+  return out;
+}
+
+std::vector<TraceEvent> Tracer::NodeEvents(NodeId node) const {
+  const Ring& ring = rings_[RingIndex(node)];
+  std::vector<TraceEvent> out;
+  const size_t n = ring.slots.size();
+  out.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    out.push_back(ring.slots[(ring.next + i) % n].ev);
+  }
+  return out;
+}
+
 std::vector<TraceEvent> Tracer::TxnSpan(TxnId txn) const {
   std::vector<TraceEvent> span;
-  for (const TraceEvent& ev : events_) {
-    if (ev.txn == txn) span.push_back(ev);
+  for (TraceEvent& ev : events()) {
+    if (ev.txn == txn) span.push_back(std::move(ev));
   }
   return span;
 }
 
 std::string Tracer::ToJsonl() const {
   std::string out;
-  for (const TraceEvent& ev : events_) {
+  for (const TraceEvent& ev : events()) {
     out += TraceEventToJsonLine(ev);
     out += "\n";
   }
@@ -119,9 +189,11 @@ std::string Tracer::ToJsonl() const {
 
 std::string Tracer::ToChromeJson() const {
   std::string out = "{\"traceEvents\":[";
-  for (size_t i = 0; i < events_.size(); ++i) {
-    if (i > 0) out += ",";
-    out += "\n" + TraceEventToJsonLine(events_[i]);
+  bool first = true;
+  for (const TraceEvent& ev : events()) {
+    if (!first) out += ",";
+    first = false;
+    out += "\n" + TraceEventToJsonLine(ev);
   }
   out += "\n]}";
   return out;

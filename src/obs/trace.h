@@ -1,6 +1,7 @@
 #ifndef FRAGDB_OBS_TRACE_H_
 #define FRAGDB_OBS_TRACE_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -34,25 +35,47 @@ struct TraceEvent {
 };
 
 /// Renders one event as a Chrome trace_event JSON object (the line format
-/// of Tracer::ToJsonl and of FlightRecorder dumps); parseable back via
-/// Tracer::ParseJsonl.
+/// of Tracer::ToJsonl); parseable back via Tracer::ParseJsonl.
 std::string TraceEventToJsonLine(const TraceEvent& ev);
 
 /// In-memory recorder of TraceEvents with per-transaction span queries and
 /// JSONL export in Chrome trace_event format (load the file — or the
 /// ToChromeJson() wrapper — in chrome://tracing or Perfetto: pid=node,
 /// tid=txn).
+///
+/// Events are stored in per-node rings plus one ring for cluster-wide
+/// events, so concurrent partitions never share a buffer: a record goes
+/// to the ring of the acting node (the node whose event is running), or
+/// of its subject node when recorded from a global event or setup. Each
+/// ring numbers its own records, and every read merges the rings in
+/// (time, ring, ring-seq) order — deterministic at any worker-thread
+/// count. With a capacity, each ring keeps only its last `capacity`
+/// events — the flight recorder, a black box that can stay on in long
+/// runs at O(nodes) memory; without one, everything is kept.
 class Tracer {
  public:
-  void Record(TraceEvent ev) { events_.push_back(std::move(ev)); }
-  void Clear() { events_.clear(); }
+  /// `nodes` per-node rings plus the cluster-wide ring; `capacity` events
+  /// retained per ring, 0 = unbounded.
+  explicit Tracer(int nodes = 0, int capacity = 0);
 
-  const std::vector<TraceEvent>& events() const { return events_; }
+  void Record(TraceEvent ev, NodeId acting = kInvalidNode);
+  void Clear();
 
-  /// Every event of one transaction, in record (= time) order.
+  /// Events retained per ring (0 = unbounded).
+  int capacity() const { return capacity_; }
+  /// Events ever recorded, including those a bounded ring overwrote.
+  uint64_t total_recorded() const;
+
+  /// Every retained event, merged across rings in (time, ring, seq) order.
+  std::vector<TraceEvent> events() const;
+  /// Events currently retained in `node`'s ring (kInvalidNode = the
+  /// cluster-wide ring), oldest first.
+  std::vector<TraceEvent> NodeEvents(NodeId node) const;
+
+  /// Every event of one transaction, in merged (= time) order.
   std::vector<TraceEvent> TxnSpan(TxnId txn) const;
 
-  /// One Chrome trace_event JSON object per line:
+  /// One Chrome trace_event JSON object per line, in merged order:
   ///   {"name":kind,"ph":"i","ts":at,"pid":node,"tid":txn,"args":{...}}
   std::string ToJsonl() const;
   /// The same events wrapped as {"traceEvents":[...]} (a complete Chrome
@@ -65,7 +88,22 @@ class Tracer {
   static Result<std::vector<TraceEvent>> ParseJsonl(const std::string& text);
 
  private:
-  std::vector<TraceEvent> events_;
+  struct Slot {
+    uint64_t seq = 0;
+    TraceEvent ev;
+  };
+  struct Ring {
+    std::vector<Slot> slots;  // at most capacity_ when bounded
+    size_t next = 0;          // overwrite position once full
+    uint64_t next_seq = 0;    // records ever made to this ring
+  };
+
+  /// Index of the ring for `node`; out-of-range nodes map to the
+  /// cluster-wide ring.
+  size_t RingIndex(NodeId node) const;
+
+  int capacity_;
+  std::vector<Ring> rings_;  // nodes + 1 (cluster-wide last)
 };
 
 }  // namespace fragdb

@@ -32,18 +32,13 @@ void RecoveryManager::StartRecovery(NodeId node, RecoveryCallback done) {
       static_cast<SimTime>(scan.records.size()) * cfg.wal_replay_time_per_record;
 
   int64_t id = session.id;
+  // The load completion rejoins the topology — shared state — so it runs
+  // as a global event. StartRecovery itself is a global (revival is a
+  // scenario/operator action), so the time is exact, and the stale-id
+  // guard in LoadDone replaces event cancellation on Abort.
   SimEngine* engine = cluster_->engine();
-  if (engine->parallel()) {
-    // The load completion rejoins the topology — shared state — so it
-    // runs as a global event. StartRecovery itself is a global (revival
-    // is a scenario/operator action), so the time is exact, and the
-    // stale-id guard in LoadDone replaces event cancellation on Abort.
-    engine->AtGlobal(engine->Now() + load_delay,
-                     [this, node, id] { LoadDone(node, id); });
-    return;
-  }
-  session.pending_event = engine->AfterNode(
-      node, load_delay, [this, node, id] { LoadDone(node, id); });
+  engine->AtGlobal(engine->Now() + load_delay,
+                   [this, node, id] { LoadDone(node, id); });
 }
 
 void RecoveryManager::LoadDone(NodeId node, int64_t id) {
@@ -232,18 +227,14 @@ void RecoveryManager::MaybeFinish(NodeId node) {
   if (!session.local_replay_done || !session.replies_closed) return;
   if (!TargetsMet(node, session)) return;
 
+  // Completion touches cross-session maps and fires cluster callbacks:
+  // hand off to a global event (once).
+  if (session.finishing) return;
+  session.finishing = true;
   SimEngine* engine = cluster_->engine();
-  if (engine->parallel()) {
-    // Completion touches cross-session maps and fires cluster callbacks:
-    // hand off to a global event (once).
-    if (session.finishing) return;
-    session.finishing = true;
-    int64_t id = session.id;
-    engine->AtGlobal(engine->Now(),
-                     [this, node, id] { FinishSession(node, id); });
-    return;
-  }
-  FinishSession(node, session.id);
+  int64_t id = session.id;
+  engine->AtGlobal(engine->Now(),
+                   [this, node, id] { FinishSession(node, id); });
 }
 
 void RecoveryManager::FinishSession(NodeId node, int64_t id) {

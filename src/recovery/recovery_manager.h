@@ -8,7 +8,7 @@
 
 #include "common/types.h"
 #include "core/messages.h"
-#include "sim/simulator.h"
+#include "sim/event_queue.h"
 
 namespace fragdb {
 
@@ -89,23 +89,22 @@ class RecoveryManager {
     /// All expected replies arrived, or the reply timeout fired.
     bool replies_closed = false;
     bool local_replay_done = false;
-    /// Completion handed off to a global event (parallel engine only).
+    /// Completion handed off to a global event.
     bool finishing = false;
-    EventId pending_event = -1;  // load event, then reply-timeout event
+    EventId pending_event = -1;  // reply-timeout event
   };
 
   /// Restores checkpoint + WAL into the node's runtime (no simulated cost;
   /// the caller already charged it).
   void RestoreLocal(NodeId node, Session* session);
   /// Load delay elapsed: restore checkpoint + WAL, rejoin the network,
-  /// query peers. A global event under the parallel engine (it mutates
-  /// the topology); a node event on the serial one.
+  /// query peers. A global event (it mutates the topology).
   void LoadDone(NodeId node, int64_t id);
   void SendQueries(NodeId node, Session* session);
   void MaybeFinish(NodeId node);
-  /// Tears the session down (trace, stats, callback). Under the parallel
-  /// engine this runs as a global event: it touches maps shared across
-  /// per-node sessions and fires cluster-level callbacks.
+  /// Tears the session down (trace, stats, callback). Runs as a global
+  /// event: it touches maps shared across per-node sessions and fires
+  /// cluster-level callbacks.
   void FinishSession(NodeId node, int64_t id);
   bool TargetsMet(NodeId node, const Session& session) const;
 

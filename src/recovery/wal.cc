@@ -95,15 +95,6 @@ WalScan ScanWal(const std::string& bytes) {
   return scan;
 }
 
-WalWriter::WalWriter(Simulator* sim, StableStorage* storage, std::string file,
-                     SimTime fsync_time)
-    : owned_engine_(std::make_unique<SerialEngine>(sim)),
-      engine_(owned_engine_.get()),
-      storage_(storage),
-      file_(std::move(file)),
-      fsync_time_(fsync_time),
-      staging_(std::make_shared<Staging>()) {}
-
 WalWriter::WalWriter(NodeId node, SimEngine* engine, StableStorage* storage,
                      std::string file, SimTime fsync_time)
     : node_(node),

@@ -10,7 +10,6 @@
 #include "common/types.h"
 #include "recovery/stable_storage.h"
 #include "sim/engine.h"
-#include "sim/simulator.h"
 
 namespace fragdb {
 
@@ -67,11 +66,7 @@ WalScan ScanWal(const std::string& bytes);
 /// semantics of a real write-behind page cache.
 class WalWriter {
  public:
-  WalWriter(Simulator* sim, StableStorage* storage, std::string file,
-            SimTime fsync_time);
-
-  /// Engine-attributed variant: the group-commit fsync timer is an event
-  /// on `node`, so the writer is usable from the parallel engine.
+  /// The group-commit fsync timer is an event on `node`.
   WalWriter(NodeId node, SimEngine* engine, StableStorage* storage,
             std::string file, SimTime fsync_time);
 
@@ -100,8 +95,7 @@ class WalWriter {
     uint64_t syncs = 0;
   };
 
-  std::unique_ptr<SerialEngine> owned_engine_;  // Simulator-ctor shim
-  NodeId node_ = 0;
+  NodeId node_;
   SimEngine* engine_;
   StableStorage* storage_;
   std::string file_;

@@ -28,8 +28,7 @@ using Ctx = std::shared_ptr<const ApplyContext>;
 /// synchronous path makes "scenario applied at t >= op.at" behave exactly
 /// like hand-written setup code (same event insertion order). Every
 /// scenario op mutates shared cluster state (topology, network knobs,
-/// crash/revive), so scheduled ops are global events; on the serial
-/// engine AtGlobal is a plain sim At — identical behavior.
+/// crash/revive), so scheduled ops are global events.
 void RunAt(Cluster& cluster, SimTime at, std::function<void()> fn) {
   if (at <= cluster.engine()->Now()) {
     fn();

@@ -21,7 +21,6 @@ ScenarioRunner::ScenarioRunner(Scenario scenario,
   config.write_quorum = options_.write_quorum;
   config.observability = options_.observability;
   config.engine = options_.engine;
-  parallel_ = options_.engine.kind == EngineKind::kParallel;
   // Amnesia crashes need a durable copy to come back from.
   config.durability.enabled = scenario_.HasAmnesia();
   config.gap_repair_interval =
@@ -30,24 +29,17 @@ ScenarioRunner::ScenarioRunner(Scenario scenario,
           : (scenario_.HasLoss() ? Millis(50) : 0);
   cluster_ = std::make_unique<Cluster>(
       config, Topology::FullMesh(options_.nodes, options_.link_latency));
-  if (parallel_) {
-    // One workload stream per agent, each derived from the cell seed but
-    // disjoint from the shared stream and the loss stream.
-    for (int i = 0; i < options_.nodes; ++i) {
-      agent_rngs_.emplace_back(options_.seed * 0x9e3779b97f4a7c15ULL + 2 +
-                               static_cast<uint64_t>(i));
-    }
-    metrics_shards_.resize(options_.nodes);
-    fifo_shards_.resize(options_.nodes);
+  // One workload stream per agent, each derived from the cell seed but
+  // disjoint from the setup stream and the loss stream.
+  for (int i = 0; i < options_.nodes; ++i) {
+    agent_rngs_.emplace_back(options_.seed * 0x9e3779b97f4a7c15ULL + 2 +
+                             static_cast<uint64_t>(i));
   }
-}
-
-Rng& ScenarioRunner::WorkloadRng(int agent_index) {
-  return parallel_ ? agent_rngs_[agent_index] : rng_;
+  metrics_shards_.resize(options_.nodes);
+  fifo_shards_.resize(options_.nodes);
 }
 
 WorkloadMetrics& ScenarioRunner::MetricsSink() {
-  if (!parallel_) return metrics_;
   NodeId node = cluster_->engine()->CurrentNode();
   if (node < 0 || node >= static_cast<NodeId>(metrics_shards_.size())) {
     return metrics_shards_[0];  // global-context completions (rare)
@@ -56,7 +48,6 @@ WorkloadMetrics& ScenarioRunner::MetricsSink() {
 }
 
 FifoOrderChecker& ScenarioRunner::FifoSink(NodeId to) {
-  if (!parallel_) return fifo_;
   FRAGDB_CHECK(to >= 0 && to < static_cast<NodeId>(fifo_shards_.size()));
   return fifo_shards_[to];
 }
@@ -101,7 +92,7 @@ Status ScenarioRunner::Start() {
 
 void ScenarioRunner::SubmitOne(int agent_index) {
   int i = agent_index;
-  Rng& rng = WorkloadRng(i);
+  Rng& rng = agent_rngs_[i];
   TxnSpec spec;
   spec.agent = agents_[i];
   spec.write_fragment = fragments_[i];
@@ -152,12 +143,12 @@ void ScenarioRunner::ScheduleArrival(int agent_index) {
   // flash crowd quarters the wait, a diurnal trough stretches it.
   double rate = profile_.RateAt(cluster_->Now());
   SimTime wait = static_cast<SimTime>(
-      WorkloadRng(agent_index).NextExponential(
+      agent_rngs_[agent_index].NextExponential(
           double(options_.base_interarrival)) /
       rate);
   // Agent i homes at node i, so its whole arrival->submit->complete chain
-  // stays inside node i's partition — under pdes this is what lets cells
-  // run multi-core without cross-partition draws from a shared RNG.
+  // stays inside node i's partition — this is what lets cells run
+  // multi-core without cross-partition draws from a shared RNG.
   cluster_->engine()->AfterNode(agent_index, std::max<SimTime>(wait, 1),
                                 [this, agent_index] {
                                   if (!traffic_open_) return;
@@ -168,8 +159,8 @@ void ScenarioRunner::ScheduleArrival(int agent_index) {
 
 ScenarioCellReport ScenarioRunner::Run() {
   Cluster& c = *cluster_;
-  // Deliveries run in the receiving node's event context under pdes, so
-  // the observation routes to the destination's shard.
+  // Deliveries run in the receiving node's event context, so the
+  // observation routes to the destination's shard.
   c.network().SetDeliveryObserver(
       [this](const Message& m) { FifoSink(m.to).Observe(m); });
 
@@ -211,19 +202,17 @@ ScenarioCellReport ScenarioRunner::Run() {
   }
 
   ScenarioCellReport report;
-  report.metrics = metrics_;
   // Shard merge order is node-index order: deterministic at any thread
-  // count (all shards empty under the serial engine).
+  // count.
   for (const WorkloadMetrics& shard : metrics_shards_) {
     report.metrics += shard;
   }
   report.net = c.net_stats();
   report.faults = fault_stats_;
-  report.fifo_deliveries = fifo_.observed();
   report.revives_completed = revives_completed_;
   report.recoveries_ran = recoveries_ran_;
 
-  CheckReport fifo = fifo_.Report();
+  CheckReport fifo = CheckReport::Pass();
   for (const FifoOrderChecker& shard : fifo_shards_) {
     report.fifo_deliveries += shard.observed();
     if (fifo.ok) fifo = shard.Report();
@@ -280,8 +269,8 @@ ScenarioCellReport ScenarioRunner::Run() {
   }
 
   if (!report.ok()) {
-    if (FlightRecorder* fr = c.flight_recorder()) {
-      report.flight_dump = fr->DumpJsonl();
+    if (Tracer* fr = c.flight_recorder()) {
+      report.flight_dump = fr->ToJsonl();
     }
   }
 

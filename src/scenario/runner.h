@@ -63,13 +63,9 @@ struct ScenarioRunOptions {
   /// failure path end-to-end (flight-recorder dump, CI artifact plumbing)
   /// without needing an actual bug.
   bool force_verify_failure = false;
-  /// Which event engine drives the cell. kSerial is the classic
-  /// single-threaded simulator; kParallel runs the full protocol stack on
-  /// the conservative windowed PDES scheduler (engine.threads workers,
-  /// engine.partitions node partitions). A pdes cell is bit-identical at
-  /// any thread count, but not byte-identical to the serial engine: txn
-  /// ids are striped per node, the workload uses per-agent RNG streams,
-  /// and message loss draws come from per-sender streams.
+  /// The PDES engine's shape: engine.threads workers over
+  /// engine.partitions node partitions. A cell is bit-identical at any
+  /// thread count.
   EngineConfig engine;
 };
 
@@ -132,34 +128,29 @@ class ScenarioRunner {
  private:
   void ScheduleArrival(int agent_index);
   void SubmitOne(int agent_index);
-  /// The RNG feeding agent `agent_index`'s workload draws: the shared
-  /// stream under the serial engine (keeps golden outputs), a per-agent
-  /// stream under pdes (each agent's draws happen inside its home node's
-  /// partition, so streams must not be shared across partitions).
-  Rng& WorkloadRng(int agent_index);
-  /// Where a completion callback records its outcome: the shared
-  /// WorkloadMetrics under serial, the acting node's shard under pdes.
+  /// Where a completion callback records its outcome: the acting node's
+  /// shard.
   WorkloadMetrics& MetricsSink();
-  /// Where a delivery observation lands: shared under serial, the
-  /// destination node's shard under pdes (FIFO channels are keyed by
-  /// (from, to), so sharding by `to` keeps every channel in one shard).
+  /// Where a delivery observation lands: the destination node's shard
+  /// (FIFO channels are keyed by (from, to), so sharding by `to` keeps
+  /// every channel in one shard).
   FifoOrderChecker& FifoSink(NodeId to);
 
   Scenario scenario_;
   ScenarioRunOptions options_;
   LoadProfile profile_;
+  /// Setup draws (the acyclic read-access tree).
   Rng rng_;
-  bool parallel_ = false;
   std::unique_ptr<Cluster> cluster_;
   std::vector<FragmentId> fragments_;
   std::vector<AgentId> agents_;
   std::vector<std::vector<ObjectId>> objects_;
   std::vector<std::vector<FragmentId>> readable_;
-  WorkloadMetrics metrics_;
-  FifoOrderChecker fifo_;
-  std::vector<Rng> agent_rngs_;                  // pdes only
-  std::vector<WorkloadMetrics> metrics_shards_;  // pdes only
-  std::vector<FifoOrderChecker> fifo_shards_;    // pdes only
+  /// Per-agent workload streams: each agent's draws happen inside its
+  /// home node's partition, so streams must not be shared.
+  std::vector<Rng> agent_rngs_;
+  std::vector<WorkloadMetrics> metrics_shards_;
+  std::vector<FifoOrderChecker> fifo_shards_;
   ApplyStats fault_stats_;
   int revives_completed_ = 0;
   int recoveries_ran_ = 0;

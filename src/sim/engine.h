@@ -2,137 +2,94 @@
 #define FRAGDB_SIM_ENGINE_H_
 
 #include <functional>
-#include <memory>
+#include <utility>
 
 #include "common/types.h"
 #include "sim/event_queue.h"
 #include "sim/partition.h"
 #include "sim/pdes_scheduler.h"
-#include "sim/simulator.h"
 
 namespace fragdb {
 
-/// Node-attributed scheduling interface the protocol stack runs on.
+/// Node-attributed scheduling interface the protocol stack runs on: the
+/// conservative windowed PdesScheduler, partitioned by a PartitionPlan.
 ///
 /// Every schedule names the node whose state the event touches; every
 /// message names sender and receiver; and work that must see (or mutate)
 /// shared cluster state — topology, catalog, partition plan — goes
-/// through AtGlobal. On the serial engine the attribution is ignored and
-/// calls map 1:1 onto the plain Simulator, preserving the exact event
-/// insertion order (and hence byte-identical runs) of the pre-engine
-/// code. On the PDES engine the attribution is the partition-confinement
-/// contract that lets windows of node events run concurrently.
+/// through AtGlobal. The attribution is the partition-confinement
+/// contract that lets windows of node events run concurrently; output is
+/// byte-identical at any worker-thread count (docs/PERFORMANCE.md).
 class SimEngine {
  public:
-  virtual ~SimEngine() = default;
+  /// Node events partitioned by `plan`; globals serialize at window
+  /// barriers. `lookahead` must lower-bound the arrival delay of any
+  /// cross-partition Post under the current latency structure.
+  SimEngine(PartitionPlan plan,
+            std::function<SimTime(const PartitionPlan&)> lookahead,
+            PdesScheduler::Options options)
+      : scheduler_(std::move(plan), std::move(lookahead), options) {}
+
+  /// `nodes` nodes in one partition on the calling thread, for components
+  /// driven outside a Cluster (unit tests, micro-benchmarks). With no
+  /// lookahead every event runs as its own step, in the canonical
+  /// (time, node, seq) order, and globals run at their exact time.
+  explicit SimEngine(int nodes)
+      : SimEngine(PartitionPlan::Contiguous(nodes, 1), nullptr, {}) {}
+
+  SimEngine(const SimEngine&) = delete;
+  SimEngine& operator=(const SimEngine&) = delete;
 
   /// Current simulated time; inside an event, the event's scheduled time.
-  virtual SimTime Now() const = 0;
+  SimTime Now() const { return scheduler_.Now(); }
 
   /// Schedules `fn` at `when` on `node` (the node whose state it reads
   /// and writes). During execution, only callable from an event already
   /// running on `node`, or from a global event.
-  virtual EventId AtNode(NodeId node, SimTime when, EventFn fn) = 0;
+  EventId AtNode(NodeId node, SimTime when, EventFn fn) {
+    return scheduler_.ScheduleAt(node, when, std::move(fn));
+  }
 
   EventId AfterNode(NodeId node, SimTime delay, EventFn fn) {
     return AtNode(node, Now() + delay, std::move(fn));
   }
 
   /// Cancels a pending event on `node` (same confinement rule).
-  virtual bool CancelNode(NodeId node, EventId id) = 0;
+  bool CancelNode(NodeId node, EventId id) {
+    return scheduler_.CancelNode(node, id);
+  }
 
   /// A simulated message: `fn` runs on `to` at `arrival`, sent by an
   /// event currently executing on `from`. Cross-partition arrivals must
-  /// honor the engine's lookahead bound.
-  virtual void Post(NodeId from, NodeId to, SimTime arrival, EventFn fn) = 0;
+  /// honor the lookahead bound.
+  void Post(NodeId from, NodeId to, SimTime arrival, EventFn fn) {
+    scheduler_.Post(from, to, arrival, std::move(fn));
+  }
 
   /// Schedules `fn` as a global event: it runs with every node parked and
   /// may touch any shared or per-node state. From a node event the
   /// request may be deferred (never reordered against other requests).
-  virtual void AtGlobal(SimTime when, EventFn fn) = 0;
+  void AtGlobal(SimTime when, EventFn fn) {
+    scheduler_.AtGlobal(when, std::move(fn));
+  }
 
-  virtual void RunUntil(SimTime deadline) = 0;
-  virtual void RunToQuiescence() = 0;
-
-  /// True if node events may execute concurrently — callers shard or
-  /// confine shared mutable state when this is set.
-  virtual bool parallel() const = 0;
+  void RunUntil(SimTime deadline) { scheduler_.RunUntil(deadline); }
+  void RunToQuiescence() { scheduler_.RunToQuiescence(); }
 
   /// Node of the event the calling thread is executing, or kInvalidNode
   /// outside node events (setup, globals).
-  virtual NodeId CurrentNode() const = 0;
+  NodeId CurrentNode() const { return scheduler_.CurrentNode(); }
 
   /// Tells the engine the latency structure changed (topology mutation
   /// from a global event) so it can re-derive its lookahead.
-  virtual void NotifyTopologyChanged() = 0;
+  void NotifyTopologyChanged() { scheduler_.RefreshLookahead(); }
 
-  virtual uint64_t events_executed() const = 0;
-};
-
-/// Serial engine: a transparent shim over the classic Simulator. Node
-/// attribution is dropped, so the event order — and every byte of
-/// output — is identical to calling the Simulator directly.
-class SerialEngine final : public SimEngine {
- public:
-  explicit SerialEngine(Simulator* sim) : sim_(sim) {}
-
-  SimTime Now() const override { return sim_->Now(); }
-  EventId AtNode(NodeId, SimTime when, EventFn fn) override {
-    return sim_->At(when, std::move(fn));
-  }
-  bool CancelNode(NodeId, EventId id) override { return sim_->Cancel(id); }
-  void Post(NodeId, NodeId, SimTime arrival, EventFn fn) override {
-    sim_->At(arrival, std::move(fn));
-  }
-  void AtGlobal(SimTime when, EventFn fn) override {
-    sim_->At(when, std::move(fn));
-  }
-  void RunUntil(SimTime deadline) override { sim_->RunUntil(deadline); }
-  void RunToQuiescence() override { sim_->RunToQuiescence(); }
-  bool parallel() const override { return false; }
-  NodeId CurrentNode() const override { return kInvalidNode; }
-  void NotifyTopologyChanged() override {}
-  uint64_t events_executed() const override {
-    return sim_->events_executed();
-  }
-
- private:
-  Simulator* sim_;
-};
-
-/// Parallel engine: node events run on the conservative windowed
-/// PdesScheduler, partitioned by `plan`; globals serialize at window
-/// barriers. `lookahead` must lower-bound the arrival delay of any
-/// cross-partition Post under the current latency structure.
-class PdesEngine final : public SimEngine {
- public:
-  PdesEngine(PartitionPlan plan,
-             std::function<SimTime(const PartitionPlan&)> lookahead,
-             PdesScheduler::Options options)
-      : scheduler_(std::move(plan), std::move(lookahead), options) {}
-
-  SimTime Now() const override { return scheduler_.Now(); }
-  EventId AtNode(NodeId node, SimTime when, EventFn fn) override {
-    return scheduler_.ScheduleAt(node, when, std::move(fn));
-  }
-  bool CancelNode(NodeId node, EventId id) override {
-    return scheduler_.CancelNode(node, id);
-  }
-  void Post(NodeId from, NodeId to, SimTime arrival, EventFn fn) override {
-    scheduler_.Post(from, to, arrival, std::move(fn));
-  }
-  void AtGlobal(SimTime when, EventFn fn) override {
-    scheduler_.AtGlobal(when, std::move(fn));
-  }
-  void RunUntil(SimTime deadline) override { scheduler_.RunUntil(deadline); }
-  void RunToQuiescence() override { scheduler_.RunToQuiescence(); }
-  bool parallel() const override { return true; }
-  NodeId CurrentNode() const override { return scheduler_.CurrentNode(); }
-  void NotifyTopologyChanged() override { scheduler_.RefreshLookahead(); }
-  uint64_t events_executed() const override {
+  uint64_t events_executed() const {
     return scheduler_.stats().events_executed;
   }
 
+  /// The windowed scheduler: mid-run plan reassignment and window/merge
+  /// stats.
   PdesScheduler& scheduler() { return scheduler_; }
 
  private:

@@ -34,10 +34,7 @@ void History::AbsorbShard(History* shard) {
       continue;
     }
     TxnRecord& dst = it->second;
-    bool registered = rec.home != kInvalidNode || rec.agent != kInvalidAgent ||
-                      rec.type_fragment != kInvalidFragment ||
-                      !rec.label.empty() || rec.read_only;
-    if (registered) {
+    if (rec.registered()) {
       bool was_committed = dst.committed;
       SeqNum was_seq = dst.frag_seq;
       dst = std::move(rec);

@@ -25,6 +25,13 @@ struct TxnRecord {
   bool committed = false;
   SeqNum frag_seq = 0;  // commit sequence within type_fragment (updates)
   std::string label;
+
+  /// True once RegisterTxn filled the record in; a commit mark recorded
+  /// alone (MarkCommittedPartial) sets none of these fields.
+  bool registered() const {
+    return home != kInvalidNode || agent != kInvalidAgent ||
+           type_fragment != kInvalidFragment || !label.empty() || read_only;
+  }
 };
 
 /// One read observation: transaction `reader`, executing at `node`, saw the
@@ -112,10 +119,9 @@ class History {
   /// Marks a registered transaction committed and records its sequence.
   void MarkCommitted(TxnId id, SeqNum frag_seq);
 
-  /// Shard variant of MarkCommitted: upserts, because under the parallel
-  /// engine the commit may be recorded in a different per-node shard than
-  /// the registration (e.g. a repackaged commit after an agent move).
-  /// AbsorbShard joins the halves.
+  /// Shard variant of MarkCommitted: upserts, because the commit may be
+  /// recorded in a different per-node shard than the registration (e.g. a
+  /// repackaged commit after an agent move). AbsorbShard joins the halves.
   void MarkCommittedPartial(TxnId id, SeqNum frag_seq);
 
   /// Folds a per-node shard into this history and empties it (the

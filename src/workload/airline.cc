@@ -144,7 +144,12 @@ void AirlineWorkload::RunAllScans(std::function<void()> done) {
       return;
     }
     auto self = weak.lock();
-    RunFlightScan(flight, [self, flight] { (*self)(flight + 1); });
+    // Flights home at different nodes, so a scan's completion may not
+    // submit the next flight's scan itself: that hop is a global event.
+    SimEngine* engine = cluster_->engine();
+    RunFlightScan(flight, [self, flight, engine] {
+      engine->AtGlobal(engine->Now(), [self, flight] { (*self)(flight + 1); });
+    });
   };
   (*next)(0);
 }

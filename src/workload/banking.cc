@@ -255,7 +255,10 @@ void BankingWorkload::RunCentralScan(std::function<void()> done) {
 
 void BankingWorkload::StartPeriodicScan(SimTime period, SimTime until) {
   if (cluster_->Now() > until) return;
-  cluster_->sim().After(period, [this, period, until] {
+  // The scan's transactions and their completions all run at the central
+  // office's home, so the timer is an event on that node.
+  NodeId central_home = *cluster_->catalog().HomeOf(central_);
+  cluster_->engine()->AfterNode(central_home, period, [this, period, until] {
     RunCentralScan(nullptr);
     StartPeriodicScan(period, until);
   });

@@ -115,18 +115,24 @@ void SyntheticWorkload::SubmitOne(int agent_index) {
 void SyntheticWorkload::ScheduleArrival(int agent_index) {
   SimTime wait = static_cast<SimTime>(
       rng_.NextExponential(double(options_.mean_interarrival)));
-  cluster_->sim().After(std::max<SimTime>(wait, 1), [this, agent_index] {
-    if (!traffic_open_) return;
-    SubmitOne(agent_index);
-    ScheduleArrival(agent_index);
-  });
+  // Agents may move mid-run, so an arrival cannot be pinned to a home
+  // node's events: it is a global event, which may submit anywhere and
+  // keeps the shared stream's draws in one deterministic order.
+  SimEngine* engine = cluster_->engine();
+  engine->AtGlobal(engine->Now() + std::max<SimTime>(wait, 1),
+                   [this, agent_index] {
+                     if (!traffic_open_) return;
+                     SubmitOne(agent_index);
+                     ScheduleArrival(agent_index);
+                   });
 }
 
 void SyntheticWorkload::SchedulePartitionCycle() {
   if (options_.mean_up_time <= 0) return;
   SimTime up = static_cast<SimTime>(
       rng_.NextExponential(double(options_.mean_up_time)));
-  cluster_->sim().After(std::max<SimTime>(up, 1), [this] {
+  SimEngine* engine = cluster_->engine();
+  engine->AtGlobal(engine->Now() + std::max<SimTime>(up, 1), [this, engine] {
     if (!traffic_open_) return;
     // Random bipartition: each node flips a fair coin; degenerate splits
     // (everyone on one side) simply keep the network whole.
@@ -141,7 +147,7 @@ void SyntheticWorkload::SchedulePartitionCycle() {
     }
     SimTime down = static_cast<SimTime>(
         rng_.NextExponential(double(options_.mean_partition_time)));
-    cluster_->sim().After(std::max<SimTime>(down, 1), [this] {
+    engine->AtGlobal(engine->Now() + std::max<SimTime>(down, 1), [this] {
       cluster_->HealAll();
       if (traffic_open_) SchedulePartitionCycle();
     });

@@ -176,7 +176,9 @@ TEST(BankingTest, PeriodicScanKeepsAccountingStraight) {
   ASSERT_TRUE(bank.Start().ok());
   bank.StartPeriodicScan(Millis(50), Seconds(1));
   for (int i = 0; i < 10; ++i) {
-    bank.cluster().sim().After(Millis(20) * i, [&bank, i] {
+    Cluster& c = bank.cluster();
+    NodeId home = *c.catalog().HomeOf(bank.customer_agent(i % 3));
+    c.engine()->AtNode(home, Millis(20) * i, [&bank, i] {
       bank.Deposit(i % 3, 10 + i, nullptr);
     });
   }

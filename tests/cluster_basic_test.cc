@@ -329,5 +329,36 @@ TEST_F(ClusterFixture, NonconformingReadOnlyAllowedWithOptIn) {
   EXPECT_TRUE(out2.status.IsPermissionDenied());
 }
 
+// Commits are recorded in the acting node's history shard and may land in
+// another shard than their registration; the registered-before-committed
+// check runs when the shards are folded together at the end of a run.
+using ClusterHistoryDeathTest = ClusterFixture;
+
+TEST_F(ClusterHistoryDeathTest, CommitJoinsRegistrationFromAnotherShard) {
+  Build(ControlOption::kFragmentwise);
+  TxnRecord rec;
+  rec.id = 900001;
+  rec.agent = alice;
+  rec.type_fragment = f0;
+  rec.home = 0;
+  cluster->HistorySink(0).RegisterTxn(rec);
+  cluster->MarkCommittedAt(2, rec.id, 7);
+  cluster->RunToQuiescence();
+  const TxnRecord* merged = cluster->history().FindTxn(rec.id);
+  ASSERT_NE(merged, nullptr);
+  EXPECT_TRUE(merged->committed);
+  EXPECT_EQ(merged->frag_seq, 7);
+  EXPECT_EQ(merged->home, 0);
+}
+
+TEST_F(ClusterHistoryDeathTest, UnregisteredCommitAbortsTheCollapse) {
+  Build(ControlOption::kFragmentwise);
+  cluster->Submit(UpdateSpec(alice, f0, a, 1), nullptr);
+  cluster->RunToQuiescence();
+  // A commit mark with no registration anywhere.
+  cluster->MarkCommittedAt(1, 900002, 1);
+  EXPECT_DEATH(cluster->RunToQuiescence(), "registered");
+}
+
 }  // namespace
 }  // namespace fragdb

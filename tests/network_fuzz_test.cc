@@ -54,8 +54,8 @@ void RunEpisode(uint64_t seed) {
     }
   }
 
-  Simulator sim;
-  Network net(&sim, &topo);
+  SimEngine engine(topo.node_count());
+  Network net(&engine, &topo);
 
   // received[to][from] = sequence numbers in delivery order.
   std::vector<std::map<NodeId, std::vector<uint64_t>>> received(n);
@@ -109,12 +109,12 @@ void RunEpisode(uint64_t seed) {
         break;
       }
     }
-    sim.RunUntil(sim.Now() + Millis(rng.NextBelow(8)));
+    engine.RunUntil(engine.Now() + Millis(rng.NextBelow(8)));
   }
 
   // Heal and drain: every queued message must now be deliverable.
   topo.HealAll();
-  sim.RunToQuiescence();
+  engine.RunToQuiescence();
   EXPECT_EQ(net.pending_count(), 0u);
 
   // Completeness + FIFO per channel: exactly the sent sequence, in order.
@@ -149,32 +149,32 @@ TEST(NetworkFuzzTest, LossWindowOpeningMidFlightDoesNotReorderOrDrop) {
   // window.
   Topology topo(3);
   ASSERT_TRUE(topo.AddLink(0, 1, Millis(50)).ok());
-  Simulator sim;
-  Network net(&sim, &topo);
+  SimEngine engine(topo.node_count());
+  Network net(&engine, &topo);
   std::vector<std::pair<uint64_t, SimTime>> got;
-  net.SetHandler(1, [&got, &sim](const Message& m) {
+  net.SetHandler(1, [&got, &engine](const Message& m) {
     got.emplace_back(
         std::dynamic_pointer_cast<const SeqPayload>(m.payload)->seq,
-        sim.Now());
+        engine.Now());
   });
 
   // t=0: message 0 routed, due at 50ms.
   ASSERT_TRUE(net.Send(0, 1, std::make_shared<SeqPayload>(0, 1, 0)).ok());
   // t=10ms: a certain-loss window opens mid-flight; message 1 is dropped
   // at Send but still claims its delivery slot (due 60ms) on the floor.
-  sim.RunUntil(Millis(10));
+  engine.RunUntil(Millis(10));
   net.SetLossProbability(1.0, /*seed=*/7);
   ASSERT_TRUE(net.Send(0, 1, std::make_shared<SeqPayload>(0, 1, 1)).ok());
   // t=20ms: window closes and a 10ms route via node 2 appears. Message 2
   // would arrive at 30ms, ahead of both its predecessors, without the
   // floor; it must instead queue behind the dropped message's slot,
   // exactly as if message 1 had been delivered.
-  sim.RunUntil(Millis(20));
+  engine.RunUntil(Millis(20));
   net.SetLossProbability(0.0, /*seed=*/7);
   ASSERT_TRUE(topo.AddLink(0, 2, Millis(5)).ok());
   ASSERT_TRUE(topo.AddLink(2, 1, Millis(5)).ok());
   ASSERT_TRUE(net.Send(0, 1, std::make_shared<SeqPayload>(0, 1, 2)).ok());
-  sim.RunToQuiescence();
+  engine.RunToQuiescence();
 
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0].first, 0u);         // in-flight survivor untouched
@@ -193,8 +193,8 @@ TEST(NetworkFuzzTest, SameSeedReopenContinuesDropStream) {
   auto run = [](bool interrupt) {
     Topology topo(2);
     EXPECT_TRUE(topo.AddLink(0, 1, Millis(5)).ok());
-    Simulator sim;
-    Network net(&sim, &topo);
+    SimEngine engine(topo.node_count());
+    Network net(&engine, &topo);
     std::vector<uint64_t> delivered;
     net.SetHandler(1, [&delivered](const Message& m) {
       delivered.push_back(
@@ -210,7 +210,7 @@ TEST(NetworkFuzzTest, SameSeedReopenContinuesDropStream) {
       }
       EXPECT_TRUE(net.Send(0, 1, std::make_shared<SeqPayload>(0, 1, i)).ok());
     }
-    sim.RunToQuiescence();
+    engine.RunToQuiescence();
     return delivered;
   };
   std::vector<uint64_t> uninterrupted = run(false);
@@ -221,8 +221,8 @@ TEST(NetworkFuzzTest, SameSeedReopenContinuesDropStream) {
   auto run_seed = [](uint64_t seed) {
     Topology topo(2);
     EXPECT_TRUE(topo.AddLink(0, 1, Millis(5)).ok());
-    Simulator sim;
-    Network net(&sim, &topo);
+    SimEngine engine(topo.node_count());
+    Network net(&engine, &topo);
     std::vector<uint64_t> delivered;
     net.SetHandler(1, [&delivered](const Message& m) {
       delivered.push_back(
@@ -233,7 +233,7 @@ TEST(NetworkFuzzTest, SameSeedReopenContinuesDropStream) {
     for (uint64_t i = 0; i < 20; ++i) {
       EXPECT_TRUE(net.Send(0, 1, std::make_shared<SeqPayload>(0, 1, i)).ok());
     }
-    sim.RunToQuiescence();
+    engine.RunToQuiescence();
     return delivered;
   };
   EXPECT_NE(run_seed(99), run_seed(100));
@@ -245,13 +245,13 @@ TEST(NetworkFuzzTest, LatencyDropDoesNotReorderChannel) {
   // earlier one. (The flat channel_floor_ array is what enforces this.)
   Topology topo(3);
   ASSERT_TRUE(topo.AddLink(0, 1, Millis(50)).ok());
-  Simulator sim;
-  Network net(&sim, &topo);
+  SimEngine engine(topo.node_count());
+  Network net(&engine, &topo);
   std::vector<std::pair<uint64_t, SimTime>> got;
-  net.SetHandler(1, [&got, &sim](const Message& m) {
+  net.SetHandler(1, [&got, &engine](const Message& m) {
     got.emplace_back(
         std::dynamic_pointer_cast<const SeqPayload>(m.payload)->seq,
-        sim.Now());
+        engine.Now());
   });
   ASSERT_TRUE(net.Send(0, 1, std::make_shared<SeqPayload>(0, 1, 0)).ok());
   // A 10ms route via node 2 appears; message 1 would arrive at 10ms and
@@ -259,7 +259,7 @@ TEST(NetworkFuzzTest, LatencyDropDoesNotReorderChannel) {
   ASSERT_TRUE(topo.AddLink(0, 2, Millis(5)).ok());
   ASSERT_TRUE(topo.AddLink(2, 1, Millis(5)).ok());
   ASSERT_TRUE(net.Send(0, 1, std::make_shared<SeqPayload>(0, 1, 1)).ok());
-  sim.RunToQuiescence();
+  engine.RunToQuiescence();
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0].first, 0u);
   EXPECT_EQ(got[0].second, Millis(50));

@@ -16,13 +16,13 @@ struct TestPayload : MessagePayload {
 
 struct NetFixture : ::testing::Test {
   NetFixture()
-      : topology(Topology::FullMesh(4, Millis(5))), net(&sim, &topology) {
+      : topology(Topology::FullMesh(4, Millis(5))), net(&engine, &topology) {
     received.resize(4);
     for (NodeId n = 0; n < 4; ++n) {
       net.SetHandler(n, [this, n](const Message& m) {
         auto p = std::dynamic_pointer_cast<const TestPayload>(m.payload);
         ASSERT_NE(p, nullptr);
-        received[n].push_back({p->value, sim.Now(), m.from});
+        received[n].push_back({p->value, engine.Now(), m.from});
       });
     }
   }
@@ -36,7 +36,7 @@ struct NetFixture : ::testing::Test {
     SimTime at;
     NodeId from;
   };
-  Simulator sim;
+  SimEngine engine{4};
   Topology topology;
   Network net;
   std::vector<std::vector<Recv>> received;
@@ -44,7 +44,7 @@ struct NetFixture : ::testing::Test {
 
 TEST_F(NetFixture, DeliversAfterLinkLatency) {
   ASSERT_TRUE(Send(0, 1, 7).ok());
-  sim.RunToQuiescence();
+  engine.RunToQuiescence();
   ASSERT_EQ(received[1].size(), 1u);
   EXPECT_EQ(received[1][0].value, 7);
   EXPECT_EQ(received[1][0].at, Millis(5));
@@ -54,7 +54,7 @@ TEST_F(NetFixture, DeliversAfterLinkLatency) {
 TEST_F(NetFixture, SelfSendDeliversAtSameTimeViaQueue) {
   ASSERT_TRUE(Send(2, 2, 9).ok());
   EXPECT_TRUE(received[2].empty());  // not reentrant
-  sim.RunToQuiescence();
+  engine.RunToQuiescence();
   ASSERT_EQ(received[2].size(), 1u);
   EXPECT_EQ(received[2][0].at, 0);
 }
@@ -67,11 +67,11 @@ TEST_F(NetFixture, InvalidEndpointRejected) {
 TEST_F(NetFixture, QueuedWhileUnreachableAndFlushedOnHeal) {
   ASSERT_TRUE(topology.Partition({{0}, {1, 2, 3}}).ok());
   ASSERT_TRUE(Send(0, 1, 42).ok());
-  sim.RunUntil(Millis(100));
+  engine.RunUntil(Millis(100));
   EXPECT_TRUE(received[1].empty());
   EXPECT_EQ(net.pending_count(), 1u);
   topology.HealAll();
-  sim.RunToQuiescence();
+  engine.RunToQuiescence();
   ASSERT_EQ(received[1].size(), 1u);
   EXPECT_EQ(received[1][0].value, 42);
   EXPECT_EQ(received[1][0].at, Millis(105));
@@ -87,7 +87,7 @@ TEST_F(NetFixture, FifoPerChannelEvenWhenPathChanges) {
   ASSERT_TRUE(Send(0, 1, 1).ok());
   topology.HealAll();  // direct path (5ms) available again
   ASSERT_TRUE(Send(0, 1, 2).ok());
-  sim.RunToQuiescence();
+  engine.RunToQuiescence();
   ASSERT_EQ(received[1].size(), 2u);
   EXPECT_EQ(received[1][0].value, 1);
   EXPECT_EQ(received[1][1].value, 2);
@@ -97,7 +97,7 @@ TEST_F(NetFixture, FifoPerChannelEvenWhenPathChanges) {
 
 TEST_F(NetFixture, SendToAllReachesEveryoneElse) {
   ASSERT_TRUE(net.SendToAll(1, std::make_shared<TestPayload>(3)).ok());
-  sim.RunToQuiescence();
+  engine.RunToQuiescence();
   EXPECT_TRUE(received[1].empty());
   for (NodeId n : {0, 2, 3}) {
     ASSERT_EQ(received[n].size(), 1u) << "node " << n;
@@ -108,7 +108,7 @@ TEST_F(NetFixture, SendToAllReachesEveryoneElse) {
 TEST_F(NetFixture, StatsCountTraffic) {
   ASSERT_TRUE(Send(0, 1, 1).ok());
   ASSERT_TRUE(Send(0, 2, 2).ok());
-  sim.RunToQuiescence();
+  engine.RunToQuiescence();
   EXPECT_EQ(net.stats().messages_sent, 2u);
   EXPECT_EQ(net.stats().messages_delivered, 2u);
   EXPECT_EQ(net.stats().bytes_sent, 200u);
@@ -122,11 +122,11 @@ TEST_F(NetFixture, QueuedCounterTracksDeferrals) {
 
 TEST_F(NetFixture, MultiHopLatencyAccumulates) {
   Topology line = Topology::Line(3, Millis(7));
-  Network lnet(&sim, &line);
+  Network lnet(&engine, &line);
   std::vector<SimTime> at;
-  lnet.SetHandler(2, [&](const Message&) { at.push_back(sim.Now()); });
+  lnet.SetHandler(2, [&](const Message&) { at.push_back(engine.Now()); });
   ASSERT_TRUE(lnet.Send(0, 2, std::make_shared<TestPayload>(1)).ok());
-  sim.RunToQuiescence();
+  engine.RunToQuiescence();
   ASSERT_EQ(at.size(), 1u);
   EXPECT_EQ(at[0], Millis(14));
 }
@@ -136,7 +136,7 @@ TEST_F(NetFixture, RepartitionDoesNotDeliverAcrossNewCut) {
   ASSERT_TRUE(Send(0, 1, 1).ok());
   // Heal into a different partition that still separates 0 and 1.
   ASSERT_TRUE(topology.Partition({{0, 2}, {1, 3}}).ok());
-  sim.RunToQuiescence();
+  engine.RunToQuiescence();
   EXPECT_TRUE(received[1].empty());
   EXPECT_EQ(net.pending_count(), 1u);
 }
@@ -145,12 +145,12 @@ TEST_F(NetFixture, RepartitionDoesNotDeliverAcrossNewCut) {
 TEST_F(NetFixture, LossDropsRoutedMessagesOnly) {
   net.SetLossProbability(1.0, 42);  // drop everything routed
   ASSERT_TRUE(Send(0, 1, 5).ok());
-  sim.RunToQuiescence();
+  engine.RunToQuiescence();
   EXPECT_TRUE(received[1].empty());
   EXPECT_EQ(net.stats().messages_dropped, 1u);
   // Self-sends are never dropped.
   ASSERT_TRUE(Send(2, 2, 6).ok());
-  sim.RunToQuiescence();
+  engine.RunToQuiescence();
   EXPECT_EQ(received[2].size(), 1u);
   // Queued messages (no route at send time) are not subject to loss and
   // are transmitted on heal.
@@ -158,7 +158,7 @@ TEST_F(NetFixture, LossDropsRoutedMessagesOnly) {
   ASSERT_TRUE(Send(0, 1, 7).ok());
   net.SetLossProbability(0.0, 0);
   topology.HealAll();
-  sim.RunToQuiescence();
+  engine.RunToQuiescence();
   ASSERT_EQ(received[1].size(), 1u);
   EXPECT_EQ(received[1][0].value, 7);
 }
@@ -166,7 +166,7 @@ TEST_F(NetFixture, LossDropsRoutedMessagesOnly) {
 TEST_F(NetFixture, PartialLossIsDeterministicFromSeed) {
   net.SetLossProbability(0.5, 99);
   for (int i = 0; i < 50; ++i) ASSERT_TRUE(Send(0, 1, i).ok());
-  sim.RunToQuiescence();
+  engine.RunToQuiescence();
   size_t first_run = received[1].size();
   EXPECT_GT(first_run, 5u);
   EXPECT_LT(first_run, 45u);

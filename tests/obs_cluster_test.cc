@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/audit.h"
 #include "workload/banking.h"
 #include "workload/synthetic.h"
@@ -136,18 +137,18 @@ TEST_F(ObsBankingTest, SpanChainReconstructsFromJsonl) {
 
 TEST_F(ObsBankingTest, FlightDumpMatchesTracerWhenNothingWrapped) {
   // Same hook sites feed both sinks; with capacity exceeding the event
-  // count, the seq-merged dump reproduces the tracer's JSONL byte for
+  // count, the merged dump reproduces the tracer's JSONL byte for
   // byte — so every span-chain property proven for the trace export holds
   // for flight-recorder dumps too.
-  FlightRecorder* fr = bank_->cluster().flight_recorder();
+  Tracer* fr = bank_->cluster().flight_recorder();
   Tracer* tracer = bank_->cluster().tracer();
   ASSERT_NE(fr, nullptr);
   ASSERT_NE(tracer, nullptr);
   ASSERT_LE(tracer->events().size(), static_cast<size_t>(fr->capacity()));
   EXPECT_EQ(fr->total_recorded(), tracer->events().size());
-  EXPECT_EQ(fr->DumpJsonl(), tracer->ToJsonl());
+  EXPECT_EQ(fr->ToJsonl(), tracer->ToJsonl());
 
-  Result<std::vector<TraceEvent>> parsed = Tracer::ParseJsonl(fr->DumpJsonl());
+  Result<std::vector<TraceEvent>> parsed = Tracer::ParseJsonl(fr->ToJsonl());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->size(), tracer->events().size());
 }
@@ -213,6 +214,106 @@ TEST(ObsClusterTest, IdenticalSeedsGiveIdenticalSnapshots) {
   EXPECT_FALSE(text[0].empty());
   EXPECT_EQ(text[0], text[1]);
   EXPECT_EQ(jsonl[0], jsonl[1]);
+}
+
+// Metrics, tracing and the flight recorder shard per node, so they work
+// on any number of PDES workers: a read-lock run through a partition and
+// an amnesia crash must export byte-identical series and traces at every
+// thread count.
+struct ObsExports {
+  std::string metrics;
+  std::string trace;
+  std::string flight;
+  uint64_t committed = 0;
+  uint64_t recoveries = 0;
+};
+
+ObsExports RunObservedCluster(int threads) {
+  constexpr int kNodes = 4;
+  ClusterConfig config;
+  config.control = ControlOption::kReadLocks;
+  config.durability.enabled = true;
+  config.durability.checkpoint_interval = Millis(30);
+  config.observability.metrics = true;
+  config.observability.tracing = true;
+  config.observability.flight_recorder = true;
+  config.engine.threads = threads;
+  Cluster cluster(config, Topology::FullMesh(kNodes, Millis(5)));
+  std::vector<FragmentId> frags;
+  std::vector<ObjectId> objs;
+  std::vector<AgentId> agents;
+  for (int i = 0; i < kNodes; ++i) {
+    frags.push_back(cluster.DefineFragment("F" + std::to_string(i)));
+    objs.push_back(*cluster.DefineObject(frags[i], "o" + std::to_string(i), 0));
+    agents.push_back(cluster.DefineUserAgent("a" + std::to_string(i)));
+    EXPECT_TRUE(cluster.AssignToken(frags[i], agents[i]).ok());
+    EXPECT_TRUE(cluster.SetAgentHome(agents[i], i).ok());
+  }
+  EXPECT_TRUE(cluster.Start().ok());
+
+  // Agent i updates its own object from a neighbor's every 6ms, as events
+  // on its home node i; its RNG and commit count are touched only there.
+  std::vector<Rng> rngs;
+  std::vector<uint64_t> committed(kNodes, 0);
+  for (int i = 0; i < kNodes; ++i) rngs.emplace_back(100 + i);
+  for (int i = 0; i < kNodes; ++i) {
+    for (SimTime t = Millis(1); t < Millis(300); t += Millis(6)) {
+      cluster.engine()->AtNode(i, t, [&, i] {
+        const int other = (i + 1 + static_cast<int>(rngs[i].NextBelow(
+                                        kNodes - 1))) % kNodes;
+        TxnSpec spec;
+        spec.agent = agents[i];
+        spec.write_fragment = frags[i];
+        spec.read_set = {objs[i], objs[other]};
+        ObjectId own = objs[i];
+        spec.body = [own](const std::vector<Value>& reads)
+            -> Result<std::vector<WriteOp>> {
+          return std::vector<WriteOp>{{own, reads[0] + reads[1] + 1}};
+        };
+        cluster.Submit(spec, [&committed, i](const TxnResult& r) {
+          if (r.status.ok()) ++committed[i];
+        });
+      });
+    }
+  }
+  cluster.engine()->AtGlobal(Millis(60), [&cluster] {
+    EXPECT_TRUE(cluster.Partition({{0, 1}, {2, 3}}).ok());
+  });
+  cluster.engine()->AtGlobal(Millis(130), [&cluster] { cluster.HealAll(); });
+  cluster.engine()->AtGlobal(Millis(170), [&cluster] {
+    EXPECT_TRUE(cluster.CrashNode(3, CrashMode::kAmnesia).ok());
+  });
+  cluster.engine()->AtGlobal(Millis(220), [&cluster] {
+    EXPECT_TRUE(cluster.ReviveNode(3).ok());
+  });
+  cluster.RunToQuiescence();
+
+  ObsExports out;
+  MetricsSnapshot snap = cluster.SnapshotMetrics();
+  out.metrics = snap.ToText();
+  out.trace = cluster.tracer()->ToJsonl();
+  out.flight = cluster.flight_recorder()->ToJsonl();
+  for (uint64_t c : committed) out.committed += c;
+  out.recoveries = snap.CounterTotal("recoveries_total");
+  EXPECT_EQ(snap.CounterTotal("txn_committed_total"), out.committed);
+  EXPECT_EQ(snap.CounterTotal("messages_sent_total"),
+            cluster.net_stats().messages_sent);
+  EXPECT_TRUE(CheckMutualConsistency(cluster.Replicas()).ok);
+  return out;
+}
+
+TEST(ObsClusterTest, MetricsAndTracingIdenticalAcrossThreadCounts) {
+  const ObsExports base = RunObservedCluster(1);
+  EXPECT_GT(base.committed, 0u);
+  EXPECT_EQ(base.recoveries, 1u);
+  EXPECT_NE(base.trace.find("\"name\":\"partition\""), std::string::npos);
+  EXPECT_NE(base.trace.find("\"name\":\"recover\""), std::string::npos);
+  for (int threads : {2, 4}) {
+    const ObsExports run = RunObservedCluster(threads);
+    EXPECT_EQ(run.metrics, base.metrics) << "threads=" << threads;
+    EXPECT_EQ(run.trace, base.trace) << "threads=" << threads;
+    EXPECT_EQ(run.flight, base.flight) << "threads=" << threads;
+  }
 }
 
 }  // namespace

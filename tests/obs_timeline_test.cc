@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "obs/availability.h"
-#include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "scenario/compile.h"
 #include "verify/checkers.h"
@@ -375,7 +374,7 @@ TEST(BuildFaultWindowsTest, ExpandsCompositeOpsLikeTheCompiler) {
 }
 
 // --------------------------------------------------------------------------
-// FlightRecorder
+// Flight recorder: a Tracer with bounded rings
 // --------------------------------------------------------------------------
 
 TraceEvent Ev(SimTime at, const std::string& kind, NodeId node, TxnId txn) {
@@ -389,7 +388,7 @@ TraceEvent Ev(SimTime at, const std::string& kind, NodeId node, TxnId txn) {
 }
 
 TEST(FlightRecorderTest, KeepsOnlyTheLastCapacityEventsPerNode) {
-  FlightRecorder fr(2, /*capacity=*/3);
+  Tracer fr(2, /*capacity=*/3);
   for (int i = 0; i < 5; ++i) fr.Record(Ev(i, "install", 0, i));
   fr.Record(Ev(100, "commit", 1, 99));
   EXPECT_EQ(fr.total_recorded(), 6u);
@@ -402,7 +401,7 @@ TEST(FlightRecorderTest, KeepsOnlyTheLastCapacityEventsPerNode) {
 }
 
 TEST(FlightRecorderTest, ClusterWideEventsLandInTheirOwnRing) {
-  FlightRecorder fr(2, 4);
+  Tracer fr(2, 4);
   fr.Record(Ev(10, "partition", kInvalidNode, kInvalidTxn));
   fr.Record(Ev(20, "heal", kInvalidNode, kInvalidTxn));
   ASSERT_EQ(fr.NodeEvents(kInvalidNode).size(), 2u);
@@ -410,17 +409,17 @@ TEST(FlightRecorderTest, ClusterWideEventsLandInTheirOwnRing) {
 }
 
 TEST(FlightRecorderTest, DumpMergesRingsInRecordOrderAndParsesBack) {
-  FlightRecorder fr(2, 4);
+  Tracer fr(2, 4);
   fr.Record(Ev(10, "submit", 0, 1));
   fr.Record(Ev(12, "partition", kInvalidNode, kInvalidTxn));
   fr.Record(Ev(15, "commit", 1, 1));
   fr.Record(Ev(20, "install", 0, 1));
 
-  std::string dump = fr.DumpJsonl();
+  std::string dump = fr.ToJsonl();
   Result<std::vector<TraceEvent>> parsed = Tracer::ParseJsonl(dump);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_EQ(parsed->size(), 4u);
-  // Global record order, not per-ring order.
+  // Merged (time, ring, seq) order, not per-ring order.
   EXPECT_EQ((*parsed)[0].kind, "submit");
   EXPECT_EQ((*parsed)[1].kind, "partition");
   EXPECT_EQ((*parsed)[2].kind, "commit");

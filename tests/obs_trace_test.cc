@@ -48,9 +48,10 @@ TEST(TracerTest, JsonlRoundTripPreservesAllFields) {
   std::string jsonl = tracer.ToJsonl();
   Result<std::vector<TraceEvent>> parsed = Tracer::ParseJsonl(jsonl);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ASSERT_EQ(parsed->size(), tracer.events().size());
+  const std::vector<TraceEvent> events = tracer.events();
+  ASSERT_EQ(parsed->size(), events.size());
   for (size_t i = 0; i < parsed->size(); ++i) {
-    const TraceEvent& in = tracer.events()[i];
+    const TraceEvent& in = events[i];
     const TraceEvent& out = (*parsed)[i];
     EXPECT_EQ(out.at, in.at) << i;
     EXPECT_EQ(out.kind, in.kind) << i;

@@ -23,7 +23,6 @@ namespace {
 
 EngineConfig Pdes(int threads) {
   EngineConfig e;
-  e.kind = EngineKind::kParallel;
   e.threads = threads;
   return e;
 }

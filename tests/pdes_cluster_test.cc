@@ -1,12 +1,8 @@
-// The full Cluster protocol stack on the parallel (PDES) engine. The
-// contract under test is the one docs/PERFORMANCE.md promises: a
-// pdes-mode run is bit-identical at any worker-thread count — same
-// metrics, same fingerprints, same replica contents — including while a
-// §4.4 moving-agent protocol is in flight and the partition plan is
-// reassigned mid-run. (pdes output is deliberately NOT byte-identical to
-// the serial engine: txn ids are striped per node and the workload/loss
-// RNG streams are per-agent/per-sender; both schedules are valid and both
-// must pass every invariant checker.)
+// The full Cluster protocol stack on the PDES engine. The contract under
+// test is the one docs/PERFORMANCE.md promises: a run is bit-identical at
+// any worker-thread count — same metrics, same fingerprints, same replica
+// contents — including while a §4.4 moving-agent protocol is in flight
+// and the partition plan is reassigned mid-run.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +21,6 @@ namespace {
 
 EngineConfig Pdes(int threads, int partitions = 0) {
   EngineConfig e;
-  e.kind = EngineKind::kParallel;
   e.threads = threads;
   e.partitions = partitions;
   return e;
@@ -85,14 +80,6 @@ TEST(PdesClusterTest, TortureCellIdenticalAcrossPartitionCounts) {
   EXPECT_EQ(CellDigest(RunTortureCell(Pdes(4, 2))), want);
 }
 
-TEST(PdesClusterTest, SerialEngineStillPassesSameCell) {
-  // Same cell on the classic engine: a different (striping-free) schedule,
-  // but every invariant must hold there too.
-  ScenarioCellReport r = RunTortureCell(EngineConfig{});
-  EXPECT_TRUE(r.ok()) << r.failure_detail;
-  EXPECT_GT(r.metrics.committed, 0u);
-}
-
 // --- Mid-run plan reassignment during an in-flight §4.4 move --------------
 
 struct MoveCell {
@@ -148,16 +135,15 @@ std::string RunMoveWithReassign(MoveProtocol protocol,
   Status move_status = Status::Internal("not called");
   EXPECT_TRUE(
       c.MoveAgent(cell.agent, 2, [&](Status st) { move_status = st; }).ok());
-  if (PdesScheduler* sched = c.pdes_scheduler()) {
-    // Mid-travel (travel takes 20ms), fold the endpoints' partitions
-    // together and strand node 1 in a third one. Requested from a node
-    // event — the buffered worker path — and applied at the next window
-    // barrier; the (time, node, seq) order of events is unchanged.
-    c.engine()->AfterNode(1, Millis(10), [sched] {
-      sched->RequestReassign(0, 2);
-      sched->RequestReassign(1, 3);
-    });
-  }
+  // Mid-travel (travel takes 20ms), fold the endpoints' partitions
+  // together and strand node 1 in a third one. Requested from a node
+  // event — the buffered worker path — and applied at the next window
+  // barrier; the (time, node, seq) order of events is unchanged.
+  PdesScheduler* sched = c.pdes_scheduler();
+  c.engine()->AfterNode(1, Millis(10), [sched] {
+    sched->RequestReassign(0, 2);
+    sched->RequestReassign(1, 3);
+  });
   c.RunToQuiescence();
   EXPECT_TRUE(move_status.ok()) << move_status.ToString();
 
@@ -193,11 +179,6 @@ TEST(PdesClusterTest, ReassignDuringMoveBitIdenticalAcrossThreadCounts) {
           << "protocol=" << static_cast<int>(protocol)
           << " threads=" << threads;
     }
-    // And the stream survives on the serial engine (different txn-id
-    // stripe layout, same replica contents and seq advance).
-    const std::string serial =
-        RunMoveWithReassign(protocol, EngineConfig{});
-    EXPECT_NE(serial, "");
   }
 }
 
@@ -205,7 +186,6 @@ TEST(PdesClusterTest, ReassignmentsAreActuallyApplied) {
   MoveCell cell(MoveProtocol::kMoveWithData, Pdes(2));
   Cluster& c = *cell.cluster;
   PdesScheduler* sched = c.pdes_scheduler();
-  ASSERT_NE(sched, nullptr);
   EXPECT_TRUE(c.MoveAgent(cell.agent, 2, nullptr).ok());
   c.engine()->AtGlobal(c.Now() + Millis(10), [sched] {
     sched->RequestReassign(0, 2);

@@ -109,7 +109,6 @@ std::string FlapDigest(int threads, SimTime link_latency) {
   opt.seed = 11;
   opt.link_latency = link_latency;
   opt.observability.timelines = true;
-  opt.engine.kind = EngineKind::kParallel;
   opt.engine.threads = threads;
   opt.engine.partitions = 2;  // flap groups align with plan partitions
   ScenarioRunner runner(*s, opt);

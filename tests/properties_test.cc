@@ -152,7 +152,7 @@ TEST_P(MoveProtocolSweep, ConsistencyUnderTrafficAndMoves) {
     SimTime when = Millis(100) + Millis(150) * i;
     AgentId agent = static_cast<AgentId>(rng.NextBelow(opt.nodes));
     NodeId to = static_cast<NodeId>(rng.NextBelow(opt.nodes));
-    cluster.sim().At(when, [&cluster, agent, to] {
+    cluster.engine()->AtGlobal(when, [&cluster, agent, to] {
       // Ignore rejections (agent already moving, etc.).
       (void)cluster.MoveAgent(agent, to, nullptr);
     });
@@ -197,7 +197,7 @@ TEST_P(MovePartitionSweep, ConvergesUnderMovesAcrossPartitions) {
     SimTime when = Millis(80) + Millis(130) * i;
     AgentId agent = static_cast<AgentId>(rng.NextBelow(opt.nodes));
     NodeId to = static_cast<NodeId>(rng.NextBelow(opt.nodes));
-    cluster.sim().At(when, [&cluster, agent, to] {
+    cluster.engine()->AtGlobal(when, [&cluster, agent, to] {
       (void)cluster.MoveAgent(agent, to, nullptr);
     });
   }

@@ -17,7 +17,6 @@ namespace {
 
 EngineConfig Pdes(int threads) {
   EngineConfig e;
-  e.kind = EngineKind::kParallel;
   e.threads = threads;
   return e;
 }

@@ -129,9 +129,9 @@ TEST(WalTest, CorruptChecksumStopsScan) {
 }
 
 TEST(WalTest, WriterGroupCommitsAfterFsyncDelay) {
-  Simulator sim;
+  SimEngine engine(1);
   StableStorage st;
-  WalWriter w(&sim, &st, "wal", Micros(500));
+  WalWriter w(0, &engine, &st, "wal", Micros(500));
   WalRecord r;
   r.quasi = MakeQuasi(1, {{0, 1}});
   w.Append(r);
@@ -140,7 +140,7 @@ TEST(WalTest, WriterGroupCommitsAfterFsyncDelay) {
   // Staged, not durable, until the single sync event fires.
   EXPECT_GT(w.staged_bytes(), 0u);
   EXPECT_EQ(st.Size("wal"), 0u);
-  sim.RunToQuiescence();
+  engine.RunToQuiescence();
   EXPECT_EQ(w.staged_bytes(), 0u);
   WalScan scan = ScanWal(st.Read("wal"));
   ASSERT_EQ(scan.records.size(), 2u);
@@ -149,10 +149,10 @@ TEST(WalTest, WriterGroupCommitsAfterFsyncDelay) {
 }
 
 TEST(WalTest, CrashInsideFsyncWindowLosesStagedSuffix) {
-  Simulator sim;
+  SimEngine engine(1);
   StableStorage st;
   {
-    WalWriter w(&sim, &st, "wal", Micros(500));
+    WalWriter w(0, &engine, &st, "wal", Micros(500));
     WalRecord r;
     r.quasi = MakeQuasi(1, {{0, 1}});
     w.Append(r);
@@ -160,7 +160,7 @@ TEST(WalTest, CrashInsideFsyncWindowLosesStagedSuffix) {
     r.quasi.seq = 2;
     w.Append(r);  // still staged when the writer dies
   }
-  sim.RunToQuiescence();  // the orphaned sync event must be a no-op
+  engine.RunToQuiescence();  // the orphaned sync event must be a no-op
   WalScan scan = ScanWal(st.Read("wal"));
   EXPECT_FALSE(scan.torn);
   ASSERT_EQ(scan.records.size(), 1u);

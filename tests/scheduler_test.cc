@@ -45,8 +45,7 @@ struct SchedFixture : ::testing::Test {
   Catalog catalog;
   FragmentId f0, f1;
   ObjectId a, b;
-  Simulator sim;
-  SerialEngine engine{&sim};
+  SimEngine engine{1};
   LockManager locks;
   std::unique_ptr<ObjectStore> store;
   std::unique_ptr<Scheduler> sched;
@@ -68,7 +67,7 @@ TEST_F(SchedFixture, UpdateTransactionCommitsAndApplies) {
   TxnResult out;
   sched->RunLocal(1, spec, false, [this] { return NextSeq(); },
                   [&](TxnResult r) { out = std::move(r); });
-  sim.RunToQuiescence();
+  engine.RunToQuiescence();
   EXPECT_TRUE(out.status.ok());
   EXPECT_EQ(out.frag_seq, 1);
   EXPECT_EQ(out.finished_at, Micros(100));
@@ -89,7 +88,7 @@ TEST_F(SchedFixture, BodyDeclineLeavesNoTrace) {
   TxnResult out;
   sched->RunLocal(1, spec, false, [this] { return NextSeq(); },
                   [&](TxnResult r) { out = std::move(r); });
-  sim.RunToQuiescence();
+  engine.RunToQuiescence();
   EXPECT_TRUE(out.status.IsFailedPrecondition());
   EXPECT_EQ(store->Read(a), 100);
   EXPECT_TRUE(installs.empty());
@@ -107,7 +106,7 @@ TEST_F(SchedFixture, InitiationRequirementEnforced) {
   TxnResult out;
   sched->RunLocal(1, spec, false, [this] { return NextSeq(); },
                   [&](TxnResult r) { out = std::move(r); });
-  sim.RunToQuiescence();
+  engine.RunToQuiescence();
   EXPECT_TRUE(out.status.IsPermissionDenied());
   EXPECT_EQ(store->Read(b), 200);
 }
@@ -123,7 +122,7 @@ TEST_F(SchedFixture, ReadOnlyCannotWrite) {
   TxnResult out;
   sched->RunLocal(1, spec, false, nullptr,
                   [&](TxnResult r) { out = std::move(r); });
-  sim.RunToQuiescence();
+  engine.RunToQuiescence();
   EXPECT_TRUE(out.status.IsPermissionDenied());
 }
 
@@ -135,7 +134,7 @@ TEST_F(SchedFixture, ReadOnlySeesValuesAndRecordsReads) {
   TxnResult out;
   sched->RunLocal(5, spec, false, nullptr,
                   [&](TxnResult r) { out = std::move(r); });
-  sim.RunToQuiescence();
+  engine.RunToQuiescence();
   EXPECT_TRUE(out.status.ok());
   ASSERT_EQ(out.reads.size(), 2u);
   EXPECT_EQ(out.reads[0], 100);
@@ -160,7 +159,7 @@ TEST_F(SchedFixture, UpdatesOnSameFragmentSerialize) {
     sched->RunLocal(id, spec, false, [this] { return NextSeq(); },
                     [&](TxnResult r) { commit_times.push_back(r.finished_at); });
   }
-  sim.RunToQuiescence();
+  engine.RunToQuiescence();
   ASSERT_EQ(commit_times.size(), 2u);
   EXPECT_EQ(commit_times[0], Micros(100));
   EXPECT_EQ(commit_times[1], Micros(200));
@@ -176,7 +175,7 @@ TEST_F(SchedFixture, InstallAppliesQuasiAtomically) {
   q.writes = {{a, 55}};
   bool done = false;
   sched->Install(q, 1000, [&] { done = true; });
-  sim.RunToQuiescence();
+  engine.RunToQuiescence();
   EXPECT_TRUE(done);
   EXPECT_EQ(store->Read(a), 55);
   EXPECT_EQ(store->Info(a).writer, 77);
@@ -202,8 +201,8 @@ TEST_F(SchedFixture, InstallWaitsForLocalTransaction) {
   q.fragment = f0;
   q.seq = 2;
   q.writes = {{a, 9}};
-  sched->Install(q, 1000, [&] { install_done = sim.Now(); });
-  sim.RunToQuiescence();
+  sched->Install(q, 1000, [&] { install_done = engine.Now(); });
+  engine.RunToQuiescence();
   EXPECT_GE(install_done, txn_done);
   EXPECT_EQ(store->Read(a), 9);  // install applied after the local commit
 }
@@ -219,7 +218,7 @@ TEST_F(SchedFixture, PrepareDoesNotApplyUntilCommit) {
   };
   TxnResult prep;
   sched->Prepare(1, spec, false, [&](TxnResult r) { prep = std::move(r); });
-  sim.RunToQuiescence();
+  engine.RunToQuiescence();
   ASSERT_TRUE(prep.status.ok());
   EXPECT_EQ(store->Read(a), 100);            // not yet applied
   EXPECT_GE(locks.held_count(), 1u);         // lock still held
@@ -240,7 +239,7 @@ TEST_F(SchedFixture, AbortPreparedReleasesWithoutApplying) {
   };
   TxnResult prep;
   sched->Prepare(1, spec, false, [&](TxnResult r) { prep = std::move(r); });
-  sim.RunToQuiescence();
+  engine.RunToQuiescence();
   sched->AbortPrepared(1, true);
   EXPECT_EQ(store->Read(a), 100);
   EXPECT_EQ(locks.held_count(), 0u);
@@ -257,7 +256,7 @@ TEST_F(SchedFixture, ZeroWriteUpdateStillConsumesSequence) {
   TxnResult out;
   sched->RunLocal(1, spec, false, [this] { return NextSeq(); },
                   [&](TxnResult r) { out = std::move(r); });
-  sim.RunToQuiescence();
+  engine.RunToQuiescence();
   EXPECT_TRUE(out.status.ok());
   EXPECT_EQ(out.frag_seq, 1);
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/cluster.h"
@@ -13,6 +14,7 @@ struct TraceFixture : ::testing::Test {
     ClusterConfig config;
     config.control = ControlOption::kFragmentwise;
     config.move_protocol = MoveProtocol::kOmitPrep;
+    config.observability.tracing = true;
     cluster = std::make_unique<Cluster>(config,
                                         Topology::FullMesh(3, Millis(5)));
     frag = cluster->DefineFragment("F");
@@ -21,23 +23,20 @@ struct TraceFixture : ::testing::Test {
     EXPECT_TRUE(cluster->AssignToken(frag, agent).ok());
     EXPECT_TRUE(cluster->SetAgentHome(agent, 0).ok());
     EXPECT_TRUE(cluster->Start().ok());
-    cluster->SetTraceSink([this](const TraceEvent& ev) {
-      events.push_back(ev);
-    });
   }
 
   int Count(const std::string& kind) const {
     int n = 0;
-    for (const auto& ev : events) {
+    for (const auto& ev : cluster->tracer()->events()) {
       if (ev.kind == kind) ++n;
     }
     return n;
   }
-  const TraceEvent* First(const std::string& kind) const {
-    for (const auto& ev : events) {
-      if (ev.kind == kind) return &ev;
+  std::optional<TraceEvent> First(const std::string& kind) const {
+    for (const auto& ev : cluster->tracer()->events()) {
+      if (ev.kind == kind) return ev;
     }
-    return nullptr;
+    return std::nullopt;
   }
 
   void Update(Value v, TxnResult* out = nullptr) {
@@ -59,7 +58,6 @@ struct TraceFixture : ::testing::Test {
   FragmentId frag;
   ObjectId x;
   AgentId agent;
-  std::vector<TraceEvent> events;
 };
 
 TEST_F(TraceFixture, CommitLifecycleTraced) {
@@ -67,8 +65,8 @@ TEST_F(TraceFixture, CommitLifecycleTraced) {
   cluster->RunToQuiescence();
   EXPECT_EQ(Count("submit"), 1);
   EXPECT_EQ(Count("commit"), 1);
-  const TraceEvent* submit = First("submit");
-  ASSERT_NE(submit, nullptr);
+  std::optional<TraceEvent> submit = First("submit");
+  ASSERT_TRUE(submit.has_value());
   EXPECT_NE(submit->detail.find("bump"), std::string::npos);
   EXPECT_NE(submit->detail.find("N0"), std::string::npos);
 }
@@ -99,31 +97,35 @@ TEST_F(TraceFixture, PartitionHealAndMoveTraced) {
   EXPECT_EQ(Count("move-start"), 1);
   EXPECT_EQ(Count("move-finish"), 1);
   EXPECT_GE(Count("repackage"), 1);  // the trapped update surfaced
-  const TraceEvent* part = First("partition");
-  ASSERT_NE(part, nullptr);
+  std::optional<TraceEvent> part = First("partition");
+  ASSERT_TRUE(part.has_value());
   EXPECT_EQ(part->detail, "{0}{1,2}");
-  const TraceEvent* move = First("move-start");
-  ASSERT_NE(move, nullptr);
+  std::optional<TraceEvent> move = First("move-start");
+  ASSERT_TRUE(move.has_value());
   EXPECT_NE(move->detail.find("mover"), std::string::npos);
   EXPECT_NE(move->detail.find("omit-prep"), std::string::npos);
 }
 
-TEST_F(TraceFixture, SinkCanBeCleared) {
-  cluster->SetTraceSink(nullptr);
+TEST_F(TraceFixture, TracerCanBeCleared) {
   Update(9);
   cluster->RunToQuiescence();
-  EXPECT_TRUE(events.empty());
+  EXPECT_EQ(Count("commit"), 1);
+  cluster->tracer()->Clear();
+  EXPECT_TRUE(cluster->tracer()->events().empty());
+  Update(10);
+  cluster->RunToQuiescence();
+  EXPECT_EQ(Count("commit"), 1);
 }
 
 TEST_F(TraceFixture, EventsCarrySimTime) {
   cluster->RunFor(Millis(30));
   Update(1);
   cluster->RunToQuiescence();
-  const TraceEvent* submit = First("submit");
-  ASSERT_NE(submit, nullptr);
+  std::optional<TraceEvent> submit = First("submit");
+  ASSERT_TRUE(submit.has_value());
   EXPECT_GE(submit->at, Millis(30));
-  const TraceEvent* commit = First("commit");
-  ASSERT_NE(commit, nullptr);
+  std::optional<TraceEvent> commit = First("commit");
+  ASSERT_TRUE(commit.has_value());
   EXPECT_GE(commit->at, submit->at);
 }
 
