@@ -319,6 +319,7 @@ Status Cluster::Start() {
       });
   paxos_votes_.Init(engine_.get(), nodes);
   paxos_acceptors_.resize(nodes);
+  paxos_decided_through_.resize(nodes);
   paxos_indoubt_.resize(nodes);
   history_shards_.resize(nodes);
   txn_stripe_next_.assign(nodes + 1, 0);
@@ -1110,8 +1111,10 @@ void Cluster::ExecutePaxosCommit(TxnId id, NodeId node, const TxnSpec& spec,
 
 void Cluster::OnPaxosAccept(NodeId node, const PaxosAccept& msg) {
   const auto key = std::make_pair(msg.quasi.fragment, msg.quasi.seq);
-  PaxosInstance& inst = paxos_acceptors_[node][key];
-  if (inst.decided) {
+  PaxosInstance* inst = PaxosPruned(node, key.first, key.second)
+                           ? nullptr
+                           : &paxos_acceptors_[node][key];
+  if (inst == nullptr || inst->decided) {
     // Late proposer of an already-learned slot: teach it the outcome.
     auto out = std::make_shared<PaxosOutcome>();
     out->fragment = key.first;
@@ -1119,14 +1122,14 @@ void Cluster::OnPaxosAccept(NodeId node, const PaxosAccept& msg) {
     network_->Send(node, msg.proposer, out);
     return;
   }
-  if (msg.ballot < inst.max_ballot) return;  // stale proposer
-  inst.max_ballot = msg.ballot;
-  if (!inst.has_value) {
-    inst.has_value = true;
-    inst.value = msg.quasi;
-    inst.epoch = msg.epoch;
+  if (msg.ballot < inst->max_ballot) return;  // stale proposer
+  inst->max_ballot = msg.ballot;
+  if (!inst->has_value) {
+    inst->has_value = true;
+    inst->value = msg.quasi;
+    inst->epoch = msg.epoch;
   }
-  inst.strikes = 0;  // live proposer traffic: recovery may try again
+  inst->strikes = 0;  // live proposer traffic: recovery may try again
   auto acc = std::make_shared<PaxosAccepted>();
   acc->fragment = key.first;
   acc->seq = key.second;
@@ -1153,10 +1156,12 @@ void Cluster::OnPaxosOutcome(NodeId node, const PaxosOutcome& msg) {
   auto& shard = paxos_acceptors_[node];
   auto it = shard.find(key);
   if (it == shard.end()) {
+    if (PaxosPruned(node, msg.fragment, msg.seq)) return;  // learned, gone
     // Outcome learned before (or without) the value: remember it; the
     // contents arrive through the ordinary catch-up paths (gap repair,
     // crash recovery), which carry the installed stream.
     shard[key].decided = true;
+    PrunePaxosSlots(node, msg.fragment);
     return;
   }
   PaxosDecide(node, msg.fragment, msg.seq);
@@ -1192,6 +1197,7 @@ void Cluster::PaxosDecide(NodeId node, FragmentId fragment, SeqNum seq) {
           "T" + std::to_string(txn) + " commit");
   }
   FinishPaxosClient(node, inst, Status::Ok());
+  PrunePaxosSlots(node, fragment);
 }
 
 void Cluster::RecordPaxosHomeCommits(NodeId node, FragmentId fragment) {
@@ -1211,11 +1217,45 @@ void Cluster::FinishPaxosClient(NodeId node, PaxosInstance& inst,
                                 Status status) {
   if (!inst.done) return;
   if (status.ok()) engine_->CancelNode(node, inst.client_timeout);
-  inst.result->status = std::move(status);
-  inst.result->finished_at = engine_->Now();
-  auto done = std::move(inst.done);
+  std::shared_ptr<TxnResult> result = std::move(inst.result);
+  result->status = std::move(status);
+  result->finished_at = engine_->Now();
+  TxnCallback done = std::move(inst.done);
   inst.done = nullptr;
-  done(*inst.result);
+  done(*result);
+}
+
+void Cluster::PrunePaxosSlots(NodeId node, FragmentId fragment) {
+  auto& shard = paxos_acceptors_[node];
+  const SeqNum applied = runtimes_[node]->stream(fragment).applied_seq;
+  auto wm = paxos_decided_through_[node].find(fragment);
+  // The first prune of an incarnation starts at the lowest slot held.
+  auto it = wm == paxos_decided_through_[node].end()
+                ? shard.lower_bound({fragment, 0})
+                : shard.find({fragment, wm->second.through + 1});
+  if (it == shard.end() || it->first.first != fragment) return;
+  const SeqNum first = it->first.second;
+  SeqNum next = first;
+  while (it != shard.end() && it->first == std::make_pair(fragment, next) &&
+         it->second.decided && next <= applied && !it->second.commit_owed &&
+         !it->second.done) {
+    it = shard.erase(it);
+    ++next;
+  }
+  if (next == first) return;
+  if (wm == paxos_decided_through_[node].end()) {
+    wm = paxos_decided_through_[node].emplace(fragment,
+                                              PaxosWatermark{first - 1, 0})
+             .first;
+  }
+  wm->second.through = next - 1;
+}
+
+bool Cluster::PaxosPruned(NodeId node, FragmentId fragment,
+                          SeqNum seq) const {
+  const auto& frags = paxos_decided_through_[node];
+  auto it = frags.find(fragment);
+  return it != frags.end() && it->second.Covers(seq);
 }
 
 void Cluster::SchedulePaxosRecovery(NodeId node, FragmentId fragment,
@@ -1351,6 +1391,16 @@ CheckReport Cluster::CheckCommitNonBlocking() const {
     }
   }
   return CheckReport::Pass();
+}
+
+size_t Cluster::PaxosSlotsHeld(NodeId node) const {
+  return paxos_acceptors_[node].size();
+}
+
+SeqNum Cluster::PaxosDecidedThrough(NodeId node, FragmentId fragment) const {
+  const auto& frags = paxos_decided_through_[node];
+  auto it = frags.find(fragment);
+  return it == frags.end() ? 0 : it->second.through;
 }
 
 int Cluster::ReadQuorumFor(FragmentId fragment) const {
@@ -1621,7 +1671,9 @@ Status Cluster::CrashNode(NodeId node, CrashMode mode) {
   // safe to forget too: a slot carries one unique value, so a wiped
   // acceptor can never enable a conflicting decision — at worst a
   // recovery round has to find its majority among the survivors. Pending
-  // recovery-tick events no-op on the empty map.
+  // recovery-tick events no-op on the empty map. The pruned-slot watermark
+  // goes too: the revived node treats every slot as unseen, as it did
+  // before pruning existed.
   majority_acks_.Wipe(node);
   quorum_writes_.Wipe(node);
   quorum_reads_.Wipe(node);
@@ -1629,6 +1681,7 @@ Status Cluster::CrashNode(NodeId node, CrashMode mode) {
     engine_->CancelNode(node, inst.client_timeout);
   }
   paxos_acceptors_[node].clear();
+  paxos_decided_through_[node].clear();
   paxos_votes_.Wipe(node);
   paxos_indoubt_[node].clear();  // re-derived from the WAL at revival
   remote_locks_.Wipe(node);

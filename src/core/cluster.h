@@ -256,6 +256,13 @@ class Cluster {
   /// classical 2PC blocking window); Paxos Commit's recovery rounds are
   /// required to clear them. Fails with the stuck (node, fragment, seq).
   CheckReport CheckCommitNonBlocking() const;
+  /// Paxos slots `node` still holds: live ones, plus decided ones not yet
+  /// installed, recorded or reported there, or waiting behind an earlier
+  /// slot that is. Zero at quiescence after a fault-free run.
+  size_t PaxosSlotsHeld(NodeId node) const;
+  /// Highest seq of `fragment` whose decided slot `node` has pruned (0
+  /// before the first prune, and again after an amnesia crash).
+  SeqNum PaxosDecidedThrough(NodeId node, FragmentId fragment) const;
 
   /// Effective read/write quorum of `fragment` under ControlOption::kQuorum:
   /// the configured value, or a majority of the fragment's replica set when
@@ -387,12 +394,14 @@ class Cluster {
     std::map<FragmentId, FragmentGather> gathers;
     TxnCallback done;
   };
-  /// One Paxos Commit consensus slot at one node: acceptor state
-  /// (max_ballot, the value accepted) plus, at the origin home, the
+  /// One in-flight Paxos Commit consensus slot at one node: acceptor
+  /// state (max_ballot, the value accepted) plus, at the origin home, the
   /// prepared transaction and the client callback. The consensus value of
   /// a slot is fixed (only the home proposes at ballot 0; recovery
   /// proposers re-propose the value they hold), so F+1 accepts at any
-  /// ballot decide commit.
+  /// ballot decide commit. A slot lives only until it is decided,
+  /// installed, recorded (no commit owed) and reported to its client;
+  /// PrunePaxosSlots then drops it under the fragment's watermark.
   struct PaxosInstance {
     uint64_t max_ballot = 0;
     bool has_value = false;
@@ -418,6 +427,16 @@ class Cluster {
     std::shared_ptr<TxnResult> result;
     TxnCallback done;
     EventId client_timeout = -1;
+  };
+  /// The pruned slots of one fragment at one node: every seq in
+  /// (floor, through] was decided there and has left paxos_acceptors_.
+  /// `floor` is fixed at the first prune of the node's incarnation, one
+  /// below the lowest slot it then held; slots at or below it were never
+  /// held (a node that missed them, or an amnesia-revived one).
+  struct PaxosWatermark {
+    SeqNum floor = 0;
+    SeqNum through = 0;
+    bool Covers(SeqNum seq) const { return seq > floor && seq <= through; }
   };
   /// Validation + registration shared by Submit/SubmitReadOnlyAt.
   void SubmitAt(NodeId node, const TxnSpec& spec, TxnCallback done);
@@ -489,7 +508,14 @@ class Cluster {
   /// rounds), so a decided slot waits until every earlier one decided.
   void RecordPaxosHomeCommits(NodeId node, FragmentId fragment);
   /// Fires the home's client callback for a decided/timed-out slot (once).
+  /// The callback may submit new work, which may prune `inst`: callers
+  /// must not touch `inst` afterwards.
   void FinishPaxosClient(NodeId node, PaxosInstance& inst, Status status);
+  /// Drops `fragment`'s slots at `node` that are decided, installed there
+  /// (applied_seq reached them), owe no home commit record and have
+  /// reported to their client, walking up from the watermark while each
+  /// next slot qualifies. The watermark advances over the dropped slots.
+  void PrunePaxosSlots(NodeId node, FragmentId fragment);
   /// Arms (once) the per-slot recovery timer at `node`.
   void SchedulePaxosRecovery(NodeId node, FragmentId fragment, SeqNum seq);
   /// One recovery round: re-propose the held value at a fresh unique
@@ -501,6 +527,8 @@ class Cluster {
   /// True while `fragment` still has an undecided in-doubt slot at `node`
   /// (prunes slots the applied prefix has since passed).
   bool PaxosFragmentInDoubt(NodeId node, FragmentId fragment);
+  /// True when `node` pruned `fragment`'s decided slot `seq`.
+  bool PaxosPruned(NodeId node, FragmentId fragment, SeqNum seq) const;
 
   // Move-protocol orchestration (implemented in move_protocols.cc).
   void StartMove(AgentId agent, NodeId from, NodeId to);
@@ -549,9 +577,18 @@ class Cluster {
   /// Paxos phase-2b votes per (fragment, seq) slot at the proposer; data:
   /// the ballot being counted. Recovery rounds replace it; no timeout.
   ReplyWaits<std::pair<FragmentId, SeqNum>, uint64_t> paxos_votes_;
-  /// Paxos Commit consensus slots, sharded by node (acceptor + home state).
+  /// In-flight Paxos Commit slots, sharded by node (acceptor + home
+  /// state). Decided slots leave once PrunePaxosSlots passes them, so each
+  /// map holds about one commit round's worth of slots per fragment; a
+  /// std::map keeps references stable across inserts.
   std::vector<std::map<std::pair<FragmentId, SeqNum>, PaxosInstance>>
       paxos_acceptors_;
+  /// Per node and fragment: the pruned, decided slots. For a covered
+  /// seq, OnPaxosAccept answers with the outcome and OnPaxosOutcome is a
+  /// no-op, as for a held decided slot. `through` only grows; an amnesia
+  /// crash wipes the watermark with the slots. Kept apart from
+  /// applied_seq, which §4.4.3 transitions can lower.
+  std::vector<std::map<FragmentId, PaxosWatermark>> paxos_decided_through_;
   /// Durable Paxos slots found still undecided when a home revived from
   /// amnesia, sharded by node. The crash destroyed the slots' locks, so
   /// until a slot's outcome lands, new update prepares on its fragment are

@@ -287,6 +287,10 @@ Status Cluster::RecoverAgent(AgentId agent, NodeId to_node,
 void Cluster::OnAppliedAdvanced(NodeId node, FragmentId fragment) {
   // A recovering node may just have closed its catch-up gap.
   if (recovery_) recovery_->OnAppliedAdvanced(node, fragment);
+  // An installed decided Paxos slot may now leave the slot table.
+  if (config_.move_protocol == MoveProtocol::kPaxosCommit) {
+    PrunePaxosSlots(node, fragment);
+  }
   // Complete §4.4.2B catch-up waits for agents parked at `node`.
   for (auto& [agent, state] : agent_state_) {
     if (state.phase != AgentPhase::kCatchingUp) continue;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <sstream>
+#include <tuple>
 
 #include "common/logging.h"
 
@@ -211,15 +212,27 @@ void AvailabilityTracker::Finalize(SimTime end) {
 
   std::sort(intervals_.begin(), intervals_.end(), IntervalOrder);
   std::vector<AvailabilityInterval> extra;
+  // Both lists are sorted cell-major, so one cursor walks intervals_ once:
+  // it skips earlier cells, and the intervals of this window's cell that
+  // ended before the window (and so before every later window of the cell).
+  auto cell_of = [](const AvailabilityInterval& i) {
+    return std::make_tuple(i.node, i.fragment, i.access);
+  };
+  auto head = intervals_.begin();
   for (const AvailabilityInterval& s : merged) {
+    const auto cell = std::make_tuple(s.node, s.fragment, AccessKind::kRead);
+    while (head != intervals_.end() &&
+           (cell_of(*head) < cell ||
+            (cell_of(*head) == cell && head->end <= s.start))) {
+      ++head;
+    }
     // Subtract every already-recorded read interval of the same cell.
     SimTime cursor = s.start;
-    for (const AvailabilityInterval& i : intervals_) {
-      if (i.node != s.node || i.fragment != s.fragment ||
-          i.access != AccessKind::kRead) {
-        continue;
-      }
-      if (i.end <= cursor || i.start >= s.end) continue;
+    for (auto it = head; it != intervals_.end() && cell_of(*it) == cell;
+         ++it) {
+      const AvailabilityInterval& i = *it;
+      if (i.start >= s.end) break;  // sorted by start within the cell
+      if (i.end <= cursor) continue;
       if (i.start > cursor) {
         extra.push_back({s.node, s.fragment, AccessKind::kRead,
                          ServeState::kDegradedStale, cursor, i.start});

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "obs/availability.h"
 #include "obs/trace.h"
 #include "scenario/compile.h"
@@ -204,6 +207,40 @@ TEST(AvailabilityTrackerTest, StaleIntervalsSubtractRecordedDowntime) {
   // The whole list must satisfy the structural checker.
   EXPECT_TRUE(
       CheckAvailabilityIntervals(t.intervals(), Millis(200)).ok);
+}
+
+TEST(AvailabilityTrackerTest, StaleWindowSubtractsOnlyItsOwnCellsReads) {
+  AvailabilityTracker t = MakeTracker(0);
+  // The stale window lands in cell (N1, F0): 50..200ms. Intervals sort
+  // cell-major, so (N0, F1) reads sit before the cell's read range, and
+  // the cell's own writes and (N1, F1) reads sit after it. All three
+  // overlap the window in time; only the cell's own read may be cut out.
+  t.SetGap(0, 1, Millis(70), true);  // another cell's read, before
+  t.SetGap(0, 1, Millis(80), false);
+  t.SetGap(1, 0, Millis(80), true);  // the cell's own read
+  t.SetGap(1, 0, Millis(90), false);
+  t.SetGap(1, 1, Millis(120), true);  // another cell's read, after
+  t.SetGap(1, 1, Millis(140), false);
+  t.SetNodeDown(0, Millis(150), true);  // F0's home: (N1, F0) writes fail
+  t.SetNodeDown(0, Millis(170), false);
+  t.OnInstallLag(1, 0, Millis(200), Millis(150));
+  t.Finalize(Millis(300));
+  std::vector<std::pair<SimTime, SimTime>> reads;
+  for (const AvailabilityInterval& iv : t.intervals()) {
+    if (iv.node != 1 || iv.fragment != 0) continue;
+    if (iv.access == AccessKind::kWrite) {
+      EXPECT_EQ(iv.start, Millis(150));
+      EXPECT_EQ(iv.end, Millis(170));
+      continue;
+    }
+    EXPECT_EQ(iv.state, ServeState::kDegradedStale);
+    reads.emplace_back(iv.start, iv.end);
+  }
+  EXPECT_EQ(reads, (std::vector<std::pair<SimTime, SimTime>>{
+                       {Millis(50), Millis(80)},
+                       {Millis(80), Millis(90)},
+                       {Millis(90), Millis(200)}}));
+  EXPECT_TRUE(CheckAvailabilityIntervals(t.intervals(), Millis(300)).ok);
 }
 
 // --------------------------------------------------------------------------

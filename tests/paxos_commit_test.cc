@@ -437,6 +437,110 @@ TEST(PaxosReadLocksTest, PlanLocksReleasedOnceAtProposeEvenOnClientTimeout) {
   EXPECT_TRUE(cluster.CheckCommitNonBlocking().ok);
 }
 
+TEST_F(PaxosCommitFixture, FaultFreeRunHoldsNoDecidedSlot) {
+  Build(MoveProtocol::kPaxosCommit, /*durable=*/false, Pdes(2));
+  for (int i = 0; i < 10; ++i) {
+    Update(1);
+    cluster->RunFor(Millis(3));
+  }
+  // Mid-run only the slots of the last round trip are still in flight.
+  for (NodeId n = 0; n < 5; ++n) {
+    EXPECT_LE(cluster->PaxosSlotsHeld(n), 5u) << "node " << n;
+  }
+  for (int i = 0; i < 20; ++i) Update(1);
+  cluster->RunToQuiescence();
+  for (NodeId n = 0; n < 5; ++n) {
+    EXPECT_EQ(cluster->ReadAt(n, x), 30) << "node " << n;
+    EXPECT_EQ(cluster->PaxosSlotsHeld(n), 0u) << "node " << n;
+    EXPECT_EQ(cluster->PaxosDecidedThrough(n, frag), 30) << "node " << n;
+  }
+  EXPECT_TRUE(cluster->CheckCommitNonBlocking().ok);
+  EXPECT_TRUE(CheckCommitAtomicity(cluster->history()).ok);
+}
+
+TEST_F(PaxosCommitFixture, PrunedAcceptorsTeachStrandedProposerTheOutcome) {
+  Build(MoveProtocol::kPaxosCommit);
+  TxnResult out;
+  Update(7, &out);
+  // The accepts left at 0.1ms; isolate the home before any reply lands.
+  cluster->RunFor(Millis(1));
+  ASSERT_TRUE(cluster->Partition({{0}, {1, 2, 3, 4}}).ok());
+  // The acceptors' recovery rounds decide the slot among themselves at
+  // ~115ms, install it and drop it from their slot tables.
+  cluster->RunFor(Millis(200));
+  EXPECT_TRUE(out.status.IsUnavailable()) << out.status.ToString();
+  for (NodeId n = 1; n < 5; ++n) {
+    EXPECT_EQ(cluster->ReadAt(n, x), 7) << "node " << n;
+    EXPECT_EQ(cluster->PaxosSlotsHeld(n), 0u) << "node " << n;
+    EXPECT_EQ(cluster->PaxosDecidedThrough(n, frag), 1) << "node " << n;
+  }
+  EXPECT_EQ(cluster->PaxosSlotsHeld(0), 1u);
+  EXPECT_EQ(cluster->runtime(0).stream(frag).applied_seq, 0);
+  // Slow the acceptors' channels to the home, so the replies queued during
+  // the split land only after the home's own recovery rounds reach the
+  // acceptors — which must answer from the watermark with the outcome.
+  for (NodeId n = 1; n < 5; ++n) {
+    cluster->network().SetChannelExtraDelay(n, 0, Millis(300));
+  }
+  int outcomes_sent = 0;
+  cluster->network().SetSendObserver(
+      [&outcomes_sent](const MessagePayload& p, size_t) {
+        if (dynamic_cast<const PaxosOutcome*>(&p) != nullptr) ++outcomes_sent;
+      });
+  cluster->HealAll();
+  cluster->RunToQuiescence();
+  // Only the pruned acceptors send outcomes after the heal: the home
+  // learns from a delivered outcome and broadcasts none.
+  EXPECT_GE(outcomes_sent, 4);
+  EXPECT_EQ(cluster->runtime(0).stream(frag).applied_seq, 1);
+  for (NodeId n = 0; n < 5; ++n) {
+    EXPECT_EQ(cluster->ReadAt(n, x), 7) << "node " << n;
+    // Neither the late accepts nor the late outcomes re-seat a slot.
+    EXPECT_EQ(cluster->PaxosSlotsHeld(n), 0u) << "node " << n;
+    EXPECT_EQ(cluster->PaxosDecidedThrough(n, frag), 1) << "node " << n;
+  }
+  EXPECT_TRUE(CheckMutualConsistency(cluster->Replicas()).ok);
+  EXPECT_TRUE(CheckCommitAtomicity(cluster->history()).ok);
+  EXPECT_TRUE(CheckDecidedInstalls(cluster->history()).ok)
+      << CheckDecidedInstalls(cluster->history()).detail;
+  EXPECT_TRUE(cluster->CheckCommitNonBlocking().ok)
+      << cluster->CheckCommitNonBlocking().detail;
+}
+
+TEST_F(PaxosCommitFixture, AmnesiaWipesTheWatermarkAndPruningResumes) {
+  Build(MoveProtocol::kPaxosCommit, /*durable=*/true);
+  for (int i = 0; i < 3; ++i) Update(1);
+  cluster->RunToQuiescence();
+  EXPECT_EQ(cluster->PaxosDecidedThrough(4, frag), 3);
+  ASSERT_TRUE(cluster->CrashNode(4, CrashMode::kAmnesia).ok());
+  EXPECT_EQ(cluster->PaxosDecidedThrough(4, frag), 0);
+  EXPECT_EQ(cluster->PaxosSlotsHeld(4), 0u);
+  // Slots 4 and 5 commit without node 4. Their accepts and outcomes wait
+  // in the senders' queues and reach the revived node, whose new watermark
+  // starts at the first slot it holds: 1-3 are unseen, not pruned.
+  for (int i = 0; i < 2; ++i) Update(1);
+  cluster->RunToQuiescence();
+  bool recovered = false;
+  ASSERT_TRUE(
+      cluster->ReviveNode(4, [&](const RecoveryStats&) { recovered = true; })
+          .ok());
+  cluster->RunToQuiescence();
+  EXPECT_TRUE(recovered);
+  EXPECT_EQ(cluster->ReadAt(4, x), 5);
+  EXPECT_EQ(cluster->PaxosSlotsHeld(4), 0u);
+  EXPECT_EQ(cluster->PaxosDecidedThrough(4, frag), 5);
+  for (int i = 0; i < 2; ++i) Update(1);
+  cluster->RunToQuiescence();
+  for (NodeId n = 0; n < 5; ++n) {
+    EXPECT_EQ(cluster->ReadAt(n, x), 7) << "node " << n;
+    EXPECT_EQ(cluster->PaxosSlotsHeld(n), 0u) << "node " << n;
+    EXPECT_EQ(cluster->PaxosDecidedThrough(n, frag), 7) << "node " << n;
+  }
+  EXPECT_TRUE(CheckMutualConsistency(cluster->Replicas()).ok);
+  EXPECT_TRUE(CheckCommitAtomicity(cluster->history()).ok);
+  EXPECT_TRUE(cluster->CheckCommitNonBlocking().ok);
+}
+
 TEST_F(PaxosCommitFixture, PaxosCommitRunsOnParallelEngine) {
   Build(MoveProtocol::kPaxosCommit, /*durable=*/false, Pdes(2));
   ASSERT_TRUE(cluster->Partition({{0, 1, 2}, {3, 4}}).ok());
