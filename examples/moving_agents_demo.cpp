@@ -89,8 +89,10 @@ int main() {
       {MoveProtocol::kMoveWithSeqNum, "move-with-seqnum(4.4.2B)"},
       {MoveProtocol::kOmitPrep, "omit-prep(4.4.3)"},
   };
+  bool all_consistent = true;
   for (const Row& row : rows) {
     Outcome out = RunScenario(row.protocol);
+    all_consistent = all_consistent && out.consistent;
     char reopened[32];
     if (out.reopened_at >= 0) {
       std::snprintf(reopened, sizeof(reopened), "%lldms",
@@ -108,5 +110,5 @@ int main() {
       "move-with-data carries x=111 across; move-with-seqnum waits for the\n"
       "trapped T1 (T2 runs only after heal); omit-prep reopens instantly\n"
       "and repackages the missing T1 after heal. All converge.\n");
-  return 0;
+  return all_consistent ? 0 : 1;
 }

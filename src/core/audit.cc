@@ -8,21 +8,17 @@ namespace fragdb {
 AuditReport AuditRun(const Cluster& cluster) {
   AuditReport report;
   const History& history = cluster.history();
-  // One index serves every serializability check below; without it each
-  // check rescans the install log, and the per-fragment sweep turns the
-  // audit quadratic in the history size.
-  HistoryIndex index(history);
-  report.global_serializability = CheckGlobalSerializability(index);
+  report.global_serializability = CheckGlobalSerializability(history);
   // Single per-fragment sweep: the first failure doubles as the
   // fragmentwise verdict, and every failure is collected for the report.
   for (FragmentId f = 0; f < cluster.catalog().fragment_count(); ++f) {
-    CheckReport p1 = CheckProperty1(index, f);
+    CheckReport p1 = CheckProperty1(history, f);
     if (!p1.ok) {
       if (report.fragmentwise.ok) report.fragmentwise = p1;
       report.fragment_failures.push_back("F" + std::to_string(f) + " P1: " +
                                          p1.detail);
     }
-    CheckReport p2 = CheckProperty2(index, f);
+    CheckReport p2 = CheckProperty2(history, f);
     if (!p2.ok) {
       if (report.fragmentwise.ok) report.fragmentwise = p2;
       report.fragment_failures.push_back("F" + std::to_string(f) + " P2: " +
@@ -30,8 +26,25 @@ AuditReport AuditRun(const Cluster& cluster) {
     }
   }
   report.replica_consistency = cluster.CheckReplicaSetConsistency();
-  report.configured_property = cluster.CheckConfiguredProperty(&index);
-  report.quorum_freshness = CheckQuorumFreshness(index);
+  report.quorum_freshness = CheckQuorumFreshness(history);
+  // The configured property is one of the checks above: pick its report
+  // instead of running it again.
+  switch (cluster.promise()) {
+    case Cluster::Promise::kMutualConsistency:
+      report.configured_property = cluster.CheckConfiguredProperty();
+      break;
+    case Cluster::Promise::kGlobalSerializability:
+      report.configured_property = report.global_serializability;
+      break;
+    case Cluster::Promise::kFragmentwise:
+      report.configured_property = report.fragmentwise;
+      break;
+    case Cluster::Promise::kFragmentwiseAndQuorumFreshness:
+      report.configured_property = report.fragmentwise.ok
+                                       ? report.quorum_freshness
+                                       : report.fragmentwise;
+      break;
+  }
   report.commit_atomicity = CheckCommitAtomicity(history);
   // Majority-commit legitimately strands prepared entries when the home
   // dies mid-broadcast (no abort message exists); only Paxos Commit

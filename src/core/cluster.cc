@@ -1935,20 +1935,10 @@ std::vector<const ObjectStore*> Cluster::Replicas() const {
   return out;
 }
 
-CheckReport Cluster::CheckConfiguredProperty(const HistoryIndex* index) const {
+Cluster::Promise Cluster::promise() const {
   if (config_.move_protocol == MoveProtocol::kOmitPrep) {
-    // §4.4.3 promises only mutual consistency, which is a quiescence-time
-    // replica comparison, not a history property.
-    CheckReport r = CheckReport::Pass();
-    r.detail =
-        "omit-prep moves promise only mutual consistency; compare replicas "
-        "at quiescence with CheckMutualConsistency";
-    return r;
+    return Promise::kMutualConsistency;
   }
-  // With per-fragment overrides, global serializability is promised only
-  // when every fragment (and the default, which governs anonymous
-  // readers) is an SR-grade option. kQuorum promises fragmentwise
-  // serializability plus quorum freshness.
   bool all_sr = config_.control == ControlOption::kReadLocks ||
                 config_.control == ControlOption::kAcyclicReads;
   bool any_quorum = config_.control == ControlOption::kQuorum;
@@ -1959,16 +1949,33 @@ CheckReport Cluster::CheckConfiguredProperty(const HistoryIndex* index) const {
     }
     if (c == ControlOption::kQuorum) any_quorum = true;
   }
-  std::optional<HistoryIndex> local;
-  if (index == nullptr) {
-    local.emplace(history_);
-    index = &*local;
+  if (all_sr) return Promise::kGlobalSerializability;
+  return any_quorum ? Promise::kFragmentwiseAndQuorumFreshness
+                    : Promise::kFragmentwise;
+}
+
+CheckReport Cluster::CheckConfiguredProperty() const {
+  switch (promise()) {
+    case Promise::kMutualConsistency: {
+      CheckReport r = CheckReport::Pass();
+      r.detail =
+          "omit-prep moves promise only mutual consistency; compare replicas "
+          "at quiescence with CheckMutualConsistency";
+      return r;
+    }
+    case Promise::kGlobalSerializability:
+      return CheckGlobalSerializability(history_);
+    case Promise::kFragmentwise:
+      return CheckFragmentwiseSerializability(history_,
+                                              catalog_.fragment_count());
+    case Promise::kFragmentwiseAndQuorumFreshness: {
+      CheckReport r =
+          CheckFragmentwiseSerializability(history_, catalog_.fragment_count());
+      return r.ok ? CheckQuorumFreshness(history_) : r;
+    }
   }
-  if (all_sr) return CheckGlobalSerializability(*index);
-  CheckReport r =
-      CheckFragmentwiseSerializability(*index, catalog_.fragment_count());
-  if (!r.ok || !any_quorum) return r;
-  return CheckQuorumFreshness(*index);
+  FRAGDB_CHECK(false);
+  return CheckReport::Pass();
 }
 
 }  // namespace fragdb

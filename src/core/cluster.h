@@ -214,14 +214,24 @@ class Cluster {
   /// True while `node` is down with its volatile state wiped.
   bool IsAmnesiaDown(NodeId node) const;
 
-  /// Convenience: checks the correctness property the configured control
-  /// option promises (global serializability for kReadLocks/kAcyclicReads,
-  /// fragmentwise serializability for kFragmentwise). Mutual consistency
-  /// is a separate, quiescence-time check (CheckMutualConsistency).
-  /// Callers that already indexed the history (AuditRun) pass it in;
-  /// otherwise one is built for the call.
-  CheckReport CheckConfiguredProperty(const HistoryIndex* index =
-                                          nullptr) const;
+  /// The property the configuration promises. Global serializability
+  /// needs every fragment, and the default that governs anonymous
+  /// readers, on an SR-grade option (kReadLocks, kAcyclicReads);
+  /// otherwise it is fragmentwise serializability, plus quorum freshness
+  /// when any fragment runs kQuorum. §4.4.3 omit-prep moves promise only
+  /// mutual consistency, a replica comparison at quiescence.
+  enum class Promise {
+    kMutualConsistency,
+    kGlobalSerializability,
+    kFragmentwise,
+    kFragmentwiseAndQuorumFreshness,
+  };
+  Promise promise() const;
+
+  /// Checks the history property promise() names. Under
+  /// kMutualConsistency it passes with a note: compare the replicas at
+  /// quiescence with CheckMutualConsistency.
+  CheckReport CheckConfiguredProperty() const;
 
   // --- Observability ------------------------------------------------------
 

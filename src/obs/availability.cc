@@ -334,6 +334,7 @@ AvailabilityReport BuildAvailabilityReport(
     per_fault[fi].label = faults[fi].label;
   }
 
+  report.attributed.reserve(tracker.intervals().size());
   for (const AvailabilityInterval& iv : tracker.intervals()) {
     AttributedInterval ai;
     ai.interval = iv;

@@ -37,57 +37,48 @@ std::string JoinTxns(const std::vector<TxnId>& txns,
 
 }  // namespace
 
-CheckReport CheckGlobalSerializability(const HistoryIndex& index) {
-  TxnGraph g = BuildGlobalSerializationGraph(index);
+CheckReport CheckGlobalSerializability(const History& history) {
+  TxnGraph g = BuildGlobalSerializationGraph(history);
   std::vector<TxnId> cycle = g.FindCycle();
   if (cycle.empty()) return CheckReport::Pass();
   return CheckReport::Fail("global serialization graph has cycle: " +
-                               JoinTxns(cycle, &index.history()),
-                           cycle);
-}
-
-CheckReport CheckGlobalSerializability(const History& history) {
-  return CheckGlobalSerializability(HistoryIndex(history));
-}
-
-CheckReport CheckProperty1(const HistoryIndex& index, FragmentId fragment) {
-  TxnGraph g = BuildUpdaterGraph(index, fragment);
-  std::vector<TxnId> cycle = g.FindCycle();
-  if (cycle.empty()) return CheckReport::Pass();
-  return CheckReport::Fail("U(F" + std::to_string(fragment) +
-                               ") schedule not serializable: " +
-                               JoinTxns(cycle, &index.history()),
+                               JoinTxns(cycle, &history),
                            cycle);
 }
 
 CheckReport CheckProperty1(const History& history, FragmentId fragment) {
-  return CheckProperty1(HistoryIndex(history), fragment);
+  TxnGraph g = BuildUpdaterGraph(history, fragment);
+  std::vector<TxnId> cycle = g.FindCycle();
+  if (cycle.empty()) return CheckReport::Pass();
+  return CheckReport::Fail("U(F" + std::to_string(fragment) +
+                               ") schedule not serializable: " +
+                               JoinTxns(cycle, &history),
+                           cycle);
 }
 
-CheckReport CheckProperty2(const HistoryIndex& index, FragmentId fragment) {
+CheckReport CheckProperty2(const History& history, FragmentId fragment) {
   // For each committed updater W of `fragment`, and each reader T, T's
   // reads of objects written by W must either all reflect W (version
   // sequence >= W's) or none (version sequence < W's). Only updaters
   // with at least two writes matter — a single write cannot be partial —
   // and only reads of the fragment's own objects can land in a W's
   // write set.
-  const History& history = index.history();
   std::vector<TxnId> updaters;
-  for (TxnId w : index.UpdatersOf(fragment)) {
-    if (index.WritesOf(w).size() >= 2) updaters.push_back(w);
+  for (TxnId w : history.UpdatersOf(fragment)) {
+    if (history.WritesOf(w).size() >= 2) updaters.push_back(w);
   }
   if (updaters.empty()) return CheckReport::Pass();
   std::map<TxnId, std::map<ObjectId, bool>> writes_of;  // writer -> objects
   std::map<TxnId, SeqNum> seq_of;
   for (TxnId w : updaters) {
     seq_of[w] = history.FindTxn(w)->frag_seq;
-    for (const WriteOp& op : index.WritesOf(w)) {
+    for (const WriteOp& op : history.WritesOf(w)) {
       writes_of[w][op.object] = true;
     }
   }
   // Group the fragment's read observations by reader.
   std::map<TxnId, std::vector<const ReadRecord*>> reads_by_txn;
-  for (const ReadRecord* r : index.ReadsOn(fragment)) {
+  for (const ReadRecord* r : history.ReadsOn(fragment)) {
     reads_by_txn[r->reader].push_back(r);
   }
   for (const auto& [reader, reads] : reads_by_txn) {
@@ -116,29 +107,18 @@ CheckReport CheckProperty2(const HistoryIndex& index, FragmentId fragment) {
   return CheckReport::Pass();
 }
 
-CheckReport CheckProperty2(const History& history, FragmentId fragment) {
-  return CheckProperty2(HistoryIndex(history), fragment);
-}
-
-CheckReport CheckFragmentwiseSerializability(const HistoryIndex& index,
+CheckReport CheckFragmentwiseSerializability(const History& history,
                                              int fragment_count) {
   for (FragmentId f = 0; f < fragment_count; ++f) {
-    CheckReport p1 = CheckProperty1(index, f);
+    CheckReport p1 = CheckProperty1(history, f);
     if (!p1.ok) return p1;
-    CheckReport p2 = CheckProperty2(index, f);
+    CheckReport p2 = CheckProperty2(history, f);
     if (!p2.ok) return p2;
   }
   return CheckReport::Pass();
 }
 
-CheckReport CheckFragmentwiseSerializability(const History& history,
-                                             int fragment_count) {
-  return CheckFragmentwiseSerializability(HistoryIndex(history),
-                                          fragment_count);
-}
-
-CheckReport CheckQuorumFreshness(const HistoryIndex& index) {
-  const History& history = index.history();
+CheckReport CheckQuorumFreshness(const History& history) {
   if (history.quorum_reads().empty()) return CheckReport::Pass();
   // Per fragment: sweep W-acked writes and completed reads in time order,
   // maintaining the per-object floor (newest W-acked sequence). Every
@@ -171,7 +151,7 @@ CheckReport CheckQuorumFreshness(const HistoryIndex& index) {
       while (next_write < writes.size() &&
              writes[next_write]->acked_at < read->at) {
         const QuorumWriteRecord* w = writes[next_write++];
-        for (const WriteOp& op : index.WritesOf(w->txn)) {
+        for (const WriteOp& op : history.WritesOf(w->txn)) {
           auto& slot = floor[op.object];
           if (w->seq > slot.first) slot = {w->seq, w->txn};
         }
@@ -192,47 +172,15 @@ CheckReport CheckQuorumFreshness(const HistoryIndex& index) {
   return CheckReport::Pass();
 }
 
-CheckReport CheckQuorumFreshness(const History& history) {
-  return CheckQuorumFreshness(HistoryIndex(history));
-}
+namespace {
 
-CheckReport CheckCommitAtomicity(const History& history) {
-  // All decisions of one (fragment, seq) slot must agree, and a slot that
-  // decided commit must correspond to a transaction the history marks
-  // committed.
-  std::map<std::pair<FragmentId, SeqNum>, const CommitDecisionRecord*> first;
-  for (const CommitDecisionRecord& d : history.decisions()) {
-    auto [it, inserted] = first.try_emplace({d.fragment, d.seq}, &d);
-    const CommitDecisionRecord* head = it->second;
-    if (!inserted && head->commit != d.commit) {
-      std::ostringstream os;
-      os << "commit decision for F" << d.fragment << " seq " << d.seq
-         << " disagrees: N" << head->node << " decided "
-         << (head->commit ? "commit" : "abort") << ", N" << d.node
-         << " decided " << (d.commit ? "commit" : "abort");
-      return CheckReport::Fail(os.str(), {head->txn, d.txn});
-    }
-  }
-  for (const auto& [slot, d] : first) {
-    if (!d->commit || d->txn == kInvalidTxn) continue;
-    const TxnRecord* rec = history.FindTxn(d->txn);
-    if (rec == nullptr || !rec->committed) {
-      std::ostringstream os;
-      os << "F" << slot.first << " seq " << slot.second
-         << " decided commit for T" << d->txn
-         << " but the history does not mark it committed";
-      return CheckReport::Fail(os.str(), {d->txn});
-    }
-  }
-  return CheckDecidedInstalls(history);
-}
+/// The first decision record of each (fragment, seq) slot.
+using DecidedSlots =
+    std::map<std::pair<FragmentId, SeqNum>, const CommitDecisionRecord*>;
 
-CheckReport CheckDecidedInstalls(const History& history) {
-  if (history.decisions().empty()) return CheckReport::Pass();
-  std::map<std::pair<FragmentId, SeqNum>, const CommitDecisionRecord*> decided;
-  for (const CommitDecisionRecord& d : history.decisions()) {
-    decided.try_emplace({d.fragment, d.seq}, &d);
-  }
+CheckReport CheckInstallsAgainst(const History& history,
+                                 const DecidedSlots& decided) {
+  if (decided.empty()) return CheckReport::Pass();
   std::vector<std::tuple<FragmentId, SeqNum, NodeId, int>> installed;
   for (const InstallRecord& rec : history.installs()) {
     auto it = decided.find({rec.fragment, rec.seq});
@@ -257,6 +205,47 @@ CheckReport CheckDecidedInstalls(const History& history) {
     return CheckReport::Fail(os.str(), {decided.at({fragment, seq})->txn});
   }
   return CheckReport::Pass();
+}
+
+}  // namespace
+
+CheckReport CheckCommitAtomicity(const History& history) {
+  // All decisions of one (fragment, seq) slot must agree, and a slot that
+  // decided commit must correspond to a transaction the history marks
+  // committed.
+  DecidedSlots first;
+  for (const CommitDecisionRecord& d : history.decisions()) {
+    auto [it, inserted] = first.try_emplace({d.fragment, d.seq}, &d);
+    const CommitDecisionRecord* head = it->second;
+    if (!inserted && head->commit != d.commit) {
+      std::ostringstream os;
+      os << "commit decision for F" << d.fragment << " seq " << d.seq
+         << " disagrees: N" << head->node << " decided "
+         << (head->commit ? "commit" : "abort") << ", N" << d.node
+         << " decided " << (d.commit ? "commit" : "abort");
+      return CheckReport::Fail(os.str(), {head->txn, d.txn});
+    }
+  }
+  for (const auto& [slot, d] : first) {
+    if (!d->commit || d->txn == kInvalidTxn) continue;
+    const TxnRecord* rec = history.FindTxn(d->txn);
+    if (rec == nullptr || !rec->committed) {
+      std::ostringstream os;
+      os << "F" << slot.first << " seq " << slot.second
+         << " decided commit for T" << d->txn
+         << " but the history does not mark it committed";
+      return CheckReport::Fail(os.str(), {d->txn});
+    }
+  }
+  return CheckInstallsAgainst(history, first);
+}
+
+CheckReport CheckDecidedInstalls(const History& history) {
+  DecidedSlots decided;
+  for (const CommitDecisionRecord& d : history.decisions()) {
+    decided.try_emplace({d.fragment, d.seq}, &d);
+  }
+  return CheckInstallsAgainst(history, decided);
 }
 
 CheckReport CheckMutualConsistency(

@@ -47,16 +47,6 @@ CheckReport CheckProperty2(const History& history, FragmentId fragment);
 CheckReport CheckFragmentwiseSerializability(const History& history,
                                              int fragment_count);
 
-/// Index-aware variants of the serializability checks: identical
-/// verdicts, but lookups hit the prebuilt HistoryIndex instead of
-/// rescanning the history, so an audit that sweeps every fragment stays
-/// linear in the history size. Build the index once per quiesced run.
-CheckReport CheckGlobalSerializability(const HistoryIndex& index);
-CheckReport CheckProperty1(const HistoryIndex& index, FragmentId fragment);
-CheckReport CheckProperty2(const HistoryIndex& index, FragmentId fragment);
-CheckReport CheckFragmentwiseSerializability(const HistoryIndex& index,
-                                             int fragment_count);
-
 /// Quorum freshness (ControlOption::kQuorum, R+W>N): every completed
 /// R-quorum read must observe, for each object it read, a version at least
 /// as new as the newest write to that object that had reached its write
@@ -64,10 +54,6 @@ CheckReport CheckFragmentwiseSerializability(const HistoryIndex& index,
 /// protocol (QuorumWriteRecord at W-ack, QuorumReadRecord at read
 /// completion); write sets are resolved through the history's installs.
 CheckReport CheckQuorumFreshness(const History& history);
-
-/// Index-aware variant: identical verdict, write sets resolved through
-/// the prebuilt index.
-CheckReport CheckQuorumFreshness(const HistoryIndex& index);
 
 /// Paxos Commit atomicity: every (fragment, seq) slot's recorded
 /// decisions agree on the outcome, and a slot decided `commit` has its

@@ -9,17 +9,20 @@ namespace fragdb {
 
 void History::RegisterTxn(const TxnRecord& record) {
   FRAGDB_CHECK(record.id != kInvalidTxn);
+  DropLookups();
   txns_[record.id] = record;
 }
 
 void History::MarkCommitted(TxnId id, SeqNum frag_seq) {
   auto it = txns_.find(id);
   FRAGDB_CHECK(it != txns_.end());
+  DropLookups();
   it->second.committed = true;
   it->second.frag_seq = frag_seq;
 }
 
 void History::MarkCommittedPartial(TxnId id, SeqNum frag_seq) {
+  DropLookups();
   TxnRecord& rec = txns_[id];
   rec.id = id;
   rec.committed = true;
@@ -27,6 +30,8 @@ void History::MarkCommittedPartial(TxnId id, SeqNum frag_seq) {
 }
 
 void History::AbsorbShard(History* shard) {
+  DropLookups();
+  shard->DropLookups();
   for (auto& [id, rec] : shard->txns_) {
     auto [it, inserted] = txns_.try_emplace(id);
     if (inserted) {
@@ -71,22 +76,29 @@ void History::AbsorbShard(History* shard) {
   }
 }
 
-void History::RecordRead(const ReadRecord& read) { reads_.push_back(read); }
+void History::RecordRead(const ReadRecord& read) {
+  DropLookups();
+  reads_.push_back(read);
+}
 
 void History::RecordQuorumWrite(const QuorumWriteRecord& record) {
+  DropLookups();
   quorum_writes_.push_back(record);
 }
 
 void History::RecordQuorumRead(const QuorumReadRecord& record) {
+  DropLookups();
   quorum_reads_.push_back(record);
 }
 
 void History::RecordDecision(const CommitDecisionRecord& record) {
+  DropLookups();
   decisions_.push_back(record);
 }
 
 void History::RecordInstall(NodeId node, const QuasiTxn& quasi, SimTime at,
                             int incarnation) {
+  DropLookups();
   InstallRecord rec;
   rec.node = node;
   rec.writer = quasi.origin_txn;
@@ -125,39 +137,89 @@ std::string History::DebugString() const {
   return out;
 }
 
-std::vector<TxnId> History::UpdatersOf(FragmentId fragment) const {
-  std::vector<TxnId> out;
-  for (const auto& [id, rec] : txns_) {
-    if (rec.committed && !rec.read_only && rec.type_fragment == fragment) {
-      out.push_back(id);
-    }
-  }
-  return out;
-}
-
-std::vector<WriteOp> History::WritesOf(TxnId writer) const {
+const History::Lookups& History::lookups() const {
+  if (cache_.tables.has_value()) return *cache_.tables;
+  Lookups& t = cache_.tables.emplace();
+  // Version chains: installs replicate the same version at several nodes,
+  // so collect distinct (seq, writer) pairs per object, in seq order.
+  // Repackaged §4.4.3 transactions produce distinct writers with fresh
+  // sequence numbers, so ordering by seq stays total per fragment.
+  std::map<ObjectId, std::set<std::pair<SeqNum, TxnId>>> seen;
+  // Nearly always a single fragment per object, but nothing in the
+  // record format forbids several fragments' updaters writing one
+  // object, so file such an object (and its reads) under each.
+  std::map<ObjectId, std::set<FragmentId>> fragments_of;
   for (const InstallRecord& rec : installs_) {
-    if (rec.writer == writer) return rec.writes;
-  }
-  return {};
-}
-
-std::vector<std::pair<TxnId, SeqNum>> History::VersionsOf(
-    ObjectId object) const {
-  // Collect distinct (writer, seq) pairs that wrote `object`, ordered by
-  // seq. Installs replicate the same version at several nodes; take each
-  // once. Repackaged §4.4.3 transactions produce distinct writers with
-  // fresh sequence numbers, so ordering by seq stays total per fragment.
-  std::set<std::pair<SeqNum, TxnId>> seen;
-  for (const InstallRecord& rec : installs_) {
+    t.writes.try_emplace(rec.writer, &rec.writes);
     for (const WriteOp& w : rec.writes) {
-      if (w.object == object) seen.emplace(rec.seq, rec.writer);
+      seen[w.object].emplace(rec.seq, rec.writer);
+      fragments_of[w.object].insert(rec.fragment);
     }
   }
-  std::vector<std::pair<TxnId, SeqNum>> out;
-  out.reserve(seen.size());
-  for (const auto& [seq, writer] : seen) out.emplace_back(writer, seq);
-  return out;
+  for (const auto& [object, chain] : seen) {
+    std::vector<std::pair<TxnId, SeqNum>>& out = t.versions[object];
+    out.reserve(chain.size());
+    for (const auto& [seq, writer] : chain) out.emplace_back(writer, seq);
+    for (FragmentId f : fragments_of[object]) {
+      t.objects_of[f].push_back(object);
+    }
+  }
+  for (const auto& [id, rec] : txns_) {
+    if (rec.committed && !rec.read_only) {
+      t.updaters[rec.type_fragment].push_back(id);
+    }
+  }
+  for (const ReadRecord& r : reads_) {
+    auto it = fragments_of.find(r.object);
+    if (it == fragments_of.end()) {
+      t.reads_on[kInvalidFragment].push_back(&r);
+      continue;
+    }
+    for (FragmentId f : it->second) t.reads_on[f].push_back(&r);
+  }
+  return t;
+}
+
+namespace {
+
+/// The entry for `key`, or a shared empty value.
+template <typename Map>
+const typename Map::mapped_type& FindOrEmpty(const Map& map,
+                                             const typename Map::key_type& key) {
+  static const typename Map::mapped_type kEmpty{};
+  auto it = map.find(key);
+  return it == map.end() ? kEmpty : it->second;
+}
+
+}  // namespace
+
+const std::vector<std::pair<TxnId, SeqNum>>& History::VersionsOf(
+    ObjectId object) const {
+  return FindOrEmpty(lookups().versions, object);
+}
+
+const std::vector<WriteOp>& History::WritesOf(TxnId writer) const {
+  static const std::vector<WriteOp> kEmpty;
+  const std::vector<WriteOp>* writes = FindOrEmpty(lookups().writes, writer);
+  return writes == nullptr ? kEmpty : *writes;
+}
+
+const std::vector<TxnId>& History::UpdatersOf(FragmentId fragment) const {
+  return FindOrEmpty(lookups().updaters, fragment);
+}
+
+const std::vector<ObjectId>& History::ObjectsOf(FragmentId fragment) const {
+  return FindOrEmpty(lookups().objects_of, fragment);
+}
+
+const std::vector<const ReadRecord*>& History::ReadsOn(
+    FragmentId fragment) const {
+  return FindOrEmpty(lookups().reads_on, fragment);
+}
+
+const std::map<ObjectId, std::vector<std::pair<TxnId, SeqNum>>>&
+History::VersionChains() const {
+  return lookups().versions;
 }
 
 }  // namespace fragdb

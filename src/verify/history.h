@@ -2,7 +2,9 @@
 #define FRAGDB_VERIFY_HISTORY_H_
 
 #include <map>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cc/transaction.h"
@@ -109,6 +111,14 @@ struct CommitDecisionRecord {
 /// Append-only record of a run, consumed by the serialization-graph
 /// builders and checkers. The engine writes it through narrow hooks, so
 /// the checkers validate the engine instead of trusting it.
+///
+/// The lookups (VersionsOf through VersionChains) answer from tables
+/// built in one pass over the record on the first lookup after a
+/// mutation; every mutation (RegisterTxn, MarkCommitted*, Record*,
+/// AbsorbShard) drops them. A returned reference stays valid until the
+/// next mutation. Copies and moves start without tables. Concurrent first
+/// lookups are not supported: query a history only after the run that
+/// records it has quiesced.
 class History {
  public:
   History() = default;
@@ -161,18 +171,64 @@ class History {
   /// checks): id, label, type, home, commit state, sequence, write count.
   std::string DebugString() const;
 
-  /// Committed transactions that updated `fragment` — the paper's U(F_i).
-  std::vector<TxnId> UpdatersOf(FragmentId fragment) const;
-
-  /// All writes of `writer` (as installed anywhere; installs of one
-  /// transaction carry identical write sets).
-  std::vector<WriteOp> WritesOf(TxnId writer) const;
-
   /// Version list of `object`: (writer, seq) in version order (fragment
   /// sequence order), excluding the initial version.
-  std::vector<std::pair<TxnId, SeqNum>> VersionsOf(ObjectId object) const;
+  const std::vector<std::pair<TxnId, SeqNum>>& VersionsOf(
+      ObjectId object) const;
+
+  /// All writes of `writer` (as installed anywhere; installs of one
+  /// transaction carry identical write sets, so the first is kept).
+  const std::vector<WriteOp>& WritesOf(TxnId writer) const;
+
+  /// Committed transactions that updated `fragment`, in id order — the
+  /// paper's U(F_i).
+  const std::vector<TxnId>& UpdatersOf(FragmentId fragment) const;
+
+  /// Objects with at least one version installed under `fragment`'s tag,
+  /// in id order. (An object never written has no version chain and
+  /// cannot contribute a conflict edge; an object written under several
+  /// fragments' tags is listed under each.)
+  const std::vector<ObjectId>& ObjectsOf(FragmentId fragment) const;
+
+  /// Read observations of objects `fragment` wrote, in record order.
+  /// Reads of never-written objects observe the initial version and
+  /// produce no edges; they are filed under kInvalidFragment.
+  const std::vector<const ReadRecord*>& ReadsOn(FragmentId fragment) const;
+
+  /// Every version chain, keyed by object — for whole-history sweeps.
+  const std::map<ObjectId, std::vector<std::pair<TxnId, SeqNum>>>&
+  VersionChains() const;
 
  private:
+  struct Lookups {
+    std::map<ObjectId, std::vector<std::pair<TxnId, SeqNum>>> versions;
+    std::map<TxnId, const std::vector<WriteOp>*> writes;
+    std::map<FragmentId, std::vector<TxnId>> updaters;
+    std::map<FragmentId, std::vector<ObjectId>> objects_of;
+    std::map<FragmentId, std::vector<const ReadRecord*>> reads_on;
+  };
+  /// Holds the lookup tables; a copy or move of it (hence of the History)
+  /// starts empty, and a moved-from one is emptied too, since the tables
+  /// point into the records they were built from.
+  struct LookupCache {
+    LookupCache() = default;
+    LookupCache(const LookupCache&) {}
+    LookupCache(LookupCache&& other) noexcept { other.tables.reset(); }
+    LookupCache& operator=(const LookupCache&) {
+      tables.reset();
+      return *this;
+    }
+    LookupCache& operator=(LookupCache&& other) noexcept {
+      tables.reset();
+      other.tables.reset();
+      return *this;
+    }
+    std::optional<Lookups> tables;
+  };
+
+  const Lookups& lookups() const;
+  void DropLookups() { cache_.tables.reset(); }
+
   std::map<TxnId, TxnRecord> txns_;
   std::vector<ReadRecord> reads_;
   std::vector<InstallRecord> installs_;
@@ -180,6 +236,7 @@ class History {
   std::vector<QuorumReadRecord> quorum_reads_;
   std::vector<CommitDecisionRecord> decisions_;
   std::map<NodeId, int64_t> next_node_order_;
+  mutable LookupCache cache_;
 };
 
 }  // namespace fragdb

@@ -97,11 +97,9 @@ namespace {
 /// observations are visited — sound whenever `keep` accepts only pairs
 /// of that fragment's updaters, because every such conflict is anchored
 /// on an object the fragment wrote.
-void AddConflictEdges(const HistoryIndex& index, TxnGraph& g,
+void AddConflictEdges(const History& history, TxnGraph& g,
                       const std::function<bool(TxnId, TxnId)>& keep,
                       FragmentId fragment = kInvalidFragment) {
-  const History& history = index.history();
-
   // ww edges: consecutive versions of each object.
   auto chain_edges = [&](const std::vector<std::pair<TxnId, SeqNum>>& chain) {
     for (size_t i = 0; i + 1 < chain.size(); ++i) {
@@ -119,7 +117,7 @@ void AddConflictEdges(const HistoryIndex& index, TxnGraph& g,
       g.AddEdge(r.version_writer, r.reader);  // wr
     }
     // rw: the first version after the one observed.
-    const auto& chain = index.VersionsOf(r.object);
+    const auto& chain = history.VersionsOf(r.object);
     auto next = std::upper_bound(
         chain.begin(), chain.end(), r.version_seq,
         [](SeqNum seq, const std::pair<TxnId, SeqNum>& v) {
@@ -132,49 +130,41 @@ void AddConflictEdges(const HistoryIndex& index, TxnGraph& g,
   };
 
   if (fragment == kInvalidFragment) {
-    for (const auto& [object, chain] : index.versions()) {
+    for (const auto& [object, chain] : history.VersionChains()) {
       (void)object;
       chain_edges(chain);
     }
     for (const ReadRecord& r : history.reads()) read_edges(r);
   } else {
-    for (ObjectId o : index.ObjectsOf(fragment)) {
-      chain_edges(index.VersionsOf(o));
+    for (ObjectId o : history.ObjectsOf(fragment)) {
+      chain_edges(history.VersionsOf(o));
     }
-    for (const ReadRecord* r : index.ReadsOn(fragment)) read_edges(*r);
+    for (const ReadRecord* r : history.ReadsOn(fragment)) read_edges(*r);
   }
 }
 
 }  // namespace
 
-TxnGraph BuildGlobalSerializationGraph(const HistoryIndex& index) {
+TxnGraph BuildGlobalSerializationGraph(const History& history) {
   TxnGraph g;
-  for (const auto& [id, rec] : index.history().txns()) {
+  for (const auto& [id, rec] : history.txns()) {
     if (rec.committed) g.AddVertex(id);
   }
   auto keep = [&](TxnId a, TxnId b) {
     return g.HasVertex(a) && g.HasVertex(b);
   };
-  AddConflictEdges(index, g, keep);
-  return g;
-}
-
-TxnGraph BuildGlobalSerializationGraph(const History& history) {
-  return BuildGlobalSerializationGraph(HistoryIndex(history));
-}
-
-TxnGraph BuildUpdaterGraph(const HistoryIndex& index, FragmentId fragment) {
-  TxnGraph g;
-  for (TxnId id : index.UpdatersOf(fragment)) g.AddVertex(id);
-  auto keep = [&](TxnId a, TxnId b) {
-    return g.HasVertex(a) && g.HasVertex(b);
-  };
-  AddConflictEdges(index, g, keep, fragment);
+  AddConflictEdges(history, g, keep);
   return g;
 }
 
 TxnGraph BuildUpdaterGraph(const History& history, FragmentId fragment) {
-  return BuildUpdaterGraph(HistoryIndex(history), fragment);
+  TxnGraph g;
+  for (TxnId id : history.UpdatersOf(fragment)) g.AddVertex(id);
+  auto keep = [&](TxnId a, TxnId b) {
+    return g.HasVertex(a) && g.HasVertex(b);
+  };
+  AddConflictEdges(history, g, keep, fragment);
+  return g;
 }
 
 TxnGraph BuildLocalSerializationGraph(const History& history,
@@ -209,7 +199,7 @@ TxnGraph BuildLocalSerializationGraph(const History& history,
     if (ta == fragment || tb == fragment) return true;
     return false;  // clauses (iii)/(iv) are handled below
   };
-  AddConflictEdges(HistoryIndex(history), g, keep);
+  AddConflictEdges(history, g, keep);
 
   // (iii): pairs of non-local transactions of the same type, ordered by
   // installation order at home_node. (iv): different types — no edge.

@@ -8,7 +8,6 @@
 #include "common/types.h"
 #include "storage/read_access_graph.h"
 #include "verify/history.h"
-#include "verify/history_index.h"
 
 namespace fragdb {
 
@@ -56,10 +55,6 @@ class TxnGraph {
 /// Acyclicity of this graph is equivalent to global serializability.
 TxnGraph BuildGlobalSerializationGraph(const History& history);
 
-/// Index-aware variant: identical graph, but version chains and write
-/// sets come from the prebuilt index instead of rescanning the history.
-TxnGraph BuildGlobalSerializationGraph(const HistoryIndex& index);
-
 /// Builds the local serialization graph for `fragment` per Definition 8.3.
 /// `home_node` is the home node of the fragment's agent; `rag` supplies the
 /// set of fragment types whose transactions appear as non-local vertices.
@@ -70,14 +65,11 @@ TxnGraph BuildLocalSerializationGraph(const History& history,
 
 /// Builds the serialization graph restricted to the committed transactions
 /// in U(`fragment`) — the schedule the paper's Property 1 requires to be
-/// serializable.
+/// serializable. Both endpoints of every U(F_i) conflict edge touch F_i's
+/// own objects, so only `fragment`'s version chains and reads are
+/// visited: a per-fragment sweep over all fragments is linear in the
+/// history, not quadratic.
 TxnGraph BuildUpdaterGraph(const History& history, FragmentId fragment);
-
-/// Index-aware variant: identical graph, and because both endpoints of
-/// every U(F_i) conflict edge touch F_i's own objects, only `fragment`'s
-/// version chains and reads are visited — a per-fragment sweep over all
-/// fragments is linear in the history instead of quadratic.
-TxnGraph BuildUpdaterGraph(const HistoryIndex& index, FragmentId fragment);
 
 }  // namespace fragdb
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <vector>
 
 namespace fragdb {
 namespace {
@@ -12,6 +14,11 @@ struct AuditFixture : ::testing::Test {
     ClusterConfig config;
     config.control = control;
     config.observability.metrics = metrics;
+    Build(config, [] {});
+  }
+  /// `before_start` runs once the schema is defined, before Start().
+  void Build(const ClusterConfig& config,
+             const std::function<void()>& before_start) {
     cluster = std::make_unique<Cluster>(config,
                                         Topology::FullMesh(3, Millis(5)));
     f0 = cluster->DefineFragment("F0");
@@ -24,6 +31,7 @@ struct AuditFixture : ::testing::Test {
     ASSERT_TRUE(cluster->AssignToken(f1, bob).ok());
     ASSERT_TRUE(cluster->SetAgentHome(alice, 0).ok());
     ASSERT_TRUE(cluster->SetAgentHome(bob, 1).ok());
+    before_start();
     ASSERT_TRUE(cluster->Start().ok());
   }
   void Update(AgentId agent, FragmentId f, ObjectId obj, Value v,
@@ -38,6 +46,29 @@ struct AuditFixture : ::testing::Test {
       return std::vector<WriteOp>{{obj, v}};
     };
     cluster->Submit(spec, nullptr);
+  }
+  /// Alice and bob each read the other's object, then write their own,
+  /// with `isolated` cut off from the other two nodes until the heal.
+  void RunWriteSkew(NodeId isolated) {
+    std::vector<NodeId> rest;
+    for (NodeId n = 0; n < 3; ++n) {
+      if (n != isolated) rest.push_back(n);
+    }
+    ASSERT_TRUE(cluster->Partition({{isolated}, rest}).ok());
+    Update(alice, f0, a, 1, {b});
+    Update(bob, f1, b, 2, {a});
+    cluster->RunFor(Millis(50));
+    cluster->HealAll();
+    cluster->RunToQuiescence();
+  }
+  /// AuditRun's configured property is the report the cluster's own
+  /// check gives, verdict, detail and witnesses alike.
+  void ExpectAuditAgreesWithConfiguredCheck() {
+    AuditReport report = AuditRun(*cluster);
+    CheckReport direct = cluster->CheckConfiguredProperty();
+    EXPECT_EQ(report.configured_property.ok, direct.ok);
+    EXPECT_EQ(report.configured_property.detail, direct.detail);
+    EXPECT_EQ(report.configured_property.witnesses, direct.witnesses);
   }
   std::unique_ptr<Cluster> cluster;
   FragmentId f0, f1;
@@ -125,6 +156,72 @@ TEST_F(AuditFixture, CountsUncommitted) {
   EXPECT_EQ(report.committed_txns, 0);
   EXPECT_EQ(report.uncommitted_txns, 1);
   EXPECT_TRUE(report.ok());
+}
+
+TEST_F(AuditFixture, ConfiguredPropertyUnderReadLocks) {
+  Build(ControlOption::kReadLocks);
+  RunWriteSkew(1);
+  EXPECT_EQ(cluster->promise(), Cluster::Promise::kGlobalSerializability);
+  EXPECT_TRUE(cluster->CheckConfiguredProperty().ok);
+  ExpectAuditAgreesWithConfiguredCheck();
+}
+
+TEST_F(AuditFixture, ConfiguredPropertyUnderAcyclicReads) {
+  ClusterConfig config;
+  config.control = ControlOption::kAcyclicReads;
+  Build(config, [&] { ASSERT_TRUE(cluster->DeclareRead(f0, f1).ok()); });
+  // Bob's read of F0 is undeclared and refused; alice's runs.
+  RunWriteSkew(1);
+  EXPECT_EQ(cluster->promise(), Cluster::Promise::kGlobalSerializability);
+  EXPECT_TRUE(cluster->CheckConfiguredProperty().ok);
+  ExpectAuditAgreesWithConfiguredCheck();
+}
+
+TEST_F(AuditFixture, ConfiguredPropertyUnderFragmentwise) {
+  Build(ControlOption::kFragmentwise);
+  RunWriteSkew(1);
+  EXPECT_EQ(cluster->promise(), Cluster::Promise::kFragmentwise);
+  // The run is not globally serializable, so picking that report instead
+  // would fail the comparison below.
+  EXPECT_FALSE(AuditRun(*cluster).global_serializability.ok);
+  EXPECT_TRUE(cluster->CheckConfiguredProperty().ok);
+  ExpectAuditAgreesWithConfiguredCheck();
+}
+
+TEST_F(AuditFixture, ConfiguredPropertyUnderQuorum) {
+  Build(ControlOption::kQuorum);
+  RunWriteSkew(0);
+  EXPECT_EQ(cluster->promise(),
+            Cluster::Promise::kFragmentwiseAndQuorumFreshness);
+  EXPECT_TRUE(cluster->CheckConfiguredProperty().ok);
+  ExpectAuditAgreesWithConfiguredCheck();
+}
+
+TEST_F(AuditFixture, ConfiguredPropertyUnderOmitPrep) {
+  ClusterConfig config;
+  config.control = ControlOption::kFragmentwise;
+  config.move_protocol = MoveProtocol::kOmitPrep;
+  Build(config, [] {});
+  RunWriteSkew(1);
+  EXPECT_EQ(cluster->promise(), Cluster::Promise::kMutualConsistency);
+  CheckReport direct = cluster->CheckConfiguredProperty();
+  EXPECT_TRUE(direct.ok);
+  EXPECT_NE(direct.detail.find("mutual consistency"), std::string::npos);
+  ExpectAuditAgreesWithConfiguredCheck();
+}
+
+TEST_F(AuditFixture, ConfiguredPropertyWithOneQuorumOverride) {
+  ClusterConfig config;
+  config.control = ControlOption::kFragmentwise;
+  Build(config, [&] {
+    ASSERT_TRUE(cluster->SetFragmentControl(f1, ControlOption::kQuorum).ok());
+  });
+  RunWriteSkew(0);
+  EXPECT_EQ(cluster->promise(),
+            Cluster::Promise::kFragmentwiseAndQuorumFreshness);
+  EXPECT_FALSE(AuditRun(*cluster).global_serializability.ok);
+  EXPECT_TRUE(cluster->CheckConfiguredProperty().ok);
+  ExpectAuditAgreesWithConfiguredCheck();
 }
 
 }  // namespace

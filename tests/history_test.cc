@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "verify/checkers.h"
+
 namespace fragdb {
 namespace {
 
@@ -102,6 +106,47 @@ TEST(HistoryTest, ReadsAccumulate) {
   r.version_seq = 0;
   h.RecordRead(r);
   EXPECT_EQ(h.reads().size(), 1u);
+}
+
+TEST(HistoryTest, LookupAfterMutationSeesTheMutation) {
+  History h;
+  TxnRecord w;
+  w.id = 1;
+  w.type_fragment = 0;
+  h.RegisterTxn(w);
+  h.MarkCommitted(1, 1);
+  h.RecordInstall(0, MakeQuasi(1, 0, 1, {{10, 5}, {11, 6}}), 100);
+  TxnRecord r;
+  r.id = 2;
+  r.read_only = true;
+  h.RegisterTxn(r);
+  h.MarkCommitted(2, 0);
+  h.RecordRead({2, 1, 10, 1, 1, 200});
+  EXPECT_TRUE(CheckProperty2(h, 0).ok);
+  EXPECT_EQ(h.ReadsOn(0).size(), 1u);
+  // T2 now misses T1's other write: a partial effect the next lookup
+  // must see.
+  h.RecordRead({2, 1, 11, kInvalidTxn, 0, 200});
+  EXPECT_EQ(h.ReadsOn(0).size(), 2u);
+  EXPECT_FALSE(CheckProperty2(h, 0).ok);
+}
+
+TEST(HistoryTest, CopiesAndMovesAnswerFromTheirOwnRecords) {
+  History h;
+  h.RecordInstall(0, MakeQuasi(1, 0, 1, {{10, 5}}), 100);
+  h.RecordRead({2, 1, 10, 1, 1, 200});
+  ASSERT_EQ(h.ReadsOn(0).size(), 1u);
+  History copy = h;
+  ASSERT_EQ(copy.ReadsOn(0).size(), 1u);
+  EXPECT_EQ(copy.ReadsOn(0)[0], &copy.reads()[0]);
+  EXPECT_EQ(&copy.WritesOf(1), &copy.installs()[0].writes);
+  History moved = std::move(copy);
+  ASSERT_EQ(moved.ReadsOn(0).size(), 1u);
+  EXPECT_EQ(moved.ReadsOn(0)[0], &moved.reads()[0]);
+  copy = h;
+  copy.RecordRead({3, 1, 10, kInvalidTxn, 0, 300});
+  EXPECT_EQ(copy.ReadsOn(0).size(), 2u);
+  EXPECT_EQ(h.ReadsOn(0).size(), 1u);
 }
 
 }  // namespace
