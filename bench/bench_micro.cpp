@@ -13,6 +13,7 @@
 #include "core/cluster.h"
 #include "cc/scheduler.h"
 #include "sim/event_queue.h"
+#include "verify/checkers.h"
 #include "verify/serialization_graph.h"
 
 namespace fragdb {
@@ -110,8 +111,9 @@ void BM_GlobalSerializationGraphCheck(benchmark::State& state) {
   // Build a history of n committed transactions over 64 objects, then
   // time the graph build + cycle check. The history builds its lookup
   // tables on the first iteration and keeps them (nothing mutates it
-  // afterwards), so this times lookups from the cached tables, not the
-  // one-pass table build.
+  // afterwards), so this times the sorted-vector lookups and the graph's
+  // sort-and-pack, not the one-pass table build (BM_HistoryCollapseAndAudit
+  // times that, with the collapse and the other checks).
   const int n = static_cast<int>(state.range(0));
   History history;
   Rng rng(7);
@@ -142,6 +144,72 @@ void BM_GlobalSerializationGraphCheck(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_GlobalSerializationGraphCheck)->Arg(200)->Arg(1000);
+
+void BM_HistoryCollapseAndAudit(benchmark::State& state) {
+  // A Paxos-shaped run on 16 nodes, one fragment homed at each: each of
+  // n update transactions is registered at its home, reads the current
+  // version of one of its fragment's objects there and writes another,
+  // and every node installs it, marks it committed and records the
+  // slot's decision in its own shard. Times recording, the shard
+  // collapse and the history checks AuditRun makes (all of which pass).
+  const int n = static_cast<int>(state.range(0));
+  constexpr int kNodes = 16;
+  constexpr int kObjectsPerFragment = 64;
+  for (auto _ : state) {
+    Rng rng(11);
+    std::vector<History> shards(kNodes);
+    std::vector<SeqNum> next_seq(kNodes, 1);
+    // Current (writer, seq) of each object, by fragment * 64 + slot.
+    std::vector<std::pair<TxnId, SeqNum>> current(
+        kNodes * kObjectsPerFragment, {kInvalidTxn, 0});
+    for (int i = 0; i < n; ++i) {
+      const NodeId home = static_cast<NodeId>(rng.NextBelow(kNodes));
+      const FragmentId fragment = home;
+      const TxnId id = 1 + static_cast<TxnId>(i) * (kNodes + 1) + home;
+      const SeqNum seq = next_seq[fragment]++;
+      auto slot = [&] {
+        return fragment * kObjectsPerFragment +
+               static_cast<int>(rng.NextBelow(kObjectsPerFragment));
+      };
+      TxnRecord rec;
+      rec.id = id;
+      rec.agent = home;
+      rec.type_fragment = fragment;
+      rec.home = home;
+      shards[home].RegisterTxn(rec);
+      const int read = slot();
+      shards[home].RecordRead({id, home, 1000 * read, current[read].first,
+                               current[read].second, i});
+      const int written = slot();
+      current[written] = {id, seq};
+      QuasiTxn q;
+      q.origin_txn = id;
+      q.fragment = fragment;
+      q.seq = seq;
+      q.origin_node = home;
+      q.origin_time = i;
+      q.writes = {{1000 * written, id}};
+      for (NodeId node = 0; node < kNodes; ++node) {
+        shards[node].RecordInstall(node, q, i + node);
+        shards[node].MarkCommittedPartial(id, seq);
+        shards[node].RecordDecision({node, fragment, seq, id, true, i + node});
+      }
+    }
+    History history;
+    bool ok = history.AbsorbShards(shards) == kInvalidTxn;
+    ok = CheckGlobalSerializability(history).ok && ok;
+    for (FragmentId f = 0; f < kNodes; ++f) {
+      ok = CheckProperty1(history, f).ok && ok;
+      ok = CheckProperty2(history, f).ok && ok;
+    }
+    ok = CheckQuorumFreshness(history).ok && ok;
+    ok = CheckCommitAtomicity(history).ok && ok;
+    if (!ok) state.SkipWithError("audit failed");
+    benchmark::DoNotOptimize(ok);
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_HistoryCollapseAndAudit)->Arg(10000)->Arg(50000);
 
 void BM_ClusterCommitThroughput(benchmark::State& state) {
   for (auto _ : state) {

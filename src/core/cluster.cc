@@ -1905,18 +1905,10 @@ TxnId Cluster::NewTxnId() {
 }
 
 void Cluster::CollapseHistoryShards() {
-  std::vector<TxnId> committed;
-  for (History& shard : history_shards_) {
-    for (const auto& [id, rec] : shard.txns()) {
-      if (rec.committed) committed.push_back(id);
-    }
-    history_.AbsorbShard(&shard);
-  }
   // A commit may be recorded in another shard than its registration, so
   // the registered-before-committed check runs once every shard is in.
-  for (TxnId id : committed) {
-    FRAGDB_CHECK(history_.FindTxn(id)->registered());
-  }
+  const TxnId unregistered_commit = history_.AbsorbShards(history_shards_);
+  FRAGDB_CHECK(unregistered_commit == kInvalidTxn);
 }
 
 int Cluster::node_count() const { return topology_.node_count(); }

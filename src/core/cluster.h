@@ -288,10 +288,11 @@ class Cluster {
   /// shard (folded back in by CollapseHistoryShards at the end of every
   /// run), or the merged history for global contexts (kInvalidNode).
   History& HistorySink(NodeId node);
-  /// Records a commit through the sink for `node`. Upserts, because the
-  /// commit may land in a different shard than the registration (e.g. a
-  /// repackaged commit after an agent move); CollapseHistoryShards checks
-  /// that every commit found its registration.
+  /// Records a commit through the sink for `node`. Needs no registration
+  /// in that shard, because the commit may land in a different shard than
+  /// the registration (e.g. a repackaged commit after an agent move);
+  /// CollapseHistoryShards checks that every commit found its
+  /// registration.
   void MarkCommittedAt(NodeId node, TxnId id, SeqNum frag_seq);
   /// Fresh transaction id, striped by acting node so concurrent
   /// partitions never share a counter (ids are unique but not dense).
@@ -553,8 +554,9 @@ class Cluster {
   void CompleteMove(AgentId agent);
   void DrainQueuedSubmissions(AgentId agent);
   /// Folds the per-node history shards back into history_ (ascending node
-  /// order); called at the end of every Run* so inspection sees one merged
-  /// history. Checks that every commit absorbed carries its registration.
+  /// order, one sort-merge of their transaction logs); called at the end
+  /// of every Run* so inspection sees one merged history. Checks that
+  /// every commit absorbed carries its registration.
   void CollapseHistoryShards();
 
   friend class NodeRuntime;

@@ -1,10 +1,13 @@
 #include "verify/checkers.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <map>
-#include <set>
 #include <sstream>
 #include <tuple>
+
+#include "common/logging.h"
 
 namespace fragdb {
 
@@ -68,29 +71,38 @@ CheckReport CheckProperty2(const History& history, FragmentId fragment) {
     if (history.WritesOf(w).size() >= 2) updaters.push_back(w);
   }
   if (updaters.empty()) return CheckReport::Pass();
-  std::map<TxnId, std::map<ObjectId, bool>> writes_of;  // writer -> objects
-  std::map<TxnId, SeqNum> seq_of;
+  // Per updater, in id order: its sequence and its objects, ascending.
+  std::vector<SeqNum> seq_of;
+  std::vector<std::vector<ObjectId>> objects_of;
   for (TxnId w : updaters) {
-    seq_of[w] = history.FindTxn(w)->frag_seq;
-    for (const WriteOp& op : history.WritesOf(w)) {
-      writes_of[w][op.object] = true;
-    }
+    seq_of.push_back(history.FindTxn(w)->frag_seq);
+    std::vector<ObjectId>& objects = objects_of.emplace_back();
+    for (const WriteOp& op : history.WritesOf(w)) objects.push_back(op.object);
+    std::sort(objects.begin(), objects.end());
   }
-  // Group the fragment's read observations by reader.
-  std::map<TxnId, std::vector<const ReadRecord*>> reads_by_txn;
-  for (const ReadRecord* r : history.ReadsOn(fragment)) {
-    reads_by_txn[r->reader].push_back(r);
-  }
-  for (const auto& [reader, reads] : reads_by_txn) {
+  // The fragment's read observations, grouped by reader.
+  const std::vector<const ReadRecord*>& on = history.ReadsOn(fragment);
+  std::vector<const ReadRecord*> reads(on.begin(), on.end());
+  std::stable_sort(reads.begin(), reads.end(),
+                   [](const ReadRecord* a, const ReadRecord* b) {
+                     return a->reader < b->reader;
+                   });
+  for (size_t begin = 0, end = 0; begin < reads.size(); begin = end) {
+    const TxnId reader = reads[begin]->reader;
+    while (end < reads.size() && reads[end]->reader == reader) ++end;
     const TxnRecord* reader_rec = history.FindTxn(reader);
     if (reader_rec == nullptr || !reader_rec->committed) continue;
-    for (TxnId w : updaters) {
+    for (size_t u = 0; u < updaters.size(); ++u) {
+      const TxnId w = updaters[u];
       if (w == reader) continue;
-      const auto& wset = writes_of[w];
+      const std::vector<ObjectId>& wset = objects_of[u];
       bool saw = false, missed = false;
-      for (const ReadRecord* r : reads) {
-        if (wset.count(r->object) == 0) continue;
-        if (r->version_seq >= seq_of[w]) {
+      for (size_t i = begin; i < end; ++i) {
+        const ReadRecord* r = reads[i];
+        if (!std::binary_search(wset.begin(), wset.end(), r->object)) {
+          continue;
+        }
+        if (r->version_seq >= seq_of[u]) {
           saw = true;
         } else {
           missed = true;
@@ -174,35 +186,125 @@ CheckReport CheckQuorumFreshness(const History& history) {
 
 namespace {
 
-/// The first decision record of each (fragment, seq) slot.
-using DecidedSlots =
-    std::map<std::pair<FragmentId, SeqNum>, const CommitDecisionRecord*>;
+/// A history's decision records grouped by (fragment, seq) slot.
+struct DecidedSlots {
+  /// The first record (in record order) of each slot, in slot order.
+  std::vector<const CommitDecisionRecord*> first;
+  /// The first record (in record order) whose outcome contradicts its
+  /// slot's first, and that first; null when every slot agrees.
+  const CommitDecisionRecord* clash = nullptr;
+  const CommitDecisionRecord* clash_first = nullptr;
+};
+
+DecidedSlots GroupDecisions(const History& history) {
+  const std::vector<CommitDecisionRecord>& decisions = history.decisions();
+  struct Key {
+    FragmentId fragment;
+    uint32_t index;
+    SeqNum seq;
+  };
+  FRAGDB_CHECK(decisions.size() <= std::numeric_limits<uint32_t>::max());
+  std::vector<Key> keys;
+  keys.reserve(decisions.size());
+  for (size_t i = 0; i < decisions.size(); ++i) {
+    keys.push_back({decisions[i].fragment, static_cast<uint32_t>(i),
+                    decisions[i].seq});
+  }
+  // Pushed in record order, so each slot's records stay in record order.
+  std::stable_sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+    return std::tie(a.fragment, a.seq) < std::tie(b.fragment, b.seq);
+  });
+  DecidedSlots slots;
+  for (size_t i = 0; i < keys.size();) {
+    const CommitDecisionRecord* first = &decisions[keys[i].index];
+    slots.first.push_back(first);
+    for (; i < keys.size() && keys[i].fragment == first->fragment &&
+           keys[i].seq == first->seq;
+         ++i) {
+      const CommitDecisionRecord* d = &decisions[keys[i].index];
+      if (d->commit != first->commit &&
+          (slots.clash == nullptr || d < slots.clash)) {
+        slots.clash = d;
+        slots.clash_first = first;
+      }
+    }
+  }
+  return slots;
+}
 
 CheckReport CheckInstallsAgainst(const History& history,
                                  const DecidedSlots& decided) {
-  if (decided.empty()) return CheckReport::Pass();
-  std::vector<std::tuple<FragmentId, SeqNum, NodeId, int>> installed;
-  for (const InstallRecord& rec : history.installs()) {
-    auto it = decided.find({rec.fragment, rec.seq});
-    if (it == decided.end()) continue;
-    const CommitDecisionRecord& d = *it->second;
-    if (!d.commit || rec.writer != d.txn) {
-      std::ostringstream os;
-      os << "N" << rec.node << " installed T" << rec.writer << " at F"
-         << rec.fragment << " seq " << rec.seq << ", but the slot decided "
-         << (d.commit ? "T" + std::to_string(d.txn) : std::string("abort"));
-      return CheckReport::Fail(os.str(), {rec.writer, d.txn});
-    }
-    installed.emplace_back(rec.fragment, rec.seq, rec.node, rec.incarnation);
+  if (decided.first.empty()) return CheckReport::Pass();
+  // Installs by (fragment, seq, node, incarnation), merged against the
+  // slots: a decided slot's installs must carry its transaction, once per
+  // node lifetime.
+  const std::vector<InstallRecord>& installs = history.installs();
+  struct Key {
+    FragmentId fragment;
+    NodeId node;
+    SeqNum seq;
+    int incarnation;
+    uint32_t index;
+  };
+  FRAGDB_CHECK(installs.size() <= std::numeric_limits<uint32_t>::max());
+  std::vector<Key> keys;
+  keys.reserve(installs.size());
+  for (size_t i = 0; i < installs.size(); ++i) {
+    const InstallRecord& rec = installs[i];
+    keys.push_back({rec.fragment, rec.node, rec.seq, rec.incarnation,
+                    static_cast<uint32_t>(i)});
   }
-  std::sort(installed.begin(), installed.end());
-  auto dup = std::adjacent_find(installed.begin(), installed.end());
-  if (dup != installed.end()) {
-    const auto& [fragment, seq, node, incarnation] = *dup;
+  auto lifetime = [](const Key& k) {
+    return std::tie(k.fragment, k.seq, k.node, k.incarnation);
+  };
+  std::stable_sort(keys.begin(), keys.end(),
+                   [&](const Key& a, const Key& b) {
+                     return lifetime(a) < lifetime(b);
+                   });
+  // The first wrong install in record order, and the first repeated
+  // install in slot order.
+  const InstallRecord* wrong = nullptr;
+  const CommitDecisionRecord* wrong_slot = nullptr;
+  const Key* twice = nullptr;
+  const CommitDecisionRecord* twice_slot = nullptr;
+  size_t s = 0;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const Key& k = keys[i];
+    auto slot_before = [&k](const CommitDecisionRecord* d) {
+      return std::tie(d->fragment, d->seq) < std::tie(k.fragment, k.seq);
+    };
+    while (s < decided.first.size() && slot_before(decided.first[s])) ++s;
+    if (s == decided.first.size()) break;
+    const CommitDecisionRecord& d = *decided.first[s];
+    if (d.fragment != k.fragment || d.seq != k.seq) continue;
+    const InstallRecord& rec = installs[k.index];
+    if (!d.commit || rec.writer != d.txn) {
+      if (wrong == nullptr || &rec < wrong) {
+        wrong = &rec;
+        wrong_slot = &d;
+      }
+      continue;
+    }
+    if (twice == nullptr && i > 0 && lifetime(keys[i - 1]) == lifetime(k)) {
+      twice = &k;
+      twice_slot = &d;
+    }
+  }
+  if (wrong != nullptr) {
+    const CommitDecisionRecord& d = *wrong_slot;
     std::ostringstream os;
-    os << "N" << node << " installed F" << fragment << " seq " << seq
-       << " twice in one lifetime (incarnation " << incarnation << ")";
-    return CheckReport::Fail(os.str(), {decided.at({fragment, seq})->txn});
+    os << "N" << wrong->node << " installed T" << wrong->writer << " at F"
+       << wrong->fragment << " seq " << wrong->seq
+       << ", but the slot decided "
+       << (d.commit ? "T" + std::to_string(d.txn) : std::string("abort"));
+    return CheckReport::Fail(os.str(), {wrong->writer, d.txn});
+  }
+  if (twice != nullptr) {
+    std::ostringstream os;
+    os << "N" << twice->node << " installed F" << twice->fragment << " seq "
+       << twice->seq << " twice in one lifetime (incarnation "
+       << twice->incarnation << ")";
+    return CheckReport::Fail(os.str(), {twice_slot->txn});
   }
   return CheckReport::Pass();
 }
@@ -213,39 +315,33 @@ CheckReport CheckCommitAtomicity(const History& history) {
   // All decisions of one (fragment, seq) slot must agree, and a slot that
   // decided commit must correspond to a transaction the history marks
   // committed.
-  DecidedSlots first;
-  for (const CommitDecisionRecord& d : history.decisions()) {
-    auto [it, inserted] = first.try_emplace({d.fragment, d.seq}, &d);
-    const CommitDecisionRecord* head = it->second;
-    if (!inserted && head->commit != d.commit) {
-      std::ostringstream os;
-      os << "commit decision for F" << d.fragment << " seq " << d.seq
-         << " disagrees: N" << head->node << " decided "
-         << (head->commit ? "commit" : "abort") << ", N" << d.node
-         << " decided " << (d.commit ? "commit" : "abort");
-      return CheckReport::Fail(os.str(), {head->txn, d.txn});
-    }
+  const DecidedSlots slots = GroupDecisions(history);
+  if (slots.clash != nullptr) {
+    const CommitDecisionRecord* head = slots.clash_first;
+    const CommitDecisionRecord* d = slots.clash;
+    std::ostringstream os;
+    os << "commit decision for F" << d->fragment << " seq " << d->seq
+       << " disagrees: N" << head->node << " decided "
+       << (head->commit ? "commit" : "abort") << ", N" << d->node
+       << " decided " << (d->commit ? "commit" : "abort");
+    return CheckReport::Fail(os.str(), {head->txn, d->txn});
   }
-  for (const auto& [slot, d] : first) {
+  for (const CommitDecisionRecord* d : slots.first) {
     if (!d->commit || d->txn == kInvalidTxn) continue;
     const TxnRecord* rec = history.FindTxn(d->txn);
     if (rec == nullptr || !rec->committed) {
       std::ostringstream os;
-      os << "F" << slot.first << " seq " << slot.second
+      os << "F" << d->fragment << " seq " << d->seq
          << " decided commit for T" << d->txn
          << " but the history does not mark it committed";
       return CheckReport::Fail(os.str(), {d->txn});
     }
   }
-  return CheckInstallsAgainst(history, first);
+  return CheckInstallsAgainst(history, slots);
 }
 
 CheckReport CheckDecidedInstalls(const History& history) {
-  DecidedSlots decided;
-  for (const CommitDecisionRecord& d : history.decisions()) {
-    decided.try_emplace({d.fragment, d.seq}, &d);
-  }
-  return CheckInstallsAgainst(history, decided);
+  return CheckInstallsAgainst(history, GroupDecisions(history));
 }
 
 CheckReport CheckMutualConsistency(
@@ -315,7 +411,7 @@ PredicateTimeline TracePredicate(const History& history,
     timeline.transitions.emplace_back(0, false);
   }
   for (const InstallRecord* rec : installs) {
-    for (const WriteOp& w : rec->writes) {
+    for (const WriteOp& w : history.WritesOf(*rec)) {
       if (values.count(w.object) > 0) values[w.object] = w.value;
     }
     bool now = eval();

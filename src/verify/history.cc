@@ -1,79 +1,259 @@
 #include "verify/history.h"
 
 #include <algorithm>
-#include <set>
+#include <cstdint>
+#include <limits>
+#include <tuple>
 
 #include "common/logging.h"
 
 namespace fragdb {
 
+namespace {
+
+/// `n` as a 32-bit count or index.
+uint32_t Narrow32(size_t n) {
+  FRAGDB_CHECK(n <= std::numeric_limits<uint32_t>::max());
+  return static_cast<uint32_t>(n);
+}
+
+/// The write arena stays addressable by InstallRecord's 32-bit offsets.
+void CheckArenaSize(size_t size) {
+  FRAGDB_CHECK(size <= std::numeric_limits<uint32_t>::max());
+}
+
+/// Orders (id, value) pairs, and a pair against a bare id, by id.
+struct ById {
+  template <typename V>
+  bool operator()(const std::pair<TxnId, V>& a,
+                  const std::pair<TxnId, V>& b) const {
+    return a.first < b.first;
+  }
+  template <typename V>
+  bool operator()(const std::pair<TxnId, V>& a, TxnId b) const {
+    return a.first < b;
+  }
+};
+
+/// Groups (fragment, value) pairs into per-fragment lists, keeping the
+/// pairs' order within each fragment.
+template <typename Lists, typename V>
+void GroupByFragment(std::vector<std::pair<FragmentId, V>> pairs,
+                     Lists* out) {
+  std::stable_sort(pairs.begin(), pairs.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    if (i == 0 || pairs[i].first != pairs[i - 1].first) {
+      out->fragments.push_back(pairs[i].first);
+      out->lists.emplace_back();
+    }
+    out->lists.back().push_back(pairs[i].second);
+  }
+}
+
+/// Appends `from` to `to`.
+template <typename T>
+void Append(std::vector<T>* to, std::vector<T>&& from) {
+  to->insert(to->end(), std::make_move_iterator(from.begin()),
+             std::make_move_iterator(from.end()));
+}
+
+}  // namespace
+
+std::span<const std::pair<TxnId, SeqNum>> VersionChainTable::Find(
+    ObjectId object) const {
+  auto it = std::lower_bound(objects.begin(), objects.end(), object);
+  if (it == objects.end() || *it != object) return {};
+  return chain(static_cast<size_t>(it - objects.begin()));
+}
+
+template <typename V>
+const std::vector<V>& History::FragmentLists<V>::Find(
+    FragmentId fragment) const {
+  static const std::vector<V> kEmpty;
+  auto it = std::lower_bound(fragments.begin(), fragments.end(), fragment);
+  if (it == fragments.end() || *it != fragment) return kEmpty;
+  return lists[static_cast<size_t>(it - fragments.begin())];
+}
+
 void History::RegisterTxn(const TxnRecord& record) {
   FRAGDB_CHECK(record.id != kInvalidTxn);
   DropLookups();
-  txns_[record.id] = record;
+  txn_log_.events.push_back(
+      {record.id, 0, static_cast<int64_t>(txn_log_.registrations.size())});
+  txn_log_.registrations.push_back(record);
 }
 
 void History::MarkCommitted(TxnId id, SeqNum frag_seq) {
-  auto it = txns_.find(id);
-  FRAGDB_CHECK(it != txns_.end());
-  DropLookups();
-  it->second.committed = true;
-  it->second.frag_seq = frag_seq;
+  FRAGDB_CHECK(FindTxn(id) != nullptr);
+  MarkCommittedPartial(id, frag_seq);
 }
 
 void History::MarkCommittedPartial(TxnId id, SeqNum frag_seq) {
   DropLookups();
-  TxnRecord& rec = txns_[id];
-  rec.id = id;
-  rec.committed = true;
-  rec.frag_seq = frag_seq;
+  txn_log_.events.push_back({id, frag_seq, -1});
 }
 
-void History::AbsorbShard(History* shard) {
-  DropLookups();
-  shard->DropLookups();
-  for (auto& [id, rec] : shard->txns_) {
-    auto [it, inserted] = txns_.try_emplace(id);
-    if (inserted) {
-      it->second = std::move(rec);
-      continue;
+TxnId History::FoldTxnLogs(TxnTable* table, std::span<TxnLog* const> logs) {
+  // Every event once, by (id, log, position in log): the order in which
+  // the per-log, then cross-log, merge below consumes them.
+  struct Key {
+    TxnId id;
+    uint32_t log;
+    uint32_t event;
+  };
+  std::vector<Key> keys;
+  size_t total = 0;
+  for (const TxnLog* log : logs) total += log->events.size();
+  if (total == 0) return kInvalidTxn;
+  keys.reserve(total);
+  for (size_t l = 0; l < logs.size(); ++l) {
+    const std::vector<TxnLog::Event>& events = logs[l]->events;
+    for (size_t e = 0; e < events.size(); ++e) {
+      keys.push_back({events[e].id, Narrow32(l), Narrow32(e)});
     }
-    TxnRecord& dst = it->second;
-    if (rec.registered()) {
-      bool was_committed = dst.committed;
-      SeqNum was_seq = dst.frag_seq;
-      dst = std::move(rec);
-      if (was_committed && !dst.committed) {
-        dst.committed = true;
-        dst.frag_seq = was_seq;
+  }
+  // Pushed in (log, event) order, so a stable sort by id completes it.
+  std::stable_sort(keys.begin(), keys.end(),
+                   [](const Key& a, const Key& b) { return a.id < b.id; });
+
+  // Within one log, a registration replaces the record and a commit mark
+  // sets only committed and frag_seq.
+  auto apply = [](TxnLog& log, const TxnLog::Event& e,
+                  std::optional<TxnRecord>& rec) {
+    if (e.registration >= 0) {
+      rec = std::move(log.registrations[static_cast<size_t>(e.registration)]);
+      return;
+    }
+    if (!rec.has_value()) {
+      rec.emplace();
+      rec->id = e.id;
+    }
+    rec->committed = true;
+    rec->frag_seq = e.frag_seq;
+  };
+  // Across logs, a registration adopts a commit mark already merged, and
+  // a bare commit mark updates the merged record.
+  auto merge = [](TxnRecord&& shard, std::optional<TxnRecord>& rec) {
+    if (!rec.has_value()) {
+      rec = std::move(shard);
+    } else if (shard.registered()) {
+      const bool was_committed = rec->committed;
+      const SeqNum was_seq = rec->frag_seq;
+      *rec = std::move(shard);
+      if (was_committed && !rec->committed) {
+        rec->committed = true;
+        rec->frag_seq = was_seq;
       }
-    } else if (rec.committed) {
-      dst.committed = true;
-      dst.frag_seq = rec.frag_seq;
+    } else if (shard.committed) {
+      rec->committed = true;
+      rec->frag_seq = shard.frag_seq;
+    }
+  };
+
+  // Known ids update in place; new ones collect in `fresh` (ascending)
+  // and merge in after, moving only the table's tail past the first.
+  size_t ids = 0;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ids += i == 0 || keys[i].id != keys[i - 1].id;
+  }
+  TxnTable fresh;
+  fresh.reserve(ids);
+  auto at = table->begin();
+  TxnId orphan = kInvalidTxn;
+  for (size_t i = 0; i < keys.size();) {
+    const TxnId id = keys[i].id;
+    at = std::lower_bound(at, table->end(), id, ById());
+    const bool known = at != table->end() && at->first == id;
+    std::optional<TxnRecord> rec;
+    if (known) rec = std::move(at->second);
+    bool shard_committed = false;
+    while (i < keys.size() && keys[i].id == id) {
+      const uint32_t l = keys[i].log;
+      TxnLog& log = *logs[l];
+      std::optional<TxnRecord> shard;
+      std::optional<TxnRecord>& into = l == 0 ? rec : shard;
+      for (; i < keys.size() && keys[i].id == id && keys[i].log == l; ++i) {
+        apply(log, log.events[keys[i].event], into);
+      }
+      if (l == 0) continue;
+      shard_committed = shard_committed || shard->committed;
+      merge(std::move(*shard), rec);
+    }
+    if (shard_committed && !rec->registered() && orphan == kInvalidTxn) {
+      orphan = id;
+    }
+    if (known) {
+      at->second = std::move(*rec);
+    } else {
+      fresh.emplace_back(id, std::move(*rec));
     }
   }
-  shard->txns_.clear();
-  reads_.insert(reads_.end(), std::make_move_iterator(shard->reads_.begin()),
-                std::make_move_iterator(shard->reads_.end()));
-  shard->reads_.clear();
-  installs_.insert(installs_.end(),
-                   std::make_move_iterator(shard->installs_.begin()),
-                   std::make_move_iterator(shard->installs_.end()));
-  shard->installs_.clear();
-  quorum_writes_.insert(quorum_writes_.end(), shard->quorum_writes_.begin(),
-                        shard->quorum_writes_.end());
-  shard->quorum_writes_.clear();
-  quorum_reads_.insert(quorum_reads_.end(),
-                       std::make_move_iterator(shard->quorum_reads_.begin()),
-                       std::make_move_iterator(shard->quorum_reads_.end()));
-  shard->quorum_reads_.clear();
-  decisions_.insert(decisions_.end(), shard->decisions_.begin(),
-                    shard->decisions_.end());
-  shard->decisions_.clear();
-  for (const auto& [node, count] : shard->next_node_order_) {
-    int64_t& mine = next_node_order_[node];
-    mine = std::max(mine, count);
+  if (table->empty()) {
+    *table = std::move(fresh);
+  } else if (!fresh.empty()) {
+    const size_t old_size = table->size();
+    table->insert(table->end(), std::make_move_iterator(fresh.begin()),
+                  std::make_move_iterator(fresh.end()));
+    const auto mid = table->begin() + static_cast<ptrdiff_t>(old_size);
+    std::inplace_merge(std::upper_bound(table->begin(), mid, *mid, ById()),
+                       mid, table->end(), ById());
   }
+  for (TxnLog* log : logs) *log = TxnLog{};
+  return orphan;
+}
+
+void History::FoldTxnLog() const {
+  if (txn_log_.events.empty()) return;
+  TxnLog* log = &txn_log_;
+  FoldTxnLogs(&txns_, {&log, 1});
+}
+
+TxnId History::AbsorbShards(std::span<History> shards) {
+  DropLookups();
+  std::vector<TxnLog*> logs{&txn_log_};
+  for (History& shard : shards) logs.push_back(&shard.txn_log_);
+  const TxnId orphan = FoldTxnLogs(&txns_, logs);
+  // Room for every shard's records, and as many again: the next merge
+  // (a drain after the run) then rarely moves the records, repeated runs
+  // stay linear, and pages never written cost no resident memory.
+  auto grow = [shards](auto& mine, auto member) {
+    size_t need = mine.size();
+    for (const History& shard : shards) need += (shard.*member).size();
+    if (need > mine.capacity()) mine.reserve(2 * need);
+  };
+  grow(writes_, &History::writes_);
+  grow(installs_, &History::installs_);
+  grow(reads_, &History::reads_);
+  grow(quorum_writes_, &History::quorum_writes_);
+  grow(quorum_reads_, &History::quorum_reads_);
+  grow(decisions_, &History::decisions_);
+  for (History& shard : shards) {
+    shard.DropLookups();
+    const uint32_t base = static_cast<uint32_t>(writes_.size());
+    Append(&writes_, std::move(shard.writes_));
+    CheckArenaSize(writes_.size());
+    const size_t first = installs_.size();
+    Append(&installs_, std::move(shard.installs_));
+    for (size_t i = first; i < installs_.size(); ++i) {
+      installs_[i].write_offset += base;
+    }
+    Append(&reads_, std::move(shard.reads_));
+    Append(&quorum_writes_, std::move(shard.quorum_writes_));
+    Append(&quorum_reads_, std::move(shard.quorum_reads_));
+    Append(&decisions_, std::move(shard.decisions_));
+    for (const auto& [node, count] : shard.next_node_order_) {
+      int64_t& mine = next_node_order_[node];
+      mine = std::max(mine, count);
+    }
+    // Release the shard's storage; its install counters carry on.
+    std::map<NodeId, int64_t> counters = std::move(shard.next_node_order_);
+    shard = History();
+    shard.next_node_order_ = std::move(counters);
+  }
+  return orphan;
 }
 
 void History::RecordRead(const ReadRecord& read) {
@@ -101,26 +281,35 @@ void History::RecordInstall(NodeId node, const QuasiTxn& quasi, SimTime at,
   DropLookups();
   InstallRecord rec;
   rec.node = node;
+  rec.incarnation = incarnation;
   rec.writer = quasi.origin_txn;
   rec.fragment = quasi.fragment;
+  rec.origin_node = quasi.origin_node;
   rec.seq = quasi.seq;
-  rec.writes = quasi.writes;
+  rec.write_offset = static_cast<uint32_t>(writes_.size());
+  rec.write_count = static_cast<uint32_t>(quasi.writes.size());
   rec.at = at;
   rec.node_order = next_node_order_[node]++;
-  rec.origin_node = quasi.origin_node;
   rec.origin_time = quasi.origin_time;
-  rec.incarnation = incarnation;
-  installs_.push_back(std::move(rec));
+  writes_.insert(writes_.end(), quasi.writes.begin(), quasi.writes.end());
+  CheckArenaSize(writes_.size());
+  installs_.push_back(rec);
+}
+
+const History::TxnTable& History::txns() const {
+  FoldTxnLog();
+  return txns_;
 }
 
 const TxnRecord* History::FindTxn(TxnId id) const {
-  auto it = txns_.find(id);
-  return it == txns_.end() ? nullptr : &it->second;
+  FoldTxnLog();
+  auto it = std::lower_bound(txns_.begin(), txns_.end(), id, ById());
+  return it == txns_.end() || it->first != id ? nullptr : &it->second;
 }
 
 std::string History::DebugString() const {
   std::string out;
-  for (const auto& [id, rec] : txns_) {
+  for (const auto& [id, rec] : txns()) {
     out += "T" + std::to_string(id);
     if (!rec.label.empty()) out += " \"" + rec.label + "\"";
     out += rec.read_only ? " [ro]" : "";
@@ -139,86 +328,155 @@ std::string History::DebugString() const {
 
 const History::Lookups& History::lookups() const {
   if (cache_.tables.has_value()) return *cache_.tables;
+  FoldTxnLog();
   Lookups& t = cache_.tables.emplace();
-  // Version chains: installs replicate the same version at several nodes,
-  // so collect distinct (seq, writer) pairs per object, in seq order.
+  // Installs replicate each version at several nodes: sort them by
+  // version, (writer, fragment, seq), so each writer's copies sit
+  // together, and read one copy's writes per version (plus any copy whose
+  // write set differs, which nothing the engine records does).
+  struct Copy {
+    TxnId writer;
+    SeqNum seq;
+    FragmentId fragment;
+    uint32_t index;
+  };
+  std::vector<Copy> copies;
+  copies.reserve(installs_.size());
+  for (size_t i = 0; i < installs_.size(); ++i) {
+    const InstallRecord& rec = installs_[i];
+    copies.push_back({rec.writer, rec.seq, rec.fragment, Narrow32(i)});
+  }
+  // Pushed in record order, so each version's first copy comes first.
+  std::stable_sort(copies.begin(), copies.end(),
+                   [](const Copy& a, const Copy& b) {
+                     return std::tie(a.writer, a.fragment, a.seq) <
+                            std::tie(b.writer, b.fragment, b.seq);
+                   });
+  // (object, seq, writer, fragment) of every distinct version written.
+  struct Version {
+    ObjectId object;
+    SeqNum seq;
+    TxnId writer;
+    FragmentId fragment;
+  };
+  std::vector<Version> versions;
+  auto same_version = [](const Copy& a, const Copy& b) {
+    return a.writer == b.writer && a.fragment == b.fragment && a.seq == b.seq;
+  };
+  for (size_t i = 0; i < copies.size();) {
+    const Copy& head = copies[i];
+    const std::span<const WriteOp> head_writes =
+        WritesOf(installs_[head.index]);
+    for (; i < copies.size() && same_version(copies[i], head); ++i) {
+      std::span<const WriteOp> writes = WritesOf(installs_[copies[i].index]);
+      if (&copies[i] != &head && std::ranges::equal(writes, head_writes)) {
+        continue;
+      }
+      for (const WriteOp& w : writes) {
+        versions.push_back({w.object, head.seq, head.writer, head.fragment});
+      }
+    }
+    // A writer's first install: the earliest head among its versions.
+    std::vector<std::pair<TxnId, size_t>>& first = t.first_install;
+    if (first.empty() || first.back().first != head.writer) {
+      first.emplace_back(head.writer, head.index);
+    } else if (head.index < first.back().second) {
+      first.back().second = head.index;
+    }
+  }
+  // Version chains: distinct (seq, writer) per object, in seq order.
   // Repackaged §4.4.3 transactions produce distinct writers with fresh
   // sequence numbers, so ordering by seq stays total per fragment.
-  std::map<ObjectId, std::set<std::pair<SeqNum, TxnId>>> seen;
+  std::sort(versions.begin(), versions.end(),
+            [](const Version& a, const Version& b) {
+              return std::tie(a.object, a.seq, a.writer, a.fragment) <
+                     std::tie(b.object, b.seq, b.writer, b.fragment);
+            });
+  VersionChainTable& chains = t.versions;
   // Nearly always a single fragment per object, but nothing in the
   // record format forbids several fragments' updaters writing one
   // object, so file such an object (and its reads) under each.
-  std::map<ObjectId, std::set<FragmentId>> fragments_of;
-  for (const InstallRecord& rec : installs_) {
-    t.writes.try_emplace(rec.writer, &rec.writes);
-    for (const WriteOp& w : rec.writes) {
-      seen[w.object].emplace(rec.seq, rec.writer);
-      fragments_of[w.object].insert(rec.fragment);
-    }
-  }
-  for (const auto& [object, chain] : seen) {
-    std::vector<std::pair<TxnId, SeqNum>>& out = t.versions[object];
-    out.reserve(chain.size());
-    for (const auto& [seq, writer] : chain) out.emplace_back(writer, seq);
-    for (FragmentId f : fragments_of[object]) {
-      t.objects_of[f].push_back(object);
-    }
-  }
-  for (const auto& [id, rec] : txns_) {
-    if (rec.committed && !rec.read_only) {
-      t.updaters[rec.type_fragment].push_back(id);
-    }
-  }
-  for (const ReadRecord& r : reads_) {
-    auto it = fragments_of.find(r.object);
-    if (it == fragments_of.end()) {
-      t.reads_on[kInvalidFragment].push_back(&r);
+  std::vector<std::pair<ObjectId, FragmentId>> object_fragments;
+  for (size_t i = 0; i < versions.size(); ++i) {
+    const Version& v = versions[i];
+    object_fragments.emplace_back(v.object, v.fragment);
+    if (i == 0 || v.object != versions[i - 1].object) {
+      chains.objects.push_back(v.object);
+      chains.starts.push_back(chains.versions.size());
+    } else if (v.seq == versions[i - 1].seq &&
+               v.writer == versions[i - 1].writer) {
       continue;
     }
-    for (FragmentId f : it->second) t.reads_on[f].push_back(&r);
+    chains.versions.emplace_back(v.writer, v.seq);
   }
+  chains.starts.push_back(chains.versions.size());
+  std::sort(object_fragments.begin(), object_fragments.end());
+  object_fragments.erase(
+      std::unique(object_fragments.begin(), object_fragments.end()),
+      object_fragments.end());
+
+  std::vector<std::pair<FragmentId, ObjectId>> objects_of;
+  objects_of.reserve(object_fragments.size());
+  for (const auto& [object, fragment] : object_fragments) {
+    objects_of.emplace_back(fragment, object);
+  }
+  GroupByFragment(std::move(objects_of), &t.objects_of);
+
+  std::vector<std::pair<FragmentId, TxnId>> updaters;
+  for (const auto& [id, rec] : txns_) {
+    if (rec.committed && !rec.read_only) {
+      updaters.emplace_back(rec.type_fragment, id);
+    }
+  }
+  GroupByFragment(std::move(updaters), &t.updaters);
+
+  std::vector<std::pair<FragmentId, const ReadRecord*>> reads_on;
+  reads_on.reserve(reads_.size());
+  for (const ReadRecord& r : reads_) {
+    auto it = std::lower_bound(
+        object_fragments.begin(), object_fragments.end(), r.object,
+        [](const std::pair<ObjectId, FragmentId>& e, ObjectId key) {
+          return e.first < key;
+        });
+    if (it == object_fragments.end() || it->first != r.object) {
+      reads_on.emplace_back(kInvalidFragment, &r);
+      continue;
+    }
+    for (; it != object_fragments.end() && it->first == r.object; ++it) {
+      reads_on.emplace_back(it->second, &r);
+    }
+  }
+  GroupByFragment(std::move(reads_on), &t.reads_on);
   return t;
 }
 
-namespace {
-
-/// The entry for `key`, or a shared empty value.
-template <typename Map>
-const typename Map::mapped_type& FindOrEmpty(const Map& map,
-                                             const typename Map::key_type& key) {
-  static const typename Map::mapped_type kEmpty{};
-  auto it = map.find(key);
-  return it == map.end() ? kEmpty : it->second;
-}
-
-}  // namespace
-
-const std::vector<std::pair<TxnId, SeqNum>>& History::VersionsOf(
+std::span<const std::pair<TxnId, SeqNum>> History::VersionsOf(
     ObjectId object) const {
-  return FindOrEmpty(lookups().versions, object);
+  return lookups().versions.Find(object);
 }
 
-const std::vector<WriteOp>& History::WritesOf(TxnId writer) const {
-  static const std::vector<WriteOp> kEmpty;
-  const std::vector<WriteOp>* writes = FindOrEmpty(lookups().writes, writer);
-  return writes == nullptr ? kEmpty : *writes;
+std::span<const WriteOp> History::WritesOf(TxnId writer) const {
+  const std::vector<std::pair<TxnId, size_t>>& first =
+      lookups().first_install;
+  auto it = std::lower_bound(first.begin(), first.end(), writer, ById());
+  if (it == first.end() || it->first != writer) return {};
+  return WritesOf(installs_[it->second]);
 }
 
 const std::vector<TxnId>& History::UpdatersOf(FragmentId fragment) const {
-  return FindOrEmpty(lookups().updaters, fragment);
+  return lookups().updaters.Find(fragment);
 }
 
 const std::vector<ObjectId>& History::ObjectsOf(FragmentId fragment) const {
-  return FindOrEmpty(lookups().objects_of, fragment);
+  return lookups().objects_of.Find(fragment);
 }
 
 const std::vector<const ReadRecord*>& History::ReadsOn(
     FragmentId fragment) const {
-  return FindOrEmpty(lookups().reads_on, fragment);
+  return lookups().reads_on.Find(fragment);
 }
 
-const std::map<ObjectId, std::vector<std::pair<TxnId, SeqNum>>>&
-History::VersionChains() const {
+const VersionChainTable& History::VersionChains() const {
   return lookups().versions;
 }
 

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,7 +52,9 @@ struct ReadRecord {
 /// One installation of a (quasi-)transaction's writes at one replica.
 /// `node_order` is the position in that node's install sequence: the
 /// "order in which updates were installed in the copy at node X" that the
-/// paper's serialization-graph definitions consult.
+/// paper's serialization-graph definitions consult. The record is fixed
+/// size: its writes live in the recording History's write arena, read
+/// them through History::WritesOf(const InstallRecord&).
 struct InstallRecord {
   NodeId node = kInvalidNode;
   /// The installing node's volatile lifetime (0 until its first amnesia
@@ -59,14 +62,16 @@ struct InstallRecord {
   int incarnation = 0;
   TxnId writer = kInvalidTxn;
   FragmentId fragment = kInvalidFragment;
-  SeqNum seq = 0;
-  std::vector<WriteOp> writes;
-  SimTime at = 0;
-  int64_t node_order = 0;
   /// Where and when the quasi-transaction committed at its origin; a
   /// record with node != origin_node is a replica install, and
   /// at - origin_time is its replication lag.
   NodeId origin_node = kInvalidNode;
+  SeqNum seq = 0;
+  /// The writes: `write_count` entries from `write_offset` in the arena.
+  uint32_t write_offset = 0;
+  uint32_t write_count = 0;
+  SimTime at = 0;
+  int64_t node_order = 0;
   SimTime origin_time = 0;
 };
 
@@ -108,39 +113,71 @@ struct CommitDecisionRecord {
   SimTime at = 0;
 };
 
+/// Every object's version chain, objects ascending: the flat form of a
+/// map from object to its (writer, seq) versions in version order.
+struct VersionChainTable {
+  std::vector<ObjectId> objects;
+  /// Chain i is versions[starts[i], starts[i + 1]).
+  std::vector<size_t> starts;
+  std::vector<std::pair<TxnId, SeqNum>> versions;
+
+  size_t size() const { return objects.size(); }
+  std::span<const std::pair<TxnId, SeqNum>> chain(size_t i) const {
+    return {versions.data() + starts[i], versions.data() + starts[i + 1]};
+  }
+  /// The chain of `object`, or an empty span.
+  std::span<const std::pair<TxnId, SeqNum>> Find(ObjectId object) const;
+};
+
 /// Append-only record of a run, consumed by the serialization-graph
 /// builders and checkers. The engine writes it through narrow hooks, so
 /// the checkers validate the engine instead of trusting it.
 ///
+/// Recording never looks anything up: RegisterTxn and MarkCommitted*
+/// append to a transaction log, and installs append fixed-size records
+/// plus their writes to one arena. The log is folded into the id-ordered
+/// transaction table (txns()) on the first read after it grew, and by
+/// AbsorbShards.
+///
 /// The lookups (VersionsOf through VersionChains) answer from tables
 /// built in one pass over the record on the first lookup after a
 /// mutation; every mutation (RegisterTxn, MarkCommitted*, Record*,
-/// AbsorbShard) drops them. A returned reference stays valid until the
-/// next mutation. Copies and moves start without tables. Concurrent first
-/// lookups are not supported: query a history only after the run that
-/// records it has quiesced.
+/// AbsorbShards) drops them. A returned reference or span stays valid
+/// until the next mutation. Copies and moves start without tables.
+/// Concurrent first reads are not supported: query a history only after
+/// the run that records it has quiesced.
 class History {
  public:
+  /// Transactions in ascending id order.
+  using TxnTable = std::vector<std::pair<TxnId, TxnRecord>>;
+
   History() = default;
 
-  /// Declares a transaction before (or as) it executes.
+  /// Declares a transaction before (or as) it executes. A later
+  /// registration of the same id replaces the record, commit state
+  /// included.
   void RegisterTxn(const TxnRecord& record);
 
   /// Marks a registered transaction committed and records its sequence.
   void MarkCommitted(TxnId id, SeqNum frag_seq);
 
-  /// Shard variant of MarkCommitted: upserts, because the commit may be
-  /// recorded in a different per-node shard than the registration (e.g. a
-  /// repackaged commit after an agent move). AbsorbShard joins the halves.
+  /// Shard variant of MarkCommitted: needs no registration, because the
+  /// commit may be recorded in a different per-node shard than the
+  /// registration (e.g. a repackaged commit after an agent move). A mark
+  /// alone yields a record with only id, committed and frag_seq set;
+  /// AbsorbShards joins the halves.
   void MarkCommittedPartial(TxnId id, SeqNum frag_seq);
 
-  /// Folds a per-node shard into this history and empties it (the
-  /// shard's per-node install counters survive, so recording can resume
-  /// after the merge). Partial TxnRecords merge field-wise: a
-  /// registration adopts any commit mark already present and vice versa.
-  /// Called between runs in ascending node order — a deterministic
-  /// merge independent of worker-thread count.
-  void AbsorbShard(History* shard);
+  /// Folds per-node shards into this history, in the order given, and
+  /// empties them (a shard's per-node install counters survive, so
+  /// recording can resume after the merge). Records are appended shard by
+  /// shard. Transactions merge field-wise: each shard's log is first
+  /// folded on its own, then a registration adopts any commit mark
+  /// already merged and vice versa. Called between runs in ascending node
+  /// order — a deterministic merge independent of worker-thread count.
+  /// Returns the lowest id a shard marked committed that no registration
+  /// covers after the merge, or kInvalidTxn.
+  TxnId AbsorbShards(std::span<History> shards);
 
   void RecordRead(const ReadRecord& read);
 
@@ -152,7 +189,7 @@ class History {
   void RecordQuorumRead(const QuorumReadRecord& record);
   void RecordDecision(const CommitDecisionRecord& record);
 
-  const std::map<TxnId, TxnRecord>& txns() const { return txns_; }
+  const TxnTable& txns() const;
   const std::vector<ReadRecord>& reads() const { return reads_; }
   const std::vector<InstallRecord>& installs() const { return installs_; }
   const std::vector<QuorumWriteRecord>& quorum_writes() const {
@@ -171,14 +208,18 @@ class History {
   /// checks): id, label, type, home, commit state, sequence, write count.
   std::string DebugString() const;
 
+  /// The writes of one of this history's install records.
+  std::span<const WriteOp> WritesOf(const InstallRecord& install) const {
+    return {writes_.data() + install.write_offset, install.write_count};
+  }
+
   /// Version list of `object`: (writer, seq) in version order (fragment
   /// sequence order), excluding the initial version.
-  const std::vector<std::pair<TxnId, SeqNum>>& VersionsOf(
-      ObjectId object) const;
+  std::span<const std::pair<TxnId, SeqNum>> VersionsOf(ObjectId object) const;
 
   /// All writes of `writer` (as installed anywhere; installs of one
   /// transaction carry identical write sets, so the first is kept).
-  const std::vector<WriteOp>& WritesOf(TxnId writer) const;
+  std::span<const WriteOp> WritesOf(TxnId writer) const;
 
   /// Committed transactions that updated `fragment`, in id order — the
   /// paper's U(F_i).
@@ -195,17 +236,39 @@ class History {
   /// produce no edges; they are filed under kInvalidFragment.
   const std::vector<const ReadRecord*>& ReadsOn(FragmentId fragment) const;
 
-  /// Every version chain, keyed by object — for whole-history sweeps.
-  const std::map<ObjectId, std::vector<std::pair<TxnId, SeqNum>>>&
-  VersionChains() const;
+  /// Every version chain, by object — for whole-history sweeps.
+  const VersionChainTable& VersionChains() const;
 
  private:
+  /// RegisterTxn and MarkCommitted* in record order. A registration's
+  /// record sits in `registrations`; a commit mark carries its frag_seq.
+  struct TxnLog {
+    struct Event {
+      TxnId id = kInvalidTxn;
+      SeqNum frag_seq = 0;
+      /// Index into `registrations`, or -1 for a commit mark.
+      int64_t registration = -1;
+    };
+    std::vector<Event> events;
+    std::vector<TxnRecord> registrations;
+  };
+
+  /// Lists filed under a few fragment ids: lists[i] belongs to
+  /// fragments[i], and fragments is ascending.
+  template <typename V>
+  struct FragmentLists {
+    std::vector<FragmentId> fragments;
+    std::vector<std::vector<V>> lists;
+    const std::vector<V>& Find(FragmentId fragment) const;
+  };
+
   struct Lookups {
-    std::map<ObjectId, std::vector<std::pair<TxnId, SeqNum>>> versions;
-    std::map<TxnId, const std::vector<WriteOp>*> writes;
-    std::map<FragmentId, std::vector<TxnId>> updaters;
-    std::map<FragmentId, std::vector<ObjectId>> objects_of;
-    std::map<FragmentId, std::vector<const ReadRecord*>> reads_on;
+    VersionChainTable versions;
+    /// (writer, index of its first install), by writer.
+    std::vector<std::pair<TxnId, size_t>> first_install;
+    FragmentLists<TxnId> updaters;
+    FragmentLists<ObjectId> objects_of;
+    FragmentLists<const ReadRecord*> reads_on;
   };
   /// Holds the lookup tables; a copy or move of it (hence of the History)
   /// starts empty, and a moved-from one is emptied too, since the tables
@@ -226,12 +289,23 @@ class History {
     std::optional<Lookups> tables;
   };
 
+  /// Folds `logs` into `table`, consuming them. logs[0] is the table's
+  /// own log and applies onto it; each later log is a shard's, folded on
+  /// its own and then merged field-wise. Returns the lowest id a shard
+  /// marked committed that ends up unregistered, or kInvalidTxn.
+  static TxnId FoldTxnLogs(TxnTable* table, std::span<TxnLog* const> logs);
+  /// Folds txn_log_ into txns_.
+  void FoldTxnLog() const;
   const Lookups& lookups() const;
   void DropLookups() { cache_.tables.reset(); }
 
-  std::map<TxnId, TxnRecord> txns_;
+  /// Folded on read, hence mutable.
+  mutable TxnTable txns_;
+  mutable TxnLog txn_log_;
   std::vector<ReadRecord> reads_;
   std::vector<InstallRecord> installs_;
+  /// The write arena every InstallRecord points into.
+  std::vector<WriteOp> writes_;
   std::vector<QuorumWriteRecord> quorum_writes_;
   std::vector<QuorumReadRecord> quorum_reads_;
   std::vector<CommitDecisionRecord> decisions_;

@@ -1,70 +1,142 @@
 #include "verify/serialization_graph.h"
 
 #include <algorithm>
-#include <functional>
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <tuple>
 
 #include "common/logging.h"
 
 namespace fragdb {
 
-void TxnGraph::AddVertex(TxnId v) { adj_[v]; }
+namespace {
+
+/// Whether ascending `ids` holds `id`.
+bool Contains(const std::vector<TxnId>& ids, TxnId id) {
+  return std::binary_search(ids.begin(), ids.end(), id);
+}
+
+}  // namespace
+
+void TxnGraph::AddVertex(TxnId v) {
+  vertices_.push_back(v);
+  sealed_ = false;
+}
 
 void TxnGraph::AddEdge(TxnId from, TxnId to) {
   if (from == to) return;
-  adj_[from].insert(to);
-  adj_[to];
+  edges_.emplace_back(from, to);
+  sealed_ = false;
+}
+
+void TxnGraph::Seal() const {
+  if (sealed_) return;
+  sealed_ = true;
+  std::sort(edges_.begin(), edges_.end());
+  edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
+  // Maps the edges onto dense indices. An endpoint that is not a vertex
+  // yet becomes one, and the mapping runs again.
+  for (;;) {
+    std::sort(vertices_.begin(), vertices_.end());
+    vertices_.erase(std::unique(vertices_.begin(), vertices_.end()),
+                    vertices_.end());
+    FRAGDB_CHECK(vertices_.size() < std::numeric_limits<uint32_t>::max());
+    starts_.assign(vertices_.size() + 1, 0);
+    targets_.clear();
+    std::vector<TxnId> implied;
+    auto from = vertices_.begin();
+    for (const auto& [source, target] : edges_) {
+      while (from != vertices_.end() && *from < source) ++from;
+      if (from == vertices_.end() || *from != source) {
+        implied.push_back(source);
+      } else {
+        ++starts_[static_cast<size_t>(from - vertices_.begin()) + 1];
+      }
+      auto to = std::lower_bound(vertices_.begin(), vertices_.end(), target);
+      if (to == vertices_.end() || *to != target) {
+        implied.push_back(target);
+      } else {
+        targets_.push_back(static_cast<uint32_t>(to - vertices_.begin()));
+      }
+    }
+    if (implied.empty()) break;
+    vertices_.insert(vertices_.end(), implied.begin(), implied.end());
+  }
+  FRAGDB_CHECK(targets_.size() <= std::numeric_limits<uint32_t>::max());
+  for (size_t v = 0; v < vertices_.size(); ++v) starts_[v + 1] += starts_[v];
+}
+
+bool TxnGraph::HasVertex(TxnId v) const {
+  Seal();
+  return Contains(vertices_, v);
 }
 
 bool TxnGraph::HasEdge(TxnId from, TxnId to) const {
-  auto it = adj_.find(from);
-  return it != adj_.end() && it->second.count(to) > 0;
+  Seal();
+  return std::binary_search(edges_.begin(), edges_.end(),
+                            std::pair<TxnId, TxnId>{from, to});
+}
+
+size_t TxnGraph::vertex_count() const {
+  Seal();
+  return vertices_.size();
 }
 
 size_t TxnGraph::edge_count() const {
-  size_t n = 0;
-  for (const auto& [v, out] : adj_) {
-    (void)v;
-    n += out.size();
-  }
-  return n;
+  Seal();
+  return edges_.size();
 }
 
 std::vector<TxnId> TxnGraph::FindCycle() const {
-  std::map<TxnId, int> color;  // 0 white, 1 gray, 2 black
-  std::vector<TxnId> stack;
-  std::vector<TxnId> cycle;
-
-  std::function<bool(TxnId)> dfs = [&](TxnId v) -> bool {
-    color[v] = 1;
-    stack.push_back(v);
-    auto it = adj_.find(v);
-    if (it != adj_.end()) {
-      for (TxnId next : it->second) {
-        if (color[next] == 1) {
-          auto pos = std::find(stack.begin(), stack.end(), next);
-          cycle.assign(pos, stack.end());
-          return true;
+  Seal();
+  enum : uint8_t { kWhite, kGray, kBlack };
+  std::vector<uint8_t> color(vertices_.size(), kWhite);
+  // The DFS path, and for each vertex on it the next out-edge to try.
+  std::vector<uint32_t> path;
+  std::vector<uint32_t> next_edge;
+  for (uint32_t root = 0; root < vertices_.size(); ++root) {
+    if (color[root] != kWhite) continue;
+    color[root] = kGray;
+    path.push_back(root);
+    next_edge.push_back(starts_[root]);
+    while (!path.empty()) {
+      const uint32_t v = path.back();
+      if (next_edge.back() == starts_[v + 1]) {
+        color[v] = kBlack;
+        path.pop_back();
+        next_edge.pop_back();
+        continue;
+      }
+      const uint32_t next = targets_[next_edge.back()++];
+      if (color[next] == kGray) {
+        std::vector<TxnId> cycle;
+        for (auto it = std::find(path.begin(), path.end(), next);
+             it != path.end(); ++it) {
+          cycle.push_back(vertices_[*it]);
         }
-        if (color[next] == 0 && dfs(next)) return true;
+        return cycle;
+      }
+      if (color[next] == kWhite) {
+        color[next] = kGray;
+        path.push_back(next);
+        next_edge.push_back(starts_[next]);
       }
     }
-    stack.pop_back();
-    color[v] = 2;
-    return false;
-  };
-  for (const auto& [v, out] : adj_) {
-    (void)out;
-    if (color[v] == 0 && dfs(v)) break;
   }
-  return cycle;
+  return {};
 }
 
 std::string TxnGraph::ToDot(const History* history) const {
   std::vector<TxnId> cycle = FindCycle();
-  std::set<TxnId> hot(cycle.begin(), cycle.end());
+  std::vector<bool> hot(vertices_.size(), false);
+  for (TxnId v : cycle) {
+    hot[std::lower_bound(vertices_.begin(), vertices_.end(), v) -
+        vertices_.begin()] = true;
+  }
   std::string out = "digraph gsg {\n";
-  for (const auto& [v, edges] : adj_) {
+  for (uint32_t i = 0; i < vertices_.size(); ++i) {
+    const TxnId v = vertices_[i];
     out += "  T" + std::to_string(v);
     std::string label = "T" + std::to_string(v);
     if (history != nullptr) {
@@ -77,11 +149,12 @@ std::string TxnGraph::ToDot(const History* history) const {
       }
     }
     out += " [label=\"" + label + "\"";
-    if (hot.count(v) > 0) out += ", color=red, penwidth=2";
+    if (hot[i]) out += ", color=red, penwidth=2";
     out += "];\n";
-    for (TxnId to : edges) {
-      out += "  T" + std::to_string(v) + " -> T" + std::to_string(to);
-      if (hot.count(v) > 0 && hot.count(to) > 0) out += " [color=red]";
+    for (uint32_t to : Out(i)) {
+      out += "  T" + std::to_string(v) + " -> T" +
+             std::to_string(vertices_[to]);
+      if (hot[i] && hot[to]) out += " [color=red]";
       out += ";\n";
     }
   }
@@ -97,11 +170,11 @@ namespace {
 /// observations are visited — sound whenever `keep` accepts only pairs
 /// of that fragment's updaters, because every such conflict is anchored
 /// on an object the fragment wrote.
-void AddConflictEdges(const History& history, TxnGraph& g,
-                      const std::function<bool(TxnId, TxnId)>& keep,
+template <typename Keep>
+void AddConflictEdges(const History& history, TxnGraph& g, const Keep& keep,
                       FragmentId fragment = kInvalidFragment) {
   // ww edges: consecutive versions of each object.
-  auto chain_edges = [&](const std::vector<std::pair<TxnId, SeqNum>>& chain) {
+  auto chain_edges = [&](std::span<const std::pair<TxnId, SeqNum>> chain) {
     for (size_t i = 0; i + 1 < chain.size(); ++i) {
       if (keep(chain[i].first, chain[i + 1].first)) {
         g.AddEdge(chain[i].first, chain[i + 1].first);
@@ -117,7 +190,7 @@ void AddConflictEdges(const History& history, TxnGraph& g,
       g.AddEdge(r.version_writer, r.reader);  // wr
     }
     // rw: the first version after the one observed.
-    const auto& chain = history.VersionsOf(r.object);
+    const auto chain = history.VersionsOf(r.object);
     auto next = std::upper_bound(
         chain.begin(), chain.end(), r.version_seq,
         [](SeqNum seq, const std::pair<TxnId, SeqNum>& v) {
@@ -130,10 +203,8 @@ void AddConflictEdges(const History& history, TxnGraph& g,
   };
 
   if (fragment == kInvalidFragment) {
-    for (const auto& [object, chain] : history.VersionChains()) {
-      (void)object;
-      chain_edges(chain);
-    }
+    const VersionChainTable& chains = history.VersionChains();
+    for (size_t i = 0; i < chains.size(); ++i) chain_edges(chains.chain(i));
     for (const ReadRecord& r : history.reads()) read_edges(r);
   } else {
     for (ObjectId o : history.ObjectsOf(fragment)) {
@@ -143,35 +214,38 @@ void AddConflictEdges(const History& history, TxnGraph& g,
   }
 }
 
-}  // namespace
-
-TxnGraph BuildGlobalSerializationGraph(const History& history) {
+/// A graph over `members` (ascending ids) with the conflict edges between
+/// them.
+TxnGraph MemberGraph(const History& history,
+                     const std::vector<TxnId>& members,
+                     FragmentId fragment = kInvalidFragment) {
   TxnGraph g;
-  for (const auto& [id, rec] : history.txns()) {
-    if (rec.committed) g.AddVertex(id);
-  }
+  for (TxnId id : members) g.AddVertex(id);
   auto keep = [&](TxnId a, TxnId b) {
-    return g.HasVertex(a) && g.HasVertex(b);
-  };
-  AddConflictEdges(history, g, keep);
-  return g;
-}
-
-TxnGraph BuildUpdaterGraph(const History& history, FragmentId fragment) {
-  TxnGraph g;
-  for (TxnId id : history.UpdatersOf(fragment)) g.AddVertex(id);
-  auto keep = [&](TxnId a, TxnId b) {
-    return g.HasVertex(a) && g.HasVertex(b);
+    return Contains(members, a) && Contains(members, b);
   };
   AddConflictEdges(history, g, keep, fragment);
   return g;
+}
+
+}  // namespace
+
+TxnGraph BuildGlobalSerializationGraph(const History& history) {
+  std::vector<TxnId> committed;
+  for (const auto& [id, rec] : history.txns()) {
+    if (rec.committed) committed.push_back(id);
+  }
+  return MemberGraph(history, committed);
+}
+
+TxnGraph BuildUpdaterGraph(const History& history, FragmentId fragment) {
+  return MemberGraph(history, history.UpdatersOf(fragment), fragment);
 }
 
 TxnGraph BuildLocalSerializationGraph(const History& history,
                                       FragmentId fragment,
                                       const ReadAccessGraph& rag,
                                       NodeId home_node) {
-  TxnGraph g;
   // Vertex set per Definition 8.3: transactions of type `fragment`, plus
   // transactions of every type F_s that A(fragment)'s transactions read.
   auto in_scope = [&](const TxnRecord& rec) {
@@ -181,9 +255,12 @@ TxnGraph BuildLocalSerializationGraph(const History& history,
            rag.HasEdge(fragment, rec.type_fragment) &&
            !rec.read_only;  // remote readers never materialize here
   };
+  std::vector<TxnId> members;
   for (const auto& [id, rec] : history.txns()) {
-    if (in_scope(rec)) g.AddVertex(id);
+    if (in_scope(rec)) members.push_back(id);
   }
+  TxnGraph g;
+  for (TxnId id : members) g.AddVertex(id);
   auto type_of = [&](TxnId id) -> FragmentId {
     const TxnRecord* rec = history.FindTxn(id);
     return rec ? rec->type_fragment : kInvalidFragment;
@@ -194,7 +271,7 @@ TxnGraph BuildLocalSerializationGraph(const History& history,
   // is what clause (ii) requires; conflicts between two local transactions
   // are clause (i).
   auto keep = [&](TxnId a, TxnId b) {
-    if (!g.HasVertex(a) || !g.HasVertex(b)) return false;
+    if (!Contains(members, a) || !Contains(members, b)) return false;
     FragmentId ta = type_of(a), tb = type_of(b);
     if (ta == fragment || tb == fragment) return true;
     return false;  // clauses (iii)/(iv) are handled below
@@ -203,19 +280,18 @@ TxnGraph BuildLocalSerializationGraph(const History& history,
 
   // (iii): pairs of non-local transactions of the same type, ordered by
   // installation order at home_node. (iv): different types — no edge.
-  std::map<FragmentId, std::vector<std::pair<int64_t, TxnId>>> by_type;
+  std::vector<std::tuple<FragmentId, int64_t, TxnId>> by_type;
   for (const InstallRecord& rec : history.installs()) {
     if (rec.node != home_node) continue;
     const TxnRecord* t = history.FindTxn(rec.writer);
-    if (t == nullptr || !g.HasVertex(rec.writer)) continue;
+    if (t == nullptr || !Contains(members, rec.writer)) continue;
     if (t->type_fragment == fragment) continue;  // local, covered above
-    by_type[t->type_fragment].emplace_back(rec.node_order, rec.writer);
+    by_type.emplace_back(t->type_fragment, rec.node_order, rec.writer);
   }
-  for (auto& [type, seq] : by_type) {
-    (void)type;
-    std::sort(seq.begin(), seq.end());
-    for (size_t i = 0; i + 1 < seq.size(); ++i) {
-      g.AddEdge(seq[i].second, seq[i + 1].second);
+  std::sort(by_type.begin(), by_type.end());
+  for (size_t i = 0; i + 1 < by_type.size(); ++i) {
+    if (std::get<0>(by_type[i]) == std::get<0>(by_type[i + 1])) {
+      g.AddEdge(std::get<2>(by_type[i]), std::get<2>(by_type[i + 1]));
     }
   }
   return g;

@@ -1,8 +1,9 @@
 #ifndef FRAGDB_VERIFY_SERIALIZATION_GRAPH_H_
 #define FRAGDB_VERIFY_SERIALIZATION_GRAPH_H_
 
-#include <map>
-#include <set>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -14,6 +15,12 @@ namespace fragdb {
 /// Directed graph over transaction ids with cycle detection. Used for both
 /// the global serialization graph (paper Definition 8.2) and the local
 /// serialization graphs (Definition 8.3).
+///
+/// AddVertex and AddEdge append; the first query after them sorts the
+/// vertices (a vertex's dense index is its rank by id) and packs the
+/// edges into sorted adjacency vectors. Queries visit vertices and
+/// neighbours in ascending id order. Concurrent first queries are not
+/// supported.
 class TxnGraph {
  public:
   TxnGraph() = default;
@@ -21,15 +28,16 @@ class TxnGraph {
   void AddVertex(TxnId v);
   void AddEdge(TxnId from, TxnId to);
 
-  bool HasVertex(TxnId v) const { return adj_.count(v) > 0; }
+  bool HasVertex(TxnId v) const;
   bool HasEdge(TxnId from, TxnId to) const;
 
-  size_t vertex_count() const { return adj_.size(); }
+  size_t vertex_count() const;
   size_t edge_count() const;
 
   bool Acyclic() const { return FindCycle().empty(); }
 
   /// Returns the vertices of some cycle (in order), or empty if acyclic.
+  /// Iterative, so path length is bounded by memory, not the stack.
   std::vector<TxnId> FindCycle() const;
 
   /// Graphviz DOT rendering, for debugging failed checks. `history` is
@@ -37,10 +45,22 @@ class TxnGraph {
   /// and types, and cycle members are highlighted.
   std::string ToDot(const History* history = nullptr) const;
 
-  const std::map<TxnId, std::set<TxnId>>& adjacency() const { return adj_; }
-
  private:
-  std::map<TxnId, std::set<TxnId>> adj_;
+  /// Sorts what was appended since the last query and rebuilds the
+  /// adjacency.
+  void Seal() const;
+  std::span<const uint32_t> Out(uint32_t v) const {
+    return {targets_.data() + starts_[v], targets_.data() + starts_[v + 1]};
+  }
+
+  /// Ascending and distinct once sealed; index = dense vertex id.
+  mutable std::vector<TxnId> vertices_;
+  /// (from, to) by id; ascending and distinct once sealed.
+  mutable std::vector<std::pair<TxnId, TxnId>> edges_;
+  mutable bool sealed_ = true;
+  /// Vertex v's out-neighbours are targets_[starts_[v], starts_[v + 1]).
+  mutable std::vector<uint32_t> starts_{0};
+  mutable std::vector<uint32_t> targets_;
 };
 
 /// Builds the global serialization graph of Definition 8.2 from a recorded

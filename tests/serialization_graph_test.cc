@@ -68,6 +68,36 @@ TEST(TxnGraphTest, HasEdgeAndVertexQueries) {
   EXPECT_FALSE(g.HasEdge(2, 1));
 }
 
+TEST(TxnGraphTest, LongChainHasNoCycle) {
+  // Deeper than a recursive search survives on a default 8 MB stack.
+  TxnGraph g;
+  const TxnId n = 200000;
+  for (TxnId v = 1; v < n; ++v) g.AddEdge(v, v + 1);
+  EXPECT_TRUE(g.FindCycle().empty());
+  EXPECT_EQ(g.vertex_count(), static_cast<size_t>(n));
+}
+
+TEST(TxnGraphTest, LongChainWithBackEdgeReturnsTheWholeCycle) {
+  TxnGraph g;
+  const TxnId n = 200000;
+  for (TxnId v = 1; v < n; ++v) g.AddEdge(v, v + 1);
+  g.AddEdge(n, 1);
+  std::vector<TxnId> cycle = g.FindCycle();
+  ASSERT_EQ(cycle.size(), static_cast<size_t>(n));
+  for (TxnId v = 1; v <= n; ++v) EXPECT_EQ(cycle[v - 1], v);
+}
+
+TEST(TxnGraphTest, CycleWitnessFollowsAscendingIds) {
+  // Two cycles through T1; edges are added in descending order, and the
+  // search must still take T1's lowest neighbour first.
+  TxnGraph g;
+  g.AddEdge(30, 1);
+  g.AddEdge(1, 30);
+  g.AddEdge(20, 1);
+  g.AddEdge(1, 20);
+  EXPECT_EQ(g.FindCycle(), (std::vector<TxnId>{1, 20}));
+}
+
 // ---------------------------------------------------------------------------
 // Global serialization graph from histories
 // ---------------------------------------------------------------------------
