@@ -67,6 +67,8 @@ struct QuasiTxn {
   NodeId origin_node = kInvalidNode;
   SimTime origin_time = 0;
   std::vector<WriteOp> writes;
+
+  friend bool operator==(const QuasiTxn&, const QuasiTxn&) = default;
 };
 
 /// Lock-table resource identifiers. FragDB locks at fragment granularity

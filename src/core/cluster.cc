@@ -327,10 +327,8 @@ Status Cluster::Start() {
     recovery_ = std::make_unique<RecoveryManager>(this);
     for (NodeId n = 0; n < topology_.node_count(); ++n) {
       stable_.push_back(std::make_unique<StableStorage>());
-      durability_.push_back(std::make_unique<NodeDurability>(
-          n, engine_.get(), stable_[n].get(), &config_.durability,
-          [this, n] { return CaptureCheckpoint(n); }));
-      runtimes_[n]->SetDurability(durability_[n].get());
+      durability_.emplace_back();
+      ResetDurability(n);
     }
   }
   started_ = true;
@@ -1174,6 +1172,10 @@ void Cluster::PaxosDecide(NodeId node, FragmentId fragment, SeqNum seq) {
   PaxosInstance& inst = it->second;
   if (inst.decided) return;
   inst.decided = true;
+  if (inst.recovery_armed) {
+    engine_->CancelNode(node, inst.recovery_tick);
+    inst.recovery_armed = false;
+  }
   paxos_votes_.Close(node, {fragment, seq});
   FRAGDB_CHECK(inst.has_value);
   const TxnId txn = inst.value.origin_txn;
@@ -1265,10 +1267,9 @@ void Cluster::SchedulePaxosRecovery(NodeId node, FragmentId fragment,
   if (it == shard.end() || it->second.decided) return;
   if (it->second.recovery_armed) return;
   it->second.recovery_armed = true;
-  engine_->AfterNode(node, config_.paxos_recovery_timeout,
-                     [this, node, fragment, seq] {
-                       PaxosRecoveryTick(node, fragment, seq);
-                     });
+  it->second.recovery_tick = engine_->AfterNode(
+      node, config_.paxos_recovery_timeout,
+      [this, node, fragment, seq] { PaxosRecoveryTick(node, fragment, seq); });
 }
 
 void Cluster::PaxosRecoveryTick(NodeId node, FragmentId fragment,
@@ -1288,11 +1289,11 @@ void Cluster::PaxosRecoveryTick(NodeId node, FragmentId fragment,
     return;
   }
   inst.strikes += 1;
-  auto rearm = [this, node, fragment, seq] {
-    engine_->AfterNode(node, config_.paxos_recovery_timeout,
-                       [this, node, fragment, seq] {
-                         PaxosRecoveryTick(node, fragment, seq);
-                       });
+  auto rearm = [this, node, fragment, seq, &inst] {
+    inst.recovery_tick = engine_->AfterNode(
+        node, config_.paxos_recovery_timeout, [this, node, fragment, seq] {
+          PaxosRecoveryTick(node, fragment, seq);
+        });
   };
   if (!topology_.IsNodeUp(node) || amnesia_down_[node]) {
     // Ticking while dead would spin the event queue forever; revival
@@ -1357,8 +1358,9 @@ void Cluster::ReschedulePaxosRecovery() {
       inst.recovery_armed = true;
       const FragmentId f = key.first;
       const SeqNum s = key.second;
-      engine_->AfterNode(n, config_.paxos_recovery_timeout,
-                         [this, n, f, s] { PaxosRecoveryTick(n, f, s); });
+      inst.recovery_tick =
+          engine_->AfterNode(n, config_.paxos_recovery_timeout,
+                             [this, n, f, s] { PaxosRecoveryTick(n, f, s); });
     }
   }
 }
@@ -1689,10 +1691,7 @@ Status Cluster::CrashNode(NodeId node, CrashMode mode) {
   // A fresh pipeline: destroying the old one expires the weak references
   // held by its staged-WAL sync and in-flight checkpoint events, which is
   // exactly how the staged suffix gets lost.
-  durability_[node] = std::make_unique<NodeDurability>(
-      node, engine_.get(), stable_[node].get(), &config_.durability,
-      [this, node] { return CaptureCheckpoint(node); });
-  runtimes_[node]->SetDurability(durability_[node].get());
+  ResetDurability(node);
   amnesia_down_[node] = true;
   return Status::Ok();
 }
@@ -1817,10 +1816,12 @@ void Cluster::RefreshHomeReachability() {
   }
 }
 
-CheckpointImage Cluster::CaptureCheckpoint(NodeId node) {
+CheckpointImage Cluster::CaptureCheckpoint(NodeId node,
+                                           std::vector<LogMark>* marks) {
   CheckpointImage image;
   image.taken_at = engine_->Now();
   image.versions = runtimes_[node]->store().AllVersions();
+  std::vector<LogMark> ends;
   for (FragmentId f = 0; f < catalog_.fragment_count(); ++f) {
     if (!catalog_.ReplicatedAt(f, node)) continue;
     const FragmentStream& s = runtimes_[node]->stream(f);
@@ -1830,11 +1831,19 @@ CheckpointImage Cluster::CaptureCheckpoint(NodeId node) {
     sc.epoch_base = s.epoch_base;
     sc.applied_seq = s.applied_seq;
     sc.next_seq = s.next_seq;
-    for (auto it = s.log.begin(); it != s.log.end(); ++it) {
+    SeqNum since = 0;
+    if (marks != nullptr) {
+      for (const LogMark& m : *marks) {
+        if (m.fragment == f) since = m.high_water;
+      }
+    }
+    for (auto it = s.log.UpperBound(since); it != s.log.end(); ++it) {
       sc.log.push_back(it->value);
     }
-    image.streams.push_back(sc);
+    ends.push_back({f, s.log.empty() ? 0 : (s.log.end() - 1)->seq});
+    image.streams.push_back(std::move(sc));
   }
+  if (marks != nullptr) *marks = std::move(ends);
   return image;
 }
 
@@ -1844,6 +1853,22 @@ StableStorage* Cluster::stable_storage(NodeId node) {
     return nullptr;
   }
   return stable_[node].get();
+}
+
+void Cluster::ResetDurability(NodeId node) {
+  NodeDurability::Observer observer;
+  if (checkpoint_observer_) {
+    observer = [this, node](NodeDurability::CheckpointStep step) {
+      checkpoint_observer_(node, step);
+    };
+  }
+  durability_[node] = std::make_unique<NodeDurability>(
+      node, engine_.get(), stable_[node].get(), &config_.durability,
+      [this, node](std::vector<LogMark>* marks) {
+        return CaptureCheckpoint(node, marks);
+      },
+      std::move(observer));
+  runtimes_[node]->SetDurability(durability_[node].get());
 }
 
 NodeDurability* Cluster::durability(NodeId node) {

@@ -351,8 +351,19 @@ class Cluster {
   /// revived home until its decision is observed, and the value is
   /// re-seated so the home can propose it in recovery rounds.
   void NotePaxosInDoubt(NodeId node, const QuasiTxn& quasi, Epoch epoch);
-  /// Snapshot of `node`'s recoverable state (checkpoint capture).
-  CheckpointImage CaptureCheckpoint(NodeId node);
+  /// Snapshot of `node`'s recoverable state (checkpoint capture). With
+  /// `marks`, each stream's log holds only the entries past its mark, and
+  /// `marks` is reset to where every log ends now (NodeDurability::Capture);
+  /// without, the whole logs.
+  CheckpointImage CaptureCheckpoint(NodeId node,
+                                    std::vector<LogMark>* marks = nullptr);
+  /// Calls `observer` whenever a node captures or commits a checkpoint, on
+  /// that node's own event. Call before Start(). For tests.
+  using CheckpointObserver =
+      std::function<void(NodeId, NodeDurability::CheckpointStep)>;
+  void SetCheckpointObserver(CheckpointObserver observer) {
+    checkpoint_observer_ = std::move(observer);
+  }
 
  private:
   enum class AgentPhase { kSettled, kInTransit, kCatchingUp };
@@ -419,6 +430,8 @@ class Cluster {
     bool decided = false;
     QuasiTxn value;
     Epoch epoch = 0;
+    /// Recovery rounds already started at this node (ballot numbering).
+    int round = 0;
     /// Origin home only: the transaction this incarnation prepared for the
     /// slot (guards the deferred propose against a crash that wiped it).
     TxnId prepared_txn = kInvalidTxn;
@@ -426,12 +439,12 @@ class Cluster {
     /// proposed; the local commit record (applied_seq, log, WAL) is still
     /// owed, and is written in seq order once the slot decides.
     bool commit_owed = false;
-    /// Recovery rounds already started at this node (ballot numbering).
-    int round = 0;
     bool recovery_armed = false;
     /// Consecutive fruitless recovery rounds; past the strike limit the
     /// node stops re-arming until connectivity improves.
     int strikes = 0;
+    /// The armed PaxosRecoveryTick; the decide cancels it.
+    EventId recovery_tick = -1;
     /// Origin home only: client completion (fired once, on decide or on
     /// the proposer timeout — whichever comes first; the commit itself is
     /// never abandoned).
@@ -454,6 +467,9 @@ class Cluster {
   /// Re-derives every (node, fragment) home-reachability flag for the
   /// availability tracker; registered as a topology change listener.
   void RefreshHomeReachability();
+  /// Gives `node` a fresh durability pipeline (at Start and on an amnesia
+  /// crash, which destroys the old one with its staged state).
+  void ResetDurability(NodeId node);
   Status ValidateSpec(NodeId node, const TxnSpec& spec,
                       FragmentId* type_fragment) const;
   /// §4.2 conformance check for `spec` as type `type_fragment`.
@@ -610,6 +626,7 @@ class Cluster {
   /// Durability subsystem (empty/null unless config_.durability.enabled).
   std::vector<std::unique_ptr<StableStorage>> stable_;
   std::vector<std::unique_ptr<NodeDurability>> durability_;
+  CheckpointObserver checkpoint_observer_;
   std::unique_ptr<RecoveryManager> recovery_;
   /// Per node: down with volatile state wiped (must revive via recovery).
   /// uint8_t, not bool: vector<bool> bit-packs, and adjacent flags may be

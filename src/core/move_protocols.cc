@@ -134,8 +134,13 @@ void Cluster::StartMove(AgentId agent, NodeId from, NodeId to) {
   *acquire = [this, from, tokens, drain_id, weak,
               capture_and_travel](size_t i) {
     if (i >= tokens->size()) {
-      capture_and_travel();
-      runtimes_[from]->locks().ReleaseAll(drain_id);
+      // The last grant can come from a commit releasing its locks, before
+      // that commit has recorded its sequence in the stream. Capture in a
+      // separate event, once the commit is fully recorded.
+      engine_->AfterNode(from, 0, [this, from, drain_id, capture_and_travel] {
+        capture_and_travel();
+        runtimes_[from]->locks().ReleaseAll(drain_id);
+      });
       return;
     }
     auto self = weak.lock();

@@ -17,15 +17,15 @@ inline void PutU8(std::string* out, uint8_t v) {
 }
 
 inline void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+  char b[4];
+  for (int i = 0; i < 4; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  out->append(b, 4);
 }
 
 inline void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+  char b[8];
+  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  out->append(b, 8);
 }
 
 inline void PutI64(std::string* out, int64_t v) {

@@ -7,12 +7,13 @@ namespace fragdb {
 NodeDurability::NodeDurability(NodeId node, SimEngine* engine,
                                StableStorage* storage,
                                const DurabilityConfig* config,
-                               std::function<CheckpointImage()> capture)
+                               Capture capture, Observer observer)
     : node_(node),
       engine_(engine),
       storage_(storage),
       config_(config),
       capture_(std::move(capture)),
+      observer_(std::move(observer)),
       wal_(node, engine, storage, kWalFile, config->wal_fsync_time),
       alive_(std::make_shared<bool>(true)) {}
 
@@ -34,6 +35,7 @@ void NodeDurability::OnEpochChanged(FragmentId fragment, Epoch new_epoch,
   record.fragment = fragment;
   record.epoch = new_epoch;
   record.epoch_base = epoch_base;
+  base_due_ = true;  // the stream log may have lost its tail
   wal_.Append(record);
   ++stats_.wal_records;
   AfterAppend();
@@ -69,6 +71,7 @@ void NodeDurability::AfterAppend() {
 }
 
 void NodeDurability::ForceCheckpoint() {
+  base_due_ = true;
   if (!checkpoint_in_flight_) BeginCheckpoint();
 }
 
@@ -76,23 +79,36 @@ void NodeDurability::BeginCheckpoint() {
   checkpoint_in_flight_ = true;
   ++stats_.checkpoints_started;
   storage_->Write(kCheckpointPendingFile, "");
-  CheckpointImage image = capture_();
+  const bool base = base_due_;
+  base_due_ = false;
+  if (base) marks_.clear();
+  CheckpointImage image = capture_(&marks_);
+  if (observer_) observer_(CheckpointStep::kCaptured);
   std::weak_ptr<bool> weak = alive_;
-  engine_->AfterNode(node_, config_->checkpoint_write_time, [this, weak, image] {
-    if (weak.expired()) return;  // crash mid-checkpoint: marker stays
-    CommitCheckpoint(image);
-  });
+  engine_->AfterNode(node_, config_->checkpoint_write_time,
+                     [this, weak, base, image = std::move(image)]() mutable {
+                       if (weak.expired()) return;  // crash: marker stays
+                       CommitCheckpoint(image, base);
+                       versions_ = std::move(image.versions);
+                       if (observer_) observer_(CheckpointStep::kCommitted);
+                     });
 }
 
-void NodeDurability::CommitCheckpoint(const CheckpointImage& image) {
-  storage_->Write(kCheckpointFile, image.Encode());
+void NodeDurability::CommitCheckpoint(const CheckpointImage& image,
+                                      bool base) {
+  if (base) {
+    storage_->Write(kCheckpointFile, image.Encode());
+    ++stats_.base_frames;
+  } else {
+    storage_->Append(kCheckpointFile, image.EncodeDelta(versions_));
+  }
   // Truncate the WAL: drop every durable record the image covers. Staged
   // (unsynced) bytes are untouched — when their fsync lands they may
   // duplicate covered records, which replay skips as stale.
   WalScan scan = ScanWal(storage_->Read(kWalFile));
   std::string kept;
   for (const WalRecord& record : scan.records) {
-    StreamCheckpoint pos = image.StreamFor(record.fragment);
+    const StreamCheckpoint& pos = image.StreamFor(record.fragment);
     bool covered;
     if (record.type == WalRecord::Type::kEpochChange) {
       covered = record.epoch <= pos.epoch;

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/types.h"
 #include "recovery/checkpoint.h"
@@ -65,11 +66,19 @@ inline constexpr const char* kCheckpointPendingFile = "checkpoint.pending";
 /// Checkpoint/truncate protocol (crash-safe at every step):
 ///  1. capture the image in memory and write the `checkpoint.pending`
 ///     marker (statement of intent, observable by tests);
-///  2. after `checkpoint_write_time`, atomically publish the image as
-///     `checkpoint`, rewrite `wal` keeping only records the image does not
-///     cover, and delete the marker.
+///  2. after `checkpoint_write_time`, publish the image to `checkpoint`,
+///     rewrite `wal` keeping only records the image does not cover, and
+///     delete the marker.
 /// A crash between 1 and 2 loses nothing: recovery ignores the marker and
 /// replays the previous checkpoint plus the untruncated WAL.
+///
+/// Publishing appends a delta frame (see CheckpointImage) holding only what
+/// changed since the previous frame, so a checkpoint costs what changed,
+/// not the node's whole history. A base frame atomically replaces the file
+/// instead when no previous frame can anchor a delta: at the first
+/// checkpoint of an incarnation, after an epoch change (which may truncate
+/// a stream log), and on ForceCheckpoint (which follows state changes that
+/// bypass the WAL, such as a §4.4.2A snapshot adoption).
 ///
 /// The object itself is volatile: an amnesia crash destroys it (staged WAL
 /// bytes and the in-flight checkpoint die with it) and the cluster builds
@@ -80,14 +89,24 @@ class NodeDurability {
     uint64_t wal_records = 0;
     uint64_t checkpoints_started = 0;
     uint64_t checkpoints_committed = 0;
+    /// Committed checkpoints that wrote a base frame (the rest appended a
+    /// delta frame).
+    uint64_t base_frames = 0;
     uint64_t wal_bytes_truncated = 0;
   };
 
-  /// `capture` must return the node's current CheckpointImage; it is
-  /// invoked at checkpoint begin.
+  /// Returns the node's current CheckpointImage, except that each stream's
+  /// log holds only the entries past that fragment's entry in `marks` (the
+  /// whole log for a fragment `marks` lacks), and resets `marks` to where
+  /// every log ends now. Invoked at checkpoint begin.
+  using Capture = std::function<CheckpointImage(std::vector<LogMark>* marks)>;
+  /// Told when a checkpoint was captured and when it was committed.
+  enum class CheckpointStep { kCaptured, kCommitted };
+  using Observer = std::function<void(CheckpointStep)>;
+
   NodeDurability(NodeId node, SimEngine* engine, StableStorage* storage,
-                 const DurabilityConfig* config,
-                 std::function<CheckpointImage()> capture);
+                 const DurabilityConfig* config, Capture capture,
+                 Observer observer = nullptr);
 
   NodeDurability(const NodeDurability&) = delete;
   NodeDurability& operator=(const NodeDurability&) = delete;
@@ -96,6 +115,7 @@ class NodeDurability {
   void OnQuasiApplied(const QuasiTxn& quasi, Epoch epoch);
 
   /// The fragment's stream moved to `new_epoch` with base `epoch_base`.
+  /// The next checkpoint writes a base frame.
   void OnEpochChanged(FragmentId fragment, Epoch new_epoch,
                       SeqNum epoch_base);
 
@@ -106,7 +126,8 @@ class NodeDurability {
   void OnPaxosSlotAllocated(const QuasiTxn& quasi, Epoch epoch);
 
   /// Begins a checkpoint now (commit still takes checkpoint_write_time).
-  /// No-op if one is already in flight.
+  /// If one is already in flight, only the next checkpoint is affected:
+  /// either way, the next capture writes a base frame.
   void ForceCheckpoint();
 
   /// Synchronously flushes staged WAL bytes (orderly-shutdown fsync).
@@ -118,17 +139,25 @@ class NodeDurability {
  private:
   void AfterAppend();
   void BeginCheckpoint();
-  void CommitCheckpoint(const CheckpointImage& image);
+  void CommitCheckpoint(const CheckpointImage& image, bool base);
 
   NodeId node_;
   SimEngine* engine_;
   StableStorage* storage_;
   const DurabilityConfig* config_;
-  std::function<CheckpointImage()> capture_;
+  Capture capture_;
+  Observer observer_;
   WalWriter wal_;
   Stats stats_;
   bool checkpoint_timer_armed_ = false;
   bool checkpoint_in_flight_ = false;
+  /// The next capture writes a base frame.
+  bool base_due_ = true;
+  /// Where each stream log ended in the newest frame captured (the one in
+  /// flight, else the last committed), and the versions of the last
+  /// committed frame: the anchor of the next delta.
+  std::vector<LogMark> marks_;
+  std::vector<VersionInfo> versions_;
   /// Expires when this object is destroyed (crash): pending timer and
   /// commit events become no-ops.
   std::shared_ptr<bool> alive_;

@@ -19,6 +19,8 @@ struct VersionInfo {
   TxnId writer = kInvalidTxn;   // kInvalidTxn = initial value
   SeqNum frag_seq = 0;          // 0 = initial value
   SimTime installed_at = 0;
+
+  friend bool operator==(const VersionInfo&, const VersionInfo&) = default;
 };
 
 /// One node's full replica of the database (the paper assumes complete

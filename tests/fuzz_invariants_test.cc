@@ -251,17 +251,21 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AmnesiaCrashFuzz,
 // Quorum control under random partitions and link flaps: every completed
 // R-quorum read must observe every write whose W-quorum ack preceded it
 // (R + W > N guarantees the quorums intersect), and replicas converge.
+// The amnesia variant runs the same schedule with durability on, a 20 ms
+// checkpoint interval and random amnesia crashes drawn from a second
+// generator, so the shared part of the schedule stays seed-for-seed the
+// same as without crashes.
 // ---------------------------------------------------------------------------
 
-class QuorumFuzz : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(QuorumFuzz, FreshnessSurvivesPartitionsAndFlaps) {
-  Rng rng(GetParam());
+void RunQuorumFuzz(uint64_t seed, bool amnesia) {
+  Rng rng(seed);
   const int kNodes = 5;
   ClusterConfig config;
   config.control = ControlOption::kQuorum;
   config.read_quorum = 2;
   config.write_quorum = 4;
+  config.durability.enabled = amnesia;
+  config.durability.checkpoint_interval = amnesia ? Millis(20) : 0;
   Cluster cluster(config, Topology::FullMesh(kNodes, Millis(4)));
   FragmentId frag = cluster.DefineFragment("F");
   ObjectId x = *cluster.DefineObject(frag, "x", 0);
@@ -316,21 +320,70 @@ TEST_P(QuorumFuzz, FreshnessSurvivesPartitionsAndFlaps) {
                                  [&cluster] { cluster.HealAll(); });
     }
   }
+  int crashes_executed = 0;
+  if (amnesia) {
+    Rng crash_rng(seed ^ 0x5eed5eed5eedULL);
+    for (int episode = 0; episode < 8; ++episode) {
+      NodeId victim = static_cast<NodeId>(crash_rng.NextBelow(kNodes));
+      SimTime at =
+          static_cast<SimTime>(crash_rng.NextBelow(kEnd - Millis(250)));
+      SimTime downtime =
+          Millis(10 + static_cast<SimTime>(crash_rng.NextBelow(190)));
+      cluster.engine()->AtGlobal(at, [&cluster, &crashes_executed, victim] {
+        if (!cluster.topology().IsNodeUp(victim)) return;
+        ASSERT_TRUE(cluster.CrashNode(victim, CrashMode::kAmnesia).ok());
+        ++crashes_executed;
+      });
+      cluster.engine()->AtGlobal(at + downtime, [&cluster, victim] {
+        if (!cluster.IsAmnesiaDown(victim)) return;
+        Status st = cluster.ReviveNode(victim, nullptr);
+        ASSERT_TRUE(st.ok() || st.IsFailedPrecondition()) << st.ToString();
+      });
+    }
+  }
   cluster.RunUntil(kEnd);
   cluster.HealAll();
   cluster.RunToQuiescence();
+  if (amnesia) {
+    for (NodeId n = 0; n < kNodes; ++n) {
+      if (cluster.IsAmnesiaDown(n)) {
+        ASSERT_TRUE(cluster.ReviveNode(n, nullptr).ok());
+      }
+    }
+    cluster.RunToQuiescence();
+    // A crash can take a stream's last quasi with it, leaving no gap
+    // evidence behind; the same anti-entropy as lossy runs.
+    cluster.StartGapRepairSweep();
+    cluster.RunToQuiescence();
+    EXPECT_GT(crashes_executed, 0) << "seed " << seed;
+  }
 
-  EXPECT_GT(cluster.history().quorum_reads().size(), 0u)
-      << "seed " << GetParam();
+  EXPECT_GT(cluster.history().quorum_reads().size(), 0u) << "seed " << seed;
   EXPECT_TRUE(CheckQuorumFreshness(cluster.history()).ok)
-      << "seed " << GetParam() << ": "
+      << "seed " << seed << ": "
       << CheckQuorumFreshness(cluster.history()).detail;
   EXPECT_TRUE(CheckMutualConsistency(cluster.Replicas()).ok)
-      << "seed " << GetParam();
-  EXPECT_TRUE(cluster.CheckConfiguredProperty().ok) << "seed " << GetParam();
+      << "seed " << seed;
+  EXPECT_TRUE(cluster.CheckConfiguredProperty().ok)
+      << "seed " << seed << ": " << cluster.CheckConfiguredProperty().detail;
+}
+
+class QuorumFuzz : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(QuorumFuzz, FreshnessSurvivesPartitionsAndFlaps) {
+  RunQuorumFuzz(GetParam(), /*amnesia=*/false);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QuorumFuzz,
+                         ::testing::Values(11, 47, 123, 777, 6502));
+
+class QuorumAmnesiaFuzz : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(QuorumAmnesiaFuzz, FreshnessSurvivesPartitionsFlapsAndAmnesia) {
+  RunQuorumFuzz(GetParam(), /*amnesia=*/true);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, QuorumAmnesiaFuzz,
                          ::testing::Values(11, 47, 123, 777, 6502));
 
 // ---------------------------------------------------------------------------

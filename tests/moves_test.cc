@@ -108,6 +108,34 @@ TEST_F(MoveFixture, MoveWithDataCarriesUnpropagatedState) {
   EXPECT_TRUE(CheckMutualConsistency(cluster->Replicas()).ok);
 }
 
+TEST_F(MoveFixture, MoveWithDataCarriesTheCommitThatReleasedTheDrain) {
+  Build(MoveProtocol::kMoveWithData);
+  // The new home misses T1's broadcast until after the agent arrives, so
+  // it knows T1 only through what the agent carries.
+  ASSERT_TRUE(cluster->Partition({{0, 1, 3}, {2}}).ok());
+  TxnResult t1;
+  Update(x, 1, &t1);
+  // T1 holds the fragment lock while it runs; the move's drain queues
+  // behind it and is granted by T1's lock release.
+  cluster->RunFor(Micros(50));
+  ASSERT_TRUE(cluster->MoveAgent(agent, 2, nullptr).ok());
+  cluster->RunFor(Millis(30));
+  ASSERT_TRUE(t1.status.ok());
+  EXPECT_EQ(*cluster->catalog().HomeOf(agent), 2);
+  EXPECT_EQ(cluster->runtime(2).stream(frag).next_seq, t1.frag_seq + 1);
+  cluster->HealAll();
+  TxnResult t2;
+  Update(y, 2, &t2);
+  cluster->RunToQuiescence();
+  ASSERT_TRUE(t2.status.ok());
+  EXPECT_EQ(t2.frag_seq, t1.frag_seq + 1);
+  for (NodeId n = 0; n < 4; ++n) {
+    EXPECT_EQ(cluster->ReadAt(n, x), 1) << "node " << n;
+    EXPECT_EQ(cluster->ReadAt(n, y), 2) << "node " << n;
+  }
+  EXPECT_TRUE(CheckMutualConsistency(cluster->Replicas()).ok);
+}
+
 TEST_F(MoveFixture, MoveWithSeqNumWaitsForCatchUp) {
   Build(MoveProtocol::kMoveWithSeqNum);
   ASSERT_TRUE(cluster->Partition({{0}, {1, 2, 3}}).ok());

@@ -458,6 +458,20 @@ TEST_F(PaxosCommitFixture, FaultFreeRunHoldsNoDecidedSlot) {
   EXPECT_TRUE(CheckCommitAtomicity(cluster->history()).ok);
 }
 
+TEST_F(PaxosCommitFixture, DecideCancelsTheRecoveryTimer) {
+  Build(MoveProtocol::kPaxosCommit);
+  TxnResult out;
+  Update(7, &out);
+  // Every acceptor armed a recovery tick at its accept. The decide cancels
+  // it, so nothing is left to run once the slot has decided everywhere.
+  cluster->RunToQuiescence();
+  ASSERT_TRUE(out.status.ok()) << out.status.ToString();
+  EXPECT_LT(cluster->Now(), cluster->config().paxos_recovery_timeout);
+  for (NodeId n = 0; n < 5; ++n) {
+    EXPECT_EQ(cluster->ReadAt(n, x), 7) << "node " << n;
+  }
+}
+
 TEST_F(PaxosCommitFixture, PrunedAcceptorsTeachStrandedProposerTheOutcome) {
   Build(MoveProtocol::kPaxosCommit);
   TxnResult out;
