@@ -1,21 +1,45 @@
 // E9 — micro-benchmarks of the machinery itself (google-benchmark):
-// event queue, lock manager, serialization graph checking, and end-to-end
-// transaction throughput in the simulator.
+// event queue, lock manager, message dispatch, serialization graph
+// checking, and end-to-end transaction throughput in the simulator.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <cstdlib>
 #include <memory>
+#include <new>
+#include <string>
 #include <vector>
 
 #include "bench_harness.h"
 #include "cc/lock_manager.h"
 #include "common/rng.h"
 #include "core/cluster.h"
+#include "core/messages.h"
 #include "cc/scheduler.h"
 #include "sim/event_queue.h"
 #include "verify/checkers.h"
 #include "verify/serialization_graph.h"
+
+namespace {
+/// Global operator new calls in this process, for the allocation counters
+/// below (the replaced operators are defined after main's namespace).
+std::atomic<uint64_t> g_heap_allocations{0};
+}  // namespace
+
+// Kept out of line so the compiler never pairs an inlined new with an
+// inlined free at a call site.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace fragdb {
 namespace {
@@ -343,15 +367,70 @@ int RunQuasiInstallInstance(int txns, uint64_t seed) {
 
 void BM_QuasiInstallThroughput(benchmark::State& state) {
   // End-to-end: home commit -> wire -> holdback -> in-order install at
-  // every replica. Items = installs (3 replicas x txns).
+  // every replica. Items = installs (3 replicas x txns). allocs_per_install
+  // is every global operator new of the instance (setup, home commits,
+  // sends and installs) divided by the installs.
   const int txns = static_cast<int>(state.range(0));
   int64_t installs = 0;
+  const uint64_t allocs_before =
+      g_heap_allocations.load(std::memory_order_relaxed);
   for (auto _ : state) {
     installs += RunQuasiInstallInstance(txns, g_opts.SeedOr(1));
   }
+  const uint64_t allocs =
+      g_heap_allocations.load(std::memory_order_relaxed) - allocs_before;
   state.SetItemsProcessed(installs);
+  state.counters["allocs_per_install"] =
+      installs > 0 ? static_cast<double>(allocs) / installs : 0.0;
 }
 BENCHMARK(BM_QuasiInstallThroughput)->Arg(500);
+
+/// One default-built payload of every node-protocol message type.
+std::vector<std::shared_ptr<const MessagePayload>> AllCorePayloads() {
+  return {std::make_shared<QuasiTxnMsg>(),
+          std::make_shared<ReadLockRequest>(),
+          std::make_shared<ReadLockGrant>(),
+          std::make_shared<ReadLockRelease>(),
+          std::make_shared<QuasiPrepare>(),
+          std::make_shared<QuasiAck>(),
+          std::make_shared<QuasiCommit>(),
+          std::make_shared<M0Msg>(),
+          std::make_shared<ForwardMissing>(),
+          std::make_shared<SeqQuery>(),
+          std::make_shared<SeqReply>(),
+          std::make_shared<FetchMissing>(),
+          std::make_shared<MissingData>(),
+          std::make_shared<RecoveryQuery>(),
+          std::make_shared<RecoveryReply>(),
+          std::make_shared<QuorumReadRequest>(),
+          std::make_shared<QuorumReadReply>(),
+          std::make_shared<QuorumAppliedAck>(),
+          std::make_shared<PaxosAccept>(),
+          std::make_shared<PaxosAccepted>(),
+          std::make_shared<PaxosOutcome>()};
+}
+
+void BM_HandleMessageDispatch(benchmark::State& state) {
+  // The dispatch layer of NodeRuntime::HandleMessage alone: the tag switch
+  // over a round-robin stream of all 21 payload types, each reaching a
+  // per-type handler that only counts it. Items = messages dispatched.
+  const std::vector<std::shared_ptr<const MessagePayload>> payloads =
+      AllCorePayloads();
+  std::array<uint64_t, kMsgTypeCount> handled{};
+  auto count = [&handled](const auto& m) {
+    ++handled[static_cast<int>(m.kType)];
+  };
+  int64_t messages = 0;
+  for (auto _ : state) {
+    for (const auto& p : payloads) {
+      benchmark::DoNotOptimize(VisitCorePayload(*p, count));
+    }
+    messages += static_cast<int64_t>(payloads.size());
+  }
+  benchmark::DoNotOptimize(handled);
+  state.SetItemsProcessed(messages);
+}
+BENCHMARK(BM_HandleMessageDispatch);
 
 void BM_ParallelClusterInstances(benchmark::State& state) {
   // The bench harness running `instances` independent deterministic
@@ -436,13 +515,20 @@ class JsonLineReporter : public benchmark::ConsoleReporter {
           json, sizeof(json),
           "{\"bench\":\"micro\",\"name\":\"%s\","
           "\"real_ns\":%.1f,\"cpu_ns\":%.1f,\"iterations\":%lld,"
-          "\"items_per_second\":%.1f}",
+          "\"items_per_second\":%.1f",
           run.benchmark_name().c_str(), run.GetAdjustedRealTime(),
           run.GetAdjustedCPUTime(), (long long)run.iterations,
           run.counters.find("items_per_second") != run.counters.end()
               ? (double)run.counters.at("items_per_second")
               : 0.0);
-      fragdb_bench::PrintJsonLine(json);
+      std::string line = json;
+      auto allocs = run.counters.find("allocs_per_install");
+      if (allocs != run.counters.end()) {
+        std::snprintf(json, sizeof(json), ",\"allocs_per_install\":%.1f",
+                      (double)allocs->second);
+        line += json;
+      }
+      fragdb_bench::PrintJsonLine(line + "}");
     }
   }
 };

@@ -33,7 +33,10 @@ Regenerating the committed baseline (from the build directory):
     ./bench/bench_scenario_matrix --scenarios=flapping_split \
         --workloads=flash_hotkey --controls=fragmentwise --seeds=1 \
         --nodes=48 --duration_ms=700
-and concatenate the BENCH_JSON lines into BENCH_BASELINE.json.
+    ./bench/bench_fig1_1_spectrum
+and concatenate the BENCH_JSON lines into BENCH_BASELINE.json, in that
+order. The spectrum's 7 rows carry no wall-clock field and must be
+byte-identical at --threads=1 and --threads=4 before they are committed.
 """
 
 import json

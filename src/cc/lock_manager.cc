@@ -1,14 +1,80 @@
 #include "cc/lock_manager.h"
 
 #include <algorithm>
+#include <map>
+#include <set>
 
 #include "common/logging.h"
 
 namespace fragdb {
 
+void LockManager::WaitQueue::pop_front() {
+  ++head_;
+  if (head_ == items_.size()) {
+    clear();
+  } else if (2 * head_ >= items_.size()) {
+    items_.erase(items_.begin(), items_.begin() + head_);
+    head_ = 0;
+  }
+}
+
+LockManager::Holder* LockManager::Entry::FindHolder(TxnId txn) {
+  for (Holder& h : holders) {
+    if (h.txn == txn) return &h;
+  }
+  return nullptr;
+}
+
+size_t LockManager::ActiveLowerBound(ResourceId resource) const {
+  return static_cast<size_t>(
+      std::lower_bound(active_.begin(), active_.end(), resource,
+                       [](const std::pair<ResourceId, uint32_t>& a,
+                          ResourceId r) { return a.first < r; }) -
+      active_.begin());
+}
+
+LockManager::Entry* LockManager::Find(ResourceId resource) {
+  size_t i = ActiveLowerBound(resource);
+  if (i == active_.size() || active_[i].first != resource) return nullptr;
+  return &entries_[active_[i].second];
+}
+
+LockManager::Entry& LockManager::FindOrCreate(ResourceId resource) {
+  size_t i = ActiveLowerBound(resource);
+  if (i < active_.size() && active_[i].first == resource) {
+    return entries_[active_[i].second];
+  }
+  uint32_t index;
+  if (free_entries_.empty()) {
+    index = static_cast<uint32_t>(entries_.size());
+    entries_.emplace_back();
+  } else {
+    index = free_entries_.back();
+    free_entries_.pop_back();
+  }
+  active_.insert(active_.begin() + i, {resource, index});
+  return entries_[index];
+}
+
+void LockManager::Drop(ResourceId resource) {
+  size_t i = ActiveLowerBound(resource);
+  FRAGDB_CHECK(i < active_.size() && active_[i].first == resource);
+  uint32_t index = active_[i].second;
+  entries_[index].holders.clear();
+  entries_[index].waiters.clear();
+  free_entries_.push_back(index);
+  active_.erase(active_.begin() + i);
+}
+
+void LockManager::Clear() {
+  active_.clear();
+  entries_.clear();
+  free_entries_.clear();
+}
+
 bool LockManager::Compatible(const Entry& e, TxnId txn, LockMode mode) const {
-  for (const auto& [holder, h] : e.holders) {
-    if (holder == txn) continue;  // own locks never conflict
+  for (const Holder& h : e.holders) {
+    if (h.txn == txn) continue;  // own locks never conflict
     if (mode == LockMode::kExclusive || h.mode == LockMode::kExclusive) {
       return false;
     }
@@ -33,18 +99,16 @@ void LockManager::ObserveRelease(const Holder& h, ResourceId resource) {
 
 void LockManager::Acquire(TxnId txn, ResourceId resource, LockMode mode,
                           GrantCallback cb) {
-  Entry& e = table_[resource];
-  auto held = e.holders.find(txn);
-  if (held != e.holders.end()) {
+  Entry& e = FindOrCreate(resource);
+  if (Holder* held = e.FindHolder(txn)) {
     // Already held. Same or stronger mode => immediate grant.
-    if (held->second.mode == LockMode::kExclusive ||
-        mode == LockMode::kShared) {
+    if (held->mode == LockMode::kExclusive || mode == LockMode::kShared) {
       cb(Status::Ok());
       return;
     }
     // Upgrade S -> X: immediate if sole holder and nothing incompatible.
     if (e.holders.size() == 1 && Compatible(e, txn, mode)) {
-      held->second.mode = LockMode::kExclusive;
+      held->mode = LockMode::kExclusive;
       ObserveGrant(nullptr, resource, mode, -1);
       cb(Status::Ok());
       return;
@@ -63,9 +127,8 @@ void LockManager::Acquire(TxnId txn, ResourceId resource, LockMode mode,
   if (Compatible(e, txn, mode) &&
       (e.waiters.empty() ||
        (mode == LockMode::kShared && !exclusive_waiter_ahead))) {
-    Holder& h = e.holders[txn];
-    h.mode = mode;
-    ObserveGrant(&h, resource, mode, -1);
+    e.holders.push_back(Holder{txn, mode});
+    ObserveGrant(&e.holders.back(), resource, mode, -1);
     cb(Status::Ok());
     return;
   }
@@ -74,35 +137,32 @@ void LockManager::Acquire(TxnId txn, ResourceId resource, LockMode mode,
 
 void LockManager::PumpQueue(ResourceId resource) {
   // Grant callbacks may reenter the lock manager (commit handlers release
-  // other locks, drains capture state, ...), so never hold an iterator
-  // across a callback: mutate first, fire, then re-find the entry.
+  // other locks, drains capture state, ...), so never hold an entry
+  // pointer across a callback: mutate first, fire, then re-find the entry.
   while (true) {
-    auto it = table_.find(resource);
-    if (it == table_.end()) return;
-    Entry& e = it->second;
-    if (e.waiters.empty()) {
-      if (e.holders.empty()) table_.erase(it);
+    Entry* e = Find(resource);
+    if (e == nullptr) return;
+    if (e->waiters.empty()) {
+      if (e->holders.empty()) Drop(resource);
       return;
     }
-    Request& front = e.waiters.front();
+    Request& front = e->waiters.front();
     TxnId txn = front.txn;
     LockMode mode = front.mode;
     SimTime enqueued = front.enqueued;
     GrantCallback cb;
-    auto held = e.holders.find(txn);
-    if (held != e.holders.end()) {
+    if (Holder* held = e->FindHolder(txn)) {
       // Upgrade request: grantable when requester is the sole holder.
-      if (e.holders.size() != 1) return;
-      held->second.mode = LockMode::kExclusive;
+      if (e->holders.size() != 1) return;
+      held->mode = LockMode::kExclusive;
       cb = std::move(front.cb);
-      e.waiters.pop_front();
+      e->waiters.pop_front();
       ObserveGrant(nullptr, resource, mode, enqueued);
-    } else if (Compatible(e, txn, mode)) {
-      Holder& h = e.holders[txn];
-      h.mode = mode;
+    } else if (Compatible(*e, txn, mode)) {
       cb = std::move(front.cb);
-      e.waiters.pop_front();
-      ObserveGrant(&h, resource, mode, enqueued);
+      e->waiters.pop_front();
+      e->holders.push_back(Holder{txn, mode});
+      ObserveGrant(&e->holders.back(), resource, mode, enqueued);
     } else {
       return;
     }
@@ -111,39 +171,37 @@ void LockManager::PumpQueue(ResourceId resource) {
 }
 
 void LockManager::Release(TxnId txn, ResourceId resource) {
-  auto it = table_.find(resource);
-  if (it == table_.end()) return;
-  auto h = it->second.holders.find(txn);
-  if (h == it->second.holders.end()) return;
-  ObserveRelease(h->second, resource);
-  it->second.holders.erase(h);
+  Entry* e = Find(resource);
+  if (e == nullptr) return;
+  Holder* h = e->FindHolder(txn);
+  if (h == nullptr) return;
+  ObserveRelease(*h, resource);
+  e->holders.erase(e->holders.begin() + (h - e->holders.data()));
   PumpQueue(resource);
 }
 
-void LockManager::ReleaseAll(TxnId txn) {
-  // Collect affected resources first; PumpQueue may erase entries.
+void LockManager::DropTxn(
+    TxnId txn, std::vector<std::pair<ResourceId, GrantCallback>>* cancelled) {
+  // Collect affected resources first; PumpQueue may drop entries.
   std::vector<ResourceId> held;
-  std::vector<std::pair<ResourceId, GrantCallback>> cancelled;
-  for (auto& [resource, e] : table_) {
-    if (e.holders.count(txn) > 0) held.push_back(resource);
+  for (const auto& [resource, index] : active_) {
+    Entry& e = entries_[index];
     for (auto wit = e.waiters.begin(); wit != e.waiters.end();) {
       if (wit->txn == txn) {
-        cancelled.emplace_back(resource, std::move(wit->cb));
+        cancelled->emplace_back(resource, std::move(wit->cb));
         wit = e.waiters.erase(wit);
       } else {
         ++wit;
       }
     }
+    if (e.FindHolder(txn) != nullptr) held.push_back(resource);
   }
-  for (ResourceId r : held) {
-    Entry& e = table_[r];
-    auto h = e.holders.find(txn);
-    if (h != e.holders.end()) {
-      ObserveRelease(h->second, r);
-      e.holders.erase(h);
-    }
-    PumpQueue(r);
-  }
+  for (ResourceId r : held) Release(txn, r);
+}
+
+void LockManager::ReleaseAll(TxnId txn) {
+  std::vector<std::pair<ResourceId, GrantCallback>> cancelled;
+  DropTxn(txn, &cancelled);
   for (auto& [resource, cb] : cancelled) {
     (void)resource;
     cb(Status::Aborted("lock request cancelled by ReleaseAll"));
@@ -151,13 +209,12 @@ void LockManager::ReleaseAll(TxnId txn) {
 }
 
 bool LockManager::CancelWait(TxnId txn, ResourceId resource) {
-  auto it = table_.find(resource);
-  if (it == table_.end()) return false;
-  Entry& e = it->second;
-  for (auto wit = e.waiters.begin(); wit != e.waiters.end(); ++wit) {
+  Entry* e = Find(resource);
+  if (e == nullptr) return false;
+  for (auto wit = e->waiters.begin(); wit != e->waiters.end(); ++wit) {
     if (wit->txn == txn) {
       GrantCallback cb = std::move(wit->cb);
-      e.waiters.erase(wit);
+      e->waiters.erase(wit);
       PumpQueue(resource);
       cb(Status::TimedOut("lock wait cancelled"));
       return true;
@@ -169,14 +226,15 @@ bool LockManager::CancelWait(TxnId txn, ResourceId resource) {
 TxnId LockManager::DetectAndResolveDeadlock() {
   // Build waits-for edges: waiter -> every incompatible current holder.
   std::map<TxnId, std::set<TxnId>> waits_for;
-  for (const auto& [resource, e] : table_) {
+  for (const auto& [resource, index] : active_) {
     (void)resource;
-    for (const auto& w : e.waiters) {
-      for (const auto& [holder, h] : e.holders) {
-        if (holder == w.txn) continue;
+    const Entry& e = entries_[index];
+    for (const Request& w : e.waiters) {
+      for (const Holder& h : e.holders) {
+        if (h.txn == w.txn) continue;
         bool conflict = w.mode == LockMode::kExclusive ||
                         h.mode == LockMode::kExclusive;
-        if (conflict) waits_for[w.txn].insert(holder);
+        if (conflict) waits_for[w.txn].insert(h.txn);
       }
     }
   }
@@ -212,27 +270,7 @@ TxnId LockManager::DetectAndResolveDeadlock() {
 
   // Abort the victim: cancel its waits (with kAborted) and free its locks.
   std::vector<std::pair<ResourceId, GrantCallback>> cancelled;
-  std::vector<ResourceId> held;
-  for (auto& [resource, e] : table_) {
-    for (auto wit = e.waiters.begin(); wit != e.waiters.end();) {
-      if (wit->txn == victim) {
-        cancelled.emplace_back(resource, std::move(wit->cb));
-        wit = e.waiters.erase(wit);
-      } else {
-        ++wit;
-      }
-    }
-    if (e.holders.count(victim) > 0) held.push_back(resource);
-  }
-  for (ResourceId r : held) {
-    Entry& e = table_[r];
-    auto h = e.holders.find(victim);
-    if (h != e.holders.end()) {
-      ObserveRelease(h->second, r);
-      e.holders.erase(h);
-    }
-    PumpQueue(r);
-  }
+  DropTxn(victim, &cancelled);
   for (auto& [resource, cb] : cancelled) {
     (void)resource;
     cb(Status::Aborted("deadlock victim"));
@@ -241,27 +279,30 @@ TxnId LockManager::DetectAndResolveDeadlock() {
 }
 
 bool LockManager::Holds(TxnId txn, ResourceId resource, LockMode mode) const {
-  auto it = table_.find(resource);
-  if (it == table_.end()) return false;
-  auto h = it->second.holders.find(txn);
-  if (h == it->second.holders.end()) return false;
-  return mode == LockMode::kShared || h->second.mode == LockMode::kExclusive;
+  size_t i = ActiveLowerBound(resource);
+  if (i == active_.size() || active_[i].first != resource) return false;
+  for (const Holder& h : entries_[active_[i].second].holders) {
+    if (h.txn == txn) {
+      return mode == LockMode::kShared || h.mode == LockMode::kExclusive;
+    }
+  }
+  return false;
 }
 
 size_t LockManager::waiting_count() const {
   size_t n = 0;
-  for (const auto& [r, e] : table_) {
-    (void)r;
-    n += e.waiters.size();
+  for (const auto& [resource, index] : active_) {
+    (void)resource;
+    n += entries_[index].waiters.size();
   }
   return n;
 }
 
 size_t LockManager::held_count() const {
   size_t n = 0;
-  for (const auto& [r, e] : table_) {
-    (void)r;
-    n += e.holders.size();
+  for (const auto& [resource, index] : active_) {
+    (void)resource;
+    n += entries_[index].holders.size();
   }
   return n;
 }

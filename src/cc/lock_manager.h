@@ -1,10 +1,9 @@
 #ifndef FRAGDB_CC_LOCK_MANAGER_H_
 #define FRAGDB_CC_LOCK_MANAGER_H_
 
-#include <deque>
+#include <cstdint>
 #include <functional>
-#include <map>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -77,7 +76,7 @@ class LockManager {
   /// the semantics of a node crash, where pending requests simply die with
   /// the process. Continuations that would have fired are the caller's
   /// problem (the scheduler invalidates its own in the same wipe).
-  void Clear() { table_.clear(); }
+  void Clear();
 
   /// True if `txn` currently holds `resource` in at least `mode`.
   bool Holds(TxnId txn, ResourceId resource, LockMode mode) const;
@@ -95,21 +94,70 @@ class LockManager {
     SimTime enqueued = 0;  // meaningful only while an observer is set
   };
   struct Holder {
+    TxnId txn;
     LockMode mode;
     // Stamped at grant while an observer is set (0 otherwise); upgrades
     // keep the original stamp so hold time covers the whole S->X span.
     SimTime granted_at = 0;
   };
-  struct Entry {
-    // Current holders. Invariant: either one exclusive holder or any
-    // number of shared holders.
-    std::map<TxnId, Holder> holders;
-    std::deque<Request> waiters;
+  /// FIFO of waiting requests in one vector. Popping the front only
+  /// advances `head_`; the dead prefix is dropped once it is half the
+  /// vector, so a long convoy costs amortized O(1) per grant and the
+  /// storage is reused.
+  class WaitQueue {
+   public:
+    using iterator = std::vector<Request>::iterator;
+    using const_iterator = std::vector<Request>::const_iterator;
+
+    bool empty() const { return head_ == items_.size(); }
+    size_t size() const { return items_.size() - head_; }
+    iterator begin() { return items_.begin() + head_; }
+    iterator end() { return items_.end(); }
+    const_iterator begin() const { return items_.begin() + head_; }
+    const_iterator end() const { return items_.end(); }
+    Request& front() { return items_[head_]; }
+    void push_back(Request r) { items_.push_back(std::move(r)); }
+    void pop_front();
+    iterator erase(iterator it) { return items_.erase(it); }
+    void clear() {
+      items_.clear();
+      head_ = 0;
+    }
+
+   private:
+    std::vector<Request> items_;
+    size_t head_ = 0;
   };
+  /// One locked resource. Flat storage, and entries are pooled: a
+  /// resource that drains returns its entry (with the vectors' capacity)
+  /// for reuse, so a steady grant/release cycle allocates nothing.
+  struct Entry {
+    // Current holders, unordered. Invariant: either one exclusive holder
+    // or any number of shared holders.
+    std::vector<Holder> holders;
+    WaitQueue waiters;
+
+    Holder* FindHolder(TxnId txn);
+  };
+
+  /// The entry of `resource`, or nullptr when nothing holds or awaits it.
+  /// Pointers stay valid until the next entry is created (never hold one
+  /// across a grant callback).
+  Entry* Find(ResourceId resource);
+  Entry& FindOrCreate(ResourceId resource);
+  /// Returns `resource`'s (drained) entry to the pool.
+  void Drop(ResourceId resource);
+  /// Index into active_ of the first resource >= `resource`.
+  size_t ActiveLowerBound(ResourceId resource) const;
 
   /// Grants eligible waiters at the front of the queue.
   void PumpQueue(ResourceId resource);
   bool Compatible(const Entry& e, TxnId txn, LockMode mode) const;
+  /// Cancels every waiting request of `txn` (collecting the callbacks in
+  /// resource order into `cancelled`), then releases its held locks,
+  /// granting the waiters they unblock. The caller fires `cancelled`.
+  void DropTxn(TxnId txn,
+               std::vector<std::pair<ResourceId, GrantCallback>>* cancelled);
 
   SimTime ObservedNow() const { return observer_.now ? observer_.now() : 0; }
   /// Stamps the fresh hold (when given) and reports the wait; `enqueued`
@@ -119,7 +167,11 @@ class LockManager {
                     SimTime enqueued);
   void ObserveRelease(const Holder& h, ResourceId resource);
 
-  std::map<ResourceId, Entry> table_;
+  /// Resources with a holder or a waiter, ascending, each with the index
+  /// of its entry in entries_.
+  std::vector<std::pair<ResourceId, uint32_t>> active_;
+  std::vector<Entry> entries_;
+  std::vector<uint32_t> free_entries_;
   Observer observer_;
 };
 

@@ -204,28 +204,52 @@ void Scheduler::AbortPrepared(TxnId id, bool release_locks) {
   if (release_locks) locks_->ReleaseAll(id);
 }
 
-void Scheduler::Install(QuasiTxn quasi, TxnId install_id,
-                        std::function<void()> done) {
-  ResourceId resource = FragmentResource(quasi.fragment);
-  locks_->Acquire(
-      install_id, resource, LockMode::kExclusive,
-      [this, quasi = std::move(quasi), install_id,
-       done = std::move(done)](Status st) {
-        // Quasi-transactions are never deadlock victims: they request a
-        // single resource, so they cannot close a waits-for cycle.
-        FRAGDB_CHECK(st.ok());
-        engine_->AfterNode(node_, config_.install_time, [this, gen = generation_, quasi,
-                                           install_id, done] {
-          if (gen != generation_) return;  // node crashed meanwhile
-          for (const WriteOp& w : quasi.writes) {
-            store_->Write(w.object, w.value, quasi.origin_txn, quasi.seq,
-                          engine_->Now());
-          }
-          if (hooks_.on_install) hooks_.on_install(node_, quasi, engine_->Now());
-          locks_->ReleaseAll(install_id);
-          done();
-        });
-      });
+void Scheduler::Reset() {
+  ++generation_;
+  installs_.clear();
+  free_installs_.clear();
+}
+
+void Scheduler::Install(QuasiTxn quasi, TxnId install_id, InstallDone done) {
+  uint32_t slot;
+  if (free_installs_.empty()) {
+    slot = static_cast<uint32_t>(installs_.size());
+    installs_.emplace_back();
+  } else {
+    slot = free_installs_.back();
+    free_installs_.pop_back();
+  }
+  const ResourceId resource = FragmentResource(quasi.fragment);
+  PendingInstall& pending = installs_[slot];
+  pending.quasi = std::move(quasi);
+  pending.install_id = install_id;
+  pending.done = std::move(done);
+  locks_->Acquire(install_id, resource, LockMode::kExclusive,
+                  [this, slot](Status st) {
+                    // Quasi-transactions are never deadlock victims: they
+                    // request a single resource, so they cannot close a
+                    // waits-for cycle.
+                    FRAGDB_CHECK(st.ok());
+                    engine_->AfterNode(node_, config_.install_time,
+                                       [this, gen = generation_, slot] {
+                                         // The node crashed meanwhile.
+                                         if (gen != generation_) return;
+                                         FinishInstall(slot);
+                                       });
+                  });
+}
+
+void Scheduler::FinishInstall(uint32_t slot) {
+  PendingInstall p = std::move(installs_[slot]);
+  free_installs_.push_back(slot);
+  const QuasiTxn& quasi = p.quasi;
+  for (const WriteOp& w : quasi.writes) {
+    store_->Write(w.object, w.value, quasi.origin_txn, quasi.seq,
+                  engine_->Now());
+  }
+  if (hooks_.on_install) hooks_.on_install(node_, quasi, engine_->Now());
+  locks_->Release(p.install_id, FragmentResource(quasi.fragment));
+  p.done(std::move(p.quasi));
 }
 
 }  // namespace fragdb

@@ -1,8 +1,10 @@
 #ifndef FRAGDB_CC_SCHEDULER_H_
 #define FRAGDB_CC_SCHEDULER_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "cc/lock_manager.h"
 #include "cc/transaction.h"
@@ -64,11 +66,17 @@ class Scheduler {
                 std::function<SeqNum()> seq_alloc,
                 std::function<void(TxnResult)> done);
 
+  /// Continuation of an install; receives the installed quasi-transaction
+  /// by move.
+  using InstallDone = std::function<void(QuasiTxn&&)>;
+
   /// Atomically installs a quasi-transaction: exclusive fragment lock,
   /// Config::install_time, apply, hook, release, done. `install_id` is a
   /// fresh transaction id naming the install in the lock table (the
-  /// paper's "write-only transaction local to the receiving node").
-  void Install(QuasiTxn quasi, TxnId install_id, std::function<void()> done);
+  /// paper's "write-only transaction local to the receiving node"). The
+  /// quasi-transaction moves through the lock grant and the install event
+  /// into `done`; it is never copied.
+  void Install(QuasiTxn quasi, TxnId install_id, InstallDone done);
 
   /// Two-phase variant for the §4.4.1 majority-commit protocol: performs
   /// the read/execute part of RunLocal but neither applies writes nor
@@ -92,7 +100,7 @@ class Scheduler {
   /// exec/install events keyed to the old generation become no-ops when
   /// they fire). The caller is responsible for also clearing the lock
   /// table and the store; `done` callbacks of invalidated work never fire.
-  void Reset() { ++generation_; }
+  void Reset();
 
   NodeId node() const { return node_; }
   ObjectStore* store() { return store_; }
@@ -104,6 +112,18 @@ class Scheduler {
                    const std::function<SeqNum()>& seq_alloc,
                    const std::function<void(TxnResult)>& done);
 
+  /// An install between Install() and its continuation. The lock grant
+  /// and the install event name it by slot, so their closures stay small
+  /// (no heap allocation) and the quasi-transaction is never copied.
+  struct PendingInstall {
+    QuasiTxn quasi;
+    TxnId install_id = kInvalidTxn;
+    InstallDone done;
+  };
+  /// Applies the install in `slot`, frees the slot, releases the lock and
+  /// runs the continuation.
+  void FinishInstall(uint32_t slot);
+
   NodeId node_;
   SimEngine* engine_;
   ObjectStore* store_;
@@ -113,6 +133,10 @@ class Scheduler {
   /// Bumped by Reset(); scheduled continuations carry the generation they
   /// were created under and skip themselves if it no longer matches.
   uint64_t generation_ = 0;
+  /// Pending installs by slot, and the free slots (reused, so a steady
+  /// install stream allocates nothing here). Reset() drops them all.
+  std::vector<PendingInstall> installs_;
+  std::vector<uint32_t> free_installs_;
 };
 
 }  // namespace fragdb

@@ -1195,8 +1195,7 @@ void Cluster::PaxosDecide(NodeId node, FragmentId fragment, SeqNum seq) {
     runtimes_[node]->EnqueueQuasi(inst.value, inst.epoch);
   }
   if (tracing_active()) {
-    Trace("paxos-decide", node, fragment, txn, seq,
-          "T" + std::to_string(txn) + " commit");
+    Trace(TraceDetail::kPaxosDecide, node, fragment, txn, seq);
   }
   FinishPaxosClient(node, inst, Status::Ok());
   PrunePaxosSlots(node, fragment);
@@ -1552,6 +1551,20 @@ void Cluster::Trace(const char* kind, std::string detail) {
 void Cluster::Trace(const char* kind, NodeId node, FragmentId fragment,
                     TxnId txn, SeqNum seq, std::string detail) {
   if (!tracer_ && !flight_) return;
+  RecordTrace(kind, node, fragment, txn, seq, std::move(detail),
+              TraceDetail::kText);
+}
+
+void Cluster::Trace(TraceDetail detail, NodeId node, FragmentId fragment,
+                    TxnId txn, SeqNum seq) {
+  if (!tracer_ && !flight_) return;
+  FRAGDB_CHECK(detail != TraceDetail::kText);  // kText events carry text
+  RecordTrace(TraceDetailKind(detail), node, fragment, txn, seq, {}, detail);
+}
+
+void Cluster::RecordTrace(const char* kind, NodeId node, FragmentId fragment,
+                          TxnId txn, SeqNum seq, std::string text,
+                          TraceDetail detail) {
   TraceEvent ev;
   ev.at = engine_->Now();
   ev.kind = kind;
@@ -1559,10 +1572,10 @@ void Cluster::Trace(const char* kind, NodeId node, FragmentId fragment,
   ev.fragment = fragment;
   ev.txn = txn;
   ev.seq = seq;
-  ev.detail = std::move(detail);
+  ev.detail = std::move(text);
   const NodeId acting = engine_->CurrentNode();
-  if (flight_) flight_->Record(ev, acting);
-  if (tracer_) tracer_->Record(std::move(ev), acting);
+  if (flight_) flight_->Record(ev, acting, detail);
+  if (tracer_) tracer_->Record(std::move(ev), acting, detail);
 }
 
 MetricsSnapshot Cluster::SnapshotMetrics() const {

@@ -339,6 +339,10 @@ class Cluster {
   /// Emits a fully structured trace event (node / fragment / txn / seq).
   void Trace(const char* kind, NodeId node, FragmentId fragment, TxnId txn,
              SeqNum seq, std::string detail);
+  /// Emits a structured event whose detail the recorder renders from the
+  /// event's fields at dump time (see TraceDetail): builds no string.
+  void Trace(TraceDetail detail, NodeId node, FragmentId fragment, TxnId txn,
+             SeqNum seq);
   /// The built-in instrument panel, or nullptr when metrics are off.
   ClusterInstruments* instruments() { return obs_.get(); }
   /// The recovery manager, or nullptr when durability is disabled.
@@ -366,6 +370,12 @@ class Cluster {
   }
 
  private:
+  /// Shared body of the Trace overloads: stamps the event and records it
+  /// in every attached consumer.
+  void RecordTrace(const char* kind, NodeId node, FragmentId fragment,
+                   TxnId txn, SeqNum seq, std::string text,
+                   TraceDetail detail);
+
   enum class AgentPhase { kSettled, kInTransit, kCatchingUp };
   struct AgentState {
     AgentPhase phase = AgentPhase::kSettled;

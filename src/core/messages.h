@@ -1,6 +1,7 @@
 #ifndef FRAGDB_CORE_MESSAGES_H_
 #define FRAGDB_CORE_MESSAGES_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "cc/transaction.h"
@@ -8,6 +9,77 @@
 #include "net/message.h"
 
 namespace fragdb {
+
+/// Type tags of the node protocol's payloads (MessagePayload::tag()).
+/// NodeRuntime::HandleMessage dispatches on them with one switch
+/// (VisitCorePayload below); kUntagged is any other payload.
+enum class MsgType : uint8_t {
+  kUntagged = 0,
+  kQuasi,
+  kReadLockRequest,
+  kReadLockGrant,
+  kReadLockRelease,
+  kPrepare,
+  kAck,
+  kCommit,
+  kM0,
+  kForwardMissing,
+  kSeqQuery,
+  kSeqReply,
+  kFetchMissing,
+  kMissingData,
+  kRecoveryQuery,
+  kRecoveryReply,
+  kQuorumRead,
+  kQuorumReadReply,
+  kQuorumAppliedAck,
+  kPaxosAccept,
+  kPaxosAccepted,
+  kPaxosOutcome,
+};
+
+inline constexpr int kMsgTypeCount =
+    static_cast<int>(MsgType::kPaxosOutcome) + 1;
+
+/// TypeName() of each tag, indexed by MsgType: the per-type traffic
+/// labels (net.sent.<name>, messages_sent_total{label=<name>}).
+inline constexpr const char* kMsgTypeNames[kMsgTypeCount] = {
+    "other",
+    "quasi",
+    "lock-request",
+    "lock-grant",
+    "lock-release",
+    "prepare",
+    "ack",
+    "commit",
+    "m0",
+    "forward-missing",
+    "seq-query",
+    "seq-reply",
+    "fetch-missing",
+    "missing-data",
+    "recovery-query",
+    "recovery-reply",
+    "quorum-read",
+    "quorum-read-reply",
+    "quorum-applied-ack",
+    "paxos-accept",
+    "paxos-accepted",
+    "paxos-outcome",
+};
+
+constexpr const char* MsgTypeName(MsgType type) {
+  return kMsgTypeNames[static_cast<int>(type)];
+}
+
+/// Base of every node-protocol payload: stamps the tag at construction
+/// and answers TypeName() from the tag table.
+template <MsgType kTag>
+struct TaggedPayload : MessagePayload {
+  static constexpr MsgType kType = kTag;
+  TaggedPayload() : MessagePayload(static_cast<uint8_t>(kTag)) {}
+  const char* TypeName() const final { return MsgTypeName(kTag); }
+};
 
 /// Wire size of one quasi-transaction as carried by any message type:
 /// fixed header (ids, sequence, origin, timestamps) plus 16 bytes per
@@ -19,8 +91,7 @@ inline size_t QuasiTxnWireSize(const QuasiTxn& q) {
 
 /// A quasi-transaction plus its stream position, as broadcast by the home
 /// node (§2.2: "(T; d1,v1; d2,v2; ...)").
-struct QuasiTxnMsg : MessagePayload {
-  const char* TypeName() const override { return "quasi"; }
+struct QuasiTxnMsg : TaggedPayload<MsgType::kQuasi> {
   QuasiTxn quasi;
   Epoch epoch = 0;
 
@@ -28,68 +99,58 @@ struct QuasiTxnMsg : MessagePayload {
 };
 
 /// §4.1 remote read-lock protocol.
-struct ReadLockRequest : MessagePayload {
-  const char* TypeName() const override { return "lock-request"; }
+struct ReadLockRequest : TaggedPayload<MsgType::kReadLockRequest> {
   TxnId txn = kInvalidTxn;
   FragmentId fragment = kInvalidFragment;
   NodeId requester = kInvalidNode;
 };
-struct ReadLockGrant : MessagePayload {
-  const char* TypeName() const override { return "lock-grant"; }
+struct ReadLockGrant : TaggedPayload<MsgType::kReadLockGrant> {
   TxnId txn = kInvalidTxn;
   FragmentId fragment = kInvalidFragment;
 };
-struct ReadLockRelease : MessagePayload {
-  const char* TypeName() const override { return "lock-release"; }
+struct ReadLockRelease : TaggedPayload<MsgType::kReadLockRelease> {
   TxnId txn = kInvalidTxn;
   FragmentId fragment = kInvalidFragment;
 };
 
 /// §4.4.1 majority-commit protocol: prepare / ack / commit.
-struct QuasiPrepare : MessagePayload {
-  const char* TypeName() const override { return "prepare"; }
+struct QuasiPrepare : TaggedPayload<MsgType::kPrepare> {
   QuasiTxn quasi;
   Epoch epoch = 0;
   size_t ByteSize() const override { return QuasiTxnWireSize(quasi); }
 };
-struct QuasiAck : MessagePayload {
-  const char* TypeName() const override { return "ack"; }
+struct QuasiAck : TaggedPayload<MsgType::kAck> {
   TxnId txn = kInvalidTxn;  // the prepared transaction being acknowledged
   FragmentId fragment = kInvalidFragment;
   SeqNum seq = 0;
   NodeId acker = kInvalidNode;
 };
-struct QuasiCommit : MessagePayload {
-  const char* TypeName() const override { return "commit"; }
+struct QuasiCommit : TaggedPayload<MsgType::kCommit> {
   FragmentId fragment = kInvalidFragment;
   SeqNum seq = 0;
 };
 
 /// §4.4.1 move catch-up: the new home asks everyone how far the fragment's
 /// stream goes and fetches what it misses.
-struct SeqQuery : MessagePayload {
-  const char* TypeName() const override { return "seq-query"; }
+struct SeqQuery : TaggedPayload<MsgType::kSeqQuery> {
   FragmentId fragment = kInvalidFragment;
   NodeId requester = kInvalidNode;
   int64_t move_id = 0;
 };
-struct SeqReply : MessagePayload {
-  const char* TypeName() const override { return "seq-reply"; }
+struct SeqReply : TaggedPayload<MsgType::kSeqReply> {
   FragmentId fragment = kInvalidFragment;
   SeqNum applied_seq = 0;
   NodeId replier = kInvalidNode;
   int64_t move_id = 0;
 };
-struct FetchMissing : MessagePayload {
-  const char* TypeName() const override { return "fetch-missing"; }
+struct FetchMissing : TaggedPayload<MsgType::kFetchMissing> {
   FragmentId fragment = kInvalidFragment;
   SeqNum from_seq = 0;  // exclusive
   SeqNum to_seq = 0;    // inclusive
   NodeId requester = kInvalidNode;
   int64_t move_id = 0;
 };
-struct MissingData : MessagePayload {
-  const char* TypeName() const override { return "missing-data"; }
+struct MissingData : TaggedPayload<MsgType::kMissingData> {
   FragmentId fragment = kInvalidFragment;
   std::vector<QuasiTxn> quasis;
   int64_t move_id = 0;
@@ -103,8 +164,7 @@ struct MissingData : MessagePayload {
 /// §4.4.3 move announcement: "M0 = (T1, ..., Ti)", carrying the prefix of
 /// the old stream the new home has, so behind nodes can catch up, plus the
 /// new epoch metadata.
-struct M0Msg : MessagePayload {
-  const char* TypeName() const override { return "m0"; }
+struct M0Msg : TaggedPayload<MsgType::kM0> {
   FragmentId fragment = kInvalidFragment;
   NodeId new_home = kInvalidNode;
   Epoch new_epoch = 0;
@@ -119,8 +179,7 @@ struct M0Msg : MessagePayload {
 
 /// §4.4.3: a third node forwards a missing old-stream transaction to the
 /// new home instead of processing it (protocol step B(2)).
-struct ForwardMissing : MessagePayload {
-  const char* TypeName() const override { return "forward-missing"; }
+struct ForwardMissing : TaggedPayload<MsgType::kForwardMissing> {
   QuasiTxn quasi;
   Epoch old_epoch = 0;
   size_t ByteSize() const override { return QuasiTxnWireSize(quasi); }
@@ -128,8 +187,7 @@ struct ForwardMissing : MessagePayload {
 
 /// Quorum reads (ControlOption::kQuorum): the reading node asks each
 /// replica of a fragment for its current versions of the objects it wants.
-struct QuorumReadRequest : MessagePayload {
-  const char* TypeName() const override { return "quorum-read"; }
+struct QuorumReadRequest : TaggedPayload<MsgType::kQuorumRead> {
   TxnId txn = kInvalidTxn;
   FragmentId fragment = kInvalidFragment;
   NodeId requester = kInvalidNode;
@@ -138,8 +196,7 @@ struct QuorumReadRequest : MessagePayload {
 };
 
 /// One replica's versions: parallel arrays over the requested objects.
-struct QuorumReadReply : MessagePayload {
-  const char* TypeName() const override { return "quorum-read-reply"; }
+struct QuorumReadReply : TaggedPayload<MsgType::kQuorumReadReply> {
   TxnId txn = kInvalidTxn;
   FragmentId fragment = kInvalidFragment;
   NodeId replier = kInvalidNode;
@@ -153,8 +210,7 @@ struct QuorumReadReply : MessagePayload {
 /// Quorum writes: a replica acknowledges that it has *installed* (not
 /// merely buffered) a quasi-transaction, so the origin can count it
 /// toward the write quorum W.
-struct QuorumAppliedAck : MessagePayload {
-  const char* TypeName() const override { return "quorum-applied-ack"; }
+struct QuorumAppliedAck : TaggedPayload<MsgType::kQuorumAppliedAck> {
   TxnId txn = kInvalidTxn;
   FragmentId fragment = kInvalidFragment;
   SeqNum seq = 0;
@@ -164,8 +220,7 @@ struct QuorumAppliedAck : MessagePayload {
 /// Paxos Commit (MoveProtocol::kPaxosCommit): the proposer (ballot 0 =
 /// the coordinating home; higher ballots = recovery rounds) asks the
 /// fragment's replica set to accept the quasi-transaction at its slot.
-struct PaxosAccept : MessagePayload {
-  const char* TypeName() const override { return "paxos-accept"; }
+struct PaxosAccept : TaggedPayload<MsgType::kPaxosAccept> {
   uint64_t ballot = 0;
   QuasiTxn quasi;
   Epoch epoch = 0;
@@ -173,8 +228,7 @@ struct PaxosAccept : MessagePayload {
   size_t ByteSize() const override { return 16 + QuasiTxnWireSize(quasi); }
 };
 
-struct PaxosAccepted : MessagePayload {
-  const char* TypeName() const override { return "paxos-accepted"; }
+struct PaxosAccepted : TaggedPayload<MsgType::kPaxosAccepted> {
   FragmentId fragment = kInvalidFragment;
   SeqNum seq = 0;
   uint64_t ballot = 0;
@@ -184,8 +238,7 @@ struct PaxosAccepted : MessagePayload {
 /// The learned outcome, broadcast by whichever proposer first assembled an
 /// F+1 majority (and unicast to late proposers by already-decided
 /// acceptors).
-struct PaxosOutcome : MessagePayload {
-  const char* TypeName() const override { return "paxos-outcome"; }
+struct PaxosOutcome : TaggedPayload<MsgType::kPaxosOutcome> {
   FragmentId fragment = kInvalidFragment;
   SeqNum seq = 0;
   bool commit = true;
@@ -201,8 +254,7 @@ struct RecoveryPosition {
 
 /// The recovering node asks every live peer for the stream suffix its
 /// durable state misses.
-struct RecoveryQuery : MessagePayload {
-  const char* TypeName() const override { return "recovery-query"; }
+struct RecoveryQuery : TaggedPayload<MsgType::kRecoveryQuery> {
   NodeId requester = kInvalidNode;
   int64_t recovery_id = 0;
   std::vector<RecoveryPosition> have;
@@ -219,8 +271,7 @@ struct RecoveryFragmentState {
   std::vector<QuasiTxn> quasis;
 };
 
-struct RecoveryReply : MessagePayload {
-  const char* TypeName() const override { return "recovery-reply"; }
+struct RecoveryReply : TaggedPayload<MsgType::kRecoveryReply> {
   NodeId replier = kInvalidNode;
   int64_t recovery_id = 0;
   std::vector<RecoveryFragmentState> fragments;
@@ -233,6 +284,80 @@ struct RecoveryReply : MessagePayload {
     return n;
   }
 };
+
+/// Calls `visit` with `p` cast to its concrete node-protocol payload type
+/// and returns true, or returns false for an untagged payload.
+template <typename Visitor>
+bool VisitCorePayload(const MessagePayload& p, Visitor&& visit) {
+  switch (static_cast<MsgType>(p.tag())) {
+    case MsgType::kQuasi:
+      visit(static_cast<const QuasiTxnMsg&>(p));
+      return true;
+    case MsgType::kReadLockRequest:
+      visit(static_cast<const ReadLockRequest&>(p));
+      return true;
+    case MsgType::kReadLockGrant:
+      visit(static_cast<const ReadLockGrant&>(p));
+      return true;
+    case MsgType::kReadLockRelease:
+      visit(static_cast<const ReadLockRelease&>(p));
+      return true;
+    case MsgType::kPrepare:
+      visit(static_cast<const QuasiPrepare&>(p));
+      return true;
+    case MsgType::kAck:
+      visit(static_cast<const QuasiAck&>(p));
+      return true;
+    case MsgType::kCommit:
+      visit(static_cast<const QuasiCommit&>(p));
+      return true;
+    case MsgType::kM0:
+      visit(static_cast<const M0Msg&>(p));
+      return true;
+    case MsgType::kForwardMissing:
+      visit(static_cast<const ForwardMissing&>(p));
+      return true;
+    case MsgType::kSeqQuery:
+      visit(static_cast<const SeqQuery&>(p));
+      return true;
+    case MsgType::kSeqReply:
+      visit(static_cast<const SeqReply&>(p));
+      return true;
+    case MsgType::kFetchMissing:
+      visit(static_cast<const FetchMissing&>(p));
+      return true;
+    case MsgType::kMissingData:
+      visit(static_cast<const MissingData&>(p));
+      return true;
+    case MsgType::kRecoveryQuery:
+      visit(static_cast<const RecoveryQuery&>(p));
+      return true;
+    case MsgType::kRecoveryReply:
+      visit(static_cast<const RecoveryReply&>(p));
+      return true;
+    case MsgType::kQuorumRead:
+      visit(static_cast<const QuorumReadRequest&>(p));
+      return true;
+    case MsgType::kQuorumReadReply:
+      visit(static_cast<const QuorumReadReply&>(p));
+      return true;
+    case MsgType::kQuorumAppliedAck:
+      visit(static_cast<const QuorumAppliedAck&>(p));
+      return true;
+    case MsgType::kPaxosAccept:
+      visit(static_cast<const PaxosAccept&>(p));
+      return true;
+    case MsgType::kPaxosAccepted:
+      visit(static_cast<const PaxosAccepted&>(p));
+      return true;
+    case MsgType::kPaxosOutcome:
+      visit(static_cast<const PaxosOutcome&>(p));
+      return true;
+    case MsgType::kUntagged:
+      break;
+  }
+  return false;
+}
 
 }  // namespace fragdb
 

@@ -56,51 +56,45 @@ NodeRuntime::NodeRuntime(Cluster* cluster, NodeId id)
   }
 }
 
+namespace {
+/// One visitor from a set of lambdas, one per payload type.
+template <typename... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
+template <typename... Fs>
+Overloaded(Fs...) -> Overloaded<Fs...>;
+}  // namespace
+
 void NodeRuntime::HandleMessage(const Message& msg) {
-  const MessagePayload* p = msg.payload.get();
-  if (auto* m = dynamic_cast<const QuasiTxnMsg*>(p)) {
-    OnQuasi(*m);
-  } else if (auto* m = dynamic_cast<const ReadLockRequest*>(p)) {
-    OnReadLockRequest(msg.from, *m);
-  } else if (auto* m = dynamic_cast<const ReadLockGrant*>(p)) {
-    cluster_->OnRemoteLockGrant(id_, msg.from, *m);
-  } else if (auto* m = dynamic_cast<const ReadLockRelease*>(p)) {
-    OnReadLockRelease(*m);
-  } else if (auto* m = dynamic_cast<const QuasiPrepare*>(p)) {
-    OnPrepare(msg.from, *m);
-  } else if (auto* m = dynamic_cast<const QuasiAck*>(p)) {
-    cluster_->OnMajorityAck(id_, *m);
-  } else if (auto* m = dynamic_cast<const QuasiCommit*>(p)) {
-    OnCommit(*m);
-  } else if (auto* m = dynamic_cast<const M0Msg*>(p)) {
-    OnM0(*m);
-  } else if (auto* m = dynamic_cast<const ForwardMissing*>(p)) {
-    OnForwardMissing(*m);
-  } else if (auto* m = dynamic_cast<const SeqQuery*>(p)) {
-    OnSeqQuery(msg.from, *m);
-  } else if (auto* m = dynamic_cast<const SeqReply*>(p)) {
-    OnSeqReply(*m);
-  } else if (auto* m = dynamic_cast<const FetchMissing*>(p)) {
-    OnFetchMissing(msg.from, *m);
-  } else if (auto* m = dynamic_cast<const MissingData*>(p)) {
-    OnMissingData(*m);
-  } else if (auto* m = dynamic_cast<const RecoveryQuery*>(p)) {
-    OnRecoveryQuery(*m);
-  } else if (auto* m = dynamic_cast<const RecoveryReply*>(p)) {
-    OnRecoveryReply(*m);
-  } else if (auto* m = dynamic_cast<const QuorumReadRequest*>(p)) {
-    OnQuorumReadRequest(*m);
-  } else if (auto* m = dynamic_cast<const QuorumReadReply*>(p)) {
-    cluster_->OnQuorumReadReply(id_, *m);
-  } else if (auto* m = dynamic_cast<const QuorumAppliedAck*>(p)) {
-    cluster_->OnQuorumAppliedAck(id_, *m);
-  } else if (auto* m = dynamic_cast<const PaxosAccept*>(p)) {
-    cluster_->OnPaxosAccept(id_, *m);
-  } else if (auto* m = dynamic_cast<const PaxosAccepted*>(p)) {
-    cluster_->OnPaxosAccepted(id_, *m);
-  } else if (auto* m = dynamic_cast<const PaxosOutcome*>(p)) {
-    cluster_->OnPaxosOutcome(id_, *m);
-  } else {
+  const NodeId from = msg.from;
+  Cluster* c = cluster_;
+  const bool known = VisitCorePayload(
+      *msg.payload,
+      Overloaded{
+          [&](const QuasiTxnMsg& m) { OnQuasi(m); },
+          [&](const ReadLockRequest& m) { OnReadLockRequest(from, m); },
+          [&](const ReadLockGrant& m) { c->OnRemoteLockGrant(id_, from, m); },
+          [&](const ReadLockRelease& m) { OnReadLockRelease(m); },
+          [&](const QuasiPrepare& m) { OnPrepare(from, m); },
+          [&](const QuasiAck& m) { c->OnMajorityAck(id_, m); },
+          [&](const QuasiCommit& m) { OnCommit(m); },
+          [&](const M0Msg& m) { OnM0(m); },
+          [&](const ForwardMissing& m) { OnForwardMissing(m); },
+          [&](const SeqQuery& m) { OnSeqQuery(from, m); },
+          [&](const SeqReply& m) { OnSeqReply(m); },
+          [&](const FetchMissing& m) { OnFetchMissing(from, m); },
+          [&](const MissingData& m) { OnMissingData(m); },
+          [&](const RecoveryQuery& m) { OnRecoveryQuery(m); },
+          [&](const RecoveryReply& m) { OnRecoveryReply(m); },
+          [&](const QuorumReadRequest& m) { OnQuorumReadRequest(m); },
+          [&](const QuorumReadReply& m) { c->OnQuorumReadReply(id_, m); },
+          [&](const QuorumAppliedAck& m) { c->OnQuorumAppliedAck(id_, m); },
+          [&](const PaxosAccept& m) { c->OnPaxosAccept(id_, m); },
+          [&](const PaxosAccepted& m) { c->OnPaxosAccepted(id_, m); },
+          [&](const PaxosOutcome& m) { c->OnPaxosOutcome(id_, m); },
+      });
+  if (!known) {
     FRAGDB_LOG(kWarning) << "node " << id_ << ": unknown message payload";
   }
 }
@@ -159,40 +153,42 @@ void NodeRuntime::EnqueueQuasi(const QuasiTxn& quasi, Epoch epoch) {
 void NodeRuntime::TryInstallNext(FragmentId f) {
   FragmentStream& s = streams_[f];
   if (s.install_in_flight) return;
-  const QuasiTxn* next = s.holdback.Find(s.applied_seq + 1);
-  if (next == nullptr) {
+  QuasiTxn next;
+  if (!s.holdback.Take(s.applied_seq + 1, &next)) {
     // Later sequences are waiting but the next expected one is missing —
     // with a lossy network that may be a dropped message, never to arrive.
     if (!s.holdback.empty()) MaybeScheduleGapRepair(f);
     UpdateGapState(f);
     return;
   }
-  QuasiTxn quasi = *next;
-  s.holdback.Erase(quasi.seq);
   s.install_in_flight = true;
   UpdateGapState(f);
   TxnId install_id = cluster_->NewTxnId();
-  scheduler_->Install(quasi, install_id, [this, f, quasi] {
+  scheduler_->Install(std::move(next), install_id, [this, f](QuasiTxn&& quasi) {
     FragmentStream& stream = streams_[f];
-    stream.applied_seq = quasi.seq;
-    stream.log.Put(quasi.seq, quasi);
+    const SeqNum seq = quasi.seq;
+    const TxnId origin_txn = quasi.origin_txn;
+    const NodeId origin_node = quasi.origin_node;
+    const SimTime origin_time = quasi.origin_time;
+    stream.applied_seq = seq;
+    const QuasiTxn& logged = stream.log.Put(seq, std::move(quasi));
     stream.install_in_flight = false;
-    if (durability_) durability_->OnQuasiApplied(quasi, stream.epoch);
+    if (durability_) durability_->OnQuasiApplied(logged, stream.epoch);
     // Replication lag: commit at the origin to install here. The home's
     // own (re)install of its quasi-transaction is not replication.
-    if (quasi.origin_node != id_) {
+    if (origin_node != id_) {
       // Quorum writes count applied replicas, not received ones: the home
       // defers the client until W replicas have actually installed, so the
       // ack only leaves here once the install callback has run.
       if (cluster_->ControlFor(f) == ControlOption::kQuorum) {
         auto ack = std::make_shared<QuorumAppliedAck>();
-        ack->txn = quasi.origin_txn;
+        ack->txn = origin_txn;
         ack->fragment = f;
-        ack->seq = quasi.seq;
+        ack->seq = seq;
         ack->acker = id_;
-        cluster_->network().Send(id_, quasi.origin_node, ack);
+        cluster_->network().Send(id_, origin_node, ack);
       }
-      SimTime lag = cluster_->engine()->Now() - quasi.origin_time;
+      SimTime lag = cluster_->engine()->Now() - origin_time;
       if (ClusterInstruments* ins = cluster_->instruments()) {
         ins->ReplicationLag(id_, f)->Observe(lag);
       }
@@ -214,10 +210,7 @@ void NodeRuntime::TryInstallNext(FragmentId f) {
           static_cast<int64_t>(stream.holdback.size()));
     }
     if (cluster_->tracing_active()) {
-      cluster_->Trace("install", id_, f, quasi.origin_txn, quasi.seq,
-                      "T" + std::to_string(quasi.origin_txn) +
-                          " seq=" + std::to_string(quasi.seq) + " at N" +
-                          std::to_string(id_));
+      cluster_->Trace(TraceDetail::kInstall, id_, f, origin_txn, seq);
     }
     OnAppliedAdvanced(f);
     TryInstallNext(f);
@@ -343,18 +336,16 @@ void NodeRuntime::OnPrepare(NodeId from, const QuasiPrepare& msg) {
 
 void NodeRuntime::OnCommit(const QuasiCommit& msg) {
   FragmentStream& s = streams_[msg.fragment];
-  const QuasiTxn* found = s.prepared.Find(msg.seq);
-  if (found == nullptr) {
+  QuasiTxn quasi;
+  if (!s.prepared.Take(msg.seq, &quasi)) {
     if (msg.seq > s.applied_seq && !s.log.Contains(msg.seq)) {
       s.early_commits.insert(msg.seq);
     }
     return;
   }
-  QuasiTxn quasi = *found;
-  s.prepared.Erase(msg.seq);
   if (quasi.seq > s.applied_seq && !s.holdback.Contains(quasi.seq) &&
       !s.log.Contains(quasi.seq)) {
-    s.holdback.Put(quasi.seq, quasi);
+    s.holdback.Put(quasi.seq, std::move(quasi));
   }
   TryInstallNext(msg.fragment);
 }

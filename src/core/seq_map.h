@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -41,17 +42,26 @@ class SeqMap {
   iterator begin() { return entries_.begin(); }
   iterator end() { return entries_.end(); }
 
-  bool Contains(SeqNum seq) const {
+  bool Contains(SeqNum seq) const { return Find(seq) != nullptr; }
+
+  /// The entry for `seq`, or nullptr. O(1) when `seq` is past the back
+  /// (an in-order arrival probing the never-truncated log).
+  const T* Find(SeqNum seq) const {
+    if (entries_.empty() || entries_.back().seq < seq) return nullptr;
     size_t i = LowerBound(seq);
-    return i < entries_.size() && entries_[i].seq == seq;
+    if (entries_[i].seq == seq) return &entries_[i].value;
+    return nullptr;
   }
 
-  const T* Find(SeqNum seq) const {
+  /// Moves the entry for `seq` into `*out` and removes it; returns false
+  /// (leaving `*out` alone) if absent.
+  bool Take(SeqNum seq, T* out) {
+    if (entries_.empty() || entries_.back().seq < seq) return false;
     size_t i = LowerBound(seq);
-    if (i < entries_.size() && entries_[i].seq == seq) {
-      return &entries_[i].value;
-    }
-    return nullptr;
+    if (entries_[i].seq != seq) return false;
+    *out = std::move(entries_[i].value);
+    entries_.erase(entries_.begin() + i);
+    return true;
   }
 
   /// Inserts or overwrites the entry for `seq`. Appends in O(1) when

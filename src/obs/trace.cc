@@ -48,6 +48,18 @@ std::string JsonUnescape(const std::string& s) {
 
 }  // namespace
 
+const char* TraceDetailKind(TraceDetail detail) {
+  switch (detail) {
+    case TraceDetail::kInstall:
+      return "install";
+    case TraceDetail::kPaxosDecide:
+      return "paxos-decide";
+    case TraceDetail::kText:
+      break;
+  }
+  return nullptr;
+}
+
 std::string TraceEventToJsonLine(const TraceEvent& ev) {
   std::string line = "{\"name\":\"" + JsonEscape(ev.kind) + "\"";
   line += ",\"ph\":\"i\",\"s\":\"p\"";
@@ -116,11 +128,14 @@ size_t Tracer::RingIndex(NodeId node) const {
   return static_cast<size_t>(node);
 }
 
-void Tracer::Record(TraceEvent ev, NodeId acting) {
+void Tracer::Record(TraceEvent ev, NodeId acting, TraceDetail detail) {
   // The acting node is the only context that may write concurrently;
   // globals and setup route by subject.
   Ring& ring = rings_[RingIndex(acting != kInvalidNode ? acting : ev.node)];
-  Slot slot{ring.next_seq++, std::move(ev)};
+  Slot slot;
+  slot.seq = ring.next_seq++;
+  slot.detail = detail;
+  slot.ev = std::move(ev);
   if (capacity_ == 0 || ring.slots.size() < static_cast<size_t>(capacity_)) {
     ring.slots.push_back(std::move(slot));
     return;
@@ -131,6 +146,21 @@ void Tracer::Record(TraceEvent ev, NodeId acting) {
 
 void Tracer::Clear() {
   for (Ring& ring : rings_) ring = Ring{};
+}
+
+TraceEvent Tracer::Materialize(const Slot& slot) {
+  TraceEvent ev = slot.ev;
+  if (slot.detail == TraceDetail::kText) return ev;
+  ev.detail = 'T' + std::to_string(ev.txn);
+  if (slot.detail == TraceDetail::kInstall) {
+    ev.detail += " seq=";
+    ev.detail += std::to_string(ev.seq);
+    ev.detail += " at N";
+    ev.detail += std::to_string(ev.node);
+  } else {
+    ev.detail += " commit";
+  }
+  return ev;
 }
 
 uint64_t Tracer::total_recorded() const {
@@ -155,7 +185,7 @@ std::vector<TraceEvent> Tracer::events() const {
   });
   std::vector<TraceEvent> out;
   out.reserve(all.size());
-  for (const auto& [ring, slot] : all) out.push_back(slot->ev);
+  for (const auto& [ring, slot] : all) out.push_back(Materialize(*slot));
   return out;
 }
 
@@ -165,7 +195,7 @@ std::vector<TraceEvent> Tracer::NodeEvents(NodeId node) const {
   const size_t n = ring.slots.size();
   out.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    out.push_back(ring.slots[(ring.next + i) % n].ev);
+    out.push_back(Materialize(ring.slots[(ring.next + i) % n]));
   }
   return out;
 }

@@ -34,6 +34,22 @@ struct TraceEvent {
   std::string detail;
 };
 
+/// How a recorded event gets its detail text. kText events carry it as
+/// recorded. The others are the records written on every commit and
+/// every install: they store no string, and the detail is rendered from
+/// the event's own fields whenever the event is read (dump time), so the
+/// hot path formats nothing. Each also fixes the event's kind.
+enum class TraceDetail : uint8_t {
+  kText,
+  /// kind "install", detail "T<txn> seq=<seq> at N<node>".
+  kInstall,
+  /// kind "paxos-decide", detail "T<txn> commit".
+  kPaxosDecide,
+};
+
+/// The kind a rendered-detail event is recorded under (nullptr for kText).
+const char* TraceDetailKind(TraceDetail detail);
+
 /// Renders one event as a Chrome trace_event JSON object (the line format
 /// of Tracer::ToJsonl); parseable back via Tracer::ParseJsonl.
 std::string TraceEventToJsonLine(const TraceEvent& ev);
@@ -58,7 +74,11 @@ class Tracer {
   /// retained per ring, 0 = unbounded.
   explicit Tracer(int nodes = 0, int capacity = 0);
 
-  void Record(TraceEvent ev, NodeId acting = kInvalidNode);
+  /// Records `ev`. With a rendered `detail` format, `ev.detail` should be
+  /// empty: the detail is produced from the event's fields when it is
+  /// read.
+  void Record(TraceEvent ev, NodeId acting = kInvalidNode,
+              TraceDetail detail = TraceDetail::kText);
   void Clear();
 
   /// Events retained per ring (0 = unbounded).
@@ -89,9 +109,14 @@ class Tracer {
 
  private:
   struct Slot {
-    uint64_t seq = 0;
+    // 56 bits of ring sequence leave room for the format in the same
+    // word, so the format costs no slot space.
+    uint64_t seq : 56 = 0;
+    TraceDetail detail : 8 = TraceDetail::kText;
     TraceEvent ev;
   };
+  /// The event as recorded, with a rendered detail filled in.
+  static TraceEvent Materialize(const Slot& slot);
   struct Ring {
     std::vector<Slot> slots;  // at most capacity_ when bounded
     size_t next = 0;          // overwrite position once full

@@ -23,8 +23,10 @@ namespace fragdb {
 class EventFn {
  public:
   /// Sized so the common closures fit: a network Dispatch capture
-  /// (this + endpoints + timestamps + shared_ptr payload) is 40 bytes, a
-  /// node install continuation (this + fragment + QuasiTxn) is 72.
+  /// (this + endpoints + timestamps + shared_ptr payload) is 40 bytes; a
+  /// scheduler install event (this + generation + install slot) is 24,
+  /// since the quasi-transaction waits in the scheduler's slot table
+  /// rather than in the closure.
   static constexpr size_t kInlineSize = 80;
 
   EventFn() = default;

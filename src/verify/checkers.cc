@@ -428,7 +428,15 @@ PredicateTimeline TracePredicate(const History& history,
 
 void FifoOrderChecker::Observe(const Message& m) {
   ++observed_;
-  SimTime& last = last_sent_[{m.from, m.to}];
+  FRAGDB_CHECK(m.from >= 0 && m.to >= 0);
+  if (static_cast<size_t>(m.to) >= last_sent_.size()) {
+    last_sent_.resize(static_cast<size_t>(m.to) + 1);
+  }
+  std::vector<SimTime>& row = last_sent_[m.to];
+  if (static_cast<size_t>(m.from) >= row.size()) {
+    row.resize(static_cast<size_t>(m.from) + 1, 0);
+  }
+  SimTime& last = row[m.from];
   if (m.sent_at < last) {
     ++violations_;
     if (first_violation_.empty()) {

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -90,8 +89,10 @@ class FifoOrderChecker {
   uint64_t violations() const { return violations_; }
 
  private:
-  // Last observed sent_at per ordered channel.
-  std::map<std::pair<NodeId, NodeId>, SimTime> last_sent_;
+  // Last observed sent_at per ordered channel, indexed [to][from] and
+  // grown on demand; a channel not yet seen reads 0. Checkers shard by
+  // destination, so each one usually holds a single row.
+  std::vector<std::vector<SimTime>> last_sent_;
   uint64_t observed_ = 0;
   uint64_t violations_ = 0;
   std::string first_violation_;

@@ -404,5 +404,46 @@ TEST(DecidedInstallsTest, UndecidedSlotsAreNotChecked) {
   EXPECT_TRUE(CheckDecidedInstalls(d.b.h).ok);
 }
 
+// --------------------------------------------------------------------------
+// FifoOrderChecker
+// --------------------------------------------------------------------------
+
+Message Delivery(NodeId from, NodeId to, SimTime sent_at) {
+  Message m;
+  m.from = from;
+  m.to = to;
+  m.sent_at = sent_at;
+  return m;
+}
+
+TEST(FifoOrderCheckerTest, InOrderDeliveriesPass) {
+  FifoOrderChecker fifo;
+  for (SimTime t : {10, 20, 20, 35}) fifo.Observe(Delivery(0, 1, t));
+  // Channels are independent: an earlier stamp on another channel (or the
+  // reverse direction) is no reordering.
+  fifo.Observe(Delivery(2, 1, 5));
+  fifo.Observe(Delivery(1, 0, 1));
+  fifo.Observe(Delivery(7, 3, 0));
+  EXPECT_TRUE(fifo.Report().ok);
+  EXPECT_EQ(fifo.observed(), 7u);
+  EXPECT_EQ(fifo.violations(), 0u);
+}
+
+TEST(FifoOrderCheckerTest, OneReorderedDeliveryFailsWithTheExactMessage) {
+  FifoOrderChecker fifo;
+  fifo.Observe(Delivery(2, 1, 100));
+  fifo.Observe(Delivery(2, 1, 300));
+  fifo.Observe(Delivery(2, 1, 200));  // overtaken by the 300us send
+  fifo.Observe(Delivery(2, 1, 250));  // still behind the highest stamp
+  fifo.Observe(Delivery(2, 1, 400));
+  CheckReport report = fifo.Report();
+  EXPECT_FALSE(report.ok);
+  EXPECT_EQ(report.detail,
+            "2 of 5 deliveries out of FIFO order; first: channel 2->1 "
+            "delivered sent_at=200us after sent_at=300us");
+  EXPECT_EQ(fifo.observed(), 5u);
+  EXPECT_EQ(fifo.violations(), 2u);
+}
+
 }  // namespace
 }  // namespace fragdb

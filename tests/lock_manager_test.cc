@@ -150,6 +150,63 @@ TEST(LockManagerTest, ReleaseSingleResource) {
   EXPECT_TRUE(lm.Holds(1, 200, LockMode::kExclusive));
 }
 
+TEST(LockManagerTest, FifoGrantsUpgradeAndCountsAcrossDrainAndReuse) {
+  LockManager lm;
+  std::vector<int> order;
+  auto record = [&order](int who) {
+    return [&order, who](Status s) {
+      ASSERT_TRUE(s.ok());
+      order.push_back(who);
+    };
+  };
+  // Two shared holders; txn 1 asks to upgrade, then txn 3 queues for X
+  // and txn 4 for S behind it.
+  lm.Acquire(1, 100, LockMode::kShared, record(1));
+  lm.Acquire(2, 100, LockMode::kShared, record(2));
+  lm.Acquire(1, 100, LockMode::kExclusive, record(-1));  // upgrade waits
+  lm.Acquire(3, 100, LockMode::kExclusive, record(3));
+  lm.Acquire(4, 100, LockMode::kShared, record(4));
+  // A second resource keeps the table non-trivial.
+  lm.Acquire(5, 200, LockMode::kExclusive, record(5));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 5}));
+  EXPECT_EQ(lm.held_count(), 3u);
+  EXPECT_EQ(lm.waiting_count(), 3u);
+
+  lm.Release(2, 100);  // txn 1 is now the sole holder: the upgrade fires
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 5, -1}));
+  EXPECT_TRUE(lm.Holds(1, 100, LockMode::kExclusive));
+  EXPECT_EQ(lm.held_count(), 2u);
+  EXPECT_EQ(lm.waiting_count(), 2u);
+
+  lm.Release(1, 100);  // FIFO: the X waiter before the S waiter
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 5, -1, 3}));
+  lm.ReleaseAll(3);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 5, -1, 3, 4}));
+  EXPECT_EQ(lm.held_count(), 2u);  // txn 4 on 100, txn 5 on 200
+  EXPECT_EQ(lm.waiting_count(), 0u);
+
+  // Drain resource 100 to empty, then acquire it again: the reused entry
+  // starts clean.
+  lm.ReleaseAll(4);
+  EXPECT_FALSE(lm.Holds(4, 100, LockMode::kShared));
+  EXPECT_EQ(lm.held_count(), 1u);
+  EXPECT_EQ(lm.waiting_count(), 0u);
+  Grant again, queued;
+  lm.Acquire(6, 100, LockMode::kExclusive, again.cb());
+  lm.Acquire(7, 100, LockMode::kShared, queued.cb());
+  EXPECT_TRUE(again.fired && again.status.ok());
+  EXPECT_FALSE(queued.fired);
+  EXPECT_EQ(lm.held_count(), 2u);
+  EXPECT_EQ(lm.waiting_count(), 1u);
+  EXPECT_FALSE(lm.Holds(1, 100, LockMode::kShared));
+  lm.Release(6, 100);
+  EXPECT_TRUE(queued.fired && queued.status.ok());
+  lm.Release(7, 100);
+  lm.Release(5, 200);
+  EXPECT_EQ(lm.held_count(), 0u);
+  EXPECT_EQ(lm.waiting_count(), 0u);
+}
+
 TEST(LockManagerTest, DeadlockDetectedAndYoungestAborted) {
   LockManager lm;
   Grant g1, g2, w1, w2;

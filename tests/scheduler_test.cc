@@ -174,9 +174,15 @@ TEST_F(SchedFixture, InstallAppliesQuasiAtomically) {
   q.origin_node = 3;
   q.writes = {{a, 55}};
   bool done = false;
-  sched->Install(q, 1000, [&] { done = true; });
+  QuasiTxn received;
+  sched->Install(q, 1000, [&](QuasiTxn&& installed) {
+    done = true;
+    received = std::move(installed);
+  });
   engine.RunToQuiescence();
   EXPECT_TRUE(done);
+  EXPECT_EQ(received, q);  // handed over intact
+  EXPECT_EQ(locks.held_count(), 0u);
   EXPECT_EQ(store->Read(a), 55);
   EXPECT_EQ(store->Info(a).writer, 77);
   EXPECT_EQ(store->Info(a).frag_seq, 1);
@@ -201,7 +207,7 @@ TEST_F(SchedFixture, InstallWaitsForLocalTransaction) {
   q.fragment = f0;
   q.seq = 2;
   q.writes = {{a, 9}};
-  sched->Install(q, 1000, [&] { install_done = engine.Now(); });
+  sched->Install(q, 1000, [&](QuasiTxn&&) { install_done = engine.Now(); });
   engine.RunToQuiescence();
   EXPECT_GE(install_done, txn_done);
   EXPECT_EQ(store->Read(a), 9);  // install applied after the local commit

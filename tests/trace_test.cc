@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/cluster.h"
@@ -127,6 +128,65 @@ TEST_F(TraceFixture, EventsCarrySimTime) {
   std::optional<TraceEvent> commit = First("commit");
   ASSERT_TRUE(commit.has_value());
   EXPECT_GE(commit->at, submit->at);
+}
+
+// A pinned flight-recorder dump of a short Paxos Commit run: every
+// "paxos-decide" and "install" record renders its detail from the event's
+// own fields at dump time, and the bytes must not drift. The capacity is
+// small enough that the busiest rings wrap.
+constexpr char kPinnedPaxosFlightDump[] = R"dump({"name":"paxos-propose","ph":"i","s":"p","ts":2100,"pid":0,"tid":8,"args":{"fragment":0,"seq":2,"detail":"T8 ballot=0"}}
+{"name":"submit","ph":"i","s":"p","ts":4000,"pid":0,"tid":12,"args":{"fragment":0,"seq":0,"detail":"T12 add at N0"}}
+{"name":"paxos-propose","ph":"i","s":"p","ts":4100,"pid":0,"tid":12,"args":{"fragment":0,"seq":3,"detail":"T12 ballot=0"}}
+{"name":"paxos-decide","ph":"i","s":"p","ts":10100,"pid":0,"tid":4,"args":{"fragment":0,"seq":1,"detail":"T4 commit"}}
+{"name":"paxos-decide","ph":"i","s":"p","ts":12100,"pid":0,"tid":8,"args":{"fragment":0,"seq":2,"detail":"T8 commit"}}
+{"name":"paxos-decide","ph":"i","s":"p","ts":14100,"pid":0,"tid":12,"args":{"fragment":0,"seq":3,"detail":"T12 commit"}}
+{"name":"paxos-decide","ph":"i","s":"p","ts":15100,"pid":1,"tid":4,"args":{"fragment":0,"seq":1,"detail":"T4 commit"}}
+{"name":"paxos-decide","ph":"i","s":"p","ts":15100,"pid":2,"tid":4,"args":{"fragment":0,"seq":1,"detail":"T4 commit"}}
+{"name":"install","ph":"i","s":"p","ts":15150,"pid":1,"tid":4,"args":{"fragment":0,"seq":1,"detail":"T4 seq=1 at N1"}}
+{"name":"install","ph":"i","s":"p","ts":15150,"pid":2,"tid":4,"args":{"fragment":0,"seq":1,"detail":"T4 seq=1 at N2"}}
+{"name":"paxos-decide","ph":"i","s":"p","ts":17100,"pid":1,"tid":8,"args":{"fragment":0,"seq":2,"detail":"T8 commit"}}
+{"name":"paxos-decide","ph":"i","s":"p","ts":17100,"pid":2,"tid":8,"args":{"fragment":0,"seq":2,"detail":"T8 commit"}}
+{"name":"install","ph":"i","s":"p","ts":17150,"pid":1,"tid":8,"args":{"fragment":0,"seq":2,"detail":"T8 seq=2 at N1"}}
+{"name":"install","ph":"i","s":"p","ts":17150,"pid":2,"tid":8,"args":{"fragment":0,"seq":2,"detail":"T8 seq=2 at N2"}}
+{"name":"paxos-decide","ph":"i","s":"p","ts":19100,"pid":1,"tid":12,"args":{"fragment":0,"seq":3,"detail":"T12 commit"}}
+{"name":"paxos-decide","ph":"i","s":"p","ts":19100,"pid":2,"tid":12,"args":{"fragment":0,"seq":3,"detail":"T12 commit"}}
+{"name":"install","ph":"i","s":"p","ts":19150,"pid":1,"tid":12,"args":{"fragment":0,"seq":3,"detail":"T12 seq=3 at N1"}}
+{"name":"install","ph":"i","s":"p","ts":19150,"pid":2,"tid":12,"args":{"fragment":0,"seq":3,"detail":"T12 seq=3 at N2"}}
+)dump";
+
+TEST(FlightRecorderPinTest, PaxosCommitDumpIsPinned) {
+  ClusterConfig config;
+  config.control = ControlOption::kFragmentwise;
+  config.move_protocol = MoveProtocol::kPaxosCommit;
+  config.observability.flight_recorder = true;
+  config.observability.flight_recorder_capacity = 6;
+  Cluster cluster(config, Topology::FullMesh(3, Millis(5)));
+  FragmentId frag = cluster.DefineFragment("F");
+  ObjectId x = *cluster.DefineObject(frag, "x", 0);
+  AgentId agent = cluster.DefineUserAgent("owner");
+  ASSERT_TRUE(cluster.AssignToken(frag, agent).ok());
+  ASSERT_TRUE(cluster.SetAgentHome(agent, 0).ok());
+  ASSERT_TRUE(cluster.Start().ok());
+  for (Value v : {3, 4, 5}) {
+    TxnSpec spec;
+    spec.agent = agent;
+    spec.write_fragment = frag;
+    spec.label = "add";
+    spec.read_set = {x};
+    spec.body = [x, v](const std::vector<Value>& reads)
+        -> Result<std::vector<WriteOp>> {
+      return std::vector<WriteOp>{{x, reads[0] + v}};
+    };
+    cluster.Submit(spec, nullptr);
+    cluster.RunFor(Millis(2));
+  }
+  cluster.RunToQuiescence();
+  ASSERT_EQ(cluster.ReadAt(2, x), 12);
+
+  const std::string dump = cluster.flight_recorder()->ToJsonl();
+  EXPECT_NE(dump.find("\"name\":\"paxos-decide\""), std::string::npos);
+  EXPECT_NE(dump.find("\"name\":\"install\""), std::string::npos);
+  EXPECT_EQ(dump, kPinnedPaxosFlightDump) << dump;
 }
 
 }  // namespace
