@@ -467,7 +467,10 @@ void BM_TopologyPathLatency(benchmark::State& state) {
 }
 BENCHMARK(BM_TopologyPathLatency)->Arg(8)->Arg(32);
 
-void BM_SchedulerRunLocal(benchmark::State& state) {
+// One home-side update through the scheduler's single path: lock, exec,
+// body, seq, apply, release. allocs_per_txn counts every global operator
+// new of the loop.
+void BM_SchedulerPrepareCommit(benchmark::State& state) {
   Catalog catalog;
   FragmentId f = catalog.AddFragment("F");
   ObjectId x = *catalog.AddObject(f, "x", 0);
@@ -485,14 +488,22 @@ void BM_SchedulerRunLocal(benchmark::State& state) {
   };
   TxnId id = 1;
   SeqNum seq = 0;
+  const uint64_t allocs_before =
+      g_heap_allocations.load(std::memory_order_relaxed);
   for (auto _ : state) {
-    sched.RunLocal(id++, spec, false, [&seq] { return ++seq; },
-                   [](TxnResult) {});
+    const TxnId txn = id++;
+    sched.Prepare(txn, spec, false, [&sched, &seq, txn, f](TxnResult r) {
+      sched.CommitPrepared(txn, f, r.writes, ++seq, /*release_locks=*/true);
+    });
     engine.RunToQuiescence();
   }
+  const uint64_t allocs =
+      g_heap_allocations.load(std::memory_order_relaxed) - allocs_before;
   state.SetItemsProcessed(state.iterations());
+  state.counters["allocs_per_txn"] =
+      static_cast<double>(allocs) / std::max<int64_t>(state.iterations(), 1);
 }
-BENCHMARK(BM_SchedulerRunLocal);
+BENCHMARK(BM_SchedulerPrepareCommit);
 
 void BM_RngZipf(benchmark::State& state) {
   Rng rng(9);
@@ -522,9 +533,10 @@ class JsonLineReporter : public benchmark::ConsoleReporter {
               ? (double)run.counters.at("items_per_second")
               : 0.0);
       std::string line = json;
-      auto allocs = run.counters.find("allocs_per_install");
-      if (allocs != run.counters.end()) {
-        std::snprintf(json, sizeof(json), ",\"allocs_per_install\":%.1f",
+      for (const char* counter : {"allocs_per_install", "allocs_per_txn"}) {
+        auto allocs = run.counters.find(counter);
+        if (allocs == run.counters.end()) continue;
+        std::snprintf(json, sizeof(json), ",\"%s\":%.1f", counter,
                       (double)allocs->second);
         line += json;
       }

@@ -15,50 +15,41 @@ Scheduler::Scheduler(NodeId node, SimEngine* engine, ObjectStore* store,
       config_(config),
       hooks_(std::move(hooks)) {}
 
-void Scheduler::RunLocal(TxnId id, TxnSpec spec, bool write_lock_preacquired,
-                         std::function<SeqNum()> seq_alloc,
-                         std::function<void(TxnResult)> done) {
-  const bool needs_lock =
-      !spec.read_only() && !write_lock_preacquired;
-  if (!needs_lock) {
-    bool owns = false;
+void Scheduler::Prepare(TxnId id, TxnSpec spec, bool write_lock_preacquired,
+                        std::function<void(TxnResult)> prepared) {
+  const bool take_lock = !spec.read_only() && !write_lock_preacquired;
+  const ResourceId resource = FragmentResource(spec.write_fragment);
+  // One closure owns the spec and the continuation until the result is
+  // handed over. It runs once — with the lock grant's status, or with Ok
+  // when no lock is taken — and moves both on into the exec event.
+  auto run = [this, id, spec = std::move(spec),
+              prepared = std::move(prepared)](Status granted) mutable {
+    if (!granted.ok()) {
+      TxnResult result;
+      result.id = id;
+      result.status = std::move(granted);
+      result.finished_at = engine_->Now();
+      prepared(std::move(result));
+      return;
+    }
     engine_->AfterNode(node_, config_.exec_time,
-                [this, gen = generation_, id, spec = std::move(spec), owns,
-                 seq_alloc = std::move(seq_alloc), done = std::move(done)] {
-                  if (gen != generation_) return;  // node crashed meanwhile
-                  ExecuteBody(id, spec, owns, seq_alloc, done);
-                });
+                       [this, gen = generation_, id, spec = std::move(spec),
+                        prepared = std::move(prepared)] {
+                         // The node crashed meanwhile.
+                         if (gen != generation_) return;
+                         prepared(Execute(id, spec));
+                       });
+  };
+  if (!take_lock) {
+    run(Status::Ok());
     return;
   }
-  ResourceId resource = FragmentResource(spec.write_fragment);
-  locks_->Acquire(
-      id, resource, LockMode::kExclusive,
-      [this, id, spec = std::move(spec), seq_alloc = std::move(seq_alloc),
-       done = std::move(done)](Status st) {
-        if (!st.ok()) {
-          TxnResult result;
-          result.id = id;
-          result.status = st;
-          result.finished_at = engine_->Now();
-          done(result);
-          return;
-        }
-        engine_->AfterNode(node_, config_.exec_time,
-                    [this, gen = generation_, id, spec, seq_alloc, done] {
-                      if (gen != generation_) return;
-                      ExecuteBody(id, spec, /*owns_write_lock=*/true,
-                                  seq_alloc, done);
-                    });
-      });
+  locks_->Acquire(id, resource, LockMode::kExclusive, std::move(run));
 }
 
-void Scheduler::ExecuteBody(TxnId id, const TxnSpec& spec,
-                            bool owns_write_lock,
-                            const std::function<SeqNum()>& seq_alloc,
-                            const std::function<void(TxnResult)>& done) {
+TxnResult Scheduler::Execute(TxnId id, const TxnSpec& spec) {
   TxnResult result;
   result.id = id;
-
   // Read the declared read set from the local replica, atomically (this
   // whole function runs inside one simulator event).
   result.reads.reserve(spec.read_set.size());
@@ -67,120 +58,31 @@ void Scheduler::ExecuteBody(TxnId id, const TxnSpec& spec,
     result.reads.push_back(seen.value);
     if (hooks_.on_read) hooks_.on_read(id, o, seen, engine_->Now());
   }
-
   Result<std::vector<WriteOp>> body_out = spec.body
       ? spec.body(result.reads)
       : Result<std::vector<WriteOp>>(std::vector<WriteOp>{});
-
+  result.finished_at = engine_->Now();
   if (!body_out.ok()) {
     result.status = body_out.status();
-  } else if (spec.read_only() && !body_out->empty()) {
-    result.status = Status::PermissionDenied(
-        "read-only transaction attempted to write");
-  } else {
-    // Initiation requirement (paper §3.2): every object modified must be
-    // contained in the initiating agent's fragment.
-    Status init_ok = Status::Ok();
-    for (const WriteOp& w : *body_out) {
-      if (!store_->catalog()->ValidObject(w.object) ||
-          store_->catalog()->FragmentOf(w.object) != spec.write_fragment) {
-        init_ok = Status::PermissionDenied(
-            "write outside the initiating agent's fragment");
-        break;
-      }
-    }
-    if (!init_ok.ok()) {
-      result.status = init_ok;
-    } else {
-      result.writes = std::move(*body_out);
-      if (!result.writes.empty() || !spec.read_only()) {
-        // Commit an update transaction (possibly with zero writes, which
-        // still consumes a sequence number so replicas agree on history).
-        result.frag_seq = seq_alloc ? seq_alloc() : 0;
-        QuasiTxn quasi;
-        quasi.origin_txn = id;
-        quasi.fragment = spec.write_fragment;
-        quasi.seq = result.frag_seq;
-        quasi.origin_node = node_;
-        quasi.origin_time = engine_->Now();
-        quasi.writes = result.writes;
-        for (const WriteOp& w : result.writes) {
-          store_->Write(w.object, w.value, id, result.frag_seq, engine_->Now());
-        }
-        if (hooks_.on_install && !spec.read_only()) {
-          hooks_.on_install(node_, quasi, engine_->Now());
-        }
-      }
-      result.status = Status::Ok();
+    return result;
+  }
+  if (spec.read_only() && !body_out->empty()) {
+    result.status =
+        Status::PermissionDenied("read-only transaction attempted to write");
+    return result;
+  }
+  // Initiation requirement (paper §3.2): every object modified must be
+  // contained in the initiating agent's fragment.
+  for (const WriteOp& w : *body_out) {
+    if (!store_->catalog()->ValidObject(w.object) ||
+        store_->catalog()->FragmentOf(w.object) != spec.write_fragment) {
+      result.status = Status::PermissionDenied(
+          "write outside the initiating agent's fragment");
+      return result;
     }
   }
-
-  result.finished_at = engine_->Now();
-  if (owns_write_lock) locks_->ReleaseAll(id);
-  done(std::move(result));
-}
-
-void Scheduler::Prepare(TxnId id, TxnSpec spec, bool write_lock_preacquired,
-                        std::function<void(TxnResult)> prepared_fn) {
-  auto prepared =
-      std::make_shared<std::function<void(TxnResult)>>(std::move(prepared_fn));
-  auto execute = [this, id, spec, prepared] {
-    TxnResult result;
-    result.id = id;
-    result.reads.reserve(spec.read_set.size());
-    for (ObjectId o : spec.read_set) {
-      const VersionInfo& seen = store_->Info(o);
-      result.reads.push_back(seen.value);
-      if (hooks_.on_read) hooks_.on_read(id, o, seen, engine_->Now());
-    }
-    Result<std::vector<WriteOp>> body_out = spec.body
-        ? spec.body(result.reads)
-        : Result<std::vector<WriteOp>>(std::vector<WriteOp>{});
-    if (!body_out.ok()) {
-      result.status = body_out.status();
-    } else {
-      Status init_ok = Status::Ok();
-      for (const WriteOp& w : *body_out) {
-        if (!store_->catalog()->ValidObject(w.object) ||
-            store_->catalog()->FragmentOf(w.object) != spec.write_fragment) {
-          init_ok = Status::PermissionDenied(
-              "write outside the initiating agent's fragment");
-          break;
-        }
-      }
-      if (!init_ok.ok()) {
-        result.status = init_ok;
-      } else {
-        result.writes = std::move(*body_out);
-        result.status = Status::Ok();
-      }
-    }
-    result.finished_at = engine_->Now();
-    (*prepared)(std::move(result));
-  };
-
-  auto guarded = [this, gen = generation_, execute = std::move(execute)] {
-    if (gen != generation_) return;  // node crashed meanwhile
-    execute();
-  };
-  if (spec.read_only() || write_lock_preacquired) {
-    engine_->AfterNode(node_, config_.exec_time, std::move(guarded));
-    return;
-  }
-  locks_->Acquire(id, FragmentResource(spec.write_fragment),
-                  LockMode::kExclusive,
-                  [this, id, guarded = std::move(guarded),
-                   prepared](Status st) mutable {
-                    if (!st.ok()) {
-                      TxnResult result;
-                      result.id = id;
-                      result.status = st;
-                      result.finished_at = engine_->Now();
-                      (*prepared)(std::move(result));
-                      return;
-                    }
-                    engine_->AfterNode(node_, config_.exec_time, std::move(guarded));
-                  });
+  result.writes = std::move(*body_out);
+  return result;
 }
 
 void Scheduler::CommitPrepared(TxnId id, FragmentId fragment,

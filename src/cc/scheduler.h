@@ -50,22 +50,6 @@ class Scheduler {
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  /// Executes a locally initiated transaction:
-  ///  1. acquires the exclusive fragment lock for update transactions
-  ///     (unless `write_lock_preacquired` — the §4.1 lock-plan path
-  ///     acquires every lock up front in global order);
-  ///  2. after Config::exec_time, reads the declared read set from the
-  ///     local replica and runs the body;
-  ///  3. on success validates the initiation requirement (writes confined
-  ///     to `spec.write_fragment`), assigns the fragment sequence via
-  ///     `seq_alloc`, applies the writes, and reports the install hook;
-  ///  4. releases locks it acquired itself and invokes `done`.
-  /// Locks acquired by the caller stay held (strict 2PL: the caller
-  /// releases after commit).
-  void RunLocal(TxnId id, TxnSpec spec, bool write_lock_preacquired,
-                std::function<SeqNum()> seq_alloc,
-                std::function<void(TxnResult)> done);
-
   /// Continuation of an install; receives the installed quasi-transaction
   /// by move.
   using InstallDone = std::function<void(QuasiTxn&&)>;
@@ -78,11 +62,22 @@ class Scheduler {
   /// into `done`; it is never copied.
   void Install(QuasiTxn quasi, TxnId install_id, InstallDone done);
 
-  /// Two-phase variant for the §4.4.1 majority-commit protocol: performs
-  /// the read/execute part of RunLocal but neither applies writes nor
-  /// releases locks. `prepared` receives the tentative result (body
-  /// status, computed writes, observed reads; frag_seq unset). The caller
-  /// must follow with CommitPrepared or AbortPrepared.
+  /// Runs the front half of a locally initiated transaction — the one
+  /// execution path every home-side transaction takes:
+  ///  1. for an update, acquires the exclusive fragment lock, unless
+  ///     `write_lock_preacquired` (the §4.1 lock plan acquires every lock
+  ///     up front in global order);
+  ///  2. after Config::exec_time, reads the declared read set from the
+  ///     local replica and runs the body;
+  ///  3. rejects writes from a read-only transaction and writes outside
+  ///     `spec.write_fragment` (the initiation requirement);
+  ///  4. hands `prepared` the tentative result (body status, computed
+  ///     writes, observed reads; frag_seq unset), in the body's event.
+  /// Nothing is applied or released. The caller follows an update with
+  /// CommitPrepared or AbortPrepared, releasing the fragment lock there
+  /// exactly when this call took it; locks the caller acquired itself
+  /// (the §4.1 plan, including a read-only transaction's shared locks)
+  /// stay held until the caller releases them.
   void Prepare(TxnId id, TxnSpec spec, bool write_lock_preacquired,
                std::function<void(TxnResult)> prepared);
 
@@ -108,9 +103,8 @@ class Scheduler {
   const Config& config() const { return config_; }
 
  private:
-  void ExecuteBody(TxnId id, const TxnSpec& spec, bool owns_write_lock,
-                   const std::function<SeqNum()>& seq_alloc,
-                   const std::function<void(TxnResult)>& done);
+  /// Reads, runs the body and checks its writes (steps 2–3 of Prepare).
+  TxnResult Execute(TxnId id, const TxnSpec& spec);
 
   /// An install between Install() and its continuation. The lock grant
   /// and the install event name it by slot, so their closures stay small

@@ -178,6 +178,17 @@ Status Cluster::Start() {
           " is not replicated at its agent's home node");
     }
   }
+  // Replica sets are fixed from here on; resolve each once.
+  replicas_.clear();
+  for (FragmentId f = 0; f < catalog_.fragment_count(); ++f) {
+    std::vector<NodeId> members = catalog_.ReplicaSet(f);
+    if (members.empty()) {  // fully replicated
+      for (NodeId n = 0; n < topology_.node_count(); ++n) {
+        members.push_back(n);
+      }
+    }
+    replicas_.push_back(std::move(members));
+  }
   // Quorum control: validate the intersection property per governed
   // fragment (R + W > N over its replica set) and reject agent moves —
   // the quorum machinery pins each fragment's writer to its home.
@@ -193,9 +204,7 @@ Status Cluster::Start() {
     if (any_quorum) {
       for (FragmentId f = 0; f < catalog_.fragment_count(); ++f) {
         if (ControlFor(f) != ControlOption::kQuorum) continue;
-        const std::vector<NodeId>& set = catalog_.ReplicaSet(f);
-        const int n = set.empty() ? topology_.node_count()
-                                  : static_cast<int>(set.size());
+        const int n = static_cast<int>(replicas_[f].size());
         const int r = ReadQuorumFor(f);
         const int w = WriteQuorumFor(f);
         if (r < 1 || r > n || w < 1 || w > n || r + w <= n) {
@@ -658,78 +667,69 @@ void Cluster::ReleasePlanLocks(TxnId id, NodeId node,
 void Cluster::ExecuteAndPropagate(TxnId id, NodeId node, const TxnSpec& spec,
                                   bool x_preacquired, TxnCallback done,
                                   std::function<void()> after) {
-  NodeRuntime& rt = *runtimes_[node];
-  FragmentId wf = spec.write_fragment;
-  std::function<SeqNum()> seq_alloc;
-  if (!spec.read_only()) {
-    seq_alloc = [this, node, wf]() -> SeqNum {
-      return runtimes_[node]->stream(wf).next_seq++;
-    };
-  }
-  rt.scheduler().RunLocal(
-      id, spec, x_preacquired, seq_alloc,
-      [this, id, node, spec, done, after](TxnResult result) {
+  PrepareUpdate(
+      id, node, spec, x_preacquired, std::move(done), std::move(after),
+      [this, id, node, read_only = spec.read_only(),
+       release_locks = !x_preacquired](TxnResult result, QuasiTxn quasi,
+                                        TxnCallback done,
+                                        std::function<void()> after) {
+        const FragmentId wf = quasi.fragment;
+        if (!read_only) {
+          runtimes_[node]->scheduler().CommitPrepared(
+              id, wf, quasi.writes, quasi.seq, release_locks);
+        }
         if (tracing_active()) {
-          Trace(result.status.ok()
-                    ? "commit"
-                    : (result.status.IsFailedPrecondition() ? "decline"
-                                                            : "fail"),
-                node, spec.read_only() ? kInvalidFragment : spec.write_fragment,
-                id, result.frag_seq,
+          Trace("commit", node, wf, id, result.frag_seq,
                 "T" + std::to_string(id) + " " + result.status.ToString());
         }
-        if (result.status.ok()) {
-          MarkCommittedAt(node, id, result.frag_seq);
-          if (!spec.read_only()) {
-            QuasiTxn quasi;
-            quasi.origin_txn = id;
-            quasi.fragment = spec.write_fragment;
-            quasi.seq = result.frag_seq;
-            quasi.origin_node = node;
-            quasi.origin_time = result.finished_at;
-            quasi.writes = result.writes;
-            NodeRuntime& rt = *runtimes_[node];
-            rt.RecordLocalCommit(quasi);
-            auto msg = std::make_shared<QuasiTxnMsg>();
-            msg->quasi = quasi;
-            msg->epoch = rt.stream(spec.write_fragment).epoch;
-            Status st = SendToReplicas(node, spec.write_fragment, msg);
-            FRAGDB_CHECK(st.ok());
-            if (tracing_active()) {
-              Trace("broadcast", node, spec.write_fragment, id, quasi.seq,
-                    "T" + std::to_string(id) +
-                        " seq=" + std::to_string(quasi.seq));
-            }
-          }
+        if (read_only) {
+          MarkCommittedAt(node, id, 0);
+          after();
+          done(std::move(result));
+          return;
         }
+        BroadcastLocalCommit(node, std::move(quasi));
+        if (tracing_active()) {
+          Trace("broadcast", node, wf, id, result.frag_seq,
+                "T" + std::to_string(id) +
+                    " seq=" + std::to_string(result.frag_seq));
+        }
+        after();
         // kQuorum: the commit stands, but the client hears back only once
         // W replicas have *installed* the write (or the wait times out —
         // the write keeps propagating either way).
-        if (result.status.ok() && !spec.read_only() &&
-            ControlFor(spec.write_fragment) == ControlOption::kQuorum) {
-          after();
-          const FragmentId wf = spec.write_fragment;
-          const SeqNum seq = result.frag_seq;
-          const int needed = WriteQuorumFor(wf);
-          if (needed <= 1) {
-            QuorumWriteRecord rec;
-            rec.txn = id;
-            rec.fragment = wf;
-            rec.seq = seq;
-            rec.acks = 1;
-            rec.acked_at = engine_->Now();
-            HistorySink(node).RecordQuorumWrite(rec);
-            if (obs_) obs_->QuorumWriteAcked(node)->Add();
-            done(std::move(result));
-            return;
-          }
+        if (ControlFor(wf) != ControlOption::kQuorum) {
+          done(std::move(result));
+          return;
+        }
+        const int needed = WriteQuorumFor(wf);
+        if (needed > 1) {
           quorum_writes_.Open(node, id, needed,
                               {wf, std::move(result), std::move(done)});
           return;
         }
-        after();
+        QuorumWriteRecord rec;
+        rec.txn = id;
+        rec.fragment = wf;
+        rec.seq = result.frag_seq;
+        rec.acks = 1;
+        rec.acked_at = engine_->Now();
+        HistorySink(node).RecordQuorumWrite(rec);
+        if (obs_) obs_->QuorumWriteAcked(node)->Add();
         done(std::move(result));
       });
+}
+
+void Cluster::BroadcastLocalCommit(NodeId home, QuasiTxn quasi) {
+  const FragmentId wf = quasi.fragment;
+  MarkCommittedAt(home, quasi.origin_txn, quasi.seq);
+  NodeRuntime& rt = *runtimes_[home];
+  rt.RecordLocalCommit(quasi);
+  auto msg = std::make_shared<QuasiTxnMsg>();
+  msg->quasi = std::move(quasi);
+  msg->epoch = rt.stream(wf).epoch;
+  Status st = SendToReplicas(home, wf, msg);
+  FRAGDB_CHECK(st.ok());
 }
 
 void Cluster::OnQuorumAppliedAck(NodeId home, const QuorumAppliedAck& ack) {
@@ -767,12 +767,7 @@ void Cluster::ExecuteQuorumRead(TxnId id, NodeId node, const TxnSpec& spec,
   for (auto& [f, objects] : by_fragment) {
     QuorumReadWait::FragmentGather& g = wait.gathers[f];
     g.needed = ReadQuorumFor(f);
-    std::vector<NodeId> members = catalog_.ReplicaSet(f);
-    if (members.empty()) {
-      for (NodeId n = 0; n < topology_.node_count(); ++n) {
-        members.push_back(n);
-      }
-    }
+    const std::vector<NodeId>& members = replicas_[f];
     // The requester's own replica counts toward R when it holds a copy.
     if (std::find(members.begin(), members.end(), node) != members.end()) {
       g.repliers.insert(node);
@@ -888,36 +883,43 @@ void Cluster::FinishQuorumRead(TxnId id, NodeId node, QuorumReadWait wait) {
   wait.done(std::move(result));
 }
 
-void Cluster::PrepareUpdate(
-    TxnId id, NodeId node, const TxnSpec& spec, bool x_preacquired,
-    TxnCallback done, std::function<void()> after,
-    std::function<void(TxnResult, QuasiTxn)> prepared) {
+void Cluster::PrepareUpdate(TxnId id, NodeId node, const TxnSpec& spec,
+                            bool x_preacquired, TxnCallback done,
+                            std::function<void()> after,
+                            PreparedFn prepared) {
   const FragmentId wf = spec.write_fragment;
-  const bool release_locks = !x_preacquired;
+  const bool release_locks = !spec.read_only() && !x_preacquired;
   runtimes_[node]->scheduler().Prepare(
       id, spec, x_preacquired,
       [this, id, node, wf, release_locks, done = std::move(done),
        after = std::move(after),
-       prepared = std::move(prepared)](TxnResult result) {
+       prepared = std::move(prepared)](TxnResult result) mutable {
         NodeRuntime& rt = *runtimes_[node];
         if (!result.status.ok()) {
           rt.scheduler().AbortPrepared(id, release_locks);
-          Trace(result.status.IsFailedPrecondition() ? "decline" : "fail",
-                node, wf, id, 0,
-                "T" + std::to_string(id) + " " + result.status.ToString());
+          if (tracing_active()) {
+            Trace(result.status.IsFailedPrecondition() ? "decline" : "fail",
+                  node, wf, id, 0,
+                  "T" + std::to_string(id) + " " + result.status.ToString());
+          }
           after();
           done(std::move(result));
           return;
         }
-        result.frag_seq = rt.stream(wf).next_seq++;
         QuasiTxn quasi;
-        quasi.origin_txn = id;
-        quasi.fragment = wf;
-        quasi.seq = result.frag_seq;
-        quasi.origin_node = node;
-        quasi.origin_time = engine_->Now();
-        quasi.writes = result.writes;
-        prepared(std::move(result), std::move(quasi));
+        if (wf != kInvalidFragment) {
+          // Every committed update takes the next seq, even with no
+          // writes, so the replicas agree on the fragment's history.
+          result.frag_seq = rt.stream(wf).next_seq++;
+          quasi.origin_txn = id;
+          quasi.fragment = wf;
+          quasi.seq = result.frag_seq;
+          quasi.origin_node = node;
+          quasi.origin_time = engine_->Now();
+          quasi.writes = result.writes;
+        }
+        prepared(std::move(result), std::move(quasi), std::move(done),
+                 std::move(after));
       });
 }
 
@@ -925,9 +927,10 @@ void Cluster::ExecuteMajority(TxnId id, NodeId node, const TxnSpec& spec,
                               bool x_preacquired, TxnCallback done,
                               std::function<void()> after) {
   PrepareUpdate(
-      id, node, spec, x_preacquired, done, after,
-      [this, id, node, release_locks = !x_preacquired, done,
-       after](TxnResult result, QuasiTxn quasi) {
+      id, node, spec, x_preacquired, std::move(done), std::move(after),
+      [this, id, node, release_locks = !x_preacquired](
+          TxnResult result, QuasiTxn quasi, TxnCallback done,
+          std::function<void()> after) {
         const FragmentId wf = quasi.fragment;
         auto prep = std::make_shared<QuasiPrepare>();
         prep->quasi = quasi;
@@ -937,7 +940,8 @@ void Cluster::ExecuteMajority(TxnId id, NodeId node, const TxnSpec& spec,
         const int needed = MajoritySizeFor(wf);
         majority_acks_.Open(node, id, needed,
                             {std::move(quasi), release_locks,
-                             std::move(result), done, after});
+                             std::move(result), std::move(done),
+                             std::move(after)});
         if (needed <= 1) {
           // Single-node majority: commit immediately.
           CommitMajority(node, id, *majority_acks_.Close(node, id));
@@ -1017,9 +1021,10 @@ void Cluster::ExecutePaxosCommit(TxnId id, NodeId node, const TxnSpec& spec,
     return;
   }
   PrepareUpdate(
-      id, node, spec, x_preacquired, done, after,
-      [this, id, node, wf, release_locks = !x_preacquired, done,
-       after](TxnResult result, QuasiTxn quasi) {
+      id, node, spec, x_preacquired, std::move(done), std::move(after),
+      [this, id, node, wf, release_locks = !x_preacquired](
+          TxnResult result, QuasiTxn quasi, TxnCallback done,
+          std::function<void()> after) {
         const SeqNum seq = quasi.seq;
         const Epoch epoch = runtimes_[node]->stream(wf).epoch;
         const auto key = std::make_pair(wf, seq);
@@ -1029,7 +1034,7 @@ void Cluster::ExecutePaxosCommit(TxnId id, NodeId node, const TxnSpec& spec,
         inst.epoch = epoch;
         inst.prepared_txn = id;
         inst.result = std::make_shared<TxnResult>(std::move(result));
-        inst.done = done;
+        inst.done = std::move(done);
         // The proposer timeout only bounds how long the *client* waits:
         // the slot stays proposed and the recovery rounds finish the
         // commit — it is never abandoned (the non-blocking property).
@@ -1053,8 +1058,8 @@ void Cluster::ExecutePaxosCommit(TxnId id, NodeId node, const TxnSpec& spec,
         // this fragment may prepare (reading these writes) while this one
         // is still being decided. Only the client ack waits for the
         // decide.
-        auto propose = [this, node, wf, id, seq, release_locks, after,
-                        single_replica] {
+        auto propose = [this, node, wf, id, seq, release_locks,
+                        after = std::move(after), single_replica] {
           auto& shard = paxos_acceptors_[node];
           auto it = shard.find(std::make_pair(wf, seq));
           // An amnesia crash inside the fsync window wiped the slot (and
@@ -1077,13 +1082,7 @@ void Cluster::ExecutePaxosCommit(TxnId id, NodeId node, const TxnSpec& spec,
           // A crash-stopped home stays silent; revival re-arms the
           // recovery rounds, which propose the slot at a higher ballot.
           if (!topology_.IsNodeUp(node)) return;
-          auto accept = std::make_shared<PaxosAccept>();
-          accept->ballot = 0;
-          accept->quasi = inst.value;
-          accept->epoch = inst.epoch;
-          accept->proposer = node;
-          Status st = SendToReplicas(node, wf, accept);
-          FRAGDB_CHECK(st.ok());
+          SendPaxosAccept(node, wf, inst, /*ballot=*/0);
           if (tracing_active()) {
             Trace("paxos-propose", node, wf, id, seq,
                   "T" + std::to_string(id) + " ballot=0");
@@ -1265,10 +1264,26 @@ void Cluster::SchedulePaxosRecovery(NodeId node, FragmentId fragment,
   auto it = shard.find({fragment, seq});
   if (it == shard.end() || it->second.decided) return;
   if (it->second.recovery_armed) return;
-  it->second.recovery_armed = true;
-  it->second.recovery_tick = engine_->AfterNode(
+  ArmPaxosRecovery(node, fragment, seq, it->second);
+}
+
+void Cluster::ArmPaxosRecovery(NodeId node, FragmentId fragment, SeqNum seq,
+                               PaxosInstance& inst) {
+  inst.recovery_armed = true;
+  inst.recovery_tick = engine_->AfterNode(
       node, config_.paxos_recovery_timeout,
       [this, node, fragment, seq] { PaxosRecoveryTick(node, fragment, seq); });
+}
+
+void Cluster::SendPaxosAccept(NodeId node, FragmentId fragment,
+                              const PaxosInstance& inst, uint64_t ballot) {
+  auto accept = std::make_shared<PaxosAccept>();
+  accept->ballot = ballot;
+  accept->quasi = inst.value;
+  accept->epoch = inst.epoch;
+  accept->proposer = node;
+  Status st = SendToReplicas(node, fragment, accept);
+  FRAGDB_CHECK(st.ok());
 }
 
 void Cluster::PaxosRecoveryTick(NodeId node, FragmentId fragment,
@@ -1288,12 +1303,6 @@ void Cluster::PaxosRecoveryTick(NodeId node, FragmentId fragment,
     return;
   }
   inst.strikes += 1;
-  auto rearm = [this, node, fragment, seq, &inst] {
-    inst.recovery_tick = engine_->AfterNode(
-        node, config_.paxos_recovery_timeout, [this, node, fragment, seq] {
-          PaxosRecoveryTick(node, fragment, seq);
-        });
-  };
   if (!topology_.IsNodeUp(node) || amnesia_down_[node]) {
     // Ticking while dead would spin the event queue forever; revival
     // re-arms through ReschedulePaxosRecovery.
@@ -1301,7 +1310,7 @@ void Cluster::PaxosRecoveryTick(NodeId node, FragmentId fragment,
     return;
   }
   if (!inst.has_value) {
-    rearm();
+    ArmPaxosRecovery(node, fragment, seq, inst);
     return;
   }
   // A proposal that cannot reach a majority is futile, and worse: two
@@ -1309,12 +1318,8 @@ void Cluster::PaxosRecoveryTick(NodeId node, FragmentId fragment,
   // other's strike counters with their doomed proposals, ticking forever.
   // Stand down until connectivity improves (every heal / link-up /
   // repartition / revival path re-arms via ReschedulePaxosRecovery).
-  std::vector<NodeId> members = catalog_.ReplicaSet(fragment);
-  if (members.empty()) {
-    for (NodeId n = 0; n < topology_.node_count(); ++n) members.push_back(n);
-  }
   int reachable = 0;
-  for (NodeId m : members) {
+  for (NodeId m : replicas_[fragment]) {
     if (m == node || topology_.Reachable(node, m)) ++reachable;
   }
   if (reachable < MajoritySizeFor(fragment)) {
@@ -1330,18 +1335,13 @@ void Cluster::PaxosRecoveryTick(NodeId node, FragmentId fragment,
     return;
   }
   paxos_votes_.Open(node, {fragment, seq}, MajoritySizeFor(fragment), ballot);
-  auto accept = std::make_shared<PaxosAccept>();
-  accept->ballot = ballot;
-  accept->quasi = inst.value;
-  accept->epoch = inst.epoch;
-  accept->proposer = node;
-  SendToReplicas(node, fragment, accept);
+  SendPaxosAccept(node, fragment, inst, ballot);
   if (obs_) obs_->PaxosRecoveryRounds(node)->Add();
   if (tracing_active()) {
     Trace("paxos-recover", node, fragment, inst.value.origin_txn, seq,
           "ballot=" + std::to_string(ballot));
   }
-  rearm();
+  ArmPaxosRecovery(node, fragment, seq, inst);
 }
 
 void Cluster::ReschedulePaxosRecovery() {
@@ -1353,13 +1353,9 @@ void Cluster::ReschedulePaxosRecovery() {
     for (auto& [key, inst] : paxos_acceptors_[n]) {
       if (inst.decided || !inst.has_value) continue;
       inst.strikes = 0;
-      if (inst.recovery_armed) continue;
-      inst.recovery_armed = true;
-      const FragmentId f = key.first;
-      const SeqNum s = key.second;
-      inst.recovery_tick =
-          engine_->AfterNode(n, config_.paxos_recovery_timeout,
-                             [this, n, f, s] { PaxosRecoveryTick(n, f, s); });
+      if (!inst.recovery_armed) {
+        ArmPaxosRecovery(n, key.first, key.second, inst);
+      }
     }
   }
 }
@@ -1405,32 +1401,22 @@ SeqNum Cluster::PaxosDecidedThrough(NodeId node, FragmentId fragment) const {
 }
 
 int Cluster::ReadQuorumFor(FragmentId fragment) const {
-  const std::vector<NodeId>& set = catalog_.ReplicaSet(fragment);
-  const int n =
-      set.empty() ? topology_.node_count() : static_cast<int>(set.size());
-  return config_.read_quorum > 0 ? config_.read_quorum : n / 2 + 1;
+  return config_.read_quorum > 0 ? config_.read_quorum
+                                 : MajoritySizeFor(fragment);
 }
 
 int Cluster::WriteQuorumFor(FragmentId fragment) const {
-  const std::vector<NodeId>& set = catalog_.ReplicaSet(fragment);
-  const int n =
-      set.empty() ? topology_.node_count() : static_cast<int>(set.size());
-  return config_.write_quorum > 0 ? config_.write_quorum : n / 2 + 1;
+  return config_.write_quorum > 0 ? config_.write_quorum
+                                  : MajoritySizeFor(fragment);
 }
 
-int Cluster::MajoritySize() const { return topology_.node_count() / 2 + 1; }
-
 int Cluster::MajoritySizeFor(FragmentId fragment) const {
-  const std::vector<NodeId>& set = catalog_.ReplicaSet(fragment);
-  if (set.empty()) return MajoritySize();
-  return static_cast<int>(set.size()) / 2 + 1;
+  return static_cast<int>(replicas_[fragment].size()) / 2 + 1;
 }
 
 Status Cluster::SendToReplicas(NodeId from, FragmentId fragment,
                                std::shared_ptr<const MessagePayload> payload) {
-  const std::vector<NodeId>& set = catalog_.ReplicaSet(fragment);
-  if (set.empty()) return network_->SendToAll(from, payload);
-  for (NodeId to : set) {
+  for (NodeId to : replicas_[fragment]) {
     if (to == from) continue;
     FRAGDB_RETURN_IF_ERROR(network_->Send(from, to, payload));
   }
@@ -1439,12 +1425,7 @@ Status Cluster::SendToReplicas(NodeId from, FragmentId fragment,
 
 CheckReport Cluster::CheckReplicaSetConsistency() const {
   for (FragmentId f = 0; f < catalog_.fragment_count(); ++f) {
-    std::vector<NodeId> members = catalog_.ReplicaSet(f);
-    if (members.empty()) {
-      for (NodeId n = 0; n < topology_.node_count(); ++n) {
-        members.push_back(n);
-      }
-    }
+    const std::vector<NodeId>& members = replicas_[f];
     if (members.size() < 2) continue;
     const ObjectStore& first = runtimes_[members[0]]->store();
     for (size_t i = 1; i < members.size(); ++i) {
@@ -1475,7 +1456,6 @@ void Cluster::CommitRepackaged(NodeId home, FragmentId fragment,
   auto commit_writes = [this, home, fragment, agent](
                            std::vector<WriteOp> writes, std::string label,
                            std::function<void()> then) {
-    NodeRuntime& rt = *runtimes_[home];
     TxnId id = NewTxnId();
     TxnRecord rec;
     rec.id = id;
@@ -1491,30 +1471,21 @@ void Cluster::CommitRepackaged(NodeId home, FragmentId fragment,
     spec.body = [writes](const std::vector<Value>&)
         -> Result<std::vector<WriteOp>> { return writes; };
     spec.label = std::move(label);
-    auto seq_alloc = [this, home, fragment]() -> SeqNum {
-      return runtimes_[home]->stream(fragment).next_seq++;
-    };
-    rt.scheduler().RunLocal(
-        id, spec, /*write_lock_preacquired=*/false, seq_alloc,
-        [this, id, home, fragment, then](TxnResult result) {
-          if (result.status.ok()) {
-            MarkCommittedAt(home, id, result.frag_seq);
-            QuasiTxn quasi;
-            quasi.origin_txn = id;
-            quasi.fragment = fragment;
-            quasi.seq = result.frag_seq;
-            quasi.origin_node = home;
-            quasi.origin_time = result.finished_at;
-            quasi.writes = result.writes;
-            NodeRuntime& rt = *runtimes_[home];
-            rt.RecordLocalCommit(quasi);
-            auto msg = std::make_shared<QuasiTxnMsg>();
-            msg->quasi = quasi;
-            msg->epoch = rt.stream(fragment).epoch;
-            Status st = SendToReplicas(home, fragment, msg);
-            FRAGDB_CHECK(st.ok());
-          }
+    // Committed like a local update, but with no commit or broadcast
+    // record: the "repackage" record below stands for them.
+    PrepareUpdate(
+        id, home, spec, /*x_preacquired=*/false,
+        [then = std::move(then)](const TxnResult&) {
           if (then) then();
+        },
+        [] {},
+        [this, id, home](TxnResult result, QuasiTxn quasi, TxnCallback done,
+                         std::function<void()>) {
+          runtimes_[home]->scheduler().CommitPrepared(
+              id, quasi.fragment, quasi.writes, quasi.seq,
+              /*release_locks=*/true);
+          BroadcastLocalCommit(home, std::move(quasi));
+          done(result);
         });
   };
 

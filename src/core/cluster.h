@@ -276,7 +276,8 @@ class Cluster {
 
   /// Effective read/write quorum of `fragment` under ControlOption::kQuorum:
   /// the configured value, or a majority of the fragment's replica set when
-  /// the config leaves it 0. Start() validates R + W > N.
+  /// the config leaves it 0. Start() validates R + W > N; valid once
+  /// started.
   int ReadQuorumFor(FragmentId fragment) const;
   int WriteQuorumFor(FragmentId fragment) const;
 
@@ -297,7 +298,6 @@ class Cluster {
   /// Fresh transaction id, striped by acting node so concurrent
   /// partitions never share a counter (ids are unique but not dense).
   TxnId NewTxnId();
-  int MajoritySize() const;
   /// §4.4.1 majority within `fragment`'s replica set (the whole network
   /// under full replication).
   int MajoritySizeFor(FragmentId fragment) const;
@@ -498,18 +498,27 @@ class Cluster {
                         const std::vector<LockPlanStep>& plan,
                         size_t acquired);
 
-  /// Normal-path execution (§4.1–§4.3): run locally, then broadcast.
+  /// Normal-path execution (§4.1–§4.3 updates and local reads): prepare,
+  /// commit at once, then broadcast.
   void ExecuteAndPropagate(TxnId id, NodeId node, const TxnSpec& spec,
                            bool x_preacquired, TxnCallback done,
                            std::function<void()> after);
-  /// The front half shared by §4.4.1 and Paxos Commit: prepare `spec` at
+  /// The home's steps after a §4.1–§4.3 or §4.4.3 commit was applied:
+  /// mark it committed, write the local commit record, and send the
+  /// quasi-transaction to the fragment's other replicas.
+  void BroadcastLocalCommit(NodeId home, QuasiTxn quasi);
+  /// Continuation of a successful PrepareUpdate: the result (with its seq
+  /// for an update), the quasi-transaction to commit (empty for a read),
+  /// and the caller's `done` and `after`, handed on.
+  using PreparedFn = std::function<void(TxnResult, QuasiTxn, TxnCallback,
+                                        std::function<void()>)>;
+  /// The front half of every home-side transaction: prepare `spec` at
   /// `node`. A failed prepare is aborted, traced, and reported (after
-  /// `after`); a successful one takes the fragment's next seq and hands
-  /// `prepared` the result and its quasi-transaction.
+  /// `after`), and takes no seq. A successful update takes the fragment's
+  /// next seq, in the body's event, before `prepared` runs.
   void PrepareUpdate(TxnId id, NodeId node, const TxnSpec& spec,
                      bool x_preacquired, TxnCallback done,
-                     std::function<void()> after,
-                     std::function<void(TxnResult, QuasiTxn)> prepared);
+                     std::function<void()> after, PreparedFn prepared);
   /// §4.4.1 execution: prepare, collect majority acks, commit, broadcast.
   void ExecuteMajority(TxnId id, NodeId node, const TxnSpec& spec,
                        bool x_preacquired, TxnCallback done,
@@ -555,6 +564,13 @@ class Cluster {
   void PrunePaxosSlots(NodeId node, FragmentId fragment);
   /// Arms (once) the per-slot recovery timer at `node`.
   void SchedulePaxosRecovery(NodeId node, FragmentId fragment, SeqNum seq);
+  /// Arms `inst`'s recovery timer: a PaxosRecoveryTick after
+  /// Config::paxos_recovery_timeout.
+  void ArmPaxosRecovery(NodeId node, FragmentId fragment, SeqNum seq,
+                        PaxosInstance& inst);
+  /// Proposes `inst`'s value at `ballot` to the fragment's other replicas.
+  void SendPaxosAccept(NodeId node, FragmentId fragment,
+                       const PaxosInstance& inst, uint64_t ballot);
   /// One recovery round: re-propose the held value at a fresh unique
   /// ballot; re-arms itself while the slot stays undecided.
   void PaxosRecoveryTick(NodeId node, FragmentId fragment, SeqNum seq);
@@ -568,6 +584,22 @@ class Cluster {
   bool PaxosPruned(NodeId node, FragmentId fragment, SeqNum seq) const;
 
   // Move-protocol orchestration (implemented in move_protocols.cc).
+  /// The admission checks MoveAgent and RecoverAgent share, in the order
+  /// they report them: started, a valid user agent, `to_node` exists,
+  /// `protocol` (the caller's own protocol check), every token replicated
+  /// at `to_node` and not under §4.1 read locks, the agent's home (looked
+  /// up into `from` when it is non-null), and the agent settled.
+  Status CheckMove(AgentId agent, NodeId to_node, Status protocol,
+                   NodeId* from);
+  /// §4.4.1 arrival at `node`: catches `tokens` up from a majority one
+  /// fragment at a time, from index `next` (the runtime tracks one
+  /// catch-up at a time), then runs `then`.
+  void CatchUpTokens(NodeId node, std::vector<FragmentId> tokens,
+                     size_t next, std::function<void()> then);
+  /// §4.4.2B: once `node` has applied every carried seq in `must_reach`,
+  /// reopens each of those fragments at applied + 1 and returns true.
+  bool ReopenIfCaughtUp(NodeId node,
+                        const std::map<FragmentId, SeqNum>& must_reach);
   void StartMove(AgentId agent, NodeId from, NodeId to);
   void ArriveMove(AgentId agent, NodeId from, NodeId to,
                   std::vector<ObjectStore::FragmentSnapshot> snapshots,
@@ -594,6 +626,10 @@ class Cluster {
   std::unique_ptr<SimEngine> engine_;
   std::unique_ptr<Network> network_;
   Catalog catalog_;
+  /// Each fragment's replica set, ascending: the catalog's, or every node
+  /// where the catalog leaves it empty. Resolved at Start, after which
+  /// replica sets cannot change.
+  std::vector<std::vector<NodeId>> replicas_;
   std::unique_ptr<ReadAccessGraph> rag_;  // built at Start()
   std::vector<std::pair<FragmentId, FragmentId>> declared_reads_;
   std::map<FragmentId, ControlOption> control_override_;

@@ -10,7 +10,8 @@
 
 namespace fragdb {
 
-Status Cluster::MoveAgent(AgentId agent, NodeId to_node, MoveCallback done) {
+Status Cluster::CheckMove(AgentId agent, NodeId to_node, Status protocol,
+                         NodeId* from) {
   if (!started_) return Status::FailedPrecondition("cluster not started");
   if (!catalog_.ValidAgent(agent)) {
     return Status::InvalidArgument("no such agent");
@@ -21,17 +22,7 @@ Status Cluster::MoveAgent(AgentId agent, NodeId to_node, MoveCallback done) {
   if (to_node < 0 || to_node >= topology_.node_count()) {
     return Status::InvalidArgument("no such node");
   }
-  if (config_.move_protocol == MoveProtocol::kForbidden) {
-    return Status::PermissionDenied("agents are fixed in this configuration");
-  }
-  if (config_.move_protocol == MoveProtocol::kPaxosCommit) {
-    // Paxos Commit replaces the §4.4 movement protocols outright: the
-    // coordinator is expendable because every commit is decided by an
-    // acceptor majority, so there is no token to hand over.
-    return Status::FailedPrecondition(
-        "paxos-commit clusters do not move agents; any majority can finish "
-        "an in-flight commit, so there is no token hand-over to perform");
-  }
+  FRAGDB_RETURN_IF_ERROR(protocol);
   for (FragmentId f : catalog_.TokensOf(agent)) {
     if (!catalog_.ReplicatedAt(f, to_node)) {
       return Status::FailedPrecondition(
@@ -46,13 +37,33 @@ Status Cluster::MoveAgent(AgentId agent, NodeId to_node, MoveCallback done) {
           "fragments governed by read locks (§4.1) have fixed agents");
     }
   }
-  Result<NodeId> from = catalog_.HomeOf(agent);
-  if (!from.ok()) return from.status();
-  AgentState& st = agent_state_[agent];
-  if (st.phase != AgentPhase::kSettled) {
+  if (from != nullptr) {
+    Result<NodeId> home = catalog_.HomeOf(agent);
+    if (!home.ok()) return home.status();
+    *from = *home;
+  }
+  if (agent_state_[agent].phase != AgentPhase::kSettled) {
     return Status::FailedPrecondition("agent is already moving");
   }
-  if (*from == to_node) {
+  return Status::Ok();
+}
+
+Status Cluster::MoveAgent(AgentId agent, NodeId to_node, MoveCallback done) {
+  Status protocol = Status::Ok();
+  if (config_.move_protocol == MoveProtocol::kForbidden) {
+    protocol =
+        Status::PermissionDenied("agents are fixed in this configuration");
+  } else if (config_.move_protocol == MoveProtocol::kPaxosCommit) {
+    // Paxos Commit replaces the §4.4 movement protocols outright: the
+    // coordinator is expendable because every commit is decided by an
+    // acceptor majority, so there is no token to hand over.
+    protocol = Status::FailedPrecondition(
+        "paxos-commit clusters do not move agents; any majority can finish "
+        "an in-flight commit, so there is no token hand-over to perform");
+  }
+  NodeId from = kInvalidNode;
+  FRAGDB_RETURN_IF_ERROR(CheckMove(agent, to_node, std::move(protocol), &from));
+  if (from == to_node) {
     if (done) done(Status::Ok());
     return Status::Ok();
   }
@@ -66,13 +77,14 @@ Status Cluster::MoveAgent(AgentId agent, NodeId to_node, MoveCallback done) {
           "an update on the agent's fragment is awaiting majority acks");
     }
   }
+  AgentState& st = agent_state_[agent];
   st.phase = AgentPhase::kInTransit;
   st.move_done = std::move(done);
   Trace("move-start", to_node, kInvalidFragment, kInvalidTxn, 0,
-        catalog_.AgentName(agent) + ": N" + std::to_string(*from) + " -> N" +
+        catalog_.AgentName(agent) + ": N" + std::to_string(from) + " -> N" +
             std::to_string(to_node) + " (" +
             MoveProtocolName(config_.move_protocol) + ")");
-  StartMove(agent, *from, to_node);
+  StartMove(agent, from, to_node);
   return Status::Ok();
 }
 
@@ -176,19 +188,10 @@ void Cluster::ArriveMove(
     }
     case MoveProtocol::kMoveWithSeqNum: {
       state.phase = AgentPhase::kCatchingUp;
-      state.must_reach = carried_seqs;
-      bool ready = true;
-      for (const auto& [f, seq] : carried_seqs) {
-        if (dst.stream(f).applied_seq < seq) ready = false;
-      }
-      if (ready) {
-        for (const auto& [f, seq] : carried_seqs) {
-          (void)seq;
-          dst.stream(f).next_seq = dst.stream(f).applied_seq + 1;
-        }
-        FinishMove(agent);
-      }
-      // Otherwise OnAppliedAdvanced completes the move.
+      state.must_reach = std::move(carried_seqs);
+      // If a carried seq is still missing, OnAppliedAdvanced completes the
+      // move once it is applied.
+      if (ReopenIfCaughtUp(to, state.must_reach)) FinishMove(agent);
       return;
     }
     case MoveProtocol::kOmitPrep: {
@@ -200,25 +203,11 @@ void Cluster::ArriveMove(
     }
     case MoveProtocol::kMajorityCommit: {
       state.phase = AgentPhase::kCatchingUp;
-      // Catch fragments up one at a time (the runtime tracks one catch-up
-      // at a time), then reopen.
-      auto tokens = std::make_shared<std::vector<FragmentId>>(
-          catalog_.TokensOf(agent));
-      auto next = std::make_shared<std::function<void(size_t)>>();
-      std::weak_ptr<std::function<void(size_t)>> weak = next;
-      *next = [this, agent, to, tokens, weak](size_t i) {
-        if (i >= tokens->size()) {
-          // The catch-up may complete inside a node event at `to`
-          // (OnSeqReply / an install advancing); CompleteMove routes the
-          // shared-state mutation to a global event when it must.
-          CompleteMove(agent);
-          return;
-        }
-        auto self = weak.lock();
-        runtimes_[to]->MajorityCatchUp(
-            (*tokens)[i], [self, i] { (*self)(i + 1); });
-      };
-      (*next)(0);
+      // The catch-up may complete inside a node event at `to`
+      // (OnSeqReply / an install advancing); CompleteMove routes the
+      // shared-state mutation to a global event when it must.
+      CatchUpTokens(to, catalog_.TokensOf(agent), 0,
+                    [this, agent] { CompleteMove(agent); });
       return;
     }
     case MoveProtocol::kForbidden:
@@ -229,34 +218,14 @@ void Cluster::ArriveMove(
 
 Status Cluster::RecoverAgent(AgentId agent, NodeId to_node,
                              MoveCallback done) {
-  if (!started_) return Status::FailedPrecondition("cluster not started");
-  if (!catalog_.ValidAgent(agent)) {
-    return Status::InvalidArgument("no such agent");
-  }
-  if (catalog_.KindOf(agent) != AgentKind::kUser) {
-    return Status::PermissionDenied("node agents cannot move");
-  }
-  if (to_node < 0 || to_node >= topology_.node_count()) {
-    return Status::InvalidArgument("no such node");
-  }
-  if (config_.move_protocol != MoveProtocol::kMajorityCommit) {
-    return Status::FailedPrecondition(
-        "token recovery requires the majority-commit protocol");
-  }
-  for (FragmentId f : catalog_.TokensOf(agent)) {
-    if (!catalog_.ReplicatedAt(f, to_node)) {
-      return Status::FailedPrecondition(
-          "target node does not replicate " + catalog_.FragmentName(f));
-    }
-    if (ControlFor(f) == ControlOption::kReadLocks) {
-      return Status::FailedPrecondition(
-          "fragments governed by read locks (§4.1) have fixed agents");
-    }
-  }
+  FRAGDB_RETURN_IF_ERROR(CheckMove(
+      agent, to_node,
+      config_.move_protocol == MoveProtocol::kMajorityCommit
+          ? Status::Ok()
+          : Status::FailedPrecondition(
+                "token recovery requires the majority-commit protocol"),
+      /*from=*/nullptr));
   AgentState& st = agent_state_[agent];
-  if (st.phase != AgentPhase::kSettled) {
-    return Status::FailedPrecondition("agent is already moving");
-  }
   st.phase = AgentPhase::kInTransit;
   st.move_done = std::move(done);
   Trace("recover", to_node, kInvalidFragment, kInvalidTxn, 0,
@@ -268,23 +237,11 @@ Status Cluster::RecoverAgent(AgentId agent, NodeId to_node,
     agent_state_[agent].phase = AgentPhase::kCatchingUp;
     // Catch up each fragment from a majority, then open a fresh epoch so
     // anything the lost home later disgorges is treated as missing.
-    auto tokens =
-        std::make_shared<std::vector<FragmentId>>(catalog_.TokensOf(agent));
-    auto next = std::make_shared<std::function<void(size_t)>>();
-    std::weak_ptr<std::function<void(size_t)>> weak = next;
-    *next = [this, agent, to_node, tokens, weak](size_t i) {
-      if (i >= tokens->size()) {
-        for (FragmentId f : *tokens) {
-          runtimes_[to_node]->BeginOmitPrepEpoch(f);
-        }
-        CompleteMove(agent);
-        return;
-      }
-      auto self = weak.lock();
-      runtimes_[to_node]->MajorityCatchUp(
-          (*tokens)[i], [self, i] { (*self)(i + 1); });
-    };
-    (*next)(0);
+    std::vector<FragmentId> tokens = catalog_.TokensOf(agent);
+    CatchUpTokens(to_node, tokens, 0, [this, agent, to_node, tokens] {
+      for (FragmentId f : tokens) runtimes_[to_node]->BeginOmitPrepEpoch(f);
+      CompleteMove(agent);
+    });
   });
   return Status::Ok();
 }
@@ -303,19 +260,37 @@ void Cluster::OnAppliedAdvanced(NodeId node, FragmentId fragment) {
     Result<NodeId> home = catalog_.HomeOf(agent);
     if (!home.ok() || *home != node) continue;
     if (state.must_reach.count(fragment) == 0) continue;
-    NodeRuntime& dst = *runtimes_[node];
-    bool ready = true;
-    for (const auto& [f, seq] : state.must_reach) {
-      if (dst.stream(f).applied_seq < seq) ready = false;
-    }
-    if (!ready) continue;
-    for (const auto& [f, seq] : state.must_reach) {
-      (void)seq;
-      dst.stream(f).next_seq = dst.stream(f).applied_seq + 1;
-    }
+    if (!ReopenIfCaughtUp(node, state.must_reach)) continue;
     CompleteMove(agent);
     return;  // FinishMove may mutate agent_state_; restart next event
   }
+}
+
+void Cluster::CatchUpTokens(NodeId node, std::vector<FragmentId> tokens,
+                            size_t next, std::function<void()> then) {
+  if (next >= tokens.size()) {
+    then();
+    return;
+  }
+  const FragmentId f = tokens[next];
+  runtimes_[node]->MajorityCatchUp(
+      f, [this, node, tokens = std::move(tokens), next,
+          then = std::move(then)]() mutable {
+        CatchUpTokens(node, std::move(tokens), next + 1, std::move(then));
+      });
+}
+
+bool Cluster::ReopenIfCaughtUp(
+    NodeId node, const std::map<FragmentId, SeqNum>& must_reach) {
+  NodeRuntime& dst = *runtimes_[node];
+  for (const auto& [f, seq] : must_reach) {
+    if (dst.stream(f).applied_seq < seq) return false;
+  }
+  for (const auto& [f, seq] : must_reach) {
+    (void)seq;
+    dst.stream(f).next_seq = dst.stream(f).applied_seq + 1;
+  }
+  return true;
 }
 
 void Cluster::CompleteMove(AgentId agent) {

@@ -158,6 +158,36 @@ TEST_F(ClusterFixture, BodyDeclineReportsFailedPrecondition) {
   cluster->RunToQuiescence();
   EXPECT_TRUE(out.status.IsFailedPrecondition());
   EXPECT_EQ(cluster->ReadAt(0, a), 100);
+  // The declined body took no seq: the next update commits as seq 1.
+  TxnResult next;
+  cluster->Submit(UpdateSpec(alice, f0, a, 1),
+                  [&](const TxnResult& r) { next = r; });
+  cluster->RunToQuiescence();
+  EXPECT_TRUE(next.status.ok());
+  EXPECT_EQ(next.frag_seq, 1);
+}
+
+TEST_F(ClusterFixture, ZeroWriteUpdateTakesASeqAndIsInstalled) {
+  Build(ControlOption::kFragmentwise);
+  TxnSpec spec;
+  spec.agent = alice;
+  spec.write_fragment = f0;
+  spec.body = [](const std::vector<Value>&) -> Result<std::vector<WriteOp>> {
+    return std::vector<WriteOp>{};
+  };
+  TxnResult out;
+  cluster->Submit(spec, [&](const TxnResult& r) { out = r; });
+  cluster->RunToQuiescence();
+  EXPECT_TRUE(out.status.ok());
+  EXPECT_EQ(out.frag_seq, 1);
+  EXPECT_EQ(cluster->runtime(1).stream(f0).applied_seq, 1);
+  bool installed_at_replica = false;
+  for (const InstallRecord& rec : cluster->history().installs()) {
+    if (rec.node == 1 && rec.writer == out.id && rec.seq == 1) {
+      installed_at_replica = true;
+    }
+  }
+  EXPECT_TRUE(installed_at_replica);
 }
 
 TEST_F(ClusterFixture, AcyclicOptionRejectsUndeclaredRead) {

@@ -31,6 +31,25 @@ struct SchedFixture : ::testing::Test {
 
   SeqNum NextSeq() { return ++seq; }
 
+  /// Runs `spec` the way a home node does: Prepare, then CommitPrepared
+  /// under the next seq for a successful update, or AbortPrepared for a
+  /// failure. Either one releases the fragment lock Prepare took.
+  void Run(TxnId id, TxnSpec spec, std::function<void(TxnResult)> done) {
+    const FragmentId wf = spec.write_fragment;
+    const bool update = !spec.read_only();
+    sched->Prepare(id, std::move(spec), false,
+                   [this, id, wf, update, done](TxnResult r) {
+                     if (!r.status.ok()) {
+                       sched->AbortPrepared(id, update);
+                     } else if (update) {
+                       r.frag_seq = NextSeq();
+                       sched->CommitPrepared(id, wf, r.writes, r.frag_seq,
+                                             /*release_locks=*/true);
+                     }
+                     done(std::move(r));
+                   });
+  }
+
   struct SeenRead {
     TxnId txn;
     ObjectId object;
@@ -65,8 +84,7 @@ TEST_F(SchedFixture, UpdateTransactionCommitsAndApplies) {
     return std::vector<WriteOp>{{a, r[0] - 40}};
   };
   TxnResult out;
-  sched->RunLocal(1, spec, false, [this] { return NextSeq(); },
-                  [&](TxnResult r) { out = std::move(r); });
+  Run(1, spec, [&](TxnResult r) { out = std::move(r); });
   engine.RunToQuiescence();
   EXPECT_TRUE(out.status.ok());
   EXPECT_EQ(out.frag_seq, 1);
@@ -86,8 +104,7 @@ TEST_F(SchedFixture, BodyDeclineLeavesNoTrace) {
     return Status::FailedPrecondition("insufficient funds");
   };
   TxnResult out;
-  sched->RunLocal(1, spec, false, [this] { return NextSeq(); },
-                  [&](TxnResult r) { out = std::move(r); });
+  Run(1, spec, [&](TxnResult r) { out = std::move(r); });
   engine.RunToQuiescence();
   EXPECT_TRUE(out.status.IsFailedPrecondition());
   EXPECT_EQ(store->Read(a), 100);
@@ -104,8 +121,7 @@ TEST_F(SchedFixture, InitiationRequirementEnforced) {
     return std::vector<WriteOp>{{b, 1}};  // b is in f1!
   };
   TxnResult out;
-  sched->RunLocal(1, spec, false, [this] { return NextSeq(); },
-                  [&](TxnResult r) { out = std::move(r); });
+  Run(1, spec, [&](TxnResult r) { out = std::move(r); });
   engine.RunToQuiescence();
   EXPECT_TRUE(out.status.IsPermissionDenied());
   EXPECT_EQ(store->Read(b), 200);
@@ -120,10 +136,12 @@ TEST_F(SchedFixture, ReadOnlyCannotWrite) {
     return std::vector<WriteOp>{{a, 1}};
   };
   TxnResult out;
-  sched->RunLocal(1, spec, false, nullptr,
-                  [&](TxnResult r) { out = std::move(r); });
+  Run(1, spec, [&](TxnResult r) { out = std::move(r); });
   engine.RunToQuiescence();
   EXPECT_TRUE(out.status.IsPermissionDenied());
+  // Not the initiation check's message: `a` lies outside the (invalid)
+  // write fragment too, so only the exact text shows which check fired.
+  EXPECT_EQ(out.status.message(), "read-only transaction attempted to write");
 }
 
 TEST_F(SchedFixture, ReadOnlySeesValuesAndRecordsReads) {
@@ -132,8 +150,7 @@ TEST_F(SchedFixture, ReadOnlySeesValuesAndRecordsReads) {
   spec.write_fragment = kInvalidFragment;
   spec.read_set = {a, b};
   TxnResult out;
-  sched->RunLocal(5, spec, false, nullptr,
-                  [&](TxnResult r) { out = std::move(r); });
+  Run(5, spec, [&](TxnResult r) { out = std::move(r); });
   engine.RunToQuiescence();
   EXPECT_TRUE(out.status.ok());
   ASSERT_EQ(out.reads.size(), 2u);
@@ -156,8 +173,8 @@ TEST_F(SchedFixture, UpdatesOnSameFragmentSerialize) {
         -> Result<std::vector<WriteOp>> {
       return std::vector<WriteOp>{{a, r[0] + 1}};
     };
-    sched->RunLocal(id, spec, false, [this] { return NextSeq(); },
-                    [&](TxnResult r) { commit_times.push_back(r.finished_at); });
+    Run(id, spec,
+        [&](TxnResult r) { commit_times.push_back(r.finished_at); });
   }
   engine.RunToQuiescence();
   ASSERT_EQ(commit_times.size(), 2u);
@@ -200,8 +217,7 @@ TEST_F(SchedFixture, InstallWaitsForLocalTransaction) {
     return std::vector<WriteOp>{{a, 1}};
   };
   SimTime txn_done = -1, install_done = -1;
-  sched->RunLocal(1, spec, false, [this] { return NextSeq(); },
-                  [&](TxnResult r) { txn_done = r.finished_at; });
+  Run(1, spec, [&](TxnResult r) { txn_done = r.finished_at; });
   QuasiTxn q;
   q.origin_txn = 88;
   q.fragment = f0;
@@ -260,11 +276,12 @@ TEST_F(SchedFixture, ZeroWriteUpdateStillConsumesSequence) {
     return std::vector<WriteOp>{};
   };
   TxnResult out;
-  sched->RunLocal(1, spec, false, [this] { return NextSeq(); },
-                  [&](TxnResult r) { out = std::move(r); });
+  Run(1, spec, [&](TxnResult r) { out = std::move(r); });
   engine.RunToQuiescence();
   EXPECT_TRUE(out.status.ok());
   EXPECT_EQ(out.frag_seq, 1);
+  ASSERT_EQ(installs.size(), 1u);  // the empty commit is still installed
+  EXPECT_EQ(installs[0].seq, 1);
 }
 
 }  // namespace
