@@ -7,30 +7,35 @@
 // CONSTANT in n — the paper's availability story is also a latency
 // story: an agent never waits for anyone to update its own fragment.
 //
-// PDES mode: the partition-confined ShardedCluster kernel on the
-// parallel scheduler, which is what lets one instance reach 1,000 nodes
-// and 10M clients (see docs/PERFORMANCE.md for the recipe). Output is
-// split on purpose:
+// PDES mode: the full Cluster protocol stack on the parallel scheduler,
+// at up to 1,000 nodes with 3-replica sets — the partial-replication
+// regime (see docs/PERFORMANCE.md for the recipe). Fragment i is homed at
+// node i, each node replays its own op stream, and two crash-stop windows
+// (one reassigning the revived node's partition) run under load; every
+// run must end with each replica set converged. Output is split on
+// purpose:
 //   * "pdes" BENCH_JSON lines carry only simulation-determined fields —
 //     byte-identical at any --sim_threads, which CI enforces by diffing.
 //   * "pdes_wall" lines carry wall clock and speedup, the only fields a
 //     thread count may legitimately change.
 // With --sim_threads > 1 the driver also re-runs each config serially
-// in-process and aborts on any fingerprint mismatch, so a determinism
-// regression cannot produce a plausible-looking table.
+// in-process and aborts on any mismatch in the replica-state fingerprint,
+// end time or event count, so a determinism regression cannot produce a
+// plausible-looking table.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 
 #include "baselines/mutual_exclusion.h"
 #include "bench_harness.h"
 #include "common/logging.h"
-#include "core/sharded_cluster.h"
+#include "core/cluster.h"
 #include "verify/checkers.h"
 #include "workload/metrics.h"
-
-#include "core/cluster.h"
+#include "workload/opstream.h"
 
 using namespace fragdb;
 using namespace fragdb_bench;
@@ -212,54 +217,159 @@ struct PdesConfig {
   int nodes = 0;
   uint64_t clients = 0;
   uint64_t ops_per_client = 0;
-  int replication = 3;
-  int partitions = 0;  // 0 = kernel default: min(nodes, 16)
+  int replication = 3;  // 0 = full replication
+  int partitions = 0;   // 0 = min(nodes, 16)
   uint64_t seed = 1;
   SimTime mean_interarrival = Millis(3);
   bool faults = true;
 };
 
-ShardedClusterOptions ToOptions(const PdesConfig& config, int sim_threads) {
-  ShardedClusterOptions o;
-  o.nodes = config.nodes;
-  o.replication = config.replication;
-  o.partitions = config.partitions;
-  o.sim_threads = sim_threads;
-  o.workload.seed = config.seed;
-  o.workload.clients = config.clients;
-  o.workload.ops_per_client = config.ops_per_client;
-  o.workload.mean_interarrival = config.mean_interarrival;
-  return o;
-}
+struct PdesReport {
+  uint64_t committed = 0;
+  uint64_t unavailable = 0;  // ops submitted at a crashed node
+  int partitions = 0;
+  NetworkStats net;
+  SimTime end_time = 0;
+  bool consistent = false;
+  uint64_t fingerprint = 0;  // replica state, folded in node order
+  PdesScheduler::Stats sched;
+  double setup_ms = 0;     // constructor through Start, wall clock
+  double fault_ms_max = 0; // slowest crash/revive global, wall clock
+};
 
-ShardedReport RunPdesOnce(const PdesConfig& config, int sim_threads) {
-  ShardedCluster cluster(ToOptions(config, sim_threads),
-                         ChannelTable::UniformMesh(config.nodes, Millis(5)));
-  if (config.faults && config.nodes >= 4) {
-    // Fixed fault plan: one crash that reshuffles the plan on revive, one
-    // that doesn't — both fully determined by the config.
-    cluster.ScheduleCrash(1, Millis(20), Millis(80), /*reshuffle=*/true);
-    cluster.ScheduleCrash(config.nodes / 2, Millis(50), Millis(110),
-                          /*reshuffle=*/false);
+PdesReport RunPdesOnce(const PdesConfig& config, int sim_threads) {
+  const int n = config.nodes;
+  PdesReport report;
+  report.partitions =
+      config.partitions > 0 ? config.partitions : std::min(n, 16);
+  auto t0 = std::chrono::steady_clock::now();
+  ClusterConfig cluster_config;
+  cluster_config.control = ControlOption::kFragmentwise;
+  cluster_config.engine.threads = sim_threads;
+  cluster_config.engine.partitions = report.partitions;
+  Cluster cluster(cluster_config, Topology::FullMesh(n, Millis(5)));
+  // Fragment i is homed at node i and replicated at {i, ..., i+r-1 mod n};
+  // held[node] lists the fragments a node replicates, for the fingerprint.
+  const int replicas = config.replication > 0 ? config.replication : n;
+  std::vector<ObjectId> objects;
+  std::vector<AgentId> agents;
+  std::vector<std::vector<FragmentId>> held(n);
+  for (NodeId i = 0; i < n; ++i) {
+    FragmentId f = cluster.DefineFragment("F" + std::to_string(i));
+    objects.push_back(*cluster.DefineObject(f, "o" + std::to_string(i), 0));
+    agents.push_back(cluster.DefineUserAgent("a" + std::to_string(i)));
+    if (!cluster.AssignToken(f, agents.back()).ok()) std::abort();
+    if (!cluster.SetAgentHome(agents.back(), i).ok()) std::abort();
+    std::vector<NodeId> members;
+    for (int k = 0; k < replicas; ++k) {
+      members.push_back((i + k) % n);
+      held[members.back()].push_back(f);
+    }
+    if (!cluster.SetReplicaSet(f, std::move(members)).ok()) std::abort();
   }
-  return cluster.Run();
+  if (!cluster.Start().ok()) std::abort();
+  report.setup_ms = WallSince(t0);
+
+  // Each node replays its own deterministic op stream: one pending arrival
+  // per node, each scheduling the next, so generation rides the partition
+  // workers and the queue never holds the whole stream.
+  OpStreamOptions workload;
+  workload.seed = config.seed;
+  workload.nodes = n;
+  workload.clients = config.clients;
+  workload.ops_per_client = config.ops_per_client;
+  workload.mean_interarrival = config.mean_interarrival;
+  std::vector<OpSource> sources;
+  sources.reserve(n);
+  for (NodeId i = 0; i < n; ++i) sources.emplace_back(workload, i);
+  // Per-node tallies: a node's submissions finish on that node.
+  std::vector<uint64_t> committed(n, 0), unavailable(n, 0);
+  SimEngine* engine = cluster.engine();
+  std::function<void(NodeId)> chain = [&](NodeId node) {
+    GeneratedOp op;
+    if (!sources[node].Next(&op)) return;
+    engine->AtNode(node, op.at, [&, node, delta = op.delta] {
+      TxnSpec spec;
+      spec.agent = agents[node];
+      spec.write_fragment = node;
+      ObjectId obj = objects[node];
+      spec.read_set = {obj};
+      spec.body = [obj, delta](const std::vector<Value>& reads)
+          -> Result<std::vector<WriteOp>> {
+        return std::vector<WriteOp>{{obj, reads[0] + delta}};
+      };
+      cluster.Submit(spec, [&, node](const TxnResult& r) {
+        ++(r.status.ok() ? committed : unavailable)[node];
+      });
+      chain(node);
+    });
+  };
+  for (NodeId i = 0; i < n; ++i) chain(i);
+
+  // Fixed fault plan: two crash-stop windows; the first revive also moves
+  // the node to the next partition, a mid-run plan change under load. Each
+  // crash and revive refreshes every routing row, so each is timed.
+  PdesScheduler* sched = cluster.pdes_scheduler();
+  auto timed = [&report](const std::function<Status()>& fault) {
+    auto t = std::chrono::steady_clock::now();
+    if (!fault().ok()) std::abort();
+    report.fault_ms_max = std::max(report.fault_ms_max, WallSince(t));
+  };
+  auto crash = [&](NodeId node, SimTime at, SimTime revive_at,
+                   bool reassign) {
+    engine->AtGlobal(at, [&, node] {
+      timed([&] { return cluster.CrashNode(node, CrashMode::kCrashStop); });
+    });
+    engine->AtGlobal(revive_at, [&, node, reassign] {
+      timed([&] { return cluster.ReviveNode(node); });
+      if (!reassign) return;
+      const PartitionPlan& plan = sched->plan();
+      sched->RequestReassign(
+          node, (plan.PartitionOf(node) + 1) % plan.partition_count());
+    });
+  };
+  if (config.faults && n >= 4) {
+    crash(1, Millis(20), Millis(80), /*reassign=*/true);
+    crash(n / 2, Millis(50), Millis(110), /*reassign=*/false);
+  }
+  cluster.RunToQuiescence();
+
+  report.end_time = cluster.Now();
+  report.sched = sched->stats();
+  report.net = cluster.net_stats();
+  report.consistent = cluster.CheckReplicaSetConsistency().ok;
+  uint64_t hash = kOpHashSeed;
+  for (NodeId node = 0; node < n; ++node) {
+    report.committed += committed[node];
+    report.unavailable += unavailable[node];
+    hash = FoldU64(hash, static_cast<uint64_t>(node));
+    for (FragmentId f : held[node]) {
+      hash = FoldU64(hash, static_cast<uint64_t>(f));
+      hash = FoldU64(hash,
+                     static_cast<uint64_t>(cluster.ReadAt(node, objects[f])));
+      hash = FoldU64(hash, static_cast<uint64_t>(
+                               cluster.runtime(node).stream(f).applied_seq));
+    }
+  }
+  report.fingerprint = hash;
+  return report;
 }
 
 void RunPdes(const BenchOptions& opts, const std::vector<PdesConfig>& configs,
              bool verify_serial) {
   std::printf(
-      "\nPDES scaling — ShardedCluster on the parallel scheduler\n"
-      "sim_threads=%d verify_serial=%d (5ms mesh)\n\n",
+      "\nPDES scaling — the full Cluster on the parallel scheduler\n"
+      "sim_threads=%d verify_serial=%d (5ms mesh, fragmentwise)\n\n",
       opts.sim_threads, verify_serial ? 1 : 0);
   std::vector<int> widths = {8, 12, 12, 12, 10, 12, 10, 12, 12};
-  PrintRow({"nodes", "clients", "ops", "events", "windows", "mailbox",
+  PrintRow({"nodes", "clients", "commits", "events", "windows", "mailbox",
             "speedup", "wall (ms)", "consistent"},
            widths);
   PrintRule(widths);
 
   for (const PdesConfig& config : configs) {
     auto t0 = std::chrono::steady_clock::now();
-    ShardedReport report = RunPdesOnce(config, opts.sim_threads);
+    PdesReport report = RunPdesOnce(config, opts.sim_threads);
     double wall_ms = WallSince(t0);
     FRAGDB_CHECK(report.consistent);
 
@@ -267,7 +377,7 @@ void RunPdes(const BenchOptions& opts, const std::vector<PdesConfig>& configs,
     double speedup = 1.0;
     if (opts.sim_threads != 1 && verify_serial) {
       auto t1 = std::chrono::steady_clock::now();
-      ShardedReport serial = RunPdesOnce(config, 1);
+      PdesReport serial = RunPdesOnce(config, 1);
       serial_wall_ms = WallSince(t1);
       // The whole point: a parallel run must be indistinguishable from
       // the serial one. Abort, don't footnote.
@@ -279,7 +389,7 @@ void RunPdes(const BenchOptions& opts, const std::vector<PdesConfig>& configs,
     }
 
     PrintRow({Int(config.nodes), Int((long long)config.clients),
-              Int((long long)report.ops),
+              Int((long long)report.committed),
               Int((long long)report.sched.events_executed),
               Int((long long)report.sched.windows),
               Int((long long)report.sched.mailbox_envelopes),
@@ -287,43 +397,46 @@ void RunPdes(const BenchOptions& opts, const std::vector<PdesConfig>& configs,
               report.consistent ? "yes" : "NO"},
              widths);
 
-    double lag_mean_us =
-        report.installs > 0
-            ? double(report.lag_sum) / double(report.installs)
-            : 0;
     // Deterministic line: nothing here may depend on --sim_threads.
-    char json[512];
+    char json[640];
     std::snprintf(
         json, sizeof(json),
         "{\"bench\":\"pdes\",\"nodes\":%d,\"partitions\":%d,"
         "\"replication\":%d,\"seed\":%llu,\"clients\":%llu,"
-        "\"ops\":%llu,\"installs\":%llu,\"deferred\":%llu,"
-        "\"end_time_us\":%lld,\"lag_mean_us\":%.3f,\"lag_max_us\":%lld,"
+        "\"committed\":%llu,\"unavailable\":%llu,\"messages\":%llu,"
+        "\"queued\":%llu,\"end_time_us\":%lld,"
         "\"events\":%llu,\"windows\":%llu,\"serial_steps\":%llu,"
         "\"mailbox\":%llu,\"direct\":%llu,\"reassign\":%llu,"
+        "\"global_events\":%llu,"
         "\"fingerprint\":\"%016llx\",\"consistent\":%s}",
-        config.nodes, config.partitions, config.replication,
+        config.nodes, report.partitions, config.replication,
         (unsigned long long)config.seed, (unsigned long long)config.clients,
-        (unsigned long long)report.ops, (unsigned long long)report.installs,
-        (unsigned long long)report.deferred, (long long)report.end_time,
-        lag_mean_us, (long long)report.lag_max,
+        (unsigned long long)report.committed,
+        (unsigned long long)report.unavailable,
+        (unsigned long long)report.net.messages_sent,
+        (unsigned long long)report.net.messages_queued,
+        (long long)report.end_time,
         (unsigned long long)report.sched.events_executed,
         (unsigned long long)report.sched.windows,
         (unsigned long long)report.sched.serial_steps,
         (unsigned long long)report.sched.mailbox_envelopes,
         (unsigned long long)report.sched.direct_posts,
         (unsigned long long)report.sched.reassignments,
+        (unsigned long long)report.sched.global_events,
         (unsigned long long)report.fingerprint,
         report.consistent ? "true" : "false");
     PrintJsonLine(json);
 
     // Wall-clock line: the only place sim_threads and timing may appear.
-    char wall_json[256];
+    char wall_json[320];
     std::snprintf(
         wall_json, sizeof(wall_json),
         "{\"bench\":\"pdes_wall\",\"nodes\":%d,\"sim_threads\":%d,"
-        "\"wall_ms\":%.1f,\"serial_wall_ms\":%.1f,\"speedup\":%.2f}",
-        config.nodes, opts.sim_threads, wall_ms, serial_wall_ms, speedup);
+        "\"wall_ms\":%.1f,\"setup_wall_ms\":%.1f,"
+        "\"fault_wall_ms_max\":%.1f,\"serial_wall_ms\":%.1f,"
+        "\"speedup\":%.2f}",
+        config.nodes, opts.sim_threads, wall_ms, report.setup_ms,
+        report.fault_ms_max, serial_wall_ms, speedup);
     PrintJsonLine(wall_json);
   }
 }
@@ -359,7 +472,7 @@ int main(int argc, char** argv) {
       PdesConfig config;
       config.nodes = nodes;
       // Default sizing keeps the smoke runs quick; override for the big
-      // runs (docs/PERFORMANCE.md has the 1,000-node/10M-client recipe).
+      // runs (docs/PERFORMANCE.md has the 1,000-node recipe).
       config.clients = ExtraU64(opts, "clients",
                                 static_cast<uint64_t>(nodes) * 16);
       config.ops_per_client = ExtraU64(opts, "ops_per_client", 50);

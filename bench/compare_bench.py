@@ -34,9 +34,12 @@ Regenerating the committed baseline (from the build directory):
         --workloads=flash_hotkey --controls=fragmentwise --seeds=1 \
         --nodes=48 --duration_ms=700
     ./bench/bench_fig1_1_spectrum
+    ./bench/bench_scaling --mode=pdes | grep '"bench":"pdes"'
 and concatenate the BENCH_JSON lines into BENCH_BASELINE.json, in that
 order. The spectrum's 7 rows carry no wall-clock field and must be
-byte-identical at --threads=1 and --threads=4 before they are committed.
+byte-identical at --threads=1 and --threads=4 before they are committed;
+the 3 scaling rows (16/64/256 nodes; their "pdes_wall" companions are
+left out) likewise at --sim_threads=1 and --sim_threads=4.
 """
 
 import json
@@ -52,6 +55,9 @@ ID_FIELDS = {"schema_version", "seed", "nodes", "cells", "threads",
 # current run (CI picks its own worker counts) and so stay out of the
 # line key.
 VOLATILE_ID_FIELDS = {"threads", "sim_threads", "sim_partitions"}
+# String-valued fields that are results rather than names: compared like
+# metrics, so a drift is an error instead of an unmatched line.
+STRING_METRIC_FIELDS = {"fingerprint"}
 
 
 def is_wall_field(name):
@@ -73,7 +79,9 @@ def load_lines(paths):
                     if name in VOLATILE_ID_FIELDS:
                         continue
                     value = rec[name]
-                    if isinstance(value, str) or name in ID_FIELDS:
+                    if (isinstance(value, str) and
+                            name not in STRING_METRIC_FIELDS) or \
+                            name in ID_FIELDS:
                         key_parts.append(f"{name}={value}")
                 key = " ".join(key_parts)
                 n = 2

@@ -135,10 +135,29 @@ void Topology::HealAll() {
   if (changed) NotifyChange();
 }
 
+void Topology::RefreshRowBounds() const {
+  component_size_.assign(node_count_, 0);
+  for (const std::vector<NodeId>& component : Components()) {
+    for (NodeId n : component) {
+      component_size_[n] = static_cast<int>(component.size());
+    }
+  }
+  min_usable_latency_ = kSimTimeMax;
+  for (const Link& link : links_) {
+    if (LinkUsable(link)) {
+      min_usable_latency_ = std::min(min_usable_latency_, link.latency);
+    }
+  }
+  bounds_valid_ = true;
+}
+
 void Topology::ComputeRow(NodeId a) const {
+  if (!bounds_valid_) RefreshRowBounds();
   SimTime* dist = &dist_[static_cast<size_t>(a) * node_count_];
   std::fill(dist, dist + node_count_, kSimTimeMax);
   dist[a] = 0;
+  int unreached = component_size_[a] - 1;
+  SimTime max_tentative = 0;  // never decreases: a safe upper bound
   using Item = std::pair<SimTime, NodeId>;
   std::priority_queue<Item, std::vector<Item>, std::greater<Item>> pq;
   pq.emplace(0, a);
@@ -146,13 +165,20 @@ void Topology::ComputeRow(NodeId a) const {
     auto [d, n] = pq.top();
     pq.pop();
     if (d > dist[n]) continue;
+    // Once every node of the component has a tentative distance, a path
+    // through any node still to pop costs at least d plus the cheapest
+    // usable link, so no entry can shrink any more: on a full mesh the
+    // row is final after one pop instead of n.
+    if (unreached == 0 && d >= max_tentative - min_usable_latency_) break;
     for (int32_t index : adj_[n]) {
       const Link& link = links_[index];
       if (!LinkUsable(link)) continue;
       NodeId other = link.a == n ? link.b : link.a;
       SimTime nd = d + link.latency;
       if (nd < dist[other]) {
+        if (dist[other] == kSimTimeMax) --unreached;
         dist[other] = nd;
+        max_tentative = std::max(max_tentative, nd);
         pq.emplace(nd, other);
       }
     }
@@ -234,6 +260,7 @@ void Topology::PrecomputeAllRows() const {
 
 void Topology::InvalidateCache() {
   std::fill(row_valid_.begin(), row_valid_.end(), false);
+  bounds_valid_ = false;
 }
 
 void Topology::NotifyChange() {

@@ -118,8 +118,12 @@ class Topology {
     return link_index_[static_cast<size_t>(a) * node_count_ + b];
   }
 
-  /// Fills the shortest-path row for source `a` (Dijkstra over up links).
+  /// Fills the shortest-path row for source `a` (Dijkstra over up links,
+  /// stopped as soon as no remaining relaxation can shorten an entry).
   void ComputeRow(NodeId a) const;
+  /// Sizes connected components and finds the cheapest usable link: the
+  /// two facts ComputeRow's early stop needs, fixed per invalidation.
+  void RefreshRowBounds() const;
 
   int node_count_;
   std::vector<Link> links_;                // in AddLink order
@@ -132,6 +136,10 @@ class Topology {
   // of dist_ is valid iff row_valid_[r]; kSimTimeMax means unreachable.
   mutable std::vector<SimTime> dist_;  // N×N
   mutable std::vector<bool> row_valid_;
+  // ComputeRow's stopping bounds, valid iff bounds_valid_.
+  mutable bool bounds_valid_ = false;
+  mutable std::vector<int> component_size_;  // node -> its component's size
+  mutable SimTime min_usable_latency_ = kSimTimeMax;
 };
 
 }  // namespace fragdb

@@ -18,14 +18,7 @@ NodeDurability::NodeDurability(NodeId node, SimEngine* engine,
       alive_(std::make_shared<bool>(true)) {}
 
 void NodeDurability::OnQuasiApplied(const QuasiTxn& quasi, Epoch epoch) {
-  WalRecord record;
-  record.type = WalRecord::Type::kQuasi;
-  record.fragment = quasi.fragment;
-  record.epoch = epoch;
-  record.quasi = quasi;
-  wal_.Append(record);
-  ++stats_.wal_records;
-  AfterAppend();
+  AppendQuasi(WalRecord::Type::kQuasi, quasi, epoch);
 }
 
 void NodeDurability::OnEpochChanged(FragmentId fragment, Epoch new_epoch,
@@ -42,12 +35,12 @@ void NodeDurability::OnEpochChanged(FragmentId fragment, Epoch new_epoch,
 }
 
 void NodeDurability::OnPaxosSlotAllocated(const QuasiTxn& quasi, Epoch epoch) {
-  WalRecord record;
-  record.type = WalRecord::Type::kPaxosSlot;
-  record.fragment = quasi.fragment;
-  record.epoch = epoch;
-  record.quasi = quasi;
-  wal_.Append(record);
+  AppendQuasi(WalRecord::Type::kPaxosSlot, quasi, epoch);
+}
+
+void NodeDurability::AppendQuasi(WalRecord::Type type, const QuasiTxn& quasi,
+                                 Epoch epoch) {
+  wal_.AppendEncoded(EncodeQuasiRecord(type, epoch, quasi));
   ++stats_.wal_records;
   AfterAppend();
 }

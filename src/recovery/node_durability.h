@@ -137,6 +137,8 @@ class NodeDurability {
   WalWriter& wal() { return wal_; }
 
  private:
+  /// Logs a kQuasi or kPaxosSlot record, encoded straight from `quasi`.
+  void AppendQuasi(WalRecord::Type type, const QuasiTxn& quasi, Epoch epoch);
   void AfterAppend();
   void BeginCheckpoint();
   void CommitCheckpoint(const CheckpointImage& image, bool base);

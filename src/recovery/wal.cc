@@ -8,16 +8,12 @@ namespace fragdb {
 
 namespace {
 
-std::string EncodePayload(const WalRecord& record) {
+std::string QuasiPayload(WalRecord::Type type, FragmentId fragment,
+                         Epoch epoch, const QuasiTxn& q) {
   std::string p;
-  PutU8(&p, static_cast<uint8_t>(record.type));
-  PutI32(&p, record.fragment);
-  PutI32(&p, record.epoch);
-  if (record.type == WalRecord::Type::kEpochChange) {
-    PutI64(&p, record.epoch_base);
-    return p;
-  }
-  const QuasiTxn& q = record.quasi;
+  PutU8(&p, static_cast<uint8_t>(type));
+  PutI32(&p, fragment);
+  PutI32(&p, epoch);
   PutI64(&p, q.origin_txn);
   PutI64(&p, q.seq);
   PutI32(&p, q.origin_node);
@@ -28,6 +24,15 @@ std::string EncodePayload(const WalRecord& record) {
     PutI64(&p, w.value);
   }
   return p;
+}
+
+std::string Frame(const std::string& payload) {
+  std::string framed;
+  framed.reserve(payload.size() + 8);
+  PutU32(&framed, static_cast<uint32_t>(payload.size()));
+  PutU32(&framed, Fnv1a(payload));
+  framed += payload;
+  return framed;
 }
 
 bool DecodePayload(const std::string& payload, WalRecord* out) {
@@ -66,13 +71,21 @@ bool DecodePayload(const std::string& payload, WalRecord* out) {
 }  // namespace
 
 std::string EncodeWalRecord(const WalRecord& record) {
-  std::string payload = EncodePayload(record);
-  std::string framed;
-  framed.reserve(payload.size() + 8);
-  PutU32(&framed, static_cast<uint32_t>(payload.size()));
-  PutU32(&framed, Fnv1a(payload));
-  framed += payload;
-  return framed;
+  if (record.type != WalRecord::Type::kEpochChange) {
+    return Frame(QuasiPayload(record.type, record.fragment, record.epoch,
+                              record.quasi));
+  }
+  std::string p;
+  PutU8(&p, static_cast<uint8_t>(record.type));
+  PutI32(&p, record.fragment);
+  PutI32(&p, record.epoch);
+  PutI64(&p, record.epoch_base);
+  return Frame(p);
+}
+
+std::string EncodeQuasiRecord(WalRecord::Type type, Epoch epoch,
+                              const QuasiTxn& quasi) {
+  return Frame(QuasiPayload(type, quasi.fragment, epoch, quasi));
 }
 
 WalScan ScanWal(const std::string& bytes) {
@@ -105,7 +118,11 @@ WalWriter::WalWriter(NodeId node, SimEngine* engine, StableStorage* storage,
       staging_(std::make_shared<Staging>()) {}
 
 void WalWriter::Append(const WalRecord& record) {
-  staging_->buf += EncodeWalRecord(record);
+  AppendEncoded(EncodeWalRecord(record));
+}
+
+void WalWriter::AppendEncoded(const std::string& bytes) {
+  staging_->buf += bytes;
   ++records_appended_;
   if (staging_->sync_scheduled) return;
   staging_->sync_scheduled = true;

@@ -47,6 +47,11 @@ struct WalRecord {
 /// does not match, is a torn tail: scanning stops there and the valid
 /// prefix is what recovery replays.
 std::string EncodeWalRecord(const WalRecord& record);
+/// The same bytes as EncodeWalRecord of a kQuasi or kPaxosSlot record
+/// carrying `quasi` (fragment = quasi.fragment), without copying it into
+/// one.
+std::string EncodeQuasiRecord(WalRecord::Type type, Epoch epoch,
+                              const QuasiTxn& quasi);
 
 struct WalScan {
   std::vector<WalRecord> records;
@@ -74,6 +79,9 @@ class WalWriter {
   WalWriter& operator=(const WalWriter&) = delete;
 
   void Append(const WalRecord& record);
+  /// Appends one record already framed by EncodeWalRecord or
+  /// EncodeQuasiRecord.
+  void AppendEncoded(const std::string& bytes);
 
   /// Moves staged bytes to stable storage immediately (a synchronous
   /// fsync; used by tests and by orderly shutdown paths).

@@ -436,12 +436,11 @@ void PdesScheduler::Drive(SimTime deadline) {
       RunGlobalBatch(next_global);
       continue;
     }
-    SimTime la = std::min(lookahead_, options_.max_window);
-    if (la <= 0) {
+    if (lookahead_ <= 0) {
       SerialStep();
       continue;
     }
-    SimTime we = SaturatingAdd(next_node, la);
+    SimTime we = SaturatingAdd(next_node, lookahead_);
     // A window may not run past the next global event (its shared-state
     // mutation must be visible to every later node event).
     if (we > next_global) we = next_global;

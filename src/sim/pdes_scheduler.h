@@ -56,9 +56,6 @@ class PdesScheduler {
     /// the caller (the exact same phase code, hence identical results).
     /// 0 = hardware concurrency.
     int threads = 1;
-    /// Optional cap on the window width (microseconds of simulated time);
-    /// kSimTimeMax = windows limited only by lookahead.
-    SimTime max_window = kSimTimeMax;
   };
 
   /// `lookahead` is re-evaluated against the current plan at every

@@ -1,19 +1,17 @@
 // Lookahead correctness across connectivity churn. The conservative
 // window is only safe if the lookahead is a true lower bound on every
 // cross-partition delivery delay, through any sequence of partition /
-// heal / link flips. These tests pin the two sources of that bound —
-// Topology::MinCrossPartitionLatency (the crossing-link bound the live
-// cluster uses) and ChannelTable::MinCrossPartitionLatency (the exact
-// per-channel bound) — and then drive a real cluster through flap cycles
-// at several thread counts; the scheduler's own arrival >= window_end
-// check aborts the run if a refresh ever admitted a causality violation.
+// heal / link flips. These tests pin the source of that bound —
+// Topology::MinCrossPartitionLatency, the crossing-link bound the live
+// cluster uses — and then drive a real cluster through flap cycles at
+// several thread counts; the scheduler's own arrival >= window_end check
+// aborts the run if a refresh ever admitted a causality violation.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "net/channel_table.h"
 #include "net/topology.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
@@ -54,45 +52,6 @@ TEST(PdesLookaheadTest, TopologyBoundShrinksAndGrowsAcrossCycles) {
   EXPECT_EQ(topo.MinCrossPartitionLatency(owner), kSimTimeMax);
   ASSERT_TRUE(topo.SetLinkUp(2, 3, true).ok());
   EXPECT_EQ(topo.MinCrossPartitionLatency(owner), Millis(5));
-}
-
-TEST(PdesLookaheadTest, ChannelTableTracksTopologyAcrossCycles) {
-  Topology topo = Topology::FullMesh(4, Millis(5));
-  const std::vector<int> owner = PartitionPlan::Contiguous(4, 2).owners();
-
-  EXPECT_EQ(ChannelTable::FromTopology(topo).MinCrossPartitionLatency(owner),
-            Millis(5));
-
-  ASSERT_TRUE(topo.Partition({{0, 1}, {2, 3}}).ok());
-  EXPECT_EQ(ChannelTable::FromTopology(topo).MinCrossPartitionLatency(owner),
-            kSimTimeMax);
-
-  topo.HealAll();
-  EXPECT_EQ(ChannelTable::FromTopology(topo).MinCrossPartitionLatency(owner),
-            Millis(5));
-
-  // A directed override can only tighten the bound downward — including
-  // to the adversarial zero-latency edge, which forces serial fallback.
-  ChannelTable table = ChannelTable::FromTopology(topo);
-  table.SetLatency(0, 2, Millis(1));
-  EXPECT_EQ(table.MinCrossPartitionLatency(owner), Millis(1));
-  table.SetLatency(0, 2, 0);
-  EXPECT_EQ(table.MinCrossPartitionLatency(owner), 0);
-
-  // Severing every crossing channel (both directions) restores the
-  // "nothing crosses" bound.
-  for (NodeId a : {0, 1}) {
-    for (NodeId b : {2, 3}) {
-      table.SetLatency(a, b, kSimTimeMax);
-      table.SetLatency(b, a, kSimTimeMax);
-    }
-  }
-  EXPECT_EQ(table.MinCrossPartitionLatency(owner), kSimTimeMax);
-
-  // Uniform-mesh construction agrees with the dense one.
-  EXPECT_EQ(ChannelTable::UniformMesh(4, Millis(5))
-                .MinCrossPartitionLatency(owner),
-            Millis(5));
 }
 
 // --- Live cluster through flap cycles -------------------------------------

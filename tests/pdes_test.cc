@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "core/sharded_cluster.h"
-#include "net/channel_table.h"
+#include "core/audit.h"
+#include "core/cluster.h"
 #include "sim/partition.h"
 #include "sim/pdes_scheduler.h"
+#include "workload/opstream.h"
 
 namespace fragdb {
 namespace {
@@ -49,38 +53,7 @@ TEST(PartitionPlan, ReassignKeepsMembersSorted) {
   EXPECT_EQ(plan.Members(1), (std::vector<NodeId>{1, 3, 5}));
 }
 
-// --- ChannelTable ---------------------------------------------------------
-
-TEST(ChannelTable, UniformMeshLatencies) {
-  ChannelTable table = ChannelTable::UniformMesh(4, Millis(5));
-  EXPECT_EQ(table.Latency(0, 3), Millis(5));
-  EXPECT_EQ(table.Latency(2, 2), 0);
-}
-
-TEST(ChannelTable, SetLatencyMaterializesUniform) {
-  ChannelTable table = ChannelTable::UniformMesh(3, Millis(5));
-  table.SetLatency(0, 1, Millis(1));
-  EXPECT_EQ(table.Latency(0, 1), Millis(1));
-  EXPECT_EQ(table.Latency(1, 0), Millis(5));  // directed override
-  EXPECT_EQ(table.Latency(1, 2), Millis(5));  // untouched channels keep mesh
-}
-
-TEST(ChannelTable, FromTopologySnapshotsShortestPaths) {
-  Topology topo = Topology::Line(3, Millis(2));
-  ChannelTable table = ChannelTable::FromTopology(topo);
-  EXPECT_EQ(table.Latency(0, 1), Millis(2));
-  EXPECT_EQ(table.Latency(0, 2), Millis(4));  // via node 1
-}
-
-TEST(ChannelTable, MinCrossPartitionLatency) {
-  ChannelTable table = ChannelTable::UniformMesh(4, Millis(5));
-  std::vector<int> owner{0, 0, 1, 1};
-  EXPECT_EQ(table.MinCrossPartitionLatency(owner), Millis(5));
-  std::vector<int> one_partition{0, 0, 0, 0};
-  EXPECT_EQ(table.MinCrossPartitionLatency(one_partition), kSimTimeMax);
-  table.SetLatency(1, 2, 0);  // adversarial zero-latency crossing channel
-  EXPECT_EQ(table.MinCrossPartitionLatency(owner), 0);
-}
+// --- Lookahead -----------------------------------------------------------
 
 TEST(TopologyLookahead, MinCrossingLinkLatency) {
   // Line 0-1-2-3 with a fast 1ms link inside partition 0: the bound must
@@ -198,150 +171,223 @@ TEST(PdesScheduler, ReassignAppliesAtBarrierAndRebalances) {
   EXPECT_EQ(sched.stats().reassignments, 1u);
 }
 
-// --- ShardedCluster -------------------------------------------------------
+// --- The full Cluster under partial replication --------------------------
+//
+// The ShardedCluster suite runs the partial-replication PDES workload of
+// `bench_scaling --mode=pdes` on the real Cluster: 3-replica sets,
+// per-node op streams, crash-stop/revive and mid-run partition moves.
 
-ShardedClusterOptions BaseOptions(int nodes, int sim_threads) {
-  ShardedClusterOptions o;
-  o.nodes = nodes;
-  o.replication = 3;
-  o.partitions = 8;
-  o.sim_threads = sim_threads;
-  o.workload.seed = 11;
-  o.workload.clients = 64;
-  o.workload.ops_per_client = 20;
-  o.workload.mean_interarrival = Millis(3);
+struct ReplicaSetOptions {
+  int threads = 1;
+  int partitions = 4;
+  /// Node 3 is crash-stopped over [20ms, 90ms) and moves to the next
+  /// partition when it revives; node 10 is down over [40ms, 60ms).
+  bool faults = true;
+  /// When >= 0, one RequestReassign(reassign_node, reassign_to) at 30ms.
+  NodeId reassign_node = -1;
+  int reassign_to = 0;
+};
+
+struct ReplicaSetRun {
+  std::string digest;
+  AuditReport audit;
+  PdesScheduler::Stats sched;
+  SimTime end = 0;  // the clock at quiescence stops on a window edge
+  uint64_t ops = 0;
+  uint64_t committed = 0;
+  uint64_t unavailable = 0;
+  uint64_t sent = 0;
+  PartitionPlan plan = PartitionPlan::Contiguous(1, 1);
+};
+
+/// 16 nodes on a 5ms mesh. Fragment i is homed at node i and replicated at
+/// {i, i+1, i+2 mod 16}; every node replays its own op stream. The digest
+/// folds the replica state in node order plus every count a worker or plan
+/// change could disturb; the final clock depends on the plan, so it is
+/// apart.
+ReplicaSetRun RunReplicaSetCluster(const ReplicaSetOptions& o) {
+  const int n = 16;
+  ClusterConfig config;
+  config.control = ControlOption::kFragmentwise;
+  config.engine.threads = o.threads;
+  config.engine.partitions = o.partitions;
+  Cluster c(config, Topology::FullMesh(n, Millis(5)));
+  std::vector<ObjectId> objects;
+  std::vector<AgentId> agents;
+  for (NodeId i = 0; i < n; ++i) {
+    FragmentId f = c.DefineFragment("F" + std::to_string(i));
+    objects.push_back(*c.DefineObject(f, "o" + std::to_string(i), 0));
+    agents.push_back(c.DefineUserAgent("a" + std::to_string(i)));
+    EXPECT_TRUE(c.AssignToken(f, agents.back()).ok());
+    EXPECT_TRUE(c.SetAgentHome(agents.back(), i).ok());
+    EXPECT_TRUE(c.SetReplicaSet(f, {i, (i + 1) % n, (i + 2) % n}).ok());
+  }
+  EXPECT_TRUE(c.Start().ok());
+
+  OpStreamOptions workload;
+  workload.seed = 11;
+  workload.nodes = n;
+  workload.clients = 64;
+  workload.ops_per_client = 20;
+  workload.mean_interarrival = Millis(3);
+  std::vector<OpSource> sources;
+  for (NodeId i = 0; i < n; ++i) sources.emplace_back(workload, i);
+  std::vector<uint64_t> committed(n, 0), unavailable(n, 0);
+  std::function<void(NodeId)> chain = [&](NodeId node) {
+    GeneratedOp op;
+    if (!sources[node].Next(&op)) return;
+    c.engine()->AtNode(node, op.at, [&, node, delta = op.delta] {
+      TxnSpec spec;
+      spec.agent = agents[node];
+      spec.write_fragment = node;
+      ObjectId obj = objects[node];
+      spec.read_set = {obj};
+      spec.body = [obj, delta](const std::vector<Value>& reads)
+          -> Result<std::vector<WriteOp>> {
+        return std::vector<WriteOp>{{obj, reads[0] + delta}};
+      };
+      c.Submit(spec, [&, node](const TxnResult& r) {
+        ++(r.status.ok() ? committed : unavailable)[node];
+      });
+      chain(node);
+    });
+  };
+  for (NodeId i = 0; i < n; ++i) chain(i);
+
+  PdesScheduler* sched = c.pdes_scheduler();
+  auto crash = [&](NodeId node, SimTime at, SimTime revive_at, bool move) {
+    c.engine()->AtGlobal(at, [&c, node] {
+      EXPECT_TRUE(c.CrashNode(node, CrashMode::kCrashStop).ok());
+    });
+    c.engine()->AtGlobal(revive_at, [&c, sched, node, move] {
+      EXPECT_TRUE(c.ReviveNode(node).ok());
+      if (!move) return;
+      const PartitionPlan& plan = sched->plan();
+      sched->RequestReassign(
+          node, (plan.PartitionOf(node) + 1) % plan.partition_count());
+    });
+  };
+  if (o.faults) {
+    crash(3, Millis(20), Millis(90), /*move=*/true);
+    crash(10, Millis(40), Millis(60), /*move=*/false);
+  }
+  if (o.reassign_node >= 0) {
+    c.engine()->AtGlobal(Millis(30), [sched, &o] {
+      sched->RequestReassign(o.reassign_node, o.reassign_to);
+    });
+  }
+  c.RunToQuiescence();
+
+  ReplicaSetRun run;
+  run.audit = AuditRun(c);
+  run.sched = sched->stats();
+  run.end = c.Now();
+  run.plan = sched->plan();
+  run.ops = static_cast<uint64_t>(workload.clients) * workload.ops_per_client;
+  uint64_t hash = kOpHashSeed;
+  for (NodeId node = 0; node < n; ++node) {
+    run.committed += committed[node];
+    run.unavailable += unavailable[node];
+    for (int k = 0; k < 3; ++k) {
+      FragmentId f = (node - k + n) % n;
+      hash = FoldU64(hash, static_cast<uint64_t>(c.ReadAt(node, objects[f])));
+      hash = FoldU64(hash, static_cast<uint64_t>(
+                               c.runtime(node).stream(f).applied_seq));
+    }
+  }
+  NetworkStats net = c.net_stats();
+  run.sent = net.messages_sent;
+  std::ostringstream os;
+  os << "committed=" << run.committed << " unavailable=" << run.unavailable
+     << " sent=" << net.messages_sent << " queued=" << net.messages_queued
+     << " events=" << run.sched.events_executed
+     << " state=" << std::hex << hash;
+  run.digest = os.str();
+  return run;
+}
+
+ReplicaSetOptions Opts(int threads, int partitions, bool faults) {
+  ReplicaSetOptions o;
+  o.threads = threads;
+  o.partitions = partitions;
+  o.faults = faults;
   return o;
 }
 
-ShardedReport RunSharded(const ShardedClusterOptions& options,
-                         bool with_faults) {
-  ShardedCluster cluster(options, ChannelTable::UniformMesh(options.nodes,
-                                                            Millis(5)));
-  if (with_faults) {
-    cluster.ScheduleCrash(3, Millis(20), Millis(90), /*reshuffle=*/true);
-    cluster.ScheduleCrash(10, Millis(40), Millis(60), /*reshuffle=*/false);
-  }
-  return cluster.Run();
-}
-
 TEST(ShardedCluster, ConvergesAndCountsAddUp) {
-  ShardedClusterOptions o = BaseOptions(16, 1);
-  ShardedReport r = RunSharded(o, false);
-  EXPECT_TRUE(r.consistent);
-  EXPECT_EQ(r.ops, o.workload.clients * o.workload.ops_per_client);
-  // Every committed op fans out to replication - 1 peers, and every send
-  // is eventually applied.
-  EXPECT_EQ(r.sends, r.ops * 2);
-  EXPECT_EQ(r.installs, r.sends);
-  EXPECT_EQ(r.deferred, 0u);
+  ReplicaSetRun r = RunReplicaSetCluster(Opts(1, 4, /*faults=*/false));
+  EXPECT_TRUE(r.audit.ok()) << r.audit.ToString();
+  // With every node up each op commits, and each commit fans out to the
+  // two other members of its replica set.
+  EXPECT_EQ(r.committed, r.ops);
+  EXPECT_EQ(r.unavailable, 0u);
+  EXPECT_EQ(r.sent, r.committed * 2);
   EXPECT_GT(r.sched.windows, 0u);
   EXPECT_EQ(r.sched.serial_steps, 0u);
 }
 
 TEST(ShardedCluster, ByteIdenticalAcrossSimThreads) {
-  ShardedReport base = RunSharded(BaseOptions(16, 1), false);
-  for (int threads : {2, 4, 8}) {
-    ShardedReport r = RunSharded(BaseOptions(16, threads), false);
-    EXPECT_EQ(r.fingerprint, base.fingerprint) << threads << " threads";
-    EXPECT_EQ(r.end_time, base.end_time);
-    EXPECT_EQ(r.lag_sum, base.lag_sum);
-    EXPECT_EQ(r.sched.events_executed, base.sched.events_executed);
-    EXPECT_EQ(r.sched.windows, base.sched.windows);
-    EXPECT_EQ(r.sched.mailbox_envelopes, base.sched.mailbox_envelopes);
-    EXPECT_EQ(r.sched.direct_posts, base.sched.direct_posts);
+  ReplicaSetRun base = RunReplicaSetCluster(Opts(1, 4, /*faults=*/false));
+  for (int threads : {2, 4}) {
+    ReplicaSetRun r = RunReplicaSetCluster(Opts(threads, 4, false));
+    EXPECT_EQ(r.digest, base.digest) << threads << " workers";
+    EXPECT_EQ(r.end, base.end) << threads << " workers";
+    EXPECT_EQ(r.sched.windows, base.sched.windows) << threads << " workers";
   }
 }
 
 TEST(ShardedCluster, ByteIdenticalAcrossSimThreadsUnderFaults) {
-  // The adversarial version: crash/revive replays backlogs, and one
-  // revive requests a partition reassignment mid-run, reshuffling load
-  // while windows are in flight.
-  ShardedReport base = RunSharded(BaseOptions(16, 1), true);
-  EXPECT_TRUE(base.consistent);
-  EXPECT_GT(base.deferred, 0u);
+  // Crash-stop drops traffic to the downed nodes, revive catches them up,
+  // and one revive moves its node to another partition mid-run.
+  ReplicaSetRun base = RunReplicaSetCluster(Opts(1, 4, /*faults=*/true));
+  EXPECT_TRUE(base.audit.ok()) << base.audit.ToString();
+  EXPECT_GT(base.unavailable, 0u);
+  EXPECT_EQ(base.committed + base.unavailable, base.ops);
   EXPECT_EQ(base.sched.reassignments, 1u);
-  for (int threads : {2, 4, 8}) {
-    ShardedReport r = RunSharded(BaseOptions(16, threads), true);
-    EXPECT_EQ(r.fingerprint, base.fingerprint) << threads << " threads";
-    EXPECT_EQ(r.end_time, base.end_time);
-    EXPECT_EQ(r.deferred, base.deferred);
-    EXPECT_EQ(r.sched.events_executed, base.sched.events_executed);
-    EXPECT_EQ(r.sched.windows, base.sched.windows);
-    EXPECT_EQ(r.sched.reassignments, base.sched.reassignments);
+  for (int threads : {2, 4}) {
+    ReplicaSetRun r = RunReplicaSetCluster(Opts(threads, 4, true));
+    EXPECT_EQ(r.digest, base.digest) << threads << " workers";
+    EXPECT_EQ(r.end, base.end) << threads << " workers";
+    EXPECT_EQ(r.sched.windows, base.sched.windows) << threads << " workers";
+    EXPECT_EQ(r.sched.reassignments, 1u) << threads << " workers";
   }
 }
 
 TEST(ShardedCluster, StateInvariantAcrossPartitionCounts) {
-  // The state fingerprint folds simulation state only (no scheduler
-  // stats), and install application commutes across same-time arrivals
-  // from different homes — so even the *plan* must not affect it.
-  ShardedClusterOptions o = BaseOptions(16, 2);
-  o.partitions = 1;
-  uint64_t fp1 = RunSharded(o, true).fingerprint;
-  for (int partitions : {2, 4, 16}) {
-    o.partitions = partitions;
-    EXPECT_EQ(RunSharded(o, true).fingerprint, fp1)
-        << partitions << " partitions";
+  // The digest holds simulation state and counts only, so the plan must
+  // not change it either.
+  ReplicaSetRun base = RunReplicaSetCluster(Opts(2, 1, /*faults=*/true));
+  EXPECT_TRUE(base.audit.ok()) << base.audit.ToString();
+  for (int partitions : {4, 16}) {
+    ReplicaSetRun r = RunReplicaSetCluster(Opts(2, partitions, true));
+    EXPECT_EQ(r.digest, base.digest) << partitions << " partitions";
+    EXPECT_TRUE(r.audit.ok()) << r.audit.ToString();
   }
 }
 
-TEST(ShardedCluster, ZeroLookaheadChannelStaysCorrect) {
-  ShardedClusterOptions o = BaseOptions(8, 4);
-  o.partitions = 4;
-  o.workload.clients = 16;
-  o.workload.ops_per_client = 8;
-  ChannelTable channels = ChannelTable::UniformMesh(8, Millis(5));
-  channels.SetLatency(0, 7, 0);  // crossing channel with zero latency
-  ShardedCluster cluster(o, std::move(channels));
-  ShardedReport r = cluster.Run();
-  EXPECT_TRUE(r.consistent);
-  EXPECT_EQ(r.sched.windows, 0u);
-  EXPECT_GT(r.sched.serial_steps, 0u);
-
-  // And it matches the serial execution exactly.
-  ChannelTable again = ChannelTable::UniformMesh(8, Millis(5));
-  again.SetLatency(0, 7, 0);
-  o.sim_threads = 1;
-  ShardedCluster serial(o, std::move(again));
-  EXPECT_EQ(serial.Run().fingerprint, r.fingerprint);
-}
-
 TEST(ShardedCluster, ExplicitMidRunReassign) {
-  ShardedClusterOptions o = BaseOptions(12, 4);
-  o.partitions = 4;
-  ShardedCluster cluster(o, ChannelTable::UniformMesh(12, Millis(5)));
-  cluster.ScheduleReassign(Millis(30), 2, 3);
-  ShardedReport r = cluster.Run();
-  EXPECT_TRUE(r.consistent);
+  ReplicaSetOptions o = Opts(4, 4, /*faults=*/false);
+  o.reassign_node = 2;
+  o.reassign_to = 3;
+  ReplicaSetRun r = RunReplicaSetCluster(o);
+  EXPECT_TRUE(r.audit.ok()) << r.audit.ToString();
   EXPECT_EQ(r.sched.reassignments, 1u);
-  EXPECT_EQ(cluster.plan().PartitionOf(2), 3);
+  EXPECT_EQ(r.plan.PartitionOf(2), 3);
 
-  o.sim_threads = 1;
-  ShardedCluster serial(o, ChannelTable::UniformMesh(12, Millis(5)));
-  serial.ScheduleReassign(Millis(30), 2, 3);
-  EXPECT_EQ(serial.Run().fingerprint, r.fingerprint);
-}
-
-TEST(ShardedCluster, FullReplicationBroadcastsEverywhere) {
-  ShardedClusterOptions o = BaseOptions(8, 2);
-  o.replication = 0;  // full
-  o.partitions = 4;
-  o.workload.clients = 16;
-  o.workload.ops_per_client = 4;
-  ShardedReport r = RunSharded(o, false);
-  EXPECT_TRUE(r.consistent);
-  EXPECT_EQ(r.sends, r.ops * 7);
-  EXPECT_EQ(r.installs, r.sends);
+  o.threads = 1;
+  ReplicaSetRun serial = RunReplicaSetCluster(o);
+  EXPECT_EQ(serial.digest, r.digest);
 }
 
 TEST(ShardedCluster, PinnedFingerprint) {
-  // Golden end-state hash for a fixed configuration, pinned so any drift
-  // in the event order, merge order, RNG, or replication logic fails
-  // loudly. Must hold at every sim_threads (the determinism tests above
-  // cross-check that); pinned at 2 threads to exercise the pool.
-  ShardedReport r = RunSharded(BaseOptions(16, 2), true);
-  EXPECT_EQ(r.fingerprint, 8281541404279616325ULL)
-      << "fingerprint drifted: " << r.fingerprint;
+  // Pinned so any drift in event order, routing, replication or the op
+  // streams fails loudly; pinned at 2 workers to exercise the pool (the
+  // tests above show the digest holds at every worker count).
+  ReplicaSetRun r = RunReplicaSetCluster(Opts(2, 4, /*faults=*/true));
+  EXPECT_TRUE(r.audit.ok()) << r.audit.ToString();
+  EXPECT_EQ(r.digest,
+            "committed=1249 unavailable=31 sent=2498 queued=63 events=7529 "
+            "state=c8541406d20c306c");
 }
 
 }  // namespace
