@@ -396,10 +396,6 @@ std::vector<std::shared_ptr<const MessagePayload>> AllCorePayloads() {
           std::make_shared<QuasiCommit>(),
           std::make_shared<M0Msg>(),
           std::make_shared<ForwardMissing>(),
-          std::make_shared<SeqQuery>(),
-          std::make_shared<SeqReply>(),
-          std::make_shared<FetchMissing>(),
-          std::make_shared<MissingData>(),
           std::make_shared<RecoveryQuery>(),
           std::make_shared<RecoveryReply>(),
           std::make_shared<QuorumReadRequest>(),
@@ -412,7 +408,7 @@ std::vector<std::shared_ptr<const MessagePayload>> AllCorePayloads() {
 
 void BM_HandleMessageDispatch(benchmark::State& state) {
   // The dispatch layer of NodeRuntime::HandleMessage alone: the tag switch
-  // over a round-robin stream of all 21 payload types, each reaching a
+  // over a round-robin stream of all 17 payload types, each reaching a
   // per-type handler that only counts it. Items = messages dispatched.
   const std::vector<std::shared_ptr<const MessagePayload>> payloads =
       AllCorePayloads();

@@ -35,11 +35,14 @@ Regenerating the committed baseline (from the build directory):
         --nodes=48 --duration_ms=700
     ./bench/bench_fig1_1_spectrum
     ./bench/bench_scaling --mode=pdes | grep '"bench":"pdes"'
+    ./bench/bench_sec4_4_moving
 and concatenate the BENCH_JSON lines into BENCH_BASELINE.json, in that
 order. The spectrum's 7 rows carry no wall-clock field and must be
 byte-identical at --threads=1 and --threads=4 before they are committed;
 the 3 scaling rows (16/64/256 nodes; their "pdes_wall" companions are
-left out) likewise at --sim_threads=1 and --sim_threads=4.
+left out) likewise at --sim_threads=1 and --sim_threads=4. The 5 §4.4
+rows (four move protocols plus §4.4.1 token recovery) carry no
+wall-clock field either.
 """
 
 import json

@@ -1672,6 +1672,7 @@ Status Cluster::CrashNode(NodeId node, CrashMode mode) {
   paxos_indoubt_[node].clear();  // re-derived from the WAL at revival
   remote_locks_.Wipe(node);
   runtimes_[node]->WipeVolatile();
+  FailWipedCatchUps(node);
   // A fresh pipeline: destroying the old one expires the weak references
   // held by its staged-WAL sync and in-flight checkpoint events, which is
   // exactly how the staged suffix gets lost.

@@ -591,11 +591,11 @@ class Cluster {
   /// up into `from` when it is non-null), and the agent settled.
   Status CheckMove(AgentId agent, NodeId to_node, Status protocol,
                    NodeId* from);
-  /// §4.4.1 arrival at `node`: catches `tokens` up from a majority one
-  /// fragment at a time, from index `next` (the runtime tracks one
-  /// catch-up at a time), then runs `then`.
-  void CatchUpTokens(NodeId node, std::vector<FragmentId> tokens,
-                     size_t next, std::function<void()> then);
+  /// An amnesia crash at `node` wiped its §4.4.1 catch-up sessions: each
+  /// agent they were reopening stays homed at the crashed node, settled,
+  /// and its move reports Unavailable, so RecoverAgent can reconstitute
+  /// the token elsewhere.
+  void FailWipedCatchUps(NodeId node);
   /// §4.4.2B: once `node` has applied every carried seq in `must_reach`,
   /// reopens each of those fragments at applied + 1 and returns true.
   bool ReopenIfCaughtUp(NodeId node,

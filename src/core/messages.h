@@ -24,10 +24,6 @@ enum class MsgType : uint8_t {
   kCommit,
   kM0,
   kForwardMissing,
-  kSeqQuery,
-  kSeqReply,
-  kFetchMissing,
-  kMissingData,
   kRecoveryQuery,
   kRecoveryReply,
   kQuorumRead,
@@ -54,10 +50,6 @@ inline constexpr const char* kMsgTypeNames[kMsgTypeCount] = {
     "commit",
     "m0",
     "forward-missing",
-    "seq-query",
-    "seq-reply",
-    "fetch-missing",
-    "missing-data",
     "recovery-query",
     "recovery-reply",
     "quorum-read",
@@ -128,37 +120,6 @@ struct QuasiAck : TaggedPayload<MsgType::kAck> {
 struct QuasiCommit : TaggedPayload<MsgType::kCommit> {
   FragmentId fragment = kInvalidFragment;
   SeqNum seq = 0;
-};
-
-/// §4.4.1 move catch-up: the new home asks everyone how far the fragment's
-/// stream goes and fetches what it misses.
-struct SeqQuery : TaggedPayload<MsgType::kSeqQuery> {
-  FragmentId fragment = kInvalidFragment;
-  NodeId requester = kInvalidNode;
-  int64_t move_id = 0;
-};
-struct SeqReply : TaggedPayload<MsgType::kSeqReply> {
-  FragmentId fragment = kInvalidFragment;
-  SeqNum applied_seq = 0;
-  NodeId replier = kInvalidNode;
-  int64_t move_id = 0;
-};
-struct FetchMissing : TaggedPayload<MsgType::kFetchMissing> {
-  FragmentId fragment = kInvalidFragment;
-  SeqNum from_seq = 0;  // exclusive
-  SeqNum to_seq = 0;    // inclusive
-  NodeId requester = kInvalidNode;
-  int64_t move_id = 0;
-};
-struct MissingData : TaggedPayload<MsgType::kMissingData> {
-  FragmentId fragment = kInvalidFragment;
-  std::vector<QuasiTxn> quasis;
-  int64_t move_id = 0;
-  size_t ByteSize() const override {
-    size_t n = 32;
-    for (const auto& q : quasis) n += QuasiTxnWireSize(q);
-    return n;
-  }
 };
 
 /// §4.4.3 move announcement: "M0 = (T1, ..., Ti)", carrying the prefix of
@@ -244,16 +205,17 @@ struct PaxosOutcome : TaggedPayload<MsgType::kPaxosOutcome> {
   bool commit = true;
 };
 
-/// Crash-recovery peer catch-up (recovery subsystem): where the recovering
-/// node stands on one fragment after replaying its local WAL.
+/// Peer catch-up, the one "send me what I am missing" exchange: crash
+/// recovery (positive ids, one session per recovering node), loss gap
+/// repair and §4.4.1 move catch-up (negative ids, numbered by the querying
+/// node). A position is where the querying node stands on one fragment.
 struct RecoveryPosition {
   FragmentId fragment = kInvalidFragment;
   Epoch epoch = 0;
   SeqNum applied_seq = 0;
 };
 
-/// The recovering node asks every live peer for the stream suffix its
-/// durable state misses.
+/// The querying node asks peers for the stream suffix past its positions.
 struct RecoveryQuery : TaggedPayload<MsgType::kRecoveryQuery> {
   NodeId requester = kInvalidNode;
   int64_t recovery_id = 0;
@@ -316,18 +278,6 @@ bool VisitCorePayload(const MessagePayload& p, Visitor&& visit) {
       return true;
     case MsgType::kForwardMissing:
       visit(static_cast<const ForwardMissing&>(p));
-      return true;
-    case MsgType::kSeqQuery:
-      visit(static_cast<const SeqQuery&>(p));
-      return true;
-    case MsgType::kSeqReply:
-      visit(static_cast<const SeqReply&>(p));
-      return true;
-    case MsgType::kFetchMissing:
-      visit(static_cast<const FetchMissing&>(p));
-      return true;
-    case MsgType::kMissingData:
-      visit(static_cast<const MissingData&>(p));
       return true;
     case MsgType::kRecoveryQuery:
       visit(static_cast<const RecoveryQuery&>(p));

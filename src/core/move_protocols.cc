@@ -203,11 +203,11 @@ void Cluster::ArriveMove(
     }
     case MoveProtocol::kMajorityCommit: {
       state.phase = AgentPhase::kCatchingUp;
-      // The catch-up may complete inside a node event at `to`
-      // (OnSeqReply / an install advancing); CompleteMove routes the
-      // shared-state mutation to a global event when it must.
-      CatchUpTokens(to, catalog_.TokensOf(agent), 0,
-                    [this, agent] { CompleteMove(agent); });
+      // The catch-up may complete inside a node event at `to` (a reply or
+      // an install advancing); CompleteMove routes the shared-state
+      // mutation to a global event when it must.
+      dst.MajorityCatchUp(catalog_.TokensOf(agent),
+                          [this, agent] { CompleteMove(agent); });
       return;
     }
     case MoveProtocol::kForbidden:
@@ -238,7 +238,8 @@ Status Cluster::RecoverAgent(AgentId agent, NodeId to_node,
     // Catch up each fragment from a majority, then open a fresh epoch so
     // anything the lost home later disgorges is treated as missing.
     std::vector<FragmentId> tokens = catalog_.TokensOf(agent);
-    CatchUpTokens(to_node, tokens, 0, [this, agent, to_node, tokens] {
+    runtimes_[to_node]->MajorityCatchUp(tokens, [this, agent, to_node,
+                                                 tokens] {
       for (FragmentId f : tokens) runtimes_[to_node]->BeginOmitPrepEpoch(f);
       CompleteMove(agent);
     });
@@ -266,18 +267,19 @@ void Cluster::OnAppliedAdvanced(NodeId node, FragmentId fragment) {
   }
 }
 
-void Cluster::CatchUpTokens(NodeId node, std::vector<FragmentId> tokens,
-                            size_t next, std::function<void()> then) {
-  if (next >= tokens.size()) {
-    then();
-    return;
+void Cluster::FailWipedCatchUps(NodeId node) {
+  if (config_.move_protocol != MoveProtocol::kMajorityCommit) return;
+  for (auto& [agent, state] : agent_state_) {
+    // A deferred FinishMove means the catch-up already completed.
+    if (state.phase != AgentPhase::kCatchingUp || state.finishing) continue;
+    Result<NodeId> home = catalog_.HomeOf(agent);
+    if (!home.ok() || *home != node) continue;
+    state.phase = AgentPhase::kSettled;
+    MoveCallback done = std::move(state.move_done);
+    state.move_done = nullptr;
+    if (done) done(Status::Unavailable("the new home crashed during catch-up"));
+    DrainQueuedSubmissions(agent);
   }
-  const FragmentId f = tokens[next];
-  runtimes_[node]->MajorityCatchUp(
-      f, [this, node, tokens = std::move(tokens), next,
-          then = std::move(then)]() mutable {
-        CatchUpTokens(node, std::move(tokens), next + 1, std::move(then));
-      });
 }
 
 bool Cluster::ReopenIfCaughtUp(

@@ -81,10 +81,6 @@ void NodeRuntime::HandleMessage(const Message& msg) {
           [&](const QuasiCommit& m) { OnCommit(m); },
           [&](const M0Msg& m) { OnM0(m); },
           [&](const ForwardMissing& m) { OnForwardMissing(m); },
-          [&](const SeqQuery& m) { OnSeqQuery(from, m); },
-          [&](const SeqReply& m) { OnSeqReply(m); },
-          [&](const FetchMissing& m) { OnFetchMissing(from, m); },
-          [&](const MissingData& m) { OnMissingData(m); },
           [&](const RecoveryQuery& m) { OnRecoveryQuery(m); },
           [&](const RecoveryReply& m) { OnRecoveryReply(m); },
           [&](const QuorumReadRequest& m) { OnQuorumReadRequest(m); },
@@ -229,7 +225,12 @@ void NodeRuntime::UpdateGapState(FragmentId f) {
 void NodeRuntime::OnAppliedAdvanced(FragmentId f) {
   gap_repair_strikes_[f] = 0;  // the stream moved; repair retries afresh
   MaybeCompleteTransition(f);
-  if (catchup_.active && catchup_.fragment == f) MaybeFinishCatchUp();
+  if (!catchups_.empty()) {
+    // A finishing session leaves the map, so walk a copy of the ids.
+    std::vector<int64_t> ids;
+    for (const auto& [id, session] : catchups_) ids.push_back(id);
+    for (int64_t id : ids) MaybeFinishCatchUp(id);
+  }
   cluster_->OnAppliedAdvanced(id_, f);
 }
 
@@ -473,91 +474,57 @@ void NodeRuntime::AdoptSnapshot(const ObjectStore::FragmentSnapshot& snapshot,
 // §4.4.1 move catch-up
 // --------------------------------------------------------------------------
 
-void NodeRuntime::MajorityCatchUp(FragmentId fragment,
+void NodeRuntime::MajorityCatchUp(const std::vector<FragmentId>& tokens,
                                   std::function<void()> done) {
-  FRAGDB_CHECK(!catchup_.active);
-  catchup_ = CatchUpState{};
-  catchup_.fragment = fragment;
-  catchup_.move_id = next_move_id_++;
-  catchup_.done = std::move(done);
-  catchup_.active = true;
-  catchup_.replies[id_] = streams_[fragment].applied_seq;
-  auto query = std::make_shared<SeqQuery>();
-  query->fragment = fragment;
+  const int64_t id = NextQueryId();
+  CatchUpSession& session = catchups_[id];
+  session.done = std::move(done);
+  auto query = std::make_shared<RecoveryQuery>();
   query->requester = id_;
-  query->move_id = catchup_.move_id;
-  Status st = cluster_->SendToReplicas(id_, fragment, query);
-  FRAGDB_CHECK(st.ok());
-  MaybeFinishCatchUp();
-}
-
-void NodeRuntime::OnSeqQuery(NodeId from, const SeqQuery& msg) {
-  auto reply = std::make_shared<SeqReply>();
-  reply->fragment = msg.fragment;
-  reply->applied_seq = streams_[msg.fragment].applied_seq;
-  reply->replier = id_;
-  reply->move_id = msg.move_id;
-  cluster_->network().Send(id_, from, reply);
-}
-
-void NodeRuntime::OnSeqReply(const SeqReply& msg) {
-  if (!catchup_.active || msg.move_id != catchup_.move_id) return;
-  catchup_.replies[msg.replier] = msg.applied_seq;
-  MaybeFinishCatchUp();
-}
-
-void NodeRuntime::MaybeFinishCatchUp() {
-  if (!catchup_.active) return;
-  if (static_cast<int>(catchup_.replies.size()) <
-      cluster_->MajoritySizeFor(catchup_.fragment)) {
-    return;
+  query->recovery_id = id;
+  std::set<NodeId> peers;
+  for (FragmentId f : tokens) {
+    const FragmentStream& s = streams_[f];
+    session.tokens.push_back({f, 1, {s.epoch, s.applied_seq}});
+    query->have.push_back({f, s.epoch, s.applied_seq});
+    peers.insert(cluster_->replicas_[f].begin(), cluster_->replicas_[f].end());
   }
-  SeqNum target = 0;
-  NodeId best = id_;
-  for (const auto& [node, seq] : catchup_.replies) {
-    if (seq > target) {
-      target = seq;
-      best = node;
+  peers.erase(id_);
+  for (NodeId peer : peers) cluster_->network().Send(id_, peer, query);
+  MaybeFinishCatchUp(id);
+}
+
+void NodeRuntime::OnCatchUpReply(CatchUpSession& session,
+                                 const RecoveryReply& msg) {
+  for (const RecoveryFragmentState& fs : msg.fragments) {
+    const bool current = ApplyCatchUpState(msg.replier, fs);
+    for (CatchUpSession::Token& t : session.tokens) {
+      if (t.fragment != fs.fragment) continue;
+      ++t.replies;
+      if (current) {
+        t.target = std::max(t.target, std::make_pair(fs.epoch, fs.applied_seq));
+      }
     }
   }
-  catchup_.target = std::max(catchup_.target, target);
-  FragmentStream& s = streams_[catchup_.fragment];
-  if (s.applied_seq >= catchup_.target) {
+}
+
+void NodeRuntime::MaybeFinishCatchUp(int64_t id) {
+  auto it = catchups_.find(id);
+  if (it == catchups_.end()) return;
+  for (const CatchUpSession::Token& t : it->second.tokens) {
+    const FragmentStream& s = streams_[t.fragment];
+    if (t.replies < cluster_->MajoritySizeFor(t.fragment) ||
+        std::make_pair(s.epoch, s.applied_seq) < t.target) {
+      return;
+    }
+  }
+  for (const CatchUpSession::Token& t : it->second.tokens) {
+    FragmentStream& s = streams_[t.fragment];
     s.next_seq = s.applied_seq + 1;
-    catchup_.active = false;
-    auto done = std::move(catchup_.done);
-    if (done) done();
-    return;
   }
-  if (!catchup_.fetching && best != id_) {
-    catchup_.fetching = true;
-    auto fetch = std::make_shared<FetchMissing>();
-    fetch->fragment = catchup_.fragment;
-    fetch->from_seq = s.applied_seq;
-    fetch->to_seq = catchup_.target;
-    fetch->requester = id_;
-    fetch->move_id = catchup_.move_id;
-    cluster_->network().Send(id_, best, fetch);
-  }
-}
-
-void NodeRuntime::OnFetchMissing(NodeId from, const FetchMissing& msg) {
-  auto data = std::make_shared<MissingData>();
-  data->fragment = msg.fragment;
-  data->move_id = msg.move_id;
-  const FragmentStream& s = streams_[msg.fragment];
-  for (auto it = s.log.UpperBound(msg.from_seq);
-       it != s.log.end() && it->seq <= msg.to_seq; ++it) {
-    data->quasis.push_back(it->value);
-  }
-  cluster_->network().Send(id_, from, data);
-}
-
-void NodeRuntime::OnMissingData(const MissingData& msg) {
-  for (const QuasiTxn& quasi : msg.quasis) {
-    EnqueueQuasi(quasi, streams_[msg.fragment].epoch);
-  }
-  // Installs advance asynchronously; OnAppliedAdvanced re-checks catch-up.
+  std::function<void()> done = std::move(it->second.done);
+  catchups_.erase(it);
+  if (done) done();
 }
 
 // --------------------------------------------------------------------------
@@ -576,7 +543,7 @@ void NodeRuntime::WipeVolatile() {
       av->SetGap(id_, f, cluster_->engine()->Now(), false);
     }
   }
-  catchup_ = CatchUpState{};
+  catchups_.clear();
   repackaged_.clear();
   durability_ = nullptr;
   gap_repair_armed_.assign(streams_.size(), 0);
@@ -611,13 +578,48 @@ void NodeRuntime::OnRecoveryQuery(const RecoveryQuery& msg) {
 }
 
 void NodeRuntime::OnRecoveryReply(const RecoveryReply& msg) {
-  if (msg.recovery_id < 0) {
-    OnGapRepairReply(msg);
+  if (msg.recovery_id > 0) {
+    if (RecoveryManager* rm = cluster_->recovery_manager()) {
+      rm->OnReply(id_, msg);
+    }
     return;
   }
-  if (RecoveryManager* rm = cluster_->recovery_manager()) {
-    rm->OnReply(id_, msg);
+  auto it = catchups_.find(msg.recovery_id);
+  if (it != catchups_.end()) {
+    OnCatchUpReply(it->second, msg);
+    MaybeFinishCatchUp(msg.recovery_id);
+    return;
   }
+  // Gap repair, or a catch-up that already finished: the suffix is still
+  // worth installing.
+  for (const RecoveryFragmentState& fs : msg.fragments) {
+    ApplyCatchUpState(msg.replier, fs);
+  }
+}
+
+bool NodeRuntime::ApplyCatchUpState(NodeId replier,
+                                    const RecoveryFragmentState& fs) {
+  FragmentStream& s = streams_[fs.fragment];
+  Epoch local_epoch = s.transition.active ? s.transition.new_epoch : s.epoch;
+  if (fs.epoch < local_epoch) return false;  // the peer is the stale one
+  if (fs.epoch > local_epoch) {
+    // The fragment moved epochs while this node was down or cut off. Adopt
+    // the peer's epoch through the ordinary §4.4.3 transition machinery
+    // (an M0 equivalent with no old-stream content; the reply's quasis
+    // carry it instead).
+    Result<NodeId> home = cluster_->catalog().HomeOfFragment(fs.fragment);
+    BeginEpochTransition(fs.fragment, fs.epoch, fs.epoch_base,
+                         home.ok() ? *home : replier, {});
+  }
+  for (const QuasiTxn& q : fs.quasis) {
+    // Old-lineage entries enqueue under the node's current epoch,
+    // new-stream entries under the reply's; EnqueueQuasi's epoch rules
+    // route both correctly (including mid-transition).
+    Epoch at = (fs.epoch > s.epoch && q.seq <= fs.epoch_base) ? s.epoch
+                                                              : fs.epoch;
+    EnqueueQuasi(q, at);
+  }
+  return true;
 }
 
 void NodeRuntime::OnQuorumReadRequest(const QuorumReadRequest& msg) {
@@ -683,32 +685,9 @@ void NodeRuntime::SendGapRepairQuery(NodeId home,
                                      std::vector<RecoveryPosition> have) {
   auto query = std::make_shared<RecoveryQuery>();
   query->requester = id_;
-  // Negative ids mark gap-repair traffic; the recovery manager's crash
-  // sessions use positive ids, so the two reply streams never collide.
-  query->recovery_id = -static_cast<int64_t>(++gap_repair_queries_);
+  query->recovery_id = NextQueryId();
   query->have = std::move(have);
   cluster_->network().Send(id_, home, query);
-}
-
-void NodeRuntime::OnGapRepairReply(const RecoveryReply& msg) {
-  for (const RecoveryFragmentState& fs : msg.fragments) {
-    FragmentStream& s = streams_[fs.fragment];
-    Epoch local_epoch = s.transition.active ? s.transition.new_epoch : s.epoch;
-    if (fs.epoch < local_epoch) continue;  // the peer is the stale one
-    if (fs.epoch > local_epoch) {
-      // The fragment moved epochs while the drops happened; adopt the
-      // newer epoch through the ordinary §4.4.3 machinery (same rule as
-      // RecoveryManager::OnReply).
-      Result<NodeId> home = cluster_->catalog().HomeOfFragment(fs.fragment);
-      BeginEpochTransition(fs.fragment, fs.epoch, fs.epoch_base,
-                           home.ok() ? *home : msg.replier, {});
-    }
-    for (const QuasiTxn& q : fs.quasis) {
-      Epoch at = (fs.epoch > s.epoch && q.seq <= fs.epoch_base) ? s.epoch
-                                                                : fs.epoch;
-      EnqueueQuasi(q, at);
-    }
-  }
 }
 
 void NodeRuntime::GapRepairSweep() {

@@ -1,9 +1,11 @@
 #ifndef FRAGDB_CORE_NODE_H_
 #define FRAGDB_CORE_NODE_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "cc/lock_manager.h"
@@ -112,9 +114,19 @@ class NodeRuntime {
   /// the old-stream prefix this node has, and reopen for business.
   void BeginOmitPrepEpoch(FragmentId fragment);
 
-  /// §4.4.1 arrival: query all nodes for the fragment's high-water mark,
-  /// fetch what this node misses from a majority, then invoke `done`.
-  void MajorityCatchUp(FragmentId fragment, std::function<void()> done);
+  /// §4.4.1 arrival: one RecoveryQuery to every other node in the union
+  /// of `tokens`' replica sets. A token is caught up once this node plus
+  /// the replies covering it reach the token's majority and its applied
+  /// position has reached the highest one those replies report; `done`
+  /// runs when every token is. Several catch-ups may run at one node.
+  void MajorityCatchUp(const std::vector<FragmentId>& tokens,
+                       std::function<void()> done);
+
+  /// Applies one fragment of a catch-up reply (crash recovery, gap repair
+  /// and §4.4.1 alike): adopts a newer epoch through BeginEpochTransition,
+  /// then enqueues the quasis under the epoch rule. Returns false, and
+  /// applies nothing, when the replier is behind this node's epoch.
+  bool ApplyCatchUpState(NodeId replier, const RecoveryFragmentState& fs);
 
   // --- Durability & crash recovery ---------------------------------------
 
@@ -159,10 +171,6 @@ class NodeRuntime {
   void OnCommit(const QuasiCommit& msg);
   void OnM0(const M0Msg& msg);
   void OnForwardMissing(const ForwardMissing& msg);
-  void OnSeqQuery(NodeId from, const SeqQuery& msg);
-  void OnSeqReply(const SeqReply& msg);
-  void OnFetchMissing(NodeId from, const FetchMissing& msg);
-  void OnMissingData(const MissingData& msg);
   void OnRecoveryQuery(const RecoveryQuery& msg);
   void OnRecoveryReply(const RecoveryReply& msg);
   void OnQuorumReadRequest(const QuorumReadRequest& msg);
@@ -172,21 +180,27 @@ class NodeRuntime {
   void MaybeScheduleGapRepair(FragmentId f);
   void GapRepairTick(FragmentId f);
   void SendGapRepairQuery(NodeId home, std::vector<RecoveryPosition> have);
-  /// Reply path for gap-repair queries (negative recovery_id): enqueues
-  /// the fetched quasi-transactions through the ordinary epoch rules.
-  void OnGapRepairReply(const RecoveryReply& msg);
+  /// A fresh id for a query this node sends on its own behalf (gap repair,
+  /// §4.4.1 catch-up): negative, so it never collides with the recovery
+  /// manager's positive crash-recovery session ids.
+  int64_t NextQueryId() { return -++queries_sent_; }
 
-  // --- §4.4.1 catch-up state --------------------------------------------
-  struct CatchUpState {
-    FragmentId fragment = kInvalidFragment;
-    int64_t move_id = 0;
-    std::map<NodeId, SeqNum> replies;
-    SeqNum target = 0;
-    bool fetching = false;
+  // --- §4.4.1 catch-up sessions, keyed by query id -----------------------
+  struct CatchUpSession {
+    struct Token {
+      FragmentId fragment = kInvalidFragment;
+      /// Repliers covering the token, this node included.
+      int replies = 1;
+      /// Highest (epoch, applied_seq) reported for the token.
+      std::pair<Epoch, SeqNum> target;
+    };
+    std::vector<Token> tokens;
     std::function<void()> done;
-    bool active = false;
   };
-  void MaybeFinishCatchUp();
+  /// Counts `msg` toward its session's majorities after applying it.
+  void OnCatchUpReply(CatchUpSession& session, const RecoveryReply& msg);
+  /// Completes session `id` if every token is caught up.
+  void MaybeFinishCatchUp(int64_t id);
 
   Cluster* cluster_;
   NodeId id_;
@@ -194,8 +208,7 @@ class NodeRuntime {
   std::unique_ptr<LockManager> locks_;
   std::unique_ptr<Scheduler> scheduler_;
   std::vector<FragmentStream> streams_;
-  CatchUpState catchup_;
-  int64_t next_move_id_ = 1;
+  std::map<int64_t, CatchUpSession> catchups_;
   /// §4.4.3: origin transactions already repackaged at this (home) node,
   /// so duplicate forwards are ignored.
   std::set<TxnId> repackaged_;
@@ -207,7 +220,7 @@ class NodeRuntime {
   /// an unresolvable gap cannot keep the event queue busy forever).
   std::vector<uint8_t> gap_repair_armed_;
   std::vector<int> gap_repair_strikes_;
-  uint64_t gap_repair_queries_ = 0;
+  int64_t queries_sent_ = 0;
   /// Volatile lifetimes so far (bumped by every WipeVolatile); stamped on
   /// install records so checkers can tell a post-amnesia re-install from
   /// a duplicate install.

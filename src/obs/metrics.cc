@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/logging.h"
 
@@ -23,19 +22,6 @@ const std::vector<int64_t>& Histogram::DefaultTimeBounds() {
       2000,   5000,   10000,   20000,   50000,   100000,   200000,
       500000, 1000000, 2000000, 5000000, 10000000};
   return kBounds;
-}
-
-Histogram Histogram::FromParts(std::vector<int64_t> bounds,
-                               std::vector<uint64_t> buckets, uint64_t count,
-                               int64_t sum, int64_t min, int64_t max) {
-  Histogram h(std::move(bounds));
-  FRAGDB_CHECK(buckets.size() == h.buckets_.size());
-  h.buckets_ = std::move(buckets);
-  h.count_ = count;
-  h.sum_ = sum;
-  h.min_ = min;
-  h.max_ = max;
-  return h;
 }
 
 void Histogram::Observe(int64_t v) {
@@ -268,209 +254,6 @@ std::string MetricsSnapshot::ToText() const {
     out += "\n";
   }
   return out;
-}
-
-std::string MetricsSnapshot::ToPrometheus() const {
-  std::string out;
-  std::string last_family;
-  for (const MetricEntry& e : entries) {
-    std::string family = "fragdb_" + e.key.name;
-    std::string dims;
-    if (e.key.node != kInvalidNode) {
-      dims += "node=\"" + std::to_string(e.key.node) + "\"";
-    }
-    if (e.key.fragment != kInvalidFragment) {
-      if (!dims.empty()) dims += ",";
-      dims += "fragment=\"" + std::to_string(e.key.fragment) + "\"";
-    }
-    if (!e.key.label.empty()) {
-      if (!dims.empty()) dims += ",";
-      dims += "label=\"" + e.key.label + "\"";
-    }
-    if (family != last_family) {
-      out += "# TYPE " + family + " " + KindName(e.kind) + "\n";
-      last_family = family;
-    }
-    auto with = [&](const std::string& suffix, const std::string& extra_dim,
-                    const std::string& value) {
-      out += family + suffix + "{";
-      out += dims;
-      if (!extra_dim.empty()) {
-        if (!dims.empty()) out += ",";
-        out += extra_dim;
-      }
-      out += "} " + value + "\n";
-    };
-    switch (e.kind) {
-      case MetricKind::kCounter:
-        with("", "", std::to_string(e.counter));
-        break;
-      case MetricKind::kGauge:
-        with("", "", std::to_string(e.gauge));
-        break;
-      case MetricKind::kHistogram: {
-        const Histogram& h = e.histogram;
-        uint64_t cumulative = 0;
-        for (size_t i = 0; i < h.bounds().size(); ++i) {
-          cumulative += h.buckets()[i];
-          with("_bucket", "le=\"" + std::to_string(h.bounds()[i]) + "\"",
-               std::to_string(cumulative));
-        }
-        with("_bucket", "le=\"+Inf\"", std::to_string(h.count()));
-        with("_sum", "", std::to_string(h.sum()));
-        with("_count", "", std::to_string(h.count()));
-        break;
-      }
-    }
-  }
-  return out;
-}
-
-std::string MetricsSnapshot::ToJson() const {
-  std::string out = "[";
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const MetricEntry& e = entries[i];
-    if (i > 0) out += ",";
-    out += "{\"name\":\"" + e.key.name + "\"";
-    if (e.key.node != kInvalidNode) {
-      out += ",\"node\":" + std::to_string(e.key.node);
-    }
-    if (e.key.fragment != kInvalidFragment) {
-      out += ",\"fragment\":" + std::to_string(e.key.fragment);
-    }
-    if (!e.key.label.empty()) out += ",\"label\":\"" + e.key.label + "\"";
-    out += ",\"kind\":\"";
-    out += KindName(e.kind);
-    out += "\"";
-    switch (e.kind) {
-      case MetricKind::kCounter:
-        out += ",\"value\":" + std::to_string(e.counter);
-        break;
-      case MetricKind::kGauge:
-        out += ",\"value\":" + std::to_string(e.gauge);
-        break;
-      case MetricKind::kHistogram: {
-        const Histogram& h = e.histogram;
-        out += ",\"count\":" + std::to_string(h.count());
-        out += ",\"sum\":" + std::to_string(h.sum());
-        out += ",\"min\":" + std::to_string(h.min());
-        out += ",\"max\":" + std::to_string(h.max());
-        out += ",\"bounds\":[" + JoinInts(h.bounds()) + "]";
-        out += ",\"buckets\":[" + JoinUints(h.buckets()) + "]";
-        break;
-      }
-    }
-    out += "}";
-  }
-  out += "]";
-  return out;
-}
-
-namespace {
-
-Result<MetricKey> ParseKey(const std::string& token) {
-  MetricKey key;
-  size_t brace = token.find('{');
-  if (brace == std::string::npos) {
-    key.name = token;
-    return key;
-  }
-  if (token.back() != '}') {
-    return Status::InvalidArgument("unterminated metric dimensions: " + token);
-  }
-  key.name = token.substr(0, brace);
-  std::string dims = token.substr(brace + 1, token.size() - brace - 2);
-  std::istringstream is(dims);
-  std::string dim;
-  while (std::getline(is, dim, ',')) {
-    size_t eq = dim.find('=');
-    if (eq == std::string::npos) {
-      return Status::InvalidArgument("bad metric dimension: " + dim);
-    }
-    std::string name = dim.substr(0, eq);
-    std::string value = dim.substr(eq + 1);
-    if (name == "node") {
-      key.node = std::stoll(value);
-    } else if (name == "fragment") {
-      key.fragment = std::stoll(value);
-    } else if (name == "label") {
-      key.label = value;
-    } else {
-      return Status::InvalidArgument("unknown metric dimension: " + name);
-    }
-  }
-  return key;
-}
-
-std::vector<int64_t> ParseInts(const std::string& csv) {
-  std::vector<int64_t> out;
-  std::istringstream is(csv);
-  std::string item;
-  while (std::getline(is, item, ',')) out.push_back(std::stoll(item));
-  return out;
-}
-
-}  // namespace
-
-Result<MetricsSnapshot> MetricsSnapshot::FromText(const std::string& text) {
-  MetricsSnapshot snap;
-  std::istringstream lines(text);
-  std::string line;
-  while (std::getline(lines, line)) {
-    if (line.empty()) continue;
-    std::istringstream is(line);
-    std::string kind_token, key_token;
-    is >> kind_token >> key_token;
-    Result<MetricKey> key = ParseKey(key_token);
-    if (!key.ok()) return key.status();
-    MetricEntry e;
-    e.key = *key;
-    if (kind_token == "counter") {
-      e.kind = MetricKind::kCounter;
-      if (!(is >> e.counter)) {
-        return Status::InvalidArgument("bad counter line: " + line);
-      }
-    } else if (kind_token == "gauge") {
-      e.kind = MetricKind::kGauge;
-      if (!(is >> e.gauge)) {
-        return Status::InvalidArgument("bad gauge line: " + line);
-      }
-    } else if (kind_token == "histogram") {
-      e.kind = MetricKind::kHistogram;
-      std::map<std::string, std::string> fields;
-      std::string field;
-      while (is >> field) {
-        size_t eq = field.find('=');
-        if (eq == std::string::npos) {
-          return Status::InvalidArgument("bad histogram field: " + field);
-        }
-        fields[field.substr(0, eq)] = field.substr(eq + 1);
-      }
-      for (const char* required :
-           {"count", "sum", "min", "max", "bounds", "buckets"}) {
-        if (fields.count(required) == 0) {
-          return Status::InvalidArgument(std::string("histogram missing ") +
-                                         required + ": " + line);
-        }
-      }
-      std::vector<int64_t> bounds = ParseInts(fields["bounds"]);
-      std::vector<int64_t> signed_buckets = ParseInts(fields["buckets"]);
-      std::vector<uint64_t> buckets(signed_buckets.begin(),
-                                    signed_buckets.end());
-      if (buckets.size() != bounds.size() + 1) {
-        return Status::InvalidArgument("bucket/bound mismatch: " + line);
-      }
-      e.histogram = Histogram::FromParts(
-          std::move(bounds), std::move(buckets), std::stoull(fields["count"]),
-          std::stoll(fields["sum"]), std::stoll(fields["min"]),
-          std::stoll(fields["max"]));
-    } else {
-      return Status::InvalidArgument("unknown metric kind: " + kind_token);
-    }
-    snap.entries.push_back(std::move(e));
-  }
-  std::sort(snap.entries.begin(), snap.entries.end(), EntryLess);
-  return snap;
 }
 
 // --------------------------------------------------------------------------

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "common/types.h"
 
 namespace fragdb {
@@ -46,11 +45,6 @@ class Histogram {
   /// duration in the cluster (scheduler steps are 50-100us, link latencies
   /// milliseconds, recovery tens of milliseconds).
   static const std::vector<int64_t>& DefaultTimeBounds();
-
-  /// Reassembles a histogram from its serialized parts (FromText).
-  static Histogram FromParts(std::vector<int64_t> bounds,
-                             std::vector<uint64_t> buckets, uint64_t count,
-                             int64_t sum, int64_t min, int64_t max);
 
   void Observe(int64_t v);
   void Merge(const Histogram& other);
@@ -129,14 +123,8 @@ class MetricsSnapshot {
   /// Total observation count across every histogram series with this name.
   uint64_t HistogramCount(const std::string& name) const;
 
-  /// Line-oriented human-readable form; parseable back via FromText.
+  /// Line-oriented human-readable form, one series per line.
   std::string ToText() const;
-  /// Prometheus text exposition (metric names prefixed "fragdb_").
-  std::string ToPrometheus() const;
-  /// One JSON array of series objects.
-  std::string ToJson() const;
-  /// Parses the ToText format (the exposition round-trip).
-  static Result<MetricsSnapshot> FromText(const std::string& text);
 };
 
 /// Owner of all live series. Get* creates the series on first use and

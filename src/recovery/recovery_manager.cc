@@ -172,30 +172,9 @@ void RecoveryManager::OnReply(NodeId node, const RecoveryReply& msg) {
   Session& session = it->second;
   ++session.stats.peers_replied;
   NodeRuntime& rt = cluster_->runtime(node);
-
   for (const RecoveryFragmentState& fs : msg.fragments) {
-    FragmentStream& s = rt.stream(fs.fragment);
-    Epoch local_epoch =
-        s.transition.active ? s.transition.new_epoch : s.epoch;
-    if (fs.epoch < local_epoch) continue;  // the peer is the stale one
-    if (fs.epoch > local_epoch) {
-      // The fragment moved epochs while this node was down. Adopt the
-      // peer's epoch through the ordinary §4.4.3 transition machinery (an
-      // M0 equivalent with no old-stream content; the reply's quasis carry
-      // it instead).
-      Result<NodeId> home = cluster_->catalog().HomeOfFragment(fs.fragment);
-      rt.BeginEpochTransition(fs.fragment, fs.epoch, fs.epoch_base,
-                              home.ok() ? *home : msg.replier, {});
-    }
+    if (!rt.ApplyCatchUpState(msg.replier, fs)) continue;
     session.stats.peer_quasis_fetched += fs.quasis.size();
-    for (const QuasiTxn& q : fs.quasis) {
-      // Old-lineage entries enqueue under the node's current epoch,
-      // new-stream entries under the reply's; EnqueueQuasi's epoch rules
-      // route both correctly (including mid-transition).
-      Epoch at = (fs.epoch > s.epoch && q.seq <= fs.epoch_base) ? s.epoch
-                                                                : fs.epoch;
-      rt.EnqueueQuasi(q, at);
-    }
     auto target = std::make_pair(fs.epoch, fs.applied_seq);
     auto& slot = session.targets[fs.fragment];
     slot = std::max(slot, target);

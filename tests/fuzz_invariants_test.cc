@@ -158,13 +158,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BankingStress,
 // schedule.
 // ---------------------------------------------------------------------------
 
-class AmnesiaCrashFuzz : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(AmnesiaCrashFuzz, RandomCrashRecoveryCyclesStayConsistent) {
-  Rng rng(GetParam());
+// The majority-commit variant (§4.4.1) runs the same schedule, plus
+// agent moves drawn from a second generator: between crashes each agent
+// is moved to a random live node, or, when its home is down, its token is
+// recovered there. Submissions are then globals, because agents move.
+void RunAmnesiaCrashFuzz(uint64_t seed, bool majority_moves) {
+  Rng rng(seed);
   const int kNodes = 5;
   ClusterConfig config;
   config.control = ControlOption::kFragmentwise;
+  if (majority_moves) config.move_protocol = MoveProtocol::kMajorityCommit;
   config.durability.enabled = true;
   config.durability.checkpoint_interval = Millis(20);
   Cluster cluster(config, Topology::FullMesh(kNodes, Millis(4)));
@@ -190,8 +193,7 @@ TEST_P(AmnesiaCrashFuzz, RandomCrashRecoveryCyclesStayConsistent) {
   for (SimTime t = 0; t < kEnd; t += Millis(10)) {
     int i = static_cast<int>(rng.NextBelow(kFragments));
     Value v = 1 + static_cast<Value>(rng.NextBelow(9));
-    // Agent i is homed at node i for the whole run.
-    cluster.engine()->AtNode(i, t, [&cluster, &agents, &frags, &objs, i, v] {
+    auto submit = [&cluster, &agents, &frags, &objs, i, v] {
       TxnSpec spec;
       spec.agent = agents[i];
       spec.write_fragment = frags[i];
@@ -202,7 +204,13 @@ TEST_P(AmnesiaCrashFuzz, RandomCrashRecoveryCyclesStayConsistent) {
         return std::vector<WriteOp>{{obj, reads[0] + v}};
       };
       cluster.Submit(spec, nullptr);
-    });
+    };
+    if (majority_moves) {
+      cluster.engine()->AtGlobal(t, submit);
+    } else {
+      // Agent i is homed at node i for the whole run.
+      cluster.engine()->AtNode(i, t, submit);
+    }
   }
 
   // Random amnesia episodes: any node (homes included) may lose power at
@@ -223,6 +231,33 @@ TEST_P(AmnesiaCrashFuzz, RandomCrashRecoveryCyclesStayConsistent) {
     });
   }
 
+  // Agent moves: refusals (the agent is still moving, or an update awaits
+  // its acks) are part of the schedule; every accepted move must report
+  // an outcome, Unavailable only when an amnesia crash of the new home
+  // cut its catch-up short.
+  int moves_started = 0, moves_finished = 0;
+  if (majority_moves) {
+    Rng move_rng(seed ^ 0x9e3779b97f4a7c15ULL);
+    for (int episode = 0; episode < 12; ++episode) {
+      int i = static_cast<int>(move_rng.NextBelow(kFragments));
+      NodeId to = static_cast<NodeId>(move_rng.NextBelow(kNodes));
+      SimTime at = static_cast<SimTime>(move_rng.NextBelow(kEnd));
+      cluster.engine()->AtGlobal(at, [&, i, to] {
+        if (!cluster.topology().IsNodeUp(to)) return;
+        Result<NodeId> home = cluster.catalog().HomeOf(agents[i]);
+        ASSERT_TRUE(home.ok());
+        auto done = [&moves_finished](Status st) {
+          EXPECT_TRUE(st.ok() || st.IsUnavailable()) << st.ToString();
+          ++moves_finished;
+        };
+        Status st = cluster.topology().IsNodeUp(*home)
+                        ? cluster.MoveAgent(agents[i], to, done)
+                        : cluster.RecoverAgent(agents[i], to, done);
+        if (st.ok()) ++moves_started;
+      });
+    }
+  }
+
   cluster.RunUntil(kEnd);
   cluster.RunToQuiescence();
   // Anyone still mid-outage (or crashed again during recovery) comes back.
@@ -233,18 +268,34 @@ TEST_P(AmnesiaCrashFuzz, RandomCrashRecoveryCyclesStayConsistent) {
   }
   cluster.RunToQuiescence();
 
-  EXPECT_GT(crashes_executed, 0) << "seed " << GetParam();
+  EXPECT_GT(crashes_executed, 0) << "seed " << seed;
   for (NodeId n = 0; n < kNodes; ++n) {
     EXPECT_TRUE(cluster.topology().IsNodeUp(n))
-        << "node " << n << " seed " << GetParam();
-    EXPECT_FALSE(cluster.IsAmnesiaDown(n)) << "seed " << GetParam();
+        << "node " << n << " seed " << seed;
+    EXPECT_FALSE(cluster.IsAmnesiaDown(n)) << "seed " << seed;
   }
+  EXPECT_EQ(moves_finished, moves_started) << "seed " << seed;
   EXPECT_TRUE(CheckMutualConsistency(cluster.Replicas()).ok)
-      << "seed " << GetParam();
-  EXPECT_TRUE(cluster.CheckConfiguredProperty().ok) << "seed " << GetParam();
+      << "seed " << seed;
+  EXPECT_TRUE(cluster.CheckConfiguredProperty().ok) << "seed " << seed;
+}
+
+class AmnesiaCrashFuzz : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(AmnesiaCrashFuzz, RandomCrashRecoveryCyclesStayConsistent) {
+  RunAmnesiaCrashFuzz(GetParam(), /*majority_moves=*/false);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AmnesiaCrashFuzz,
+                         ::testing::Values(5, 31, 99, 512, 8080));
+
+class MajorityMoveAmnesiaFuzz : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(MajorityMoveAmnesiaFuzz, MovesAndTokenRecoveriesBetweenCrashes) {
+  RunAmnesiaCrashFuzz(GetParam(), /*majority_moves=*/true);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MajorityMoveAmnesiaFuzz,
                          ::testing::Values(5, 31, 99, 512, 8080));
 
 // ---------------------------------------------------------------------------

@@ -21,9 +21,9 @@ namespace {
 using CorePayloads =
     std::tuple<QuasiTxnMsg, ReadLockRequest, ReadLockGrant, ReadLockRelease,
                QuasiPrepare, QuasiAck, QuasiCommit, M0Msg, ForwardMissing,
-               SeqQuery, SeqReply, FetchMissing, MissingData, RecoveryQuery,
-               RecoveryReply, QuorumReadRequest, QuorumReadReply,
-               QuorumAppliedAck, PaxosAccept, PaxosAccepted, PaxosOutcome>;
+               RecoveryQuery, RecoveryReply, QuorumReadRequest,
+               QuorumReadReply, QuorumAppliedAck, PaxosAccept, PaxosAccepted,
+               PaxosOutcome>;
 
 /// The labels the payloads reported before they carried tags, in the
 /// order of CorePayloads; fragbench and the metrics key traffic by them.
@@ -31,13 +31,12 @@ const char* const kLabels[] = {
     "quasi",          "lock-request",      "lock-grant",
     "lock-release",   "prepare",           "ack",
     "commit",         "m0",                "forward-missing",
-    "seq-query",      "seq-reply",         "fetch-missing",
-    "missing-data",   "recovery-query",    "recovery-reply",
-    "quorum-read",    "quorum-read-reply", "quorum-applied-ack",
-    "paxos-accept",   "paxos-accepted",    "paxos-outcome"};
+    "recovery-query", "recovery-reply",    "quorum-read",
+    "quorum-read-reply", "quorum-applied-ack", "paxos-accept",
+    "paxos-accepted", "paxos-outcome"};
 
-static_assert(std::tuple_size_v<CorePayloads> == 21);
-static_assert(kMsgTypeCount == 22);  // the 21 payloads plus kUntagged
+static_assert(std::tuple_size_v<CorePayloads> == 17);
+static_assert(kMsgTypeCount == 18);  // the 17 payloads plus kUntagged
 
 /// Records the static type each visit arrives as.
 struct RecordingVisitor {
@@ -80,8 +79,8 @@ TEST(MessageDispatchTest, EveryPayloadHasItsOwnTagNameAndHandler) {
   std::set<int> tags;
   std::set<std::string> names;
   CheckEachPayload(&tags, &names);
-  EXPECT_EQ(tags.size(), 21u);
-  EXPECT_EQ(names.size(), 21u);
+  EXPECT_EQ(tags.size(), 17u);
+  EXPECT_EQ(names.size(), 17u);
 }
 
 TEST(MessageDispatchTest, UntaggedPayloadsReachNoHandler) {
@@ -141,16 +140,6 @@ TEST_F(HandleMessageFixture, RequestsReachTheirHandlers) {
   // the lock straight back, and node 1's release handler frees it.
   EXPECT_EQ(Exchange(lock), (Replies{{"lock-grant", 1}, {"lock-release", 1}}));
   EXPECT_EQ(cluster->runtime(1).locks().held_count(), 0u);
-
-  auto seq_query = std::make_shared<SeqQuery>();
-  seq_query->fragment = frag;
-  seq_query->requester = 0;
-  EXPECT_EQ(Exchange(seq_query), (Replies{{"seq-reply", 1}}));
-
-  auto fetch = std::make_shared<FetchMissing>();
-  fetch->fragment = frag;
-  fetch->requester = 0;
-  EXPECT_EQ(Exchange(fetch), (Replies{{"missing-data", 1}}));
 
   auto recovery = std::make_shared<RecoveryQuery>();
   recovery->requester = 0;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/cluster.h"
 #include "verify/checkers.h"
@@ -321,6 +324,350 @@ TEST_F(MoveFixture, MoveToSameNodeIsNoOp) {
     done = true;
   }).ok());
   EXPECT_TRUE(done);
+}
+
+// ---------------------------------------------------------------------------
+// §4.4.1 catch-up: an arriving home sends one RecoveryQuery to the union of
+// its tokens' replica sets and reopens once a majority of each token's
+// replicas has answered and it has applied the highest position reported.
+// ---------------------------------------------------------------------------
+
+/// Majority commit on five nodes (5 ms links); each agent owns one or more
+/// fragments of one object each.
+struct MajorityCatchUpFixture : ::testing::Test {
+  void SetUp() override {
+    ClusterConfig config;
+    config.control = ControlOption::kFragmentwise;
+    config.move_protocol = MoveProtocol::kMajorityCommit;
+    config.agent_travel_time = Millis(20);
+    cluster = std::make_unique<Cluster>(config,
+                                        Topology::FullMesh(5, Millis(5)));
+  }
+
+  /// Defines fragment `name` (replicated at `replicas`, or everywhere when
+  /// empty) with one object, owned by `agent`.
+  void AddToken(AgentId agent, const std::string& name,
+                std::vector<NodeId> replicas = {}) {
+    FragmentId f = cluster->DefineFragment(name);
+    objects[f] = *cluster->DefineObject(f, name + ".x", 0);
+    ASSERT_TRUE(cluster->AssignToken(f, agent).ok());
+    if (!replicas.empty()) {
+      ASSERT_TRUE(cluster->SetReplicaSet(f, std::move(replicas)).ok());
+    }
+  }
+
+  AgentId AddAgent(const std::string& name, NodeId home) {
+    AgentId a = cluster->DefineUserAgent(name);
+    EXPECT_TRUE(cluster->SetAgentHome(a, home).ok());
+    return a;
+  }
+
+  /// Adds `v` to fragment f's object through its agent.
+  void Update(AgentId agent, FragmentId f, Value v, TxnResult* out) {
+    TxnSpec spec;
+    spec.agent = agent;
+    spec.write_fragment = f;
+    ObjectId obj = objects.at(f);
+    spec.read_set = {obj};
+    spec.body = [obj, v](const std::vector<Value>& reads)
+        -> Result<std::vector<WriteOp>> {
+      return std::vector<WriteOp>{{obj, reads[0] + v}};
+    };
+    cluster->Submit(spec, [out](const TxnResult& r) {
+      if (out) *out = r;
+    });
+  }
+
+  /// Moves `agent` to `to` and records when (and how) the move finished.
+  void Move(AgentId agent, NodeId to, Status* status, SimTime* reopened) {
+    ASSERT_TRUE(cluster
+                    ->MoveAgent(agent, to,
+                                [this, status, reopened](Status st) {
+                                  *status = st;
+                                  *reopened = cluster->Now();
+                                })
+                    .ok());
+  }
+
+  /// Fragmentwise SR, and every fragment's replicas agree.
+  void ExpectSound() {
+    EXPECT_TRUE(CheckFragmentwiseSerializability(
+                    cluster->history(), cluster->catalog().fragment_count())
+                    .ok);
+    EXPECT_TRUE(cluster->CheckReplicaSetConsistency().ok);
+  }
+
+  std::unique_ptr<Cluster> cluster;
+  std::map<FragmentId, ObjectId> objects;
+};
+
+TEST_F(MajorityCatchUpFixture, TwoAgentsMovingToOneNodeBothReopen) {
+  AgentId a = AddAgent("a", 0);
+  AgentId b = AddAgent("b", 1);
+  AddToken(a, "A");
+  AddToken(b, "B");
+  ASSERT_TRUE(cluster->Start().ok());
+  const FragmentId fa = 0, fb = 1;
+  Update(a, fa, 1, nullptr);
+  Update(b, fb, 10, nullptr);
+  cluster->RunToQuiescence();
+
+  Status sa = Status::Internal("pending"), sb = Status::Internal("pending");
+  SimTime ta = -1, tb = -1;
+  Move(a, 2, &sa, &ta);
+  Move(b, 2, &sb, &tb);
+  cluster->RunToQuiescence();
+  EXPECT_TRUE(sa.ok());
+  EXPECT_TRUE(sb.ok());
+
+  TxnResult ra, rb;
+  Update(a, fa, 2, &ra);
+  Update(b, fb, 20, &rb);
+  cluster->RunToQuiescence();
+  EXPECT_TRUE(ra.status.ok());
+  EXPECT_TRUE(rb.status.ok());
+  EXPECT_EQ(ra.frag_seq, 2);
+  EXPECT_EQ(rb.frag_seq, 2);
+  for (NodeId n = 0; n < 5; ++n) {
+    EXPECT_EQ(cluster->ReadAt(n, objects[fa]), 3) << "node " << n;
+    EXPECT_EQ(cluster->ReadAt(n, objects[fb]), 30) << "node " << n;
+  }
+  ExpectSound();
+}
+
+TEST_F(MajorityCatchUpFixture, RecoverAgentOverlappingMoveToSameNode) {
+  AgentId a = AddAgent("a", 0);
+  AgentId b = AddAgent("b", 1);
+  AddToken(a, "A");
+  AddToken(b, "B");
+  ASSERT_TRUE(cluster->Start().ok());
+  const FragmentId fa = 0, fb = 1;
+  Update(a, fa, 1, nullptr);
+  Update(b, fb, 10, nullptr);
+  cluster->RunToQuiescence();
+
+  // a's home dies; its token is reconstituted at node 2 while b moves
+  // there too.
+  ASSERT_TRUE(cluster->SetNodeUp(0, false).ok());
+  Status sa = Status::Internal("pending"), sb = Status::Internal("pending");
+  SimTime tb = -1;
+  ASSERT_TRUE(
+      cluster->RecoverAgent(a, 2, [&](Status st) { sa = st; }).ok());
+  Move(b, 2, &sb, &tb);
+  cluster->RunToQuiescence();
+  EXPECT_TRUE(sa.ok());
+  EXPECT_TRUE(sb.ok());
+
+  TxnResult ra, rb;
+  Update(a, fa, 2, &ra);
+  Update(b, fb, 20, &rb);
+  cluster->RunToQuiescence();
+  EXPECT_TRUE(ra.status.ok());
+  EXPECT_TRUE(rb.status.ok());
+  ASSERT_TRUE(cluster->SetNodeUp(0, true).ok());
+  cluster->RunToQuiescence();
+  for (NodeId n = 0; n < 5; ++n) {
+    EXPECT_EQ(cluster->ReadAt(n, objects[fa]), 3) << "node " << n;
+    EXPECT_EQ(cluster->ReadAt(n, objects[fb]), 30) << "node " << n;
+  }
+  ExpectSound();
+}
+
+// One fault-free move, pinned: the new home reopens travel + one query
+// round after the move starts when it is already current, and no later
+// when it is behind, because the replies carry the missing suffix (a
+// separate fetch round would make the second move 45 ms).
+TEST_F(MajorityCatchUpFixture, ReopenTimeWhenCurrentAndWhenBehind) {
+  AgentId a = AddAgent("a", 0);
+  AddToken(a, "A");
+  ASSERT_TRUE(cluster->Start().ok());
+  const FragmentId fa = 0;
+  Update(a, fa, 1, nullptr);
+  cluster->RunToQuiescence();
+
+  Status st = Status::Internal("pending");
+  SimTime reopened = -1;
+  SimTime start = cluster->Now();
+  Move(a, 2, &st, &reopened);
+  cluster->RunToQuiescence();
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(reopened - start, Millis(35));
+
+  // Node 3 hears the home (now node 2) 50 ms late, so it is one commit
+  // behind when the agent arrives there.
+  cluster->network().SetChannelExtraDelay(2, 3, Millis(50));
+  TxnResult r;
+  Update(a, fa, 1, &r);
+  cluster->RunFor(Millis(15));
+  ASSERT_TRUE(r.status.ok());
+  ASSERT_EQ(cluster->runtime(3).stream(fa).applied_seq, 1);
+  st = Status::Internal("pending");
+  start = cluster->Now();
+  Move(a, 3, &st, &reopened);
+  cluster->RunToQuiescence();
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(reopened - start, Millis(35));
+  ExpectSound();
+}
+
+// A commit is still in flight when the agent leaves: two replicas have it
+// prepared only, one has installed it. The replies of the prepared-only
+// replicas form the majority; the freshest arrives after them, while the
+// new home is still installing, and raises the target. Its reply carries
+// the missing commit, so the move completes with the old home cut off.
+TEST_F(MajorityCatchUpFixture, FreshestReplicaAnsweringAfterTheMajority) {
+  AgentId a = AddAgent("a", 0);
+  AddToken(a, "A");
+  ASSERT_TRUE(cluster->Start().ok());
+  const FragmentId fa = 0;
+  // Node 2, the new home, hears the old home 200 ms late throughout.
+  cluster->network().SetChannelExtraDelay(0, 2, Millis(200));
+  Update(a, fa, 1, nullptr);
+  Update(a, fa, 1, nullptr);
+  cluster->RunFor(Millis(50));
+  ASSERT_EQ(cluster->runtime(1).stream(fa).applied_seq, 2);
+  ASSERT_EQ(cluster->runtime(2).stream(fa).applied_seq, 0);
+
+  // T3 commits on the acks of nodes 4 and 1 or 3; its commit reaches
+  // node 4 at once and nodes 1 and 3 only 40 ms later.
+  cluster->network().SetChannelExtraDelay(0, 1, Millis(40));
+  cluster->network().SetChannelExtraDelay(0, 3, Millis(40));
+  TxnResult t3;
+  Update(a, fa, 1, &t3);
+  cluster->RunFor(Millis(51));
+  ASSERT_TRUE(t3.status.ok());
+  ASSERT_EQ(t3.frag_seq, 3);
+
+  Status st = Status::Internal("pending");
+  SimTime reopened = -1;
+  Move(a, 2, &st, &reopened);
+  ASSERT_TRUE(cluster->Partition({{0}, {1, 2, 3, 4}}).ok());
+  cluster->RunFor(Millis(25));
+  EXPECT_EQ(cluster->runtime(1).stream(fa).applied_seq, 2);
+  EXPECT_EQ(cluster->runtime(3).stream(fa).applied_seq, 2);
+  EXPECT_EQ(cluster->runtime(4).stream(fa).applied_seq, 3);
+  cluster->RunFor(Millis(100));
+  EXPECT_TRUE(st.ok());
+  EXPECT_EQ(cluster->runtime(2).stream(fa).applied_seq, 3);
+
+  TxnResult t4;
+  Update(a, fa, 1, &t4);
+  cluster->RunFor(Millis(100));
+  EXPECT_TRUE(t4.status.ok());
+  EXPECT_EQ(t4.frag_seq, 4);
+  cluster->HealAll();
+  cluster->RunToQuiescence();
+  for (NodeId n = 0; n < 5; ++n) {
+    EXPECT_EQ(cluster->ReadAt(n, objects[fa]), 4) << "node " << n;
+  }
+  ExpectSound();
+}
+
+// The agent's tokens have different replica sets, so each reply covers
+// only some of them and each token counts its own majority.
+TEST_F(MajorityCatchUpFixture, TwoTokenAgentWithDifferentReplicaSetsMoves) {
+  AgentId a = AddAgent("a", 0);
+  AddToken(a, "A", {0, 1, 2});
+  AddToken(a, "B", {0, 2, 3, 4});
+  ASSERT_TRUE(cluster->Start().ok());
+  const FragmentId fa = 0, fb = 1;
+  // The new home lags the old one, so both tokens need catching up.
+  cluster->network().SetChannelExtraDelay(0, 2, Millis(200));
+  Update(a, fa, 1, nullptr);
+  Update(a, fb, 10, nullptr);
+  cluster->RunFor(Millis(50));
+  ASSERT_EQ(cluster->runtime(2).stream(fa).applied_seq, 0);
+  ASSERT_EQ(cluster->runtime(2).stream(fb).applied_seq, 0);
+
+  Status st = Status::Internal("pending");
+  SimTime reopened = -1;
+  Move(a, 2, &st, &reopened);
+  cluster->RunFor(Millis(100));
+  EXPECT_TRUE(st.ok());
+  EXPECT_EQ(cluster->runtime(2).stream(fa).applied_seq, 1);
+  EXPECT_EQ(cluster->runtime(2).stream(fb).applied_seq, 1);
+
+  TxnResult ra, rb;
+  Update(a, fa, 2, &ra);
+  Update(a, fb, 20, &rb);
+  cluster->RunToQuiescence();
+  EXPECT_TRUE(ra.status.ok());
+  EXPECT_TRUE(rb.status.ok());
+  EXPECT_EQ(ra.frag_seq, 2);
+  EXPECT_EQ(rb.frag_seq, 2);
+  for (NodeId n : {0, 1, 2}) {
+    EXPECT_EQ(cluster->ReadAt(n, objects[fa]), 3) << "node " << n;
+  }
+  for (NodeId n : {0, 2, 3, 4}) {
+    EXPECT_EQ(cluster->ReadAt(n, objects[fb]), 30) << "node " << n;
+  }
+  ExpectSound();
+}
+
+// An amnesia crash of the new home wipes its catch-up session. The move
+// reports Unavailable and leaves the agent settled at the crashed node, so
+// the token can be reconstituted elsewhere (before, the agent stayed
+// "moving" forever and every later move or recovery was refused; seed 1 of
+// a MajorityMoveAmnesiaFuzz sweep found it).
+TEST(MajorityCatchUpCrashTest, AmnesiaCrashOfTheNewHomeFailsTheMove) {
+  ClusterConfig config;
+  config.control = ControlOption::kFragmentwise;
+  config.move_protocol = MoveProtocol::kMajorityCommit;
+  config.agent_travel_time = Millis(20);
+  config.durability.enabled = true;
+  Cluster cluster(config, Topology::FullMesh(5, Millis(5)));
+  FragmentId f = cluster.DefineFragment("F");
+  ObjectId x = *cluster.DefineObject(f, "x", 0);
+  AgentId agent = cluster.DefineUserAgent("a");
+  ASSERT_TRUE(cluster.AssignToken(f, agent).ok());
+  ASSERT_TRUE(cluster.SetAgentHome(agent, 0).ok());
+  ASSERT_TRUE(cluster.Start().ok());
+  auto update = [&](Value v, TxnResult* out) {
+    TxnSpec spec;
+    spec.agent = agent;
+    spec.write_fragment = f;
+    spec.read_set = {x};
+    spec.body = [x, v](const std::vector<Value>& reads)
+        -> Result<std::vector<WriteOp>> {
+      return std::vector<WriteOp>{{x, reads[0] + v}};
+    };
+    cluster.Submit(spec, [out](const TxnResult& r) { *out = r; });
+  };
+  TxnResult t1;
+  update(1, &t1);
+  cluster.RunToQuiescence();
+  ASSERT_TRUE(t1.status.ok());
+
+  Status moved = Status::Internal("pending");
+  ASSERT_TRUE(
+      cluster.MoveAgent(agent, 2, [&](Status st) { moved = st; }).ok());
+  // The agent has arrived; the replies are still on the wire.
+  cluster.RunFor(Millis(25));
+  ASSERT_EQ(*cluster.catalog().HomeOf(agent), 2);
+  ASSERT_TRUE(moved.IsInternal());
+  ASSERT_TRUE(cluster.CrashNode(2, CrashMode::kAmnesia).ok());
+  EXPECT_TRUE(moved.IsUnavailable());
+
+  Status recovered = Status::Internal("pending");
+  ASSERT_TRUE(cluster
+                  .RecoverAgent(agent, 3,
+                                [&](Status st) { recovered = st; })
+                  .ok());
+  cluster.RunFor(Millis(100));
+  EXPECT_TRUE(recovered.ok());
+  TxnResult t2;
+  update(2, &t2);
+  cluster.RunFor(Millis(100));
+  EXPECT_TRUE(t2.status.ok());
+  ASSERT_TRUE(cluster.ReviveNode(2, nullptr).ok());
+  cluster.RunToQuiescence();
+  for (NodeId n = 0; n < 5; ++n) {
+    EXPECT_EQ(cluster.ReadAt(n, x), 3) << "node " << n;
+  }
+  EXPECT_TRUE(CheckFragmentwiseSerializability(
+                  cluster.history(), cluster.catalog().fragment_count())
+                  .ok);
+  EXPECT_TRUE(cluster.CheckReplicaSetConsistency().ok);
 }
 
 // ---------------------------------------------------------------------------

@@ -128,26 +128,6 @@ MetricsSnapshot SampleSnapshot() {
   return reg.Snapshot();
 }
 
-TEST(MetricsSnapshotTest, TextRoundTrip) {
-  MetricsSnapshot snap = SampleSnapshot();
-  std::string text = snap.ToText();
-  Result<MetricsSnapshot> parsed = MetricsSnapshot::FromText(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  // The round trip is exact: re-serialization is byte-identical.
-  EXPECT_EQ(parsed->ToText(), text);
-  EXPECT_EQ(parsed->CounterTotal("messages_sent_total"), 42u);
-  EXPECT_EQ(parsed->HistogramCount("commit_latency_us"), 2u);
-  EXPECT_EQ(parsed->HistogramMax("commit_latency_us"), 4500);
-  const MetricEntry* g = parsed->Find({"applied_seq", 1, 2});
-  ASSERT_NE(g, nullptr);
-  EXPECT_EQ(g->gauge, 13);
-}
-
-TEST(MetricsSnapshotTest, FromTextRejectsGarbage) {
-  EXPECT_FALSE(MetricsSnapshot::FromText("nonsense line\n").ok());
-  EXPECT_FALSE(MetricsSnapshot::FromText("counter x notanumber\n").ok());
-}
-
 TEST(MetricsSnapshotTest, MergeAddsAndInserts) {
   MetricsSnapshot a = SampleSnapshot();
   MetricsRegistry reg;
@@ -165,26 +145,6 @@ TEST(MetricsSnapshotTest, MergeAddsAndInserts) {
   EXPECT_EQ(c1->counter, 5u);
   EXPECT_EQ(a.HistogramCount("commit_latency_us"), 3u);
   EXPECT_EQ(a.CounterTotal("txn_committed_total"), 15u);
-}
-
-TEST(MetricsSnapshotTest, PrometheusExposition) {
-  std::string prom = SampleSnapshot().ToPrometheus();
-  EXPECT_NE(prom.find("# TYPE fragdb_txn_committed_total counter"),
-            std::string::npos);
-  EXPECT_NE(prom.find("# TYPE fragdb_applied_seq gauge"), std::string::npos);
-  EXPECT_NE(prom.find("# TYPE fragdb_commit_latency_us histogram"),
-            std::string::npos);
-  EXPECT_NE(prom.find("fragdb_commit_latency_us_count"), std::string::npos);
-  EXPECT_NE(prom.find("le=\"+Inf\""), std::string::npos);
-  EXPECT_NE(prom.find("label=\"quasi\""), std::string::npos);
-}
-
-TEST(MetricsSnapshotTest, JsonExposition) {
-  std::string json = SampleSnapshot().ToJson();
-  EXPECT_EQ(json.front(), '[');
-  EXPECT_EQ(json.back(), ']');
-  EXPECT_NE(json.find("\"name\":\"txn_committed_total\""), std::string::npos);
-  EXPECT_NE(json.find("\"value\":42"), std::string::npos);
 }
 
 }  // namespace
