@@ -7,10 +7,13 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <initializer_list>
 #include <memory>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_harness.h"
@@ -18,6 +21,7 @@
 #include "common/rng.h"
 #include "core/cluster.h"
 #include "core/messages.h"
+#include "obs/availability.h"
 #include "cc/scheduler.h"
 #include "sim/event_queue.h"
 #include "verify/checkers.h"
@@ -47,6 +51,31 @@ namespace {
 // Shared CLI options (--threads / --seeds), parsed before google-benchmark
 // sees argv. Benches that fan out instances read the thread count here.
 fragdb_bench::BenchOptions g_opts;
+
+/// Wall time since construction or the previous Lap, in seconds.
+class Stopwatch {
+ public:
+  double Lap() {
+    const auto now = std::chrono::steady_clock::now();
+    const double s = std::chrono::duration<double>(now - last_).count();
+    last_ = now;
+    return s;
+  }
+
+ private:
+  std::chrono::steady_clock::time_point last_ =
+      std::chrono::steady_clock::now();
+};
+
+/// Reports each phase's summed seconds as ms per iteration.
+void SetPhaseCounters(
+    benchmark::State& state,
+    std::initializer_list<std::pair<const char*, double>> phases) {
+  for (const auto& [name, seconds] : phases) {
+    state.counters[name] = benchmark::Counter(
+        seconds * 1e3, benchmark::Counter::kAvgIterations);
+  }
+}
 
 void BM_EventQueueScheduleAndPop(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -176,10 +205,13 @@ void BM_HistoryCollapseAndAudit(benchmark::State& state) {
   // version of one of its fragment's objects there and writes another,
   // and every node installs it, marks it committed and records the
   // slot's decision in its own shard. Times recording, the shard
-  // collapse and the history checks AuditRun makes (all of which pass).
+  // collapse and the history checks AuditRun makes (all of which pass),
+  // and reports the collapse, the first lookup (the tables' build) and
+  // the checks apart, in ms per iteration.
   const int n = static_cast<int>(state.range(0));
   constexpr int kNodes = 16;
   constexpr int kObjectsPerFragment = 64;
+  double collapse_s = 0, lookups_s = 0, audit_s = 0;
   for (auto _ : state) {
     Rng rng(11);
     std::vector<History> shards(kNodes);
@@ -221,7 +253,11 @@ void BM_HistoryCollapseAndAudit(benchmark::State& state) {
       }
     }
     History history;
+    Stopwatch watch;
     bool ok = history.AbsorbShards(shards) == kInvalidTxn;
+    collapse_s += watch.Lap();
+    benchmark::DoNotOptimize(history.VersionChains().size());
+    lookups_s += watch.Lap();
     ok = CheckGlobalSerializability(history).ok && ok;
     for (FragmentId f = 0; f < kNodes; ++f) {
       ok = CheckProperty1(history, f).ok && ok;
@@ -229,12 +265,94 @@ void BM_HistoryCollapseAndAudit(benchmark::State& state) {
     }
     ok = CheckQuorumFreshness(history).ok && ok;
     ok = CheckCommitAtomicity(history).ok && ok;
+    audit_s += watch.Lap();
     if (!ok) state.SkipWithError("audit failed");
     benchmark::DoNotOptimize(ok);
   }
   state.SetItemsProcessed(state.iterations() * n);
+  SetPhaseCounters(state, {{"collapse_ms", collapse_s},
+                           {"lookups_ms", lookups_s},
+                           {"audit_ms", audit_s}});
 }
 BENCHMARK(BM_HistoryCollapseAndAudit)->Arg(10000)->Arg(50000);
+
+void BM_AvailabilityReport(benchmark::State& state) {
+  // The paxos_flash shape: 16 nodes, one fragment homed at each, a 24 s
+  // run of twelve 2 s periods, each with a 120 ms split of two nodes from
+  // the rest, and 380k installs, about 340k of which land just past the
+  // 15 ms staleness threshold, each a short retroactive stale window. Against
+  // 24 fault windows (the twelve cluster-wide splits and twelve two-node
+  // link faults), times Finalize, the interval check and the report, in
+  // ms per iteration each; building the tracker is not timed.
+  constexpr int kNodes = 16;
+  constexpr int kPeriods = 12;
+  constexpr int kInstalls = 380000;
+  const SimTime horizon = Millis(2000) * kPeriods;
+  const SimTime threshold = Millis(15);
+  std::vector<NodeId> home(kNodes);
+  for (NodeId n = 0; n < kNodes; ++n) home[n] = n;
+  std::vector<FaultWindow> faults;
+  for (int k = 0; k < kPeriods; ++k) {
+    const SimTime t = Millis(2000) * k;
+    const NodeId a = (2 * k) % kNodes;
+    faults.push_back({"partition at=" + std::to_string(2000 * k + 20) +
+                          "ms for=120ms groups=" + std::to_string(a) + "," +
+                          std::to_string(a + 1) + "|rest",
+                      t + Millis(20), t + Millis(140), {}});
+    faults.push_back({"link at=" + std::to_string(2000 * k + 600) +
+                          "ms for=50ms a=" + std::to_string(a) +
+                          " b=" + std::to_string(a + 1),
+                      t + Millis(600), t + Millis(650), {a, a + 1}});
+  }
+  double finalize_s = 0, check_s = 0, report_s = 0;
+  size_t intervals = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    AvailabilityTracker tracker(kNodes, home, threshold);
+    for (int k = 0; k < kPeriods; ++k) {
+      const SimTime t = Millis(2000) * k;
+      const NodeId a = (2 * k) % kNodes;
+      for (const auto& [at, reachable] :
+           {std::pair{t + Millis(20), false}, {t + Millis(140), true}}) {
+        for (NodeId n = 0; n < kNodes; ++n) {
+          for (FragmentId f = 0; f < kNodes; ++f) {
+            const bool n_in = n == a || n == a + 1;
+            const bool home_in = home[f] == a || home[f] == a + 1;
+            if (n_in != home_in) tracker.SetHomeReachable(n, f, at, reachable);
+          }
+        }
+      }
+    }
+    // Nine in ten lags land past the threshold, by up to 180 us.
+    Rng rng(5);
+    for (int i = 0; i < kInstalls; ++i) {
+      const SimTime lag =
+          threshold - Micros(20) + static_cast<SimTime>(rng.NextBelow(200));
+      tracker.OnInstallLag(static_cast<NodeId>(i % kNodes),
+                           static_cast<FragmentId>(rng.NextBelow(kNodes)),
+                           1 + horizon * i / kInstalls, lag);
+    }
+    state.ResumeTiming();
+    Stopwatch watch;
+    tracker.Finalize(horizon);
+    finalize_s += watch.Lap();
+    const bool ok =
+        CheckAvailabilityIntervals(tracker.intervals(), horizon).ok;
+    check_s += watch.Lap();
+    const AvailabilityReport report =
+        BuildAvailabilityReport(tracker, faults, horizon);
+    report_s += watch.Lap();
+    if (!ok) state.SkipWithError("interval check failed");
+    intervals = report.attributed.size();
+    benchmark::DoNotOptimize(report.read_availability);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(intervals));
+  SetPhaseCounters(state, {{"finalize_ms", finalize_s},
+                           {"check_ms", check_s},
+                           {"report_ms", report_s}});
+}
+BENCHMARK(BM_AvailabilityReport);
 
 void BM_ClusterCommitThroughput(benchmark::State& state) {
   for (auto _ : state) {
@@ -534,6 +652,15 @@ class JsonLineReporter : public benchmark::ConsoleReporter {
         if (allocs == run.counters.end()) continue;
         std::snprintf(json, sizeof(json), ",\"%s\":%.1f", counter,
                       (double)allocs->second);
+        line += json;
+      }
+      for (const char* counter :
+           {"collapse_ms", "lookups_ms", "audit_ms", "finalize_ms",
+            "check_ms", "report_ms"}) {
+        auto phase = run.counters.find(counter);
+        if (phase == run.counters.end()) continue;
+        std::snprintf(json, sizeof(json), ",\"%s\":%.3f", counter,
+                      (double)phase->second);
         line += json;
       }
       fragdb_bench::PrintJsonLine(line + "}");

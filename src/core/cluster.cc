@@ -513,12 +513,7 @@ void Cluster::SubmitAt(NodeId node, const TxnSpec& spec, TxnCallback done) {
   rec.read_only = spec.read_only();
   rec.label = spec.label;
   HistorySink(node).RegisterTxn(rec);
-  if (tracing_active()) {
-    Trace("submit", node, type_fragment, id, 0,
-          "T" + std::to_string(id) +
-              (spec.label.empty() ? "" : " " + spec.label) + " at N" +
-              std::to_string(node));
-  }
+  Trace(TraceDetail::kSubmit, node, type_fragment, id, 0, spec.label);
 
   auto run = [this, id, node, spec, done](bool x_preacquired,
                                           std::function<void()> after) {
@@ -678,7 +673,9 @@ void Cluster::ExecuteAndPropagate(TxnId id, NodeId node, const TxnSpec& spec,
           runtimes_[node]->scheduler().CommitPrepared(
               id, wf, quasi.writes, quasi.seq, release_locks);
         }
-        if (tracing_active()) {
+        if (result.status.ok()) {
+          Trace(TraceDetail::kCommit, node, wf, id, result.frag_seq);
+        } else if (tracing_active()) {
           Trace("commit", node, wf, id, result.frag_seq,
                 "T" + std::to_string(id) + " " + result.status.ToString());
         }
@@ -689,11 +686,7 @@ void Cluster::ExecuteAndPropagate(TxnId id, NodeId node, const TxnSpec& spec,
           return;
         }
         BroadcastLocalCommit(node, std::move(quasi));
-        if (tracing_active()) {
-          Trace("broadcast", node, wf, id, result.frag_seq,
-                "T" + std::to_string(id) +
-                    " seq=" + std::to_string(result.frag_seq));
-        }
+        Trace(TraceDetail::kBroadcast, node, wf, id, result.frag_seq);
         after();
         // kQuorum: the commit stands, but the client hears back only once
         // W replicas have *installed* the write (or the wait times out —
@@ -966,9 +959,8 @@ void Cluster::CommitMajority(NodeId node, TxnId id, MajorityWait w) {
   if (tracing_active()) {
     Trace("commit", node, wf, id, seq,
           "T" + std::to_string(id) + " OK (majority)");
-    Trace("broadcast", node, wf, id, seq,
-          "T" + std::to_string(id) + " seq=" + std::to_string(seq));
   }
+  Trace(TraceDetail::kBroadcast, node, wf, id, seq);
   w.after();
   w.done(w.result);
 }
@@ -1083,10 +1075,7 @@ void Cluster::ExecutePaxosCommit(TxnId id, NodeId node, const TxnSpec& spec,
           // recovery rounds, which propose the slot at a higher ballot.
           if (!topology_.IsNodeUp(node)) return;
           SendPaxosAccept(node, wf, inst, /*ballot=*/0);
-          if (tracing_active()) {
-            Trace("paxos-propose", node, wf, id, seq,
-                  "T" + std::to_string(id) + " ballot=0");
-          }
+          Trace(TraceDetail::kPaxosPropose, node, wf, id, seq);
         };
         NodeDurability* d = single_replica ? nullptr : durability(node);
         if (d != nullptr) {
@@ -1522,31 +1511,24 @@ void Cluster::Trace(const char* kind, std::string detail) {
 void Cluster::Trace(const char* kind, NodeId node, FragmentId fragment,
                     TxnId txn, SeqNum seq, std::string detail) {
   if (!tracer_ && !flight_) return;
-  RecordTrace(kind, node, fragment, txn, seq, std::move(detail),
-              TraceDetail::kText);
+  RecordTrace(kind, node, fragment, txn, seq, detail, TraceDetail::kText);
 }
 
 void Cluster::Trace(TraceDetail detail, NodeId node, FragmentId fragment,
-                    TxnId txn, SeqNum seq) {
+                    TxnId txn, SeqNum seq, std::string_view label) {
   if (!tracer_ && !flight_) return;
   FRAGDB_CHECK(detail != TraceDetail::kText);  // kText events carry text
-  RecordTrace(TraceDetailKind(detail), node, fragment, txn, seq, {}, detail);
+  RecordTrace(TraceDetailKind(detail), node, fragment, txn, seq, label,
+              detail);
 }
 
 void Cluster::RecordTrace(const char* kind, NodeId node, FragmentId fragment,
-                          TxnId txn, SeqNum seq, std::string text,
+                          TxnId txn, SeqNum seq, std::string_view text,
                           TraceDetail detail) {
-  TraceEvent ev;
-  ev.at = engine_->Now();
-  ev.kind = kind;
-  ev.node = node;
-  ev.fragment = fragment;
-  ev.txn = txn;
-  ev.seq = seq;
-  ev.detail = std::move(text);
+  const TraceStamp stamp{engine_->Now(), kind, node, fragment, txn, seq};
   const NodeId acting = engine_->CurrentNode();
-  if (flight_) flight_->Record(ev, acting, detail);
-  if (tracer_) tracer_->Record(std::move(ev), acting, detail);
+  if (flight_) flight_->Record(stamp, text, acting, detail);
+  if (tracer_) tracer_->Record(stamp, text, acting, detail);
 }
 
 MetricsSnapshot Cluster::SnapshotMetrics() const {

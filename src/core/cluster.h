@@ -7,6 +7,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cc/transaction.h"
@@ -341,8 +342,9 @@ class Cluster {
              SeqNum seq, std::string detail);
   /// Emits a structured event whose detail the recorder renders from the
   /// event's fields at dump time (see TraceDetail): builds no string.
+  /// kSubmit takes the transaction's label.
   void Trace(TraceDetail detail, NodeId node, FragmentId fragment, TxnId txn,
-             SeqNum seq);
+             SeqNum seq, std::string_view label = {});
   /// The built-in instrument panel, or nullptr when metrics are off.
   ClusterInstruments* instruments() { return obs_.get(); }
   /// The recovery manager, or nullptr when durability is disabled.
@@ -373,7 +375,7 @@ class Cluster {
   /// Shared body of the Trace overloads: stamps the event and records it
   /// in every attached consumer.
   void RecordTrace(const char* kind, NodeId node, FragmentId fragment,
-                   TxnId txn, SeqNum seq, std::string text,
+                   TxnId txn, SeqNum seq, std::string_view text,
                    TraceDetail detail);
 
   enum class AgentPhase { kSettled, kInTransit, kCatchingUp };

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <sstream>
-#include <tuple>
 
 #include "common/logging.h"
 
@@ -160,6 +160,35 @@ bool IntervalOrder(const AvailabilityInterval& a,
   return a.end < b.end;
 }
 
+/// Moves `from` into `to` grouped by `cell(i)` < `cells`, keeping each
+/// group in input order (one counting pass), and frees `from`. Group c is
+/// to[start[c], start[c + 1]).
+template <typename Cell>
+void GroupByCell(std::vector<AvailabilityInterval>* from, size_t cells,
+                 Cell cell, std::vector<AvailabilityInterval>* to,
+                 std::vector<size_t>* start) {
+  std::vector<size_t>& at = *start;
+  at.assign(cells + 1, 0);
+  for (const AvailabilityInterval& i : *from) ++at[cell(i) + 1];
+  for (size_t c = 0; c < cells; ++c) at[c + 1] += at[c];
+  to->resize(from->size());
+  // Each cell's cursor ends where the next cell starts: shift them back.
+  for (const AvailabilityInterval& i : *from) (*to)[at[cell(i)]++] = i;
+  std::copy_backward(at.begin(), at.end() - 1, at.end());
+  at[0] = 0;
+  std::vector<AvailabilityInterval>().swap(*from);
+}
+
+/// Sorts [first, last) by start unless it already is. A cell's state-
+/// machine intervals arrive in time order; retroactive stale windows
+/// start `lag` before their install, so theirs usually do not.
+void SortIfNeeded(std::vector<AvailabilityInterval>::iterator first,
+                  std::vector<AvailabilityInterval>::iterator last) {
+  if (!std::is_sorted(first, last, IntervalOrder)) {
+    std::sort(first, last, IntervalOrder);
+  }
+}
+
 }  // namespace
 
 void AvailabilityTracker::Finalize(SimTime end) {
@@ -177,102 +206,99 @@ void AvailabilityTracker::Finalize(SimTime end) {
     }
   }
 
-  // Collect the per-node shards (node-major; the sorts below make the
-  // result independent of accumulation order anyway).
-  for (std::vector<AvailabilityInterval>& shard : interval_shards_) {
-    intervals_.insert(intervals_.end(), shard.begin(), shard.end());
-    shard.clear();
+  // Every interval and stale window of a cell sits in its node's shard,
+  // so each node's cells are finished on their own and appended in
+  // (node, fragment, access, start) order. Per cell, the retroactive
+  // stale windows are merged where they overlap, then stripped of any
+  // time a state-machine read interval already covers, so per-cell
+  // intervals never overlap.
+  size_t total = 0;
+  for (NodeId n = 0; n < nodes_; ++n) {
+    total += interval_shards_[n].size() + stale_shards_[n].size();
   }
-  std::vector<AvailabilityInterval> stale;
-  for (std::vector<AvailabilityInterval>& shard : stale_shards_) {
-    stale.insert(stale.end(), shard.begin(), shard.end());
-    shard.clear();
-  }
+  intervals_.reserve(total);
+  const size_t cells = 2 * static_cast<size_t>(fragments_);
+  std::vector<AvailabilityInterval> state, stale, merged, pieces;
+  std::vector<size_t> state_start, stale_start;
+  for (NodeId n = 0; n < nodes_; ++n) {
+    if (interval_shards_[n].empty() && stale_shards_[n].empty()) continue;
+    GroupByCell(
+        &interval_shards_[n], cells,
+        [](const AvailabilityInterval& i) {
+          return 2 * static_cast<size_t>(i.fragment) +
+                 static_cast<size_t>(i.access);
+        },
+        &state, &state_start);
+    GroupByCell(
+        &stale_shards_[n], static_cast<size_t>(fragments_),
+        [](const AvailabilityInterval& i) {
+          return static_cast<size_t>(i.fragment);
+        },
+        &stale, &stale_start);
+    for (FragmentId f = 0; f < fragments_; ++f) {
+      const auto reads = state.begin() + state_start[2 * f];
+      const auto reads_end = state.begin() + state_start[2 * f + 1];
+      const auto writes_end = state.begin() + state_start[2 * f + 2];
+      const auto windows = stale.begin() + stale_start[f];
+      const auto windows_end = stale.begin() + stale_start[f + 1];
+      if (reads == writes_end && windows == windows_end) continue;
+      SortIfNeeded(reads, reads_end);
+      SortIfNeeded(reads_end, writes_end);
+      SortIfNeeded(windows, windows_end);
 
-  // Fold the retroactive stale observations in: merge overlapping stale
-  // windows per cell, then subtract any time already covered by a state-
-  // machine interval for that cell so per-cell intervals never overlap.
-  std::sort(stale.begin(), stale.end(), IntervalOrder);
-  std::vector<AvailabilityInterval> merged;
-  for (const AvailabilityInterval& s : stale) {
-    if (s.end > end || s.start >= end) {
-      // Clamp to the horizon; drop anything entirely past it.
-      if (s.start >= end) continue;
-    }
-    AvailabilityInterval cur = s;
-    if (cur.end > end) cur.end = end;
-    if (!merged.empty() && merged.back().node == cur.node &&
-        merged.back().fragment == cur.fragment &&
-        merged.back().end >= cur.start) {
-      if (cur.end > merged.back().end) merged.back().end = cur.end;
-    } else {
-      merged.push_back(cur);
-    }
-  }
-
-  std::sort(intervals_.begin(), intervals_.end(), IntervalOrder);
-  std::vector<AvailabilityInterval> extra;
-  // Both lists are sorted cell-major, so one cursor walks intervals_ once:
-  // it skips earlier cells, and the intervals of this window's cell that
-  // ended before the window (and so before every later window of the cell).
-  auto cell_of = [](const AvailabilityInterval& i) {
-    return std::make_tuple(i.node, i.fragment, i.access);
-  };
-  auto head = intervals_.begin();
-  for (const AvailabilityInterval& s : merged) {
-    const auto cell = std::make_tuple(s.node, s.fragment, AccessKind::kRead);
-    while (head != intervals_.end() &&
-           (cell_of(*head) < cell ||
-            (cell_of(*head) == cell && head->end <= s.start))) {
-      ++head;
-    }
-    // Subtract every already-recorded read interval of the same cell.
-    SimTime cursor = s.start;
-    for (auto it = head; it != intervals_.end() && cell_of(*it) == cell;
-         ++it) {
-      const AvailabilityInterval& i = *it;
-      if (i.start >= s.end) break;  // sorted by start within the cell
-      if (i.end <= cursor) continue;
-      if (i.start > cursor) {
-        extra.push_back({s.node, s.fragment, AccessKind::kRead,
-                         ServeState::kDegradedStale, cursor, i.start});
+      // Clamp to the horizon (dropping anything entirely past it) and
+      // merge overlapping windows.
+      merged.clear();
+      for (auto s = windows; s != windows_end; ++s) {
+        if (s->start >= end) continue;
+        AvailabilityInterval cur = *s;
+        if (cur.end > end) cur.end = end;
+        if (!merged.empty() && merged.back().end >= cur.start) {
+          if (cur.end > merged.back().end) merged.back().end = cur.end;
+        } else {
+          merged.push_back(cur);
+        }
       }
-      cursor = std::max(cursor, i.end);
-      if (cursor >= s.end) break;
-    }
-    if (cursor < s.end) {
-      extra.push_back({s.node, s.fragment, AccessKind::kRead,
-                       ServeState::kDegradedStale, cursor, s.end});
+
+      // One cursor walks the cell's read intervals once: it skips those
+      // that ended before the window (and so before every later window).
+      pieces.clear();
+      auto head = reads;
+      for (const AvailabilityInterval& s : merged) {
+        while (head != reads_end && head->end <= s.start) ++head;
+        SimTime cursor = s.start;
+        for (auto it = head; it != reads_end; ++it) {
+          const AvailabilityInterval& i = *it;
+          if (i.start >= s.end) break;  // sorted by start within the cell
+          if (i.end <= cursor) continue;
+          if (i.start > cursor) {
+            pieces.push_back({n, f, AccessKind::kRead,
+                              ServeState::kDegradedStale, cursor, i.start});
+          }
+          cursor = std::max(cursor, i.end);
+          if (cursor >= s.end) break;
+        }
+        if (cursor < s.end) {
+          pieces.push_back({n, f, AccessKind::kRead,
+                            ServeState::kDegradedStale, cursor, s.end});
+        }
+      }
+      std::merge(reads, reads_end, pieces.begin(), pieces.end(),
+                 std::back_inserter(intervals_), IntervalOrder);
+      intervals_.insert(intervals_.end(), reads_end, writes_end);
     }
   }
-  intervals_.insert(intervals_.end(), extra.begin(), extra.end());
-  std::sort(intervals_.begin(), intervals_.end(), IntervalOrder);
 }
 
-double AvailabilityTracker::AvailableFraction(AccessKind a,
-                                              SimTime horizon) const {
-  if (horizon <= 0) return 1.0;
-  SimTime down = 0;
+std::vector<SimTime> AvailabilityTracker::UnavailableTime(
+    SimTime horizon) const {
+  std::vector<SimTime> down(2 * static_cast<size_t>(nodes_), 0);
   for (const AvailabilityInterval& i : intervals_) {
-    if (i.access != a || i.state != ServeState::kUnavailable) continue;
-    down += std::min(i.end, horizon) - std::min(i.start, horizon);
+    if (i.state != ServeState::kUnavailable) continue;
+    down[2 * static_cast<size_t>(i.node) + static_cast<size_t>(i.access)] +=
+        std::min(i.end, horizon) - std::min(i.start, horizon);
   }
-  double total = static_cast<double>(horizon) * nodes_ * fragments_;
-  return 1.0 - static_cast<double>(down) / total;
-}
-
-double AvailabilityTracker::NodeAvailableFraction(NodeId n, AccessKind a,
-                                                  SimTime horizon) const {
-  if (horizon <= 0) return 1.0;
-  SimTime down = 0;
-  for (const AvailabilityInterval& i : intervals_) {
-    if (i.node != n || i.access != a || i.state != ServeState::kUnavailable) {
-      continue;
-    }
-    down += std::min(i.end, horizon) - std::min(i.start, horizon);
-  }
-  double total = static_cast<double>(horizon) * fragments_;
-  return 1.0 - static_cast<double>(down) / total;
+  return down;
 }
 
 // --------------------------------------------------------------------------
@@ -301,6 +327,14 @@ std::string FormatFraction(double v) {
   return buf;
 }
 
+/// Share of (nodes x fragments cells) x horizon not spent unavailable.
+double AvailableShare(SimTime down, SimTime horizon, int nodes,
+                      int fragments) {
+  if (horizon <= 0) return 1.0;
+  double total = static_cast<double>(horizon) * nodes * fragments;
+  return 1.0 - static_cast<double>(down) / total;
+}
+
 bool FaultTouches(const FaultWindow& fw, const AvailabilityInterval& i,
                   NodeId home) {
   if (fw.nodes.empty()) return true;
@@ -318,52 +352,75 @@ AvailabilityReport BuildAvailabilityReport(
   AvailabilityReport report;
   report.horizon = horizon;
   report.max_staleness = tracker.max_staleness();
-  report.read_availability =
-      tracker.AvailableFraction(AccessKind::kRead, horizon);
-  report.write_availability =
-      tracker.AvailableFraction(AccessKind::kWrite, horizon);
-  for (NodeId n = 0; n < tracker.nodes(); ++n) {
+  const int nodes = tracker.nodes();
+  const int fragments = tracker.fragments();
+  const std::vector<SimTime> down = tracker.UnavailableTime(horizon);
+  SimTime read_down = 0;
+  SimTime write_down = 0;
+  for (NodeId n = 0; n < nodes; ++n) {
+    const SimTime r = down[2 * static_cast<size_t>(n)];
+    const SimTime w = down[2 * static_cast<size_t>(n) + 1];
+    read_down += r;
+    write_down += w;
     report.node_read_availability.push_back(
-        tracker.NodeAvailableFraction(n, AccessKind::kRead, horizon));
+        AvailableShare(r, horizon, 1, fragments));
     report.node_write_availability.push_back(
-        tracker.NodeAvailableFraction(n, AccessKind::kWrite, horizon));
+        AvailableShare(w, horizon, 1, fragments));
   }
+  report.read_availability =
+      AvailableShare(read_down, horizon, nodes, fragments);
+  report.write_availability =
+      AvailableShare(write_down, horizon, nodes, fragments);
 
   std::vector<FaultAttributionSummary> per_fault(faults.size());
   for (size_t fi = 0; fi < faults.size(); ++fi) {
     per_fault[fi].label = faults[fi].label;
+    report.fault_labels.push_back(faults[fi].label);
   }
 
+  // The faults that touch a cell depend only on its node and fragment;
+  // intervals come cell-major, so the list is rebuilt once per cell.
+  std::vector<int> candidates;
+  NodeId cell_node = kInvalidNode;
+  FragmentId cell_fragment = kInvalidFragment;
   report.attributed.reserve(tracker.intervals().size());
   for (const AvailabilityInterval& iv : tracker.intervals()) {
+    if (iv.node != cell_node || iv.fragment != cell_fragment) {
+      cell_node = iv.node;
+      cell_fragment = iv.fragment;
+      const NodeId home = tracker.HomeOf(iv.fragment);
+      candidates.clear();
+      for (size_t fi = 0; fi < faults.size(); ++fi) {
+        if (FaultTouches(faults[fi], iv, home)) {
+          candidates.push_back(static_cast<int>(fi));
+        }
+      }
+    }
     AttributedInterval ai;
     ai.interval = iv;
-    NodeId home = tracker.HomeOf(iv.fragment);
     // Best overlap wins; earliest fault on ties. If nothing overlaps, fall
     // back to the latest candidate fault that started at or before the
     // interval (detection can lag the fault's scheduled window).
     SimTime best_overlap = 0;
     int best = -1;
     int fallback = -1;
-    for (size_t fi = 0; fi < faults.size(); ++fi) {
+    for (int fi : candidates) {
       const FaultWindow& fw = faults[fi];
-      if (!FaultTouches(fw, iv, home)) continue;
       SimTime overlap =
           std::min(iv.end, fw.end) - std::max(iv.start, fw.at);
       if (overlap > best_overlap) {
         best_overlap = overlap;
-        best = static_cast<int>(fi);
+        best = fi;
       }
       if (fw.at <= iv.start &&
           (fallback < 0 || faults[fallback].at <= fw.at)) {
-        fallback = static_cast<int>(fi);
+        fallback = fi;
       }
     }
     if (best < 0) best = fallback;
     ai.fault = best;
     if (best >= 0) {
       const FaultWindow& fw = faults[best];
-      ai.fault_label = fw.label;
       ai.detect_latency = std::max<SimTime>(0, iv.start - fw.at);
       ai.repair_latency = std::max<SimTime>(0, iv.end - fw.end);
       FaultAttributionSummary& sum = per_fault[best];
@@ -380,7 +437,7 @@ AvailabilityReport BuildAvailabilityReport(
     } else {
       report.unattributed += 1;
     }
-    report.attributed.push_back(std::move(ai));
+    report.attributed.push_back(ai);
   }
 
   for (FaultAttributionSummary& sum : per_fault) {
@@ -450,7 +507,7 @@ std::string AvailabilityReport::ToJson() const {
        << "\",\"start_us\":" << ai.interval.start
        << ",\"end_us\":" << ai.interval.end << ",\"fault\":";
     if (ai.fault >= 0) {
-      os << "\"" << JsonEscape(ai.fault_label) << "\"";
+      os << "\"" << JsonEscape(fault_labels[ai.fault]) << "\"";
     } else {
       os << "null";
     }

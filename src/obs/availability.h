@@ -92,13 +92,9 @@ class AvailabilityTracker {
     return intervals_;
   }
 
-  /// Fraction of (cells × horizon) NOT spent kUnavailable for this access
-  /// kind, over the window [0, horizon]. Degraded-stale time still counts
-  /// as available (it answers, just possibly stale) — it is reported
-  /// separately through the intervals and max_staleness().
-  double AvailableFraction(AccessKind a, SimTime horizon) const;
-  /// Same, restricted to one node's cells.
-  double NodeAvailableFraction(NodeId n, AccessKind a, SimTime horizon) const;
+  /// Time each node's cells spent kUnavailable within [0, horizon], at
+  /// [2 * node + access]: one pass over the intervals.
+  std::vector<SimTime> UnavailableTime(SimTime horizon) const;
 
   /// Largest replication lag ever observed at an install (us).
   SimTime max_staleness() const;
@@ -141,9 +137,9 @@ class AvailabilityTracker {
 
   /// Closed intervals and retroactive stale observations accumulate in
   /// per-node shards (indexed by the cell's node, which is also the
-  /// acting node for every node-event call site). Finalize concatenates
-  /// node-major and sorts — the same total order the unsharded tracker
-  /// produced, at any worker-thread count.
+  /// acting node for every node-event call site). Finalize groups each
+  /// shard by cell and emits node-major — the same total order at any
+  /// worker-thread count.
   std::vector<std::vector<AvailabilityInterval>> interval_shards_;
   std::vector<std::vector<AvailabilityInterval>> stale_shards_;
   std::vector<SimTime> max_staleness_by_node_;
@@ -156,9 +152,9 @@ class AvailabilityTracker {
 /// caused it.
 struct AttributedInterval {
   AvailabilityInterval interval;
-  /// Index into the FaultWindow list, or -1 if no fault matched.
+  /// Index into the FaultWindow list (and the report's fault_labels), or
+  /// -1 if no fault matched.
   int fault = -1;
-  std::string fault_label;
   /// interval.start - fault.at: how long the fault existed before this
   /// cell degraded (time-to-detect).
   SimTime detect_latency = 0;
@@ -180,12 +176,19 @@ struct FaultAttributionSummary {
 /// The per-cell "blame" report: availability percentages, staleness, and
 /// every non-serving interval attributed to the scenario op that caused it.
 struct AvailabilityReport {
+  /// Fraction of (cells × horizon) not spent kUnavailable, per access
+  /// kind, overall and per node. Degraded-stale time counts as available
+  /// (it answers, just possibly stale): the intervals and max_staleness
+  /// report it.
   double read_availability = 1.0;
   double write_availability = 1.0;
   SimTime max_staleness = 0;
   SimTime horizon = 0;
   std::vector<double> node_read_availability;
   std::vector<double> node_write_availability;
+  /// The label of every FaultWindow the report was built against, by
+  /// index: an attributed interval's fault is fault_labels[fault].
+  std::vector<std::string> fault_labels;
   std::vector<AttributedInterval> attributed;
   std::vector<FaultAttributionSummary> per_fault;
   int unattributed = 0;

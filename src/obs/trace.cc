@@ -54,6 +54,14 @@ const char* TraceDetailKind(TraceDetail detail) {
       return "install";
     case TraceDetail::kPaxosDecide:
       return "paxos-decide";
+    case TraceDetail::kSubmit:
+      return "submit";
+    case TraceDetail::kCommit:
+      return "commit";
+    case TraceDetail::kBroadcast:
+      return "broadcast";
+    case TraceDetail::kPaxosPropose:
+      return "paxos-propose";
     case TraceDetail::kText:
       break;
   }
@@ -128,20 +136,37 @@ size_t Tracer::RingIndex(NodeId node) const {
   return static_cast<size_t>(node);
 }
 
-void Tracer::Record(TraceEvent ev, NodeId acting, TraceDetail detail) {
+const char* Tracer::Ring::Intern(std::string_view s) {
+  auto it = interned.find(s);
+  if (it == interned.end()) it = interned.emplace(s).first;
+  return it->c_str();
+}
+
+void Tracer::Record(const TraceEvent& ev, NodeId acting, TraceDetail detail) {
+  Ring& ring = rings_[RingIndex(acting != kInvalidNode ? acting : ev.node)];
+  TraceStamp stamp{ev.at, ring.Intern(ev.kind), ev.node,
+                   ev.fragment, ev.txn, ev.seq};
+  Record(stamp, ev.detail, acting, detail);
+}
+
+void Tracer::Record(const TraceStamp& stamp, std::string_view text,
+                    NodeId acting, TraceDetail detail) {
   // The acting node is the only context that may write concurrently;
   // globals and setup route by subject.
-  Ring& ring = rings_[RingIndex(acting != kInvalidNode ? acting : ev.node)];
-  Slot slot;
-  slot.seq = ring.next_seq++;
-  slot.detail = detail;
-  slot.ev = std::move(ev);
+  Ring& ring = rings_[RingIndex(acting != kInvalidNode ? acting : stamp.node)];
+  Slot* slot;
   if (capacity_ == 0 || ring.slots.size() < static_cast<size_t>(capacity_)) {
-    ring.slots.push_back(std::move(slot));
-    return;
+    slot = &ring.slots.emplace_back();
+  } else {
+    slot = &ring.slots[ring.next];
+    ring.next = (ring.next + 1) % ring.slots.size();
   }
-  ring.slots[ring.next] = std::move(slot);
-  ring.next = (ring.next + 1) % ring.slots.size();
+  slot->order = ring.next_seq++;
+  slot->detail = detail;
+  slot->stamp = stamp;
+  const bool keeps_text =
+      detail == TraceDetail::kText || detail == TraceDetail::kSubmit;
+  slot->text.assign(keeps_text ? text : std::string_view());
 }
 
 void Tracer::Clear() {
@@ -149,16 +174,41 @@ void Tracer::Clear() {
 }
 
 TraceEvent Tracer::Materialize(const Slot& slot) {
-  TraceEvent ev = slot.ev;
-  if (slot.detail == TraceDetail::kText) return ev;
+  TraceEvent ev;
+  ev.at = slot.stamp.at;
+  ev.kind = slot.stamp.kind;
+  ev.node = slot.stamp.node;
+  ev.fragment = slot.stamp.fragment;
+  ev.txn = slot.stamp.txn;
+  ev.seq = slot.stamp.seq;
+  if (slot.detail == TraceDetail::kText) {
+    ev.detail = slot.text;
+    return ev;
+  }
   ev.detail = 'T' + std::to_string(ev.txn);
-  if (slot.detail == TraceDetail::kInstall) {
-    ev.detail += " seq=";
-    ev.detail += std::to_string(ev.seq);
-    ev.detail += " at N";
-    ev.detail += std::to_string(ev.node);
-  } else {
-    ev.detail += " commit";
+  switch (slot.detail) {
+    case TraceDetail::kInstall:
+      ev.detail += " seq=" + std::to_string(ev.seq) + " at N" +
+                   std::to_string(ev.node);
+      break;
+    case TraceDetail::kPaxosDecide:
+      ev.detail += " commit";
+      break;
+    case TraceDetail::kSubmit:
+      if (!slot.text.empty()) ev.detail += " " + slot.text;
+      ev.detail += " at N" + std::to_string(ev.node);
+      break;
+    case TraceDetail::kCommit:
+      ev.detail += " OK";
+      break;
+    case TraceDetail::kBroadcast:
+      ev.detail += " seq=" + std::to_string(ev.seq);
+      break;
+    case TraceDetail::kPaxosPropose:
+      ev.detail += " ballot=0";
+      break;
+    case TraceDetail::kText:
+      break;
   }
   return ev;
 }
@@ -177,11 +227,11 @@ std::vector<TraceEvent> Tracer::events() const {
   // Per-ring seqs are not globally ordered; (time, ring, seq) is the
   // deterministic total order.
   std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
-    if (a.second->ev.at != b.second->ev.at) {
-      return a.second->ev.at < b.second->ev.at;
+    if (a.second->stamp.at != b.second->stamp.at) {
+      return a.second->stamp.at < b.second->stamp.at;
     }
     if (a.first != b.first) return a.first < b.first;
-    return a.second->seq < b.second->seq;
+    return a.second->order < b.second->order;
   });
   std::vector<TraceEvent> out;
   out.reserve(all.size());

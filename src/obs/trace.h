@@ -2,7 +2,10 @@
 #define FRAGDB_OBS_TRACE_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -35,16 +38,36 @@ struct TraceEvent {
 };
 
 /// How a recorded event gets its detail text. kText events carry it as
-/// recorded. The others are the records written on every commit and
-/// every install: they store no string, and the detail is rendered from
-/// the event's own fields whenever the event is read (dump time), so the
-/// hot path formats nothing. Each also fixes the event's kind.
+/// recorded. The others are the records written on every transaction,
+/// commit and install: they store no string, and the detail is rendered
+/// from the event's own fields whenever the event is read (dump time), so
+/// the hot path formats nothing. Each also fixes the event's kind.
 enum class TraceDetail : uint8_t {
   kText,
   /// kind "install", detail "T<txn> seq=<seq> at N<node>".
   kInstall,
   /// kind "paxos-decide", detail "T<txn> commit".
   kPaxosDecide,
+  /// kind "submit", detail "T<txn> <label> at N<node>" ("T<txn> at
+  /// N<node>" for an empty label); the label is recorded as the text.
+  kSubmit,
+  /// kind "commit", detail "T<txn> OK".
+  kCommit,
+  /// kind "broadcast", detail "T<txn> seq=<seq>".
+  kBroadcast,
+  /// kind "paxos-propose", detail "T<txn> ballot=0".
+  kPaxosPropose,
+};
+
+/// One event's fixed fields, as a recorder stores them. `kind` must
+/// outlive the recorder: a string literal, or TraceDetailKind's result.
+struct TraceStamp {
+  SimTime at = 0;
+  const char* kind = nullptr;
+  NodeId node = kInvalidNode;
+  FragmentId fragment = kInvalidFragment;
+  TxnId txn = kInvalidTxn;
+  SeqNum seq = 0;
 };
 
 /// The kind a rendered-detail event is recorded under (nullptr for kText).
@@ -73,12 +96,21 @@ class Tracer {
   /// `nodes` per-node rings plus the cluster-wide ring; `capacity` events
   /// retained per ring, 0 = unbounded.
   explicit Tracer(int nodes = 0, int capacity = 0);
+  // Slots point at kinds the rings intern: a copy would share them.
+  Tracer(const Tracer&) = delete;
+  Tracer& operator=(const Tracer&) = delete;
+  Tracer(Tracer&&) = default;
+  Tracer& operator=(Tracer&&) = default;
 
   /// Records `ev`. With a rendered `detail` format, `ev.detail` should be
-  /// empty: the detail is produced from the event's fields when it is
-  /// read.
-  void Record(TraceEvent ev, NodeId acting = kInvalidNode,
+  /// empty (kSubmit: the label): the detail is produced from the event's
+  /// fields when it is read.
+  void Record(const TraceEvent& ev, NodeId acting = kInvalidNode,
               TraceDetail detail = TraceDetail::kText);
+  /// The same, written straight into the ring: `text` is the kText detail
+  /// or kSubmit's label, and is ignored by the other formats.
+  void Record(const TraceStamp& stamp, std::string_view text, NodeId acting,
+              TraceDetail detail);
   void Clear();
 
   /// Events retained per ring (0 = unbounded).
@@ -111,16 +143,30 @@ class Tracer {
   struct Slot {
     // 56 bits of ring sequence leave room for the format in the same
     // word, so the format costs no slot space.
-    uint64_t seq : 56 = 0;
+    uint64_t order : 56 = 0;
     TraceDetail detail : 8 = TraceDetail::kText;
-    TraceEvent ev;
+    TraceStamp stamp;
+    /// kText: the detail. kSubmit: the label. Empty otherwise; an
+    /// overwritten slot reuses the buffer.
+    std::string text;
   };
   /// The event as recorded, with a rendered detail filled in.
   static TraceEvent Materialize(const Slot& slot);
+  struct StringHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
   struct Ring {
     std::vector<Slot> slots;  // at most capacity_ when bounded
     size_t next = 0;          // overwrite position once full
     uint64_t next_seq = 0;    // records ever made to this ring
+    /// Kinds recorded through Record(TraceEvent): only the thread writing
+    /// the ring touches it.
+    std::unordered_set<std::string, StringHash, std::equal_to<>> interned;
+
+    const char* Intern(std::string_view s);
   };
 
   /// Index of the ring for `node`; out-of-range nodes map to the

@@ -1,6 +1,7 @@
 #include "verify/checkers.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -8,6 +9,7 @@
 #include <tuple>
 
 #include "common/logging.h"
+#include "common/radix_sort.h"
 
 namespace fragdb {
 
@@ -198,35 +200,26 @@ struct DecidedSlots {
 
 DecidedSlots GroupDecisions(const History& history) {
   const std::vector<CommitDecisionRecord>& decisions = history.decisions();
-  struct Key {
-    FragmentId fragment;
-    uint32_t index;
-    SeqNum seq;
-  };
-  FRAGDB_CHECK(decisions.size() <= std::numeric_limits<uint32_t>::max());
-  std::vector<Key> keys;
-  keys.reserve(decisions.size());
-  for (size_t i = 0; i < decisions.size(); ++i) {
-    keys.push_back({decisions[i].fragment, static_cast<uint32_t>(i),
-                    decisions[i].seq});
-  }
-  // Pushed in record order, so each slot's records stay in record order.
-  std::stable_sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
-    return std::tie(a.fragment, a.seq) < std::tie(b.fragment, b.seq);
+  // Stable, so each slot's records stay in record order.
+  const SortedRecords order(decisions.size(), [&decisions](uint32_t i) {
+    return std::array<int64_t, 2>{decisions[i].fragment, decisions[i].seq};
   });
   DecidedSlots slots;
-  for (size_t i = 0; i < keys.size();) {
-    const CommitDecisionRecord* first = &decisions[keys[i].index];
-    slots.first.push_back(first);
-    for (; i < keys.size() && keys[i].fragment == first->fragment &&
-           keys[i].seq == first->seq;
-         ++i) {
-      const CommitDecisionRecord* d = &decisions[keys[i].index];
-      if (d->commit != first->commit &&
-          (slots.clash == nullptr || d < slots.clash)) {
-        slots.clash = d;
-        slots.clash_first = first;
-      }
+  // first_of[i]: the first record of decision i's slot.
+  std::vector<uint32_t> first_of(decisions.size());
+  for (size_t j = 0; j < order.size();) {
+    const size_t head = j;
+    slots.first.push_back(&decisions[order.index(head)]);
+    for (; j < order.size() && order.SameKey(j, head); ++j) {
+      first_of[order.index(j)] = order.index(head);
+    }
+  }
+  for (size_t i = 0; i < decisions.size(); ++i) {
+    const CommitDecisionRecord& first = decisions[first_of[i]];
+    if (decisions[i].commit != first.commit) {
+      slots.clash = &decisions[i];
+      slots.clash_first = &first;
+      break;
     }
   }
   return slots;
@@ -239,55 +232,45 @@ CheckReport CheckInstallsAgainst(const History& history,
   // slots: a decided slot's installs must carry its transaction, once per
   // node lifetime.
   const std::vector<InstallRecord>& installs = history.installs();
-  struct Key {
-    FragmentId fragment;
-    NodeId node;
-    SeqNum seq;
-    int incarnation;
-    uint32_t index;
-  };
-  FRAGDB_CHECK(installs.size() <= std::numeric_limits<uint32_t>::max());
-  std::vector<Key> keys;
-  keys.reserve(installs.size());
-  for (size_t i = 0; i < installs.size(); ++i) {
+  const SortedRecords order(installs.size(), [&installs](uint32_t i) {
     const InstallRecord& rec = installs[i];
-    keys.push_back({rec.fragment, rec.node, rec.seq, rec.incarnation,
-                    static_cast<uint32_t>(i)});
-  }
-  auto lifetime = [](const Key& k) {
-    return std::tie(k.fragment, k.seq, k.node, k.incarnation);
-  };
-  std::stable_sort(keys.begin(), keys.end(),
-                   [&](const Key& a, const Key& b) {
-                     return lifetime(a) < lifetime(b);
-                   });
-  // The first wrong install in record order, and the first repeated
-  // install in slot order.
-  const InstallRecord* wrong = nullptr;
-  const CommitDecisionRecord* wrong_slot = nullptr;
-  const Key* twice = nullptr;
+    return std::array<int64_t, 4>{rec.fragment, rec.seq, rec.node,
+                                  rec.incarnation};
+  });
+  // slot_of[i]: the decided slot install i fills, if any; `twice`: the
+  // first repeated lifetime, in slot order.
+  constexpr uint32_t kUndecided = std::numeric_limits<uint32_t>::max();
+  std::vector<uint32_t> slot_of(installs.size(), kUndecided);
+  std::array<int64_t, 4> twice{};
   const CommitDecisionRecord* twice_slot = nullptr;
   size_t s = 0;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    const Key& k = keys[i];
+  for (size_t j = 0; j < order.size(); ++j) {
+    const std::array<int64_t, 4> k = order.key(j);
     auto slot_before = [&k](const CommitDecisionRecord* d) {
-      return std::tie(d->fragment, d->seq) < std::tie(k.fragment, k.seq);
+      return std::make_pair(int64_t{d->fragment}, d->seq) <
+             std::make_pair(k[0], k[1]);
     };
     while (s < decided.first.size() && slot_before(decided.first[s])) ++s;
     if (s == decided.first.size()) break;
     const CommitDecisionRecord& d = *decided.first[s];
-    if (d.fragment != k.fragment || d.seq != k.seq) continue;
-    const InstallRecord& rec = installs[k.index];
-    if (!d.commit || rec.writer != d.txn) {
-      if (wrong == nullptr || &rec < wrong) {
-        wrong = &rec;
-        wrong_slot = &d;
-      }
-      continue;
-    }
-    if (twice == nullptr && i > 0 && lifetime(keys[i - 1]) == lifetime(k)) {
-      twice = &k;
+    if (d.fragment != k[0] || d.seq != k[1]) continue;
+    slot_of[order.index(j)] = static_cast<uint32_t>(s);
+    // Every install of a decided slot is checked below, so a repeat only
+    // matters when all of them carry the slot's transaction.
+    if (twice_slot == nullptr && j > 0 && order.SameKey(j - 1, j)) {
+      twice = k;
       twice_slot = &d;
+    }
+  }
+  // The first wrong install in record order.
+  const InstallRecord* wrong = nullptr;
+  const CommitDecisionRecord* wrong_slot = nullptr;
+  for (size_t i = 0; i < installs.size() && wrong == nullptr; ++i) {
+    if (slot_of[i] == kUndecided) continue;
+    const CommitDecisionRecord& d = *decided.first[slot_of[i]];
+    if (!d.commit || installs[i].writer != d.txn) {
+      wrong = &installs[i];
+      wrong_slot = &d;
     }
   }
   if (wrong != nullptr) {
@@ -299,11 +282,11 @@ CheckReport CheckInstallsAgainst(const History& history,
        << (d.commit ? "T" + std::to_string(d.txn) : std::string("abort"));
     return CheckReport::Fail(os.str(), {wrong->writer, d.txn});
   }
-  if (twice != nullptr) {
+  if (twice_slot != nullptr) {
     std::ostringstream os;
-    os << "N" << twice->node << " installed F" << twice->fragment << " seq "
-       << twice->seq << " twice in one lifetime (incarnation "
-       << twice->incarnation << ")";
+    os << "N" << twice[2] << " installed F" << twice[0] << " seq "
+       << twice[1] << " twice in one lifetime (incarnation " << twice[3]
+       << ")";
     return CheckReport::Fail(os.str(), {twice_slot->txn});
   }
   return CheckReport::Pass();

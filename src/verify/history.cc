@@ -1,21 +1,17 @@
 #include "verify/history.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <tuple>
 
 #include "common/logging.h"
+#include "common/radix_sort.h"
 
 namespace fragdb {
 
 namespace {
-
-/// `n` as a 32-bit count or index.
-uint32_t Narrow32(size_t n) {
-  FRAGDB_CHECK(n <= std::numeric_limits<uint32_t>::max());
-  return static_cast<uint32_t>(n);
-}
 
 /// The write arena stays addressable by InstallRecord's 32-bit offsets.
 void CheckArenaSize(size_t size) {
@@ -38,18 +34,18 @@ struct ById {
 /// Groups (fragment, value) pairs into per-fragment lists, keeping the
 /// pairs' order within each fragment.
 template <typename Lists, typename V>
-void GroupByFragment(std::vector<std::pair<FragmentId, V>> pairs,
+void GroupByFragment(const std::vector<std::pair<FragmentId, V>>& pairs,
                      Lists* out) {
-  std::stable_sort(pairs.begin(), pairs.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    if (i == 0 || pairs[i].first != pairs[i - 1].first) {
-      out->fragments.push_back(pairs[i].first);
+  const SortedRecords order(pairs.size(), [&pairs](uint32_t i) {
+    return std::array<int64_t, 1>{pairs[i].first};
+  });
+  for (size_t j = 0; j < order.size(); ++j) {
+    const auto& [fragment, value] = pairs[order.index(j)];
+    if (j == 0 || !order.SameKey(j, j - 1)) {
+      out->fragments.push_back(fragment);
       out->lists.emplace_back();
     }
-    out->lists.back().push_back(pairs[i].second);
+    out->lists.back().push_back(value);
   }
 }
 
@@ -98,26 +94,19 @@ void History::MarkCommittedPartial(TxnId id, SeqNum frag_seq) {
 
 TxnId History::FoldTxnLogs(TxnTable* table, std::span<TxnLog* const> logs) {
   // Every event once, by (id, log, position in log): the order in which
-  // the per-log, then cross-log, merge below consumes them.
-  struct Key {
-    TxnId id;
-    uint32_t log;
-    uint32_t event;
-  };
-  std::vector<Key> keys;
-  size_t total = 0;
-  for (const TxnLog* log : logs) total += log->events.size();
-  if (total == 0) return kInvalidTxn;
-  keys.reserve(total);
-  for (size_t l = 0; l < logs.size(); ++l) {
-    const std::vector<TxnLog::Event>& events = logs[l]->events;
-    for (size_t e = 0; e < events.size(); ++e) {
-      keys.push_back({events[e].id, Narrow32(l), Narrow32(e)});
-    }
+  // the per-log, then cross-log, merge below consumes them. Events are
+  // numbered by their position in the logs' concatenation, and a stable
+  // sort by id leaves each id's events in that order.
+  std::vector<size_t> log_start;
+  std::vector<TxnId> event_ids;
+  for (const TxnLog* log : logs) {
+    log_start.push_back(event_ids.size());
+    for (const TxnLog::Event& e : log->events) event_ids.push_back(e.id);
   }
-  // Pushed in (log, event) order, so a stable sort by id completes it.
-  std::stable_sort(keys.begin(), keys.end(),
-                   [](const Key& a, const Key& b) { return a.id < b.id; });
+  if (event_ids.empty()) return kInvalidTxn;
+  const SortedRecords order(event_ids.size(), [&event_ids](uint32_t i) {
+    return std::array<int64_t, 1>{event_ids[i]};
+  });
 
   // Within one log, a registration replaces the record and a commit mark
   // sets only committed and frag_seq.
@@ -156,28 +145,54 @@ TxnId History::FoldTxnLogs(TxnTable* table, std::span<TxnLog* const> logs) {
   // Known ids update in place; new ones collect in `fresh` (ascending)
   // and merge in after, moving only the table's tail past the first.
   size_t ids = 0;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    ids += i == 0 || keys[i].id != keys[i - 1].id;
+  for (size_t j = 0; j < order.size(); ++j) {
+    ids += j == 0 || !order.SameKey(j, j - 1);
   }
   TxnTable fresh;
   fresh.reserve(ids);
   auto at = table->begin();
   TxnId orphan = kInvalidTxn;
-  for (size_t i = 0; i < keys.size();) {
-    const TxnId id = keys[i].id;
+  for (size_t j = 0; j < order.size();) {
+    const size_t first_event = j;
+    const TxnId id = order.key(j)[0];
     at = std::lower_bound(at, table->end(), id, ById());
     const bool known = at != table->end() && at->first == id;
     std::optional<TxnRecord> rec;
     if (known) rec = std::move(at->second);
     bool shard_committed = false;
-    while (i < keys.size() && keys[i].id == id) {
-      const uint32_t l = keys[i].log;
+    while (j < order.size() && order.SameKey(j, first_event)) {
+      // This id's events in log l, in log order.
+      const size_t l = static_cast<size_t>(
+          std::upper_bound(log_start.begin(), log_start.end(),
+                           order.index(j)) -
+          log_start.begin() - 1);
       TxnLog& log = *logs[l];
+      auto event = [&](size_t k) -> const TxnLog::Event& {
+        return log.events[order.index(k) - log_start[l]];
+      };
+      const size_t begin = j;
+      const size_t log_end = log_start[l] + log.events.size();
+      bool registers = false;
+      for (; j < order.size() && order.SameKey(j, first_event) &&
+             order.index(j) < log_end;
+           ++j) {
+        registers = registers || event(j).registration >= 0;
+      }
+      if (l != 0 && !registers) {
+        // A shard's bare commit marks fold as apply-then-merge would:
+        // committed, at the last mark's sequence, with no record built.
+        if (!rec.has_value()) {
+          rec.emplace();
+          rec->id = id;
+        }
+        rec->committed = true;
+        rec->frag_seq = event(j - 1).frag_seq;
+        shard_committed = true;
+        continue;
+      }
       std::optional<TxnRecord> shard;
       std::optional<TxnRecord>& into = l == 0 ? rec : shard;
-      for (; i < keys.size() && keys[i].id == id && keys[i].log == l; ++i) {
-        apply(log, log.events[keys[i].event], into);
-      }
+      for (size_t k = begin; k < j; ++k) apply(log, event(k), into);
       if (l == 0) continue;
       shard_committed = shard_committed || shard->committed;
       merge(std::move(*shard), rec);
@@ -332,26 +347,13 @@ const History::Lookups& History::lookups() const {
   Lookups& t = cache_.tables.emplace();
   // Installs replicate each version at several nodes: sort them by
   // version, (writer, fragment, seq), so each writer's copies sit
-  // together, and read one copy's writes per version (plus any copy whose
-  // write set differs, which nothing the engine records does).
-  struct Copy {
-    TxnId writer;
-    SeqNum seq;
-    FragmentId fragment;
-    uint32_t index;
-  };
-  std::vector<Copy> copies;
-  copies.reserve(installs_.size());
-  for (size_t i = 0; i < installs_.size(); ++i) {
+  // together. A version's writes are read from its head, its first copy
+  // in record order, and from any copy whose write set differs (which
+  // nothing the engine records does).
+  const SortedRecords copies(installs_.size(), [this](uint32_t i) {
     const InstallRecord& rec = installs_[i];
-    copies.push_back({rec.writer, rec.seq, rec.fragment, Narrow32(i)});
-  }
-  // Pushed in record order, so each version's first copy comes first.
-  std::stable_sort(copies.begin(), copies.end(),
-                   [](const Copy& a, const Copy& b) {
-                     return std::tie(a.writer, a.fragment, a.seq) <
-                            std::tie(b.writer, b.fragment, b.seq);
-                   });
+    return std::array<int64_t, 3>{rec.writer, rec.fragment, rec.seq};
+  });
   // (object, seq, writer, fragment) of every distinct version written.
   struct Version {
     ObjectId object;
@@ -360,28 +362,35 @@ const History::Lookups& History::lookups() const {
     FragmentId fragment;
   };
   std::vector<Version> versions;
-  auto same_version = [](const Copy& a, const Copy& b) {
-    return a.writer == b.writer && a.fragment == b.fragment && a.seq == b.seq;
-  };
-  for (size_t i = 0; i < copies.size();) {
-    const Copy& head = copies[i];
-    const std::span<const WriteOp> head_writes =
-        WritesOf(installs_[head.index]);
-    for (; i < copies.size() && same_version(copies[i], head); ++i) {
-      std::span<const WriteOp> writes = WritesOf(installs_[copies[i].index]);
-      if (&copies[i] != &head && std::ranges::equal(writes, head_writes)) {
-        continue;
-      }
-      for (const WriteOp& w : writes) {
-        versions.push_back({w.object, head.seq, head.writer, head.fragment});
-      }
+  std::vector<uint32_t> head_of(installs_.size());
+  for (size_t j = 0; j < copies.size();) {
+    const size_t first_copy = j;
+    const uint32_t head = copies.index(j);
+    const auto [writer, fragment, seq] = copies.key(j);
+    for (; j < copies.size() && copies.SameKey(j, first_copy); ++j) {
+      head_of[copies.index(j)] = head;
+    }
+    for (const WriteOp& w : WritesOf(installs_[head])) {
+      versions.push_back(
+          {w.object, seq, writer, static_cast<FragmentId>(fragment)});
     }
     // A writer's first install: the earliest head among its versions.
     std::vector<std::pair<TxnId, size_t>>& first = t.first_install;
-    if (first.empty() || first.back().first != head.writer) {
-      first.emplace_back(head.writer, head.index);
-    } else if (head.index < first.back().second) {
-      first.back().second = head.index;
+    if (first.empty() || first.back().first != writer) {
+      first.emplace_back(writer, head);
+    } else if (head < first.back().second) {
+      first.back().second = head;
+    }
+  }
+  // The other copies, in record order: their heads are few and shared.
+  for (size_t i = 0; i < installs_.size(); ++i) {
+    const InstallRecord& head = installs_[head_of[i]];
+    const std::span<const WriteOp> writes = WritesOf(installs_[i]);
+    if (head_of[i] == i || std::ranges::equal(writes, WritesOf(head))) {
+      continue;
+    }
+    for (const WriteOp& w : writes) {
+      versions.push_back({w.object, head.seq, head.writer, head.fragment});
     }
   }
   // Version chains: distinct (seq, writer) per object, in seq order.
@@ -420,7 +429,7 @@ const History::Lookups& History::lookups() const {
   for (const auto& [object, fragment] : object_fragments) {
     objects_of.emplace_back(fragment, object);
   }
-  GroupByFragment(std::move(objects_of), &t.objects_of);
+  GroupByFragment(objects_of, &t.objects_of);
 
   std::vector<std::pair<FragmentId, TxnId>> updaters;
   for (const auto& [id, rec] : txns_) {
@@ -428,7 +437,7 @@ const History::Lookups& History::lookups() const {
       updaters.emplace_back(rec.type_fragment, id);
     }
   }
-  GroupByFragment(std::move(updaters), &t.updaters);
+  GroupByFragment(updaters, &t.updaters);
 
   std::vector<std::pair<FragmentId, const ReadRecord*>> reads_on;
   reads_on.reserve(reads_.size());
@@ -446,7 +455,7 @@ const History::Lookups& History::lookups() const {
       reads_on.emplace_back(it->second, &r);
     }
   }
-  GroupByFragment(std::move(reads_on), &t.reads_on);
+  GroupByFragment(reads_on, &t.reads_on);
   return t;
 }
 

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "common/rng.h"
+
 namespace fragdb {
 namespace {
 
@@ -402,6 +409,263 @@ TEST(DecidedInstallsTest, UndecidedSlotsAreNotChecked) {
   d.b.Write(9, 0, 2, {{0, 9}});
   d.b.Write(9, 0, 2, {{0, 9}});
   EXPECT_TRUE(CheckDecidedInstalls(d.b.h).ok);
+}
+
+// The first-failure choices, pinned: the first wrong install in record
+// order, the first repeated install in slot order, the first clashing
+// decision in record order.
+
+void InstallAt(History* h, NodeId node, SeqNum seq, TxnId writer,
+               int incarnation = 0) {
+  QuasiTxn q;
+  q.origin_txn = writer;
+  q.fragment = 0;
+  q.seq = seq;
+  q.origin_node = 0;
+  q.writes = {{0, static_cast<Value>(writer)}};
+  h->RecordInstall(node, q, 50, incarnation);
+}
+
+// Slots (F0, 1) and (F0, 2) decided T1 and T2 at nodes 0 and 1.
+HistoryBuilder TwoDecidedSlots() {
+  HistoryBuilder b;
+  for (TxnId id : {1, 2}) {
+    b.Txn(id, 0, 0);
+    b.Commit(id, id);
+    b.h.RecordDecision(Decision(0, id, id, true));
+    b.h.RecordDecision(Decision(1, id, id, true));
+  }
+  return b;
+}
+
+TEST(DecidedInstallsTest, ReportsTheFirstWrongInstallInRecordOrder) {
+  HistoryBuilder b = TwoDecidedSlots();
+  b.Txn(5, 0, 0);
+  b.Txn(6, 0, 0);
+  InstallAt(&b.h, 1, 1, 1);
+  InstallAt(&b.h, 3, 2, 5);  // slot 2 before slot 1, in record order
+  InstallAt(&b.h, 2, 1, 6);
+  CheckReport report = CheckDecidedInstalls(b.h);
+  EXPECT_EQ(report.detail,
+            "N3 installed T5 at F0 seq 2, but the slot decided T2");
+  EXPECT_EQ(report.witnesses, (std::vector<TxnId>{5, 2}));
+  EXPECT_EQ(CheckCommitAtomicity(b.h).detail, report.detail);
+}
+
+TEST(DecidedInstallsTest, ReportsTheFirstDoubleInstallInSlotOrder) {
+  HistoryBuilder b = TwoDecidedSlots();
+  InstallAt(&b.h, 2, 2, 2);
+  InstallAt(&b.h, 2, 2, 2);  // recorded first, but slot 2
+  InstallAt(&b.h, 3, 1, 1);
+  InstallAt(&b.h, 1, 1, 1, /*incarnation=*/1);
+  InstallAt(&b.h, 3, 1, 1);  // slot 1, node 3
+  InstallAt(&b.h, 1, 1, 1, /*incarnation=*/1);  // slot 1, node 1: first
+  CheckReport report = CheckDecidedInstalls(b.h);
+  EXPECT_EQ(report.detail,
+            "N1 installed F0 seq 1 twice in one lifetime (incarnation 1)");
+  EXPECT_EQ(report.witnesses, (std::vector<TxnId>{1}));
+  EXPECT_EQ(CheckCommitAtomicity(b.h).detail, report.detail);
+}
+
+TEST(CommitAtomicityTest, ReportsTheFirstClashInRecordOrder) {
+  HistoryBuilder b;
+  b.Txn(1, 0, 0);
+  b.Commit(1, 1);
+  b.Txn(2, 0, 0);
+  b.Commit(2, 2);
+  b.h.RecordDecision(Decision(0, 1, 1, true));
+  b.h.RecordDecision(Decision(2, 2, 2, false));
+  b.h.RecordDecision(Decision(0, 2, 2, true));  // slot 2 clashes first
+  b.h.RecordDecision(Decision(1, 1, 1, false));
+  b.h.RecordDecision(Decision(3, 2, 2, true));
+  CheckReport report = CheckCommitAtomicity(b.h);
+  EXPECT_EQ(report.detail,
+            "commit decision for F0 seq 2 disagrees: N2 decided abort, N0 "
+            "decided commit");
+  EXPECT_EQ(report.witnesses, (std::vector<TxnId>{2, 2}));
+}
+
+// The sort-based CheckCommitAtomicity and CheckDecidedInstalls that
+// CheckInstallsAgainst's radix grouping replaced: stable sorts of the
+// decisions by slot and of the installs by node lifetime.
+struct RefSlots {
+  std::vector<const CommitDecisionRecord*> first;
+  const CommitDecisionRecord* clash = nullptr;
+  const CommitDecisionRecord* clash_first = nullptr;
+};
+
+RefSlots RefGroupDecisions(const History& h) {
+  std::vector<const CommitDecisionRecord*> sorted;
+  for (const CommitDecisionRecord& d : h.decisions()) sorted.push_back(&d);
+  std::stable_sort(sorted.begin(), sorted.end(), [](auto* a, auto* b) {
+    return std::tie(a->fragment, a->seq) < std::tie(b->fragment, b->seq);
+  });
+  RefSlots slots;
+  for (size_t i = 0; i < sorted.size();) {
+    const CommitDecisionRecord* first = sorted[i];
+    slots.first.push_back(first);
+    for (; i < sorted.size() && sorted[i]->fragment == first->fragment &&
+           sorted[i]->seq == first->seq;
+         ++i) {
+      const CommitDecisionRecord* d = sorted[i];
+      if (d->commit != first->commit &&
+          (slots.clash == nullptr || d < slots.clash)) {
+        slots.clash = d;
+        slots.clash_first = first;
+      }
+    }
+  }
+  return slots;
+}
+
+CheckReport RefInstallsAgainst(const History& h, const RefSlots& decided) {
+  if (decided.first.empty()) return CheckReport::Pass();
+  std::vector<const InstallRecord*> sorted;
+  for (const InstallRecord& rec : h.installs()) sorted.push_back(&rec);
+  auto lifetime = [](const InstallRecord* r) {
+    return std::tie(r->fragment, r->seq, r->node, r->incarnation);
+  };
+  std::stable_sort(sorted.begin(), sorted.end(), [&](auto* a, auto* b) {
+    return lifetime(a) < lifetime(b);
+  });
+  const InstallRecord* wrong = nullptr;
+  const CommitDecisionRecord* wrong_slot = nullptr;
+  const InstallRecord* twice = nullptr;
+  const CommitDecisionRecord* twice_slot = nullptr;
+  size_t s = 0;
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    const InstallRecord& rec = *sorted[i];
+    while (s < decided.first.size() &&
+           std::tie(decided.first[s]->fragment, decided.first[s]->seq) <
+               std::tie(rec.fragment, rec.seq)) {
+      ++s;
+    }
+    if (s == decided.first.size()) break;
+    const CommitDecisionRecord& d = *decided.first[s];
+    if (d.fragment != rec.fragment || d.seq != rec.seq) continue;
+    if (!d.commit || rec.writer != d.txn) {
+      if (wrong == nullptr || &rec < wrong) {
+        wrong = &rec;
+        wrong_slot = &d;
+      }
+      continue;
+    }
+    if (twice == nullptr && i > 0 &&
+        lifetime(sorted[i - 1]) == lifetime(&rec)) {
+      twice = &rec;
+      twice_slot = &d;
+    }
+  }
+  if (wrong != nullptr) {
+    return CheckReport::Fail(
+        "N" + std::to_string(wrong->node) + " installed T" +
+            std::to_string(wrong->writer) + " at F" +
+            std::to_string(wrong->fragment) + " seq " +
+            std::to_string(wrong->seq) + ", but the slot decided " +
+            (wrong_slot->commit ? "T" + std::to_string(wrong_slot->txn)
+                                : std::string("abort")),
+        {wrong->writer, wrong_slot->txn});
+  }
+  if (twice != nullptr) {
+    return CheckReport::Fail(
+        "N" + std::to_string(twice->node) + " installed F" +
+            std::to_string(twice->fragment) + " seq " +
+            std::to_string(twice->seq) +
+            " twice in one lifetime (incarnation " +
+            std::to_string(twice->incarnation) + ")",
+        {twice_slot->txn});
+  }
+  return CheckReport::Pass();
+}
+
+CheckReport RefCommitAtomicity(const History& h) {
+  const RefSlots slots = RefGroupDecisions(h);
+  if (slots.clash != nullptr) {
+    const CommitDecisionRecord* head = slots.clash_first;
+    const CommitDecisionRecord* d = slots.clash;
+    return CheckReport::Fail(
+        "commit decision for F" + std::to_string(d->fragment) + " seq " +
+            std::to_string(d->seq) + " disagrees: N" +
+            std::to_string(head->node) + " decided " +
+            (head->commit ? "commit" : "abort") + ", N" +
+            std::to_string(d->node) + " decided " +
+            (d->commit ? "commit" : "abort"),
+        {head->txn, d->txn});
+  }
+  for (const CommitDecisionRecord* d : slots.first) {
+    if (!d->commit || d->txn == kInvalidTxn) continue;
+    const TxnRecord* rec = h.FindTxn(d->txn);
+    if (rec == nullptr || !rec->committed) {
+      return CheckReport::Fail(
+          "F" + std::to_string(d->fragment) + " seq " +
+              std::to_string(d->seq) + " decided commit for T" +
+              std::to_string(d->txn) +
+              " but the history does not mark it committed",
+          {d->txn});
+    }
+  }
+  return RefInstallsAgainst(h, slots);
+}
+
+void ExpectSameReport(const CheckReport& got, const CheckReport& want) {
+  EXPECT_EQ(got.ok, want.ok);
+  EXPECT_EQ(got.detail, want.detail);
+  EXPECT_EQ(got.witnesses, want.witnesses);
+}
+
+TEST(CommitAtomicityTest, MatchesSortedReferenceOverRandomHistories) {
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    // Every fourth history spreads its sequence numbers over 2^60, past
+    // what a 64-bit packed key holds next to a record index.
+    const bool wide = seed % 4 == 0;
+    const int fragments = 1 + static_cast<int>(rng.NextBelow(3));
+    const int seqs = 1 + static_cast<int>(rng.NextBelow(40));
+    const double abort_p = seed % 3 == 0 ? 0.0 : 0.002;
+    const double wrong_p = seed % 5 < 2 ? 0.0 : 0.002;
+    auto seq_of = [&](int k) {
+      return static_cast<SeqNum>(wide && k % 2 == 1 ? (SeqNum{1} << 60) + k
+                                                    : k + 1);
+    };
+    auto txn_of = [](FragmentId f, SeqNum seq) {
+      return static_cast<TxnId>(1 + f + 3 * (seq % 1000));
+    };
+    HistoryBuilder b;
+    for (int f = 0; f < fragments; ++f) {
+      for (int k = 0; k < seqs; ++k) {
+        const TxnId id = txn_of(f, seq_of(k));
+        if (b.h.FindTxn(id) != nullptr) continue;
+        b.Txn(id, f, 0);
+        if (rng.NextBool(0.995)) b.Commit(id, seq_of(k));
+      }
+    }
+    const int decisions = 200 + static_cast<int>(rng.NextBelow(1300));
+    for (int i = 0; i < decisions; ++i) {
+      CommitDecisionRecord d;
+      d.node = static_cast<NodeId>(rng.NextBelow(8));
+      d.fragment = static_cast<FragmentId>(rng.NextBelow(fragments));
+      d.seq = seq_of(static_cast<int>(rng.NextBelow(seqs)));
+      d.txn = txn_of(d.fragment, d.seq);
+      d.commit = !rng.NextBool(abort_p);
+      b.h.RecordDecision(d);
+    }
+    const int installs = 200 + static_cast<int>(rng.NextBelow(1300));
+    for (int i = 0; i < installs; ++i) {
+      const FragmentId f = static_cast<FragmentId>(rng.NextBelow(fragments));
+      const SeqNum seq = seq_of(static_cast<int>(rng.NextBelow(seqs + 2)));
+      QuasiTxn q;
+      q.origin_txn = rng.NextBool(wrong_p) ? 999 : txn_of(f, seq);
+      q.fragment = f;
+      q.seq = seq;
+      q.writes = {{f, 1}};
+      b.h.RecordInstall(static_cast<NodeId>(rng.NextBelow(8)), q, 0,
+                        static_cast<int>(rng.NextBelow(3)));
+    }
+    ExpectSameReport(CheckCommitAtomicity(b.h), RefCommitAtomicity(b.h));
+    ExpectSameReport(CheckDecidedInstalls(b.h),
+                     RefInstallsAgainst(b.h, RefGroupDecisions(b.h)));
+  }
 }
 
 // --------------------------------------------------------------------------

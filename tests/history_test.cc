@@ -294,12 +294,14 @@ constexpr ObjectId kObjectPool[] = {0, 5, 64, 900001, 123456789};
 // Random records applied alike to a compact history and to the model.
 struct Recorder {
   Rng rng;
-  template <typename T, size_t N>
-  T Pick(const T (&pool)[N]) {
-    return pool[rng.NextBelow(N)];
+  std::span<const TxnId> txn_pool = kTxnPool;
+  std::span<const ObjectId> object_pool = kObjectPool;
+  template <typename T>
+  T Pick(std::span<const T> pool) {
+    return pool[rng.NextBelow(pool.size())];
   }
   void Step(NodeId node, History* h, RefHistory* ref) {
-    const TxnId id = Pick(kTxnPool);
+    const TxnId id = Pick(txn_pool);
     switch (rng.NextBelow(5)) {
       case 0: {  // registration (a re-registration, when the id repeats)
         TxnRecord rec;
@@ -332,7 +334,7 @@ struct Recorder {
         q.origin_time = static_cast<SimTime>(rng.NextBelow(100));
         const size_t writes = rng.NextBelow(3);
         for (size_t i = 0; i < writes; ++i) {
-          q.writes.push_back({Pick(kObjectPool),
+          q.writes.push_back({Pick(object_pool),
                               static_cast<Value>(rng.NextBelow(50))});
         }
         const SimTime at = 100 + static_cast<SimTime>(rng.NextBelow(100));
@@ -342,7 +344,7 @@ struct Recorder {
         break;
       }
       case 3: {
-        ReadRecord r{id, node, Pick(kObjectPool), Pick(kTxnPool),
+        ReadRecord r{id, node, Pick(object_pool), Pick(txn_pool),
                      static_cast<SeqNum>(rng.NextBelow(5)),
                      static_cast<SimTime>(rng.NextBelow(300))};
         h->RecordRead(r);
@@ -362,7 +364,9 @@ struct Recorder {
   }
 };
 
-void ExpectSameHistory(const History& h, const RefHistory& ref) {
+void ExpectSameHistory(const History& h, const RefHistory& ref,
+                       std::span<const TxnId> txn_pool = kTxnPool,
+                       std::span<const ObjectId> object_pool = kObjectPool) {
   ASSERT_EQ(h.txns().size(), ref.txns.size());
   auto it = ref.txns.begin();
   for (const auto& [id, rec] : h.txns()) {
@@ -407,12 +411,12 @@ void ExpectSameHistory(const History& h, const RefHistory& ref) {
     EXPECT_EQ(h.decisions()[i].txn, ref.decisions[i].txn);
     EXPECT_EQ(h.decisions()[i].at, ref.decisions[i].at);
   }
-  for (ObjectId o : kObjectPool) {
+  for (ObjectId o : object_pool) {
     using Chain = std::vector<std::pair<TxnId, SeqNum>>;
     std::span<const std::pair<TxnId, SeqNum>> chain = h.VersionsOf(o);
     EXPECT_EQ(Chain(chain.begin(), chain.end()), ref.VersionsOf(o));
   }
-  for (TxnId id : kTxnPool) {
+  for (TxnId id : txn_pool) {
     std::span<const WriteOp> writes = h.WritesOf(id);
     EXPECT_EQ(std::vector<WriteOp>(writes.begin(), writes.end()),
               ref.WritesOf(id));
@@ -420,7 +424,7 @@ void ExpectSameHistory(const History& h, const RefHistory& ref) {
   for (FragmentId f = kInvalidFragment; f < 3; ++f) {
     EXPECT_EQ(h.UpdatersOf(f), ref.UpdatersOf(f));
     std::vector<ObjectId> objects;
-    for (ObjectId o : kObjectPool) {
+    for (ObjectId o : object_pool) {
       if (ref.FragmentsOf(o).count(f) > 0) objects.push_back(o);
     }
     std::sort(objects.begin(), objects.end());
@@ -478,6 +482,43 @@ TEST(HistoryCollapseTest, MatchesMapMergeOverRandomShardSchedules) {
         EXPECT_TRUE(shard.txns().empty());
         EXPECT_TRUE(shard.installs().empty());
       }
+    }
+  }
+}
+
+// The same model check on histories large enough for the collapse and
+// lookup sorts to take their radix path, and, with ids spread over 2^62,
+// their comparison-sort fallback (the packed key no longer fits in 64
+// bits next to a record index).
+TEST(HistoryCollapseTest, MatchesMapMergeOverLargeAndWideShardSchedules) {
+  constexpr TxnId kWideTxnPool[] = {-5, 1, 2, 17, 1000003, TxnId{1} << 62};
+  constexpr ObjectId kWideObjectPool[] = {-1, 0, 5, ObjectId{1} << 61};
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Recorder rec{Rng(seed)};
+    if (seed % 2 == 0) {
+      rec.txn_pool = kWideTxnPool;
+      rec.object_pool = kWideObjectPool;
+    }
+    const size_t shard_count = 1 + rec.rng.NextBelow(4);
+    History merged;
+    std::vector<History> shards(shard_count);
+    RefHistory ref_merged;
+    std::vector<RefHistory> ref_shards(shard_count);
+    for (int run = 0; run < 2; ++run) {
+      const size_t steps = 600 + rec.rng.NextBelow(900);
+      for (size_t i = 0; i < steps; ++i) {
+        const size_t sink = rec.rng.NextBelow(shard_count + 1);
+        if (sink == shard_count) {
+          rec.Step(kInvalidNode, &merged, &ref_merged);
+        } else {
+          rec.Step(static_cast<NodeId>(sink), &shards[sink],
+                   &ref_shards[sink]);
+        }
+      }
+      merged.AbsorbShards(shards);
+      for (RefHistory& shard : ref_shards) ref_merged.Absorb(&shard);
+      ExpectSameHistory(merged, ref_merged, rec.txn_pool, rec.object_pool);
     }
   }
 }

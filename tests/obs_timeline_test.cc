@@ -120,13 +120,10 @@ TEST(AvailabilityTrackerTest, NodeDownMakesItsCellsUnavailable) {
     EXPECT_EQ(iv.state, ServeState::kUnavailable);
   }
   // 50ms down out of 200ms x 4 cells: reads lose 2 cells, writes 3.
-  EXPECT_DOUBLE_EQ(t.AvailableFraction(AccessKind::kRead, Millis(200)),
-                   1.0 - 100.0 / 800.0);
-  EXPECT_DOUBLE_EQ(t.AvailableFraction(AccessKind::kWrite, Millis(200)),
-                   1.0 - 150.0 / 800.0);
-  EXPECT_DOUBLE_EQ(
-      t.NodeAvailableFraction(1, AccessKind::kWrite, Millis(200)),
-      1.0 - 50.0 / 400.0);
+  const AvailabilityReport r = BuildAvailabilityReport(t, {}, Millis(200));
+  EXPECT_DOUBLE_EQ(r.read_availability, 1.0 - 100.0 / 800.0);
+  EXPECT_DOUBLE_EQ(r.write_availability, 1.0 - 150.0 / 800.0);
+  EXPECT_DOUBLE_EQ(r.node_write_availability[1], 1.0 - 50.0 / 400.0);
 }
 
 TEST(AvailabilityTrackerTest, CatchingUpIsStaleReadsUnavailableWrites) {
@@ -262,7 +259,7 @@ TEST(AttributionTest, BlamesTheOverlappingFaultAndMeasuresLatencies) {
   ASSERT_FALSE(r.attributed.empty());
   for (const AttributedInterval& ai : r.attributed) {
     if (ai.interval.node == 0) {
-      EXPECT_EQ(ai.fault_label, "crash n0");
+      EXPECT_EQ(r.fault_labels[ai.fault], "crash n0");
       EXPECT_EQ(ai.detect_latency, Millis(5));
       EXPECT_EQ(ai.repair_latency, Millis(20));
     }
@@ -289,7 +286,7 @@ TEST(AttributionTest, FallsBackToLatestPrecedingFault) {
   };
   AvailabilityReport r = BuildAvailabilityReport(t, faults, Millis(300));
   ASSERT_EQ(r.attributed.size(), 1u);
-  EXPECT_EQ(r.attributed[0].fault_label, "loss window");
+  EXPECT_EQ(r.fault_labels[r.attributed[0].fault], "loss window");
   EXPECT_EQ(r.unattributed, 0);
 }
 
