@@ -582,8 +582,8 @@ void BM_TopologyPathLatency(benchmark::State& state) {
 BENCHMARK(BM_TopologyPathLatency)->Arg(8)->Arg(32);
 
 // One home-side update through the scheduler's single path: lock, exec,
-// body, seq, apply, release. allocs_per_txn counts every global operator
-// new of the loop.
+// body, seq, the commit's shared quasi record, apply, release.
+// allocs_per_txn counts every global operator new of the loop.
 void BM_SchedulerPrepareCommit(benchmark::State& state) {
   Catalog catalog;
   FragmentId f = catalog.AddFragment("F");
@@ -607,7 +607,12 @@ void BM_SchedulerPrepareCommit(benchmark::State& state) {
   for (auto _ : state) {
     const TxnId txn = id++;
     sched.Prepare(txn, spec, false, [&sched, &seq, txn, f](TxnResult r) {
-      sched.CommitPrepared(txn, f, r.writes, ++seq, /*release_locks=*/true);
+      auto quasi = std::make_shared<QuasiTxn>();
+      quasi->origin_txn = txn;
+      quasi->fragment = f;
+      quasi->seq = ++seq;
+      quasi->writes = std::move(r.writes);
+      sched.CommitPrepared(*quasi, /*release_locks=*/true);
     });
     engine.RunToQuiescence();
   }

@@ -23,6 +23,8 @@
 // end time or event count, so a determinism regression cannot produce a
 // plausible-looking table.
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -41,6 +43,13 @@ using namespace fragdb;
 using namespace fragdb_bench;
 
 namespace {
+
+/// The process's high-water resident set size, in MB.
+double PeakRssMb() {
+  struct rusage usage {};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
+}
 
 double WallSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
@@ -427,16 +436,19 @@ void RunPdes(const BenchOptions& opts, const std::vector<PdesConfig>& configs,
         report.consistent ? "true" : "false");
     PrintJsonLine(json);
 
-    // Wall-clock line: the only place sim_threads and timing may appear.
-    char wall_json[320];
+    // Wall-clock line: the only place sim_threads, timing and memory may
+    // appear. peak_rss_mb is the process's high-water RSS so far, so it
+    // covers every config run before this one and, with --sim_threads > 1,
+    // the in-process serial re-run.
+    char wall_json[360];
     std::snprintf(
         wall_json, sizeof(wall_json),
         "{\"bench\":\"pdes_wall\",\"nodes\":%d,\"sim_threads\":%d,"
         "\"wall_ms\":%.1f,\"setup_wall_ms\":%.1f,"
         "\"fault_wall_ms_max\":%.1f,\"serial_wall_ms\":%.1f,"
-        "\"speedup\":%.2f}",
+        "\"speedup\":%.2f,\"peak_rss_mb\":%.1f}",
         config.nodes, opts.sim_threads, wall_ms, report.setup_ms,
-        report.fault_ms_max, serial_wall_ms, speedup);
+        report.fault_ms_max, serial_wall_ms, speedup, PeakRssMb());
     PrintJsonLine(wall_json);
   }
 }

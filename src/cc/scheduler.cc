@@ -6,6 +6,21 @@
 
 namespace fragdb {
 
+namespace {
+/// A free slot of `slots` (reused from `free` when one is), grown by one
+/// default entry otherwise.
+template <typename T>
+uint32_t TakeSlot(std::vector<T>& slots, std::vector<uint32_t>& free) {
+  if (free.empty()) {
+    slots.emplace_back();
+    return static_cast<uint32_t>(slots.size() - 1);
+  }
+  const uint32_t slot = free.back();
+  free.pop_back();
+  return slot;
+}
+}  // namespace
+
 Scheduler::Scheduler(NodeId node, SimEngine* engine, ObjectStore* store,
                      LockManager* locks, Config config, Hooks hooks)
     : node_(node),
@@ -19,32 +34,43 @@ void Scheduler::Prepare(TxnId id, TxnSpec spec, bool write_lock_preacquired,
                         std::function<void(TxnResult)> prepared) {
   const bool take_lock = !spec.read_only() && !write_lock_preacquired;
   const ResourceId resource = FragmentResource(spec.write_fragment);
-  // One closure owns the spec and the continuation until the result is
-  // handed over. It runs once — with the lock grant's status, or with Ok
-  // when no lock is taken — and moves both on into the exec event.
-  auto run = [this, id, spec = std::move(spec),
-              prepared = std::move(prepared)](Status granted) mutable {
-    if (!granted.ok()) {
-      TxnResult result;
-      result.id = id;
-      result.status = std::move(granted);
-      result.finished_at = engine_->Now();
-      prepared(std::move(result));
-      return;
-    }
-    engine_->AfterNode(node_, config_.exec_time,
-                       [this, gen = generation_, id, spec = std::move(spec),
-                        prepared = std::move(prepared)] {
-                         // The node crashed meanwhile.
-                         if (gen != generation_) return;
-                         prepared(Execute(id, spec));
-                       });
-  };
+  const uint32_t slot = TakeSlot(prepares_, free_prepares_);
+  PendingPrepare& pending = prepares_[slot];
+  pending.id = id;
+  pending.spec = std::move(spec);
+  pending.prepared = std::move(prepared);
   if (!take_lock) {
-    run(Status::Ok());
+    ScheduleExecute(slot);
     return;
   }
-  locks_->Acquire(id, resource, LockMode::kExclusive, std::move(run));
+  locks_->Acquire(id, resource, LockMode::kExclusive,
+                  [this, slot](Status granted) {
+                    if (granted.ok()) {
+                      ScheduleExecute(slot);
+                      return;
+                    }
+                    TxnResult result;
+                    result.id = prepares_[slot].id;
+                    result.status = std::move(granted);
+                    result.finished_at = engine_->Now();
+                    FinishPrepare(slot, std::move(result));
+                  });
+}
+
+void Scheduler::ScheduleExecute(uint32_t slot) {
+  engine_->AfterNode(node_, config_.exec_time,
+                     [this, gen = generation_, slot] {
+                       // The node crashed meanwhile.
+                       if (gen != generation_) return;
+                       const PendingPrepare& p = prepares_[slot];
+                       FinishPrepare(slot, Execute(p.id, p.spec));
+                     });
+}
+
+void Scheduler::FinishPrepare(uint32_t slot, TxnResult result) {
+  PendingPrepare p = std::move(prepares_[slot]);
+  free_prepares_.push_back(slot);
+  p.prepared(std::move(result));
 }
 
 TxnResult Scheduler::Execute(TxnId id, const TxnSpec& spec) {
@@ -85,21 +111,13 @@ TxnResult Scheduler::Execute(TxnId id, const TxnSpec& spec) {
   return result;
 }
 
-void Scheduler::CommitPrepared(TxnId id, FragmentId fragment,
-                               const std::vector<WriteOp>& writes, SeqNum seq,
-                               bool release_locks) {
-  QuasiTxn quasi;
-  quasi.origin_txn = id;
-  quasi.fragment = fragment;
-  quasi.seq = seq;
-  quasi.origin_node = node_;
-  quasi.origin_time = engine_->Now();
-  quasi.writes = writes;
-  for (const WriteOp& w : writes) {
-    store_->Write(w.object, w.value, id, seq, engine_->Now());
+void Scheduler::CommitPrepared(const QuasiTxn& quasi, bool release_locks) {
+  const SimTime now = engine_->Now();
+  for (const WriteOp& w : quasi.writes) {
+    store_->Write(w.object, w.value, quasi.origin_txn, quasi.seq, now);
   }
-  if (hooks_.on_install) hooks_.on_install(node_, quasi, engine_->Now());
-  if (release_locks) locks_->ReleaseAll(id);
+  if (hooks_.on_install) hooks_.on_install(node_, quasi, now, now);
+  if (release_locks) locks_->ReleaseAll(quasi.origin_txn);
 }
 
 void Scheduler::AbortPrepared(TxnId id, bool release_locks) {
@@ -110,18 +128,13 @@ void Scheduler::Reset() {
   ++generation_;
   installs_.clear();
   free_installs_.clear();
+  prepares_.clear();
+  free_prepares_.clear();
 }
 
-void Scheduler::Install(QuasiTxn quasi, TxnId install_id, InstallDone done) {
-  uint32_t slot;
-  if (free_installs_.empty()) {
-    slot = static_cast<uint32_t>(installs_.size());
-    installs_.emplace_back();
-  } else {
-    slot = free_installs_.back();
-    free_installs_.pop_back();
-  }
-  const ResourceId resource = FragmentResource(quasi.fragment);
+void Scheduler::Install(QuasiRef quasi, TxnId install_id, InstallDone done) {
+  const uint32_t slot = TakeSlot(installs_, free_installs_);
+  const ResourceId resource = FragmentResource(quasi->fragment);
   PendingInstall& pending = installs_[slot];
   pending.quasi = std::move(quasi);
   pending.install_id = install_id;
@@ -144,12 +157,14 @@ void Scheduler::Install(QuasiTxn quasi, TxnId install_id, InstallDone done) {
 void Scheduler::FinishInstall(uint32_t slot) {
   PendingInstall p = std::move(installs_[slot]);
   free_installs_.push_back(slot);
-  const QuasiTxn& quasi = p.quasi;
+  const QuasiTxn& quasi = *p.quasi;
   for (const WriteOp& w : quasi.writes) {
     store_->Write(w.object, w.value, quasi.origin_txn, quasi.seq,
                   engine_->Now());
   }
-  if (hooks_.on_install) hooks_.on_install(node_, quasi, engine_->Now());
+  if (hooks_.on_install) {
+    hooks_.on_install(node_, quasi, engine_->Now(), quasi.origin_time);
+  }
   locks_->Release(p.install_id, FragmentResource(quasi.fragment));
   p.done(std::move(p.quasi));
 }

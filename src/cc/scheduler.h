@@ -39,8 +39,12 @@ class Scheduler {
         on_read;
     /// A (quasi-)transaction's writes were installed in this replica.
     /// Fires at the home node for the original commit and at every remote
-    /// node when the quasi-transaction is applied.
-    std::function<void(NodeId node, const QuasiTxn& quasi, SimTime at)>
+    /// node when the quasi-transaction is applied. `origin_time` is the
+    /// commit instant: `at` itself for the home's commit (which may come
+    /// after the quasi was built and sent, as in §4.4.1 and durable Paxos
+    /// Commit), the record's origin_time for a replica's install.
+    std::function<void(NodeId node, const QuasiTxn& quasi, SimTime at,
+                       SimTime origin_time)>
         on_install;
   };
 
@@ -50,17 +54,16 @@ class Scheduler {
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  /// Continuation of an install; receives the installed quasi-transaction
-  /// by move.
-  using InstallDone = std::function<void(QuasiTxn&&)>;
+  /// Continuation of an install; receives the installed quasi-transaction.
+  using InstallDone = std::function<void(QuasiRef)>;
 
   /// Atomically installs a quasi-transaction: exclusive fragment lock,
   /// Config::install_time, apply, hook, release, done. `install_id` is a
   /// fresh transaction id naming the install in the lock table (the
   /// paper's "write-only transaction local to the receiving node"). The
-  /// quasi-transaction moves through the lock grant and the install event
-  /// into `done`; it is never copied.
-  void Install(QuasiTxn quasi, TxnId install_id, InstallDone done);
+  /// shared record waits in a slot through the lock grant and the install
+  /// event, then moves into `done`.
+  void Install(QuasiRef quasi, TxnId install_id, InstallDone done);
 
   /// Runs the front half of a locally initiated transaction — the one
   /// execution path every home-side transaction takes:
@@ -81,12 +84,11 @@ class Scheduler {
   void Prepare(TxnId id, TxnSpec spec, bool write_lock_preacquired,
                std::function<void(TxnResult)> prepared);
 
-  /// Applies a prepared transaction's writes under sequence `seq`, fires
-  /// the install hook, and releases the transaction's local locks if
-  /// `release_locks`.
-  void CommitPrepared(TxnId id, FragmentId fragment,
-                      const std::vector<WriteOp>& writes, SeqNum seq,
-                      bool release_locks);
+  /// Applies the prepared transaction `quasi.origin_txn`'s writes under
+  /// `quasi.seq`, fires the install hook, and releases the transaction's
+  /// local locks if `release_locks`. `quasi` is the record the caller
+  /// built at the prepare and ships to the replicas; it is read, not kept.
+  void CommitPrepared(const QuasiTxn& quasi, bool release_locks);
 
   /// Drops a prepared transaction, releasing its local locks if requested.
   void AbortPrepared(TxnId id, bool release_locks);
@@ -106,11 +108,25 @@ class Scheduler {
   /// Reads, runs the body and checks its writes (steps 2–3 of Prepare).
   TxnResult Execute(TxnId id, const TxnSpec& spec);
 
+  /// A Prepare between its call and its continuation. The spec and the
+  /// continuation move in once; the lock grant and the exec event name
+  /// the prepare by slot, so their closures stay inline.
+  struct PendingPrepare {
+    TxnId id = kInvalidTxn;
+    TxnSpec spec;
+    std::function<void(TxnResult)> prepared;
+  };
+  /// Schedules the exec event of the prepare in `slot` (its lock, if any,
+  /// granted).
+  void ScheduleExecute(uint32_t slot);
+  /// Frees the prepare in `slot` and hands its continuation `result`.
+  void FinishPrepare(uint32_t slot, TxnResult result);
+
   /// An install between Install() and its continuation. The lock grant
   /// and the install event name it by slot, so their closures stay small
   /// (no heap allocation) and the quasi-transaction is never copied.
   struct PendingInstall {
-    QuasiTxn quasi;
+    QuasiRef quasi;
     TxnId install_id = kInvalidTxn;
     InstallDone done;
   };
@@ -127,10 +143,12 @@ class Scheduler {
   /// Bumped by Reset(); scheduled continuations carry the generation they
   /// were created under and skip themselves if it no longer matches.
   uint64_t generation_ = 0;
-  /// Pending installs by slot, and the free slots (reused, so a steady
-  /// install stream allocates nothing here). Reset() drops them all.
+  /// Pending installs and prepares by slot, and the free slots (reused,
+  /// so a steady stream allocates nothing here). Reset() drops them all.
   std::vector<PendingInstall> installs_;
   std::vector<uint32_t> free_installs_;
+  std::vector<PendingPrepare> prepares_;
+  std::vector<uint32_t> free_prepares_;
 };
 
 }  // namespace fragdb

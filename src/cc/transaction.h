@@ -2,6 +2,7 @@
 #define FRAGDB_CC_TRANSACTION_H_
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -70,6 +71,15 @@ struct QuasiTxn {
 
   friend bool operator==(const QuasiTxn&, const QuasiTxn&) = default;
 };
+
+/// The one shared, immutable record of a committed quasi-transaction.
+/// The home builds it once at commit (§4.4.3 repackaging and the WAL and
+/// checkpoint decoders are the only other builders); every message,
+/// stream log, holdback, install slot, Paxos slot and checkpoint image
+/// that holds it keeps this pointer rather than a copy. Nothing mutates
+/// the record after it is built, so PDES workers may read it
+/// concurrently; the reference count is atomic.
+using QuasiRef = std::shared_ptr<const QuasiTxn>;
 
 /// Lock-table resource identifiers. FragDB locks at fragment granularity
 /// (one agent serializes all updates to its fragment anyway); object-level

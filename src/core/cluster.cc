@@ -463,7 +463,7 @@ void Cluster::SubmitReadOnlyAt(NodeId node, const TxnSpec& spec,
   SubmitAt(node, spec, std::move(done));
 }
 
-void Cluster::SubmitAt(NodeId node, const TxnSpec& spec, TxnCallback done) {
+void Cluster::SubmitAt(NodeId node, TxnSpec spec, TxnCallback done) {
   if (node < 0 || node >= topology_.node_count()) {
     done(FailResult(kInvalidTxn, Status::InvalidArgument("no such node"),
                     engine_->Now()));
@@ -515,30 +515,11 @@ void Cluster::SubmitAt(NodeId node, const TxnSpec& spec, TxnCallback done) {
   HistorySink(node).RegisterTxn(rec);
   Trace(TraceDetail::kSubmit, node, type_fragment, id, 0, spec.label);
 
-  auto run = [this, id, node, spec, done](bool x_preacquired,
-                                          std::function<void()> after) {
-    if (!spec.read_only() &&
-        config_.move_protocol == MoveProtocol::kMajorityCommit) {
-      ExecuteMajority(id, node, spec, x_preacquired, done, std::move(after));
-    } else if (!spec.read_only() &&
-               config_.move_protocol == MoveProtocol::kPaxosCommit) {
-      ExecutePaxosCommit(id, node, spec, x_preacquired, done,
-                         std::move(after));
-    } else {
-      ExecuteAndPropagate(id, node, spec, x_preacquired, done,
-                          std::move(after));
-    }
-  };
-
   ControlOption effective = type_fragment == kInvalidFragment
                                 ? config_.control
                                 : ControlFor(type_fragment);
   if (spec.read_only() && effective == ControlOption::kQuorum) {
-    ExecuteQuorumRead(id, node, spec, std::move(done));
-    return;
-  }
-  if (effective != ControlOption::kReadLocks) {
-    run(false, [] {});
+    ExecuteQuorumRead(id, node, std::move(spec), std::move(done));
     return;
   }
 
@@ -546,56 +527,85 @@ void Cluster::SubmitAt(NodeId node, const TxnSpec& spec, TxnCallback done) {
   // (acquired at that fragment's home node) plus the exclusive lock on the
   // written fragment, all in globally sorted fragment order (deadlock
   // freedom).
-  auto plan = std::make_shared<std::vector<LockPlanStep>>();
-  std::set<FragmentId> read_frags;
-  for (ObjectId o : spec.read_set) read_frags.insert(catalog_.FragmentOf(o));
-  read_frags.erase(spec.write_fragment);
-  std::set<FragmentId> all;
-  for (FragmentId f : read_frags) all.insert(f);
-  if (!spec.read_only()) all.insert(spec.write_fragment);
-  for (FragmentId f : all) {
-    LockPlanStep step;
-    step.fragment = f;
-    step.mode = (f == spec.write_fragment && !spec.read_only())
-                    ? LockMode::kExclusive
-                    : LockMode::kShared;
-    Result<NodeId> home = catalog_.HomeOfFragment(f);
-    step.home = home.ok() ? *home : node;
-    if (step.mode == LockMode::kExclusive) step.home = node;
-    plan->push_back(step);
+  std::shared_ptr<std::vector<LockPlanStep>> plan;
+  if (effective == ControlOption::kReadLocks) {
+    plan = std::make_shared<std::vector<LockPlanStep>>();
+    std::set<FragmentId> read_frags;
+    for (ObjectId o : spec.read_set) read_frags.insert(catalog_.FragmentOf(o));
+    read_frags.erase(spec.write_fragment);
+    std::set<FragmentId> all;
+    for (FragmentId f : read_frags) all.insert(f);
+    if (!spec.read_only()) all.insert(spec.write_fragment);
+    for (FragmentId f : all) {
+      LockPlanStep step;
+      step.fragment = f;
+      step.mode = (f == spec.write_fragment && !spec.read_only())
+                      ? LockMode::kExclusive
+                      : LockMode::kShared;
+      Result<NodeId> home = catalog_.HomeOfFragment(f);
+      step.home = home.ok() ? *home : node;
+      if (step.mode == LockMode::kExclusive) step.home = node;
+      plan->push_back(step);
+    }
   }
-  AcquireLockPlan(id, node, plan, 0, done, spec,
-                  [this, run, plan, id, node, spec, done](bool x_pre) {
-                    auto after = [this, id, node, plan] {
+
+  // The spec moves into `run` here and on into the scheduler's prepare
+  // slot; it is never copied again.
+  const bool writes = !spec.read_only();
+  TxnCallback plan_done = plan ? done : nullptr;
+  auto run = [this, id, node, spec = std::move(spec), done = std::move(done)](
+                 bool x_preacquired, std::function<void()> after) mutable {
+    if (!spec.read_only() &&
+        config_.move_protocol == MoveProtocol::kMajorityCommit) {
+      ExecuteMajority(id, node, std::move(spec), x_preacquired,
+                      std::move(done), std::move(after));
+    } else if (!spec.read_only() &&
+               config_.move_protocol == MoveProtocol::kPaxosCommit) {
+      ExecutePaxosCommit(id, node, std::move(spec), x_preacquired,
+                         std::move(done), std::move(after));
+    } else {
+      ExecuteAndPropagate(id, node, std::move(spec), x_preacquired,
+                          std::move(done), std::move(after));
+    }
+  };
+  if (!plan) {
+    run(false, [] {});
+    return;
+  }
+  AcquireLockPlan(id, node, plan, 0, std::move(plan_done), writes,
+                  [this, run = std::move(run), plan, id, node](
+                      bool x_pre) mutable {
+                    run(x_pre, [this, id, node, plan] {
                       ReleasePlanLocks(id, node, *plan, plan->size());
-                    };
-                    run(x_pre, after);
+                    });
                   });
 }
 
 void Cluster::AcquireLockPlan(TxnId id, NodeId node,
                               std::shared_ptr<std::vector<LockPlanStep>> plan,
-                              size_t next, TxnCallback done,
-                              const TxnSpec& spec,
+                              size_t next, TxnCallback done, bool writes,
                               std::function<void(bool x_preacquired)> run) {
   if (next >= plan->size()) {
-    bool x_pre = !spec.read_only();
-    run(x_pre);
+    run(writes);
     return;
   }
-  const LockPlanStep& step = (*plan)[next];
-  auto proceed = [this, id, node, plan, next, done, spec, run](Status st) {
+  const LockPlanStep step = (*plan)[next];
+  // Each step's grant runs once, so it hands `done` and `run` on by move.
+  auto proceed = [this, id, node, plan = std::move(plan), next,
+                  done = std::move(done), writes,
+                  run = std::move(run)](Status st) mutable {
     if (!st.ok()) {
-      FailLockPlan(id, node, *plan, next, done,
+      FailLockPlan(id, node, *plan, next, std::move(done),
                    Status::Unavailable("read lock unavailable: " +
                                        st.ToString()));
       return;
     }
-    AcquireLockPlan(id, node, plan, next + 1, done, spec, run);
+    AcquireLockPlan(id, node, std::move(plan), next + 1, std::move(done),
+                    writes, std::move(run));
   };
   if (step.home == node) {
     runtimes_[node]->locks().Acquire(id, FragmentResource(step.fragment),
-                                     step.mode, proceed);
+                                     step.mode, std::move(proceed));
     return;
   }
   // Remote shared lock with timeout.
@@ -659,19 +669,19 @@ void Cluster::ReleasePlanLocks(TxnId id, NodeId node,
 // Execution paths
 // --------------------------------------------------------------------------
 
-void Cluster::ExecuteAndPropagate(TxnId id, NodeId node, const TxnSpec& spec,
+void Cluster::ExecuteAndPropagate(TxnId id, NodeId node, TxnSpec spec,
                                   bool x_preacquired, TxnCallback done,
                                   std::function<void()> after) {
+  const bool read_only = spec.read_only();
   PrepareUpdate(
-      id, node, spec, x_preacquired, std::move(done), std::move(after),
-      [this, id, node, read_only = spec.read_only(),
-       release_locks = !x_preacquired](TxnResult result, QuasiTxn quasi,
-                                        TxnCallback done,
-                                        std::function<void()> after) {
-        const FragmentId wf = quasi.fragment;
+      id, node, std::move(spec), x_preacquired, std::move(done),
+      std::move(after),
+      [this, id, node, read_only, release_locks = !x_preacquired](
+          TxnResult result, QuasiRef quasi, TxnCallback done,
+          std::function<void()> after) {
+        const FragmentId wf = read_only ? kInvalidFragment : quasi->fragment;
         if (!read_only) {
-          runtimes_[node]->scheduler().CommitPrepared(
-              id, wf, quasi.writes, quasi.seq, release_locks);
+          runtimes_[node]->scheduler().CommitPrepared(*quasi, release_locks);
         }
         if (result.status.ok()) {
           Trace(TraceDetail::kCommit, node, wf, id, result.frag_seq);
@@ -713,9 +723,9 @@ void Cluster::ExecuteAndPropagate(TxnId id, NodeId node, const TxnSpec& spec,
       });
 }
 
-void Cluster::BroadcastLocalCommit(NodeId home, QuasiTxn quasi) {
-  const FragmentId wf = quasi.fragment;
-  MarkCommittedAt(home, quasi.origin_txn, quasi.seq);
+void Cluster::BroadcastLocalCommit(NodeId home, QuasiRef quasi) {
+  const FragmentId wf = quasi->fragment;
+  MarkCommittedAt(home, quasi->origin_txn, quasi->seq);
   NodeRuntime& rt = *runtimes_[home];
   rt.RecordLocalCommit(quasi);
   auto msg = std::make_shared<QuasiTxnMsg>();
@@ -746,14 +756,14 @@ void Cluster::OnQuorumAppliedAck(NodeId home, const QuorumAppliedAck& ack) {
   w->done(w->result);
 }
 
-void Cluster::ExecuteQuorumRead(TxnId id, NodeId node, const TxnSpec& spec,
+void Cluster::ExecuteQuorumRead(TxnId id, NodeId node, TxnSpec spec,
                                 TxnCallback done) {
   QuorumReadWait wait;
-  wait.spec = spec;
+  wait.spec = std::move(spec);
   wait.started_at = engine_->Now();
   wait.done = std::move(done);
   std::map<FragmentId, std::vector<ObjectId>> by_fragment;
-  for (ObjectId o : spec.read_set) {
+  for (ObjectId o : wait.spec.read_set) {
     by_fragment[catalog_.FragmentOf(o)].push_back(o);
   }
   bool all_complete = true;
@@ -876,14 +886,14 @@ void Cluster::FinishQuorumRead(TxnId id, NodeId node, QuorumReadWait wait) {
   wait.done(std::move(result));
 }
 
-void Cluster::PrepareUpdate(TxnId id, NodeId node, const TxnSpec& spec,
+void Cluster::PrepareUpdate(TxnId id, NodeId node, TxnSpec spec,
                             bool x_preacquired, TxnCallback done,
                             std::function<void()> after,
                             PreparedFn prepared) {
   const FragmentId wf = spec.write_fragment;
   const bool release_locks = !spec.read_only() && !x_preacquired;
   runtimes_[node]->scheduler().Prepare(
-      id, spec, x_preacquired,
+      id, std::move(spec), x_preacquired,
       [this, id, node, wf, release_locks, done = std::move(done),
        after = std::move(after),
        prepared = std::move(prepared)](TxnResult result) mutable {
@@ -899,32 +909,37 @@ void Cluster::PrepareUpdate(TxnId id, NodeId node, const TxnSpec& spec,
           done(std::move(result));
           return;
         }
-        QuasiTxn quasi;
+        QuasiRef quasi;
         if (wf != kInvalidFragment) {
           // Every committed update takes the next seq, even with no
           // writes, so the replicas agree on the fragment's history.
           result.frag_seq = rt.stream(wf).next_seq++;
-          quasi.origin_txn = id;
-          quasi.fragment = wf;
-          quasi.seq = result.frag_seq;
-          quasi.origin_node = node;
-          quasi.origin_time = engine_->Now();
-          quasi.writes = result.writes;
+          // The commit's one quasi-transaction record: every replica,
+          // message, log and slot shares it from here on.
+          auto q = std::make_shared<QuasiTxn>();
+          q->origin_txn = id;
+          q->fragment = wf;
+          q->seq = result.frag_seq;
+          q->origin_node = node;
+          q->origin_time = engine_->Now();
+          q->writes = result.writes;
+          quasi = std::move(q);
         }
         prepared(std::move(result), std::move(quasi), std::move(done),
                  std::move(after));
       });
 }
 
-void Cluster::ExecuteMajority(TxnId id, NodeId node, const TxnSpec& spec,
+void Cluster::ExecuteMajority(TxnId id, NodeId node, TxnSpec spec,
                               bool x_preacquired, TxnCallback done,
                               std::function<void()> after) {
   PrepareUpdate(
-      id, node, spec, x_preacquired, std::move(done), std::move(after),
+      id, node, std::move(spec), x_preacquired, std::move(done),
+      std::move(after),
       [this, id, node, release_locks = !x_preacquired](
-          TxnResult result, QuasiTxn quasi, TxnCallback done,
+          TxnResult result, QuasiRef quasi, TxnCallback done,
           std::function<void()> after) {
-        const FragmentId wf = quasi.fragment;
+        const FragmentId wf = quasi->fragment;
         auto prep = std::make_shared<QuasiPrepare>();
         prep->quasi = quasi;
         prep->epoch = runtimes_[node]->stream(wf).epoch;
@@ -943,10 +958,10 @@ void Cluster::ExecuteMajority(TxnId id, NodeId node, const TxnSpec& spec,
 }
 
 void Cluster::CommitMajority(NodeId node, TxnId id, MajorityWait w) {
-  const FragmentId wf = w.quasi.fragment;
-  const SeqNum seq = w.quasi.seq;
+  const FragmentId wf = w.quasi->fragment;
+  const SeqNum seq = w.quasi->seq;
   NodeRuntime& rt = *runtimes_[node];
-  rt.scheduler().CommitPrepared(id, wf, w.quasi.writes, seq, w.release_locks);
+  rt.scheduler().CommitPrepared(*w.quasi, w.release_locks);
   MarkCommittedAt(node, id, seq);
   rt.RecordLocalCommit(w.quasi);
   auto cmt = std::make_shared<QuasiCommit>();
@@ -966,7 +981,7 @@ void Cluster::CommitMajority(NodeId node, TxnId id, MajorityWait w) {
 }
 
 void Cluster::AbortMajority(NodeId node, TxnId id, MajorityWait w) {
-  const FragmentId wf = w.quasi.fragment;
+  const FragmentId wf = w.quasi->fragment;
   NodeRuntime& rt = *runtimes_[node];
   // Roll the tentative sequence back; the exclusive fragment lock is still
   // held, so nothing else allocated meanwhile.
@@ -995,7 +1010,7 @@ namespace {
 constexpr int kPaxosMaxStrikes = 10;
 }  // namespace
 
-void Cluster::ExecutePaxosCommit(TxnId id, NodeId node, const TxnSpec& spec,
+void Cluster::ExecutePaxosCommit(TxnId id, NodeId node, TxnSpec spec,
                                  bool x_preacquired, TxnCallback done,
                                  std::function<void()> after) {
   const FragmentId wf = spec.write_fragment;
@@ -1013,15 +1028,15 @@ void Cluster::ExecutePaxosCommit(TxnId id, NodeId node, const TxnSpec& spec,
     return;
   }
   PrepareUpdate(
-      id, node, spec, x_preacquired, std::move(done), std::move(after),
+      id, node, std::move(spec), x_preacquired, std::move(done),
+      std::move(after),
       [this, id, node, wf, release_locks = !x_preacquired](
-          TxnResult result, QuasiTxn quasi, TxnCallback done,
+          TxnResult result, QuasiRef quasi, TxnCallback done,
           std::function<void()> after) {
-        const SeqNum seq = quasi.seq;
+        const SeqNum seq = quasi->seq;
         const Epoch epoch = runtimes_[node]->stream(wf).epoch;
         const auto key = std::make_pair(wf, seq);
         PaxosInstance& inst = paxos_acceptors_[node][key];
-        inst.has_value = true;
         inst.value = quasi;
         inst.epoch = epoch;
         inst.prepared_txn = id;
@@ -1060,8 +1075,8 @@ void Cluster::ExecutePaxosCommit(TxnId id, NodeId node, const TxnSpec& spec,
           // genuinely free for reuse.
           if (it == shard.end() || it->second.prepared_txn != id) return;
           PaxosInstance& inst = it->second;
-          runtimes_[node]->scheduler().CommitPrepared(
-              id, wf, inst.value.writes, seq, release_locks);
+          runtimes_[node]->scheduler().CommitPrepared(*inst.value,
+                                                      release_locks);
           inst.commit_owed = true;
           after();
           if (single_replica) {
@@ -1085,7 +1100,7 @@ void Cluster::ExecutePaxosCommit(TxnId id, NodeId node, const TxnSpec& spec,
           // value — two values for one slot, and replica divergence. The
           // propose (and with it the lock release) therefore waits out the
           // group-commit fsync window.
-          d->OnPaxosSlotAllocated(quasi, epoch);
+          d->OnPaxosSlotAllocated(*quasi, epoch);
           engine_->AfterNode(node, config_.durability.wal_fsync_time,
                              std::move(propose));
         } else {
@@ -1096,7 +1111,7 @@ void Cluster::ExecutePaxosCommit(TxnId id, NodeId node, const TxnSpec& spec,
 }
 
 void Cluster::OnPaxosAccept(NodeId node, const PaxosAccept& msg) {
-  const auto key = std::make_pair(msg.quasi.fragment, msg.quasi.seq);
+  const auto key = std::make_pair(msg.quasi->fragment, msg.quasi->seq);
   PaxosInstance* inst = PaxosPruned(node, key.first, key.second)
                            ? nullptr
                            : &paxos_acceptors_[node][key];
@@ -1110,8 +1125,7 @@ void Cluster::OnPaxosAccept(NodeId node, const PaxosAccept& msg) {
   }
   if (msg.ballot < inst->max_ballot) return;  // stale proposer
   inst->max_ballot = msg.ballot;
-  if (!inst->has_value) {
-    inst->has_value = true;
+  if (!inst->value) {
     inst->value = msg.quasi;
     inst->epoch = msg.epoch;
   }
@@ -1165,8 +1179,8 @@ void Cluster::PaxosDecide(NodeId node, FragmentId fragment, SeqNum seq) {
     inst.recovery_armed = false;
   }
   paxos_votes_.Close(node, {fragment, seq});
-  FRAGDB_CHECK(inst.has_value);
-  const TxnId txn = inst.value.origin_txn;
+  FRAGDB_CHECK(inst.value != nullptr);
+  const TxnId txn = inst.value->origin_txn;
   CommitDecisionRecord rec;
   rec.node = node;
   rec.fragment = fragment;
@@ -1298,7 +1312,7 @@ void Cluster::PaxosRecoveryTick(NodeId node, FragmentId fragment,
     inst.recovery_armed = false;
     return;
   }
-  if (!inst.has_value) {
+  if (!inst.value) {
     ArmPaxosRecovery(node, fragment, seq, inst);
     return;
   }
@@ -1327,7 +1341,7 @@ void Cluster::PaxosRecoveryTick(NodeId node, FragmentId fragment,
   SendPaxosAccept(node, fragment, inst, ballot);
   if (obs_) obs_->PaxosRecoveryRounds(node)->Add();
   if (tracing_active()) {
-    Trace("paxos-recover", node, fragment, inst.value.origin_txn, seq,
+    Trace("paxos-recover", node, fragment, inst.value->origin_txn, seq,
           "ballot=" + std::to_string(ballot));
   }
   ArmPaxosRecovery(node, fragment, seq, inst);
@@ -1340,7 +1354,7 @@ void Cluster::ReschedulePaxosRecovery() {
   for (NodeId n = 0; n < static_cast<NodeId>(paxos_acceptors_.size()); ++n) {
     if (!topology_.IsNodeUp(n) || amnesia_down_[n]) continue;
     for (auto& [key, inst] : paxos_acceptors_[n]) {
-      if (inst.decided || !inst.has_value) continue;
+      if (inst.decided || !inst.value) continue;
       inst.strikes = 0;
       if (!inst.recovery_armed) {
         ArmPaxosRecovery(n, key.first, key.second, inst);
@@ -1354,26 +1368,26 @@ CheckReport Cluster::CheckCommitNonBlocking() const {
     for (FragmentId f = 0; f < catalog_.fragment_count(); ++f) {
       if (!catalog_.ReplicatedAt(f, n)) continue;
       const FragmentStream& s = runtimes_[n]->stream(f);
-      for (const auto& [seq, quasi] : s.prepared) {
-        if (seq <= s.applied_seq) continue;
+      for (const QuasiRef& quasi : s.prepared) {
+        if (quasi->seq <= s.applied_seq) continue;
         return CheckReport::Fail(
             "N" + std::to_string(n) + " holds T" +
-                std::to_string(quasi.origin_txn) + " (F" + std::to_string(f) +
-                " seq " + std::to_string(seq) +
+                std::to_string(quasi->origin_txn) + " (F" +
+                std::to_string(f) + " seq " + std::to_string(quasi->seq) +
                 ") prepared but undecided — a blocked commit",
-            {quasi.origin_txn});
+            {quasi->origin_txn});
       }
     }
   }
   for (NodeId n = 0; n < static_cast<NodeId>(paxos_acceptors_.size()); ++n) {
     for (const auto& [key, inst] : paxos_acceptors_[n]) {
-      if (inst.decided || !inst.has_value) continue;
+      if (inst.decided || !inst.value) continue;
       return CheckReport::Fail(
           "N" + std::to_string(n) + " holds an undecided Paxos slot (F" +
               std::to_string(key.first) + " seq " +
               std::to_string(key.second) + ") for T" +
-              std::to_string(inst.value.origin_txn),
-          {inst.value.origin_txn});
+              std::to_string(inst.value->origin_txn),
+          {inst.value->origin_txn});
     }
   }
   return CheckReport::Pass();
@@ -1437,8 +1451,9 @@ CheckReport Cluster::CheckReplicaSetConsistency() const {
 // --------------------------------------------------------------------------
 
 void Cluster::CommitRepackaged(NodeId home, FragmentId fragment,
-                               const QuasiTxn& missing,
+                               const QuasiRef& missing_ref,
                                std::vector<WriteOp> kept) {
+  const QuasiTxn& missing = *missing_ref;
   Result<AgentId> agent = catalog_.AgentOf(fragment);
   FRAGDB_CHECK(agent.ok());
 
@@ -1463,25 +1478,25 @@ void Cluster::CommitRepackaged(NodeId home, FragmentId fragment,
     // Committed like a local update, but with no commit or broadcast
     // record: the "repackage" record below stands for them.
     PrepareUpdate(
-        id, home, spec, /*x_preacquired=*/false,
+        id, home, std::move(spec), /*x_preacquired=*/false,
         [then = std::move(then)](const TxnResult&) {
           if (then) then();
         },
         [] {},
-        [this, id, home](TxnResult result, QuasiTxn quasi, TxnCallback done,
-                         std::function<void()>) {
-          runtimes_[home]->scheduler().CommitPrepared(
-              id, quasi.fragment, quasi.writes, quasi.seq,
-              /*release_locks=*/true);
+        [this, home](TxnResult result, QuasiRef quasi, TxnCallback done,
+                     std::function<void()>) {
+          runtimes_[home]->scheduler().CommitPrepared(*quasi,
+                                                      /*release_locks=*/true);
           BroadcastLocalCommit(home, std::move(quasi));
           done(result);
         });
   };
 
-  auto run_corrective = [this, home, fragment, missing, kept,
+  auto run_corrective = [this, home, fragment, missing_ref, kept,
                          commit_writes] {
     const CorrectiveAction* action = corrective_action(fragment);
     if (action == nullptr) return;
+    const QuasiTxn& missing = *missing_ref;
     std::vector<WriteOp> extra =
         (*action)(missing, kept, runtimes_[home]->store());
     if (extra.empty()) return;
@@ -1745,13 +1760,11 @@ void Cluster::OnLocalReplayDone(NodeId node) {
   ReschedulePaxosRecovery();
 }
 
-void Cluster::NotePaxosInDoubt(NodeId node, const QuasiTxn& quasi,
-                               Epoch epoch) {
-  paxos_indoubt_[node][quasi.fragment].insert(quasi.seq);
-  PaxosInstance& inst = paxos_acceptors_[node][{quasi.fragment, quasi.seq}];
-  if (!inst.has_value) {
-    inst.has_value = true;
-    inst.value = quasi;
+void Cluster::NotePaxosInDoubt(NodeId node, QuasiRef quasi, Epoch epoch) {
+  paxos_indoubt_[node][quasi->fragment].insert(quasi->seq);
+  PaxosInstance& inst = paxos_acceptors_[node][{quasi->fragment, quasi->seq}];
+  if (!inst.value) {
+    inst.value = std::move(quasi);
     inst.epoch = epoch;
   }
 }
@@ -1804,10 +1817,8 @@ CheckpointImage Cluster::CaptureCheckpoint(NodeId node,
         if (m.fragment == f) since = m.high_water;
       }
     }
-    for (auto it = s.log.UpperBound(since); it != s.log.end(); ++it) {
-      sc.log.push_back(it->value);
-    }
-    ends.push_back({f, s.log.empty() ? 0 : (s.log.end() - 1)->seq});
+    sc.log.assign(s.log.UpperBound(since), s.log.end());
+    ends.push_back({f, s.log.empty() ? 0 : (*(s.log.end() - 1))->seq});
     image.streams.push_back(std::move(sc));
   }
   if (marks != nullptr) *marks = std::move(ends);

@@ -331,7 +331,7 @@ class Cluster {
   /// a fresh update transaction at `home`, then run the fragment's
   /// corrective action.
   void CommitRepackaged(NodeId home, FragmentId fragment,
-                        const QuasiTxn& missing, std::vector<WriteOp> kept);
+                        const QuasiRef& missing, std::vector<WriteOp> kept);
   /// True when any trace consumer (tracer or flight recorder) is attached
   /// — guard call sites whose detail strings are expensive to build.
   bool tracing_active() const { return tracer_ || flight_; }
@@ -356,7 +356,7 @@ class Cluster {
   /// outcome is not (yet) in the local state: the slot is in doubt at the
   /// revived home until its decision is observed, and the value is
   /// re-seated so the home can propose it in recovery rounds.
-  void NotePaxosInDoubt(NodeId node, const QuasiTxn& quasi, Epoch epoch);
+  void NotePaxosInDoubt(NodeId node, QuasiRef quasi, Epoch epoch);
   /// Snapshot of `node`'s recoverable state (checkpoint capture). With
   /// `marks`, each stream's log holds only the entries past its mark, and
   /// `marks` is reset to where every log ends now (NodeDurability::Capture);
@@ -400,7 +400,7 @@ class Cluster {
   /// An update transaction prepared at its home, waiting for §4.4.1
   /// majority acknowledgments (keyed by txn id).
   struct MajorityWait {
-    QuasiTxn quasi;
+    QuasiRef quasi;
     bool release_locks = false;
     TxnResult result;
     TxnCallback done;
@@ -438,9 +438,9 @@ class Cluster {
   /// PrunePaxosSlots then drops it under the fragment's watermark.
   struct PaxosInstance {
     uint64_t max_ballot = 0;
-    bool has_value = false;
     bool decided = false;
-    QuasiTxn value;
+    /// The slot's one value; null until this node has seen it.
+    QuasiRef value;
     Epoch epoch = 0;
     /// Recovery rounds already started at this node (ballot numbering).
     int round = 0;
@@ -475,7 +475,7 @@ class Cluster {
     bool Covers(SeqNum seq) const { return seq > floor && seq <= through; }
   };
   /// Validation + registration shared by Submit/SubmitReadOnlyAt.
-  void SubmitAt(NodeId node, const TxnSpec& spec, TxnCallback done);
+  void SubmitAt(NodeId node, TxnSpec spec, TxnCallback done);
   /// Re-derives every (node, fragment) home-reachability flag for the
   /// availability tracker; registered as a topology change listener.
   void RefreshHomeReachability();
@@ -488,10 +488,11 @@ class Cluster {
   Status CheckRagConformance(const TxnSpec& spec,
                              FragmentId type_fragment) const;
 
-  /// Acquires the §4.1 lock plan step by step, then `run`.
+  /// Acquires the §4.1 lock plan step by step, then `run`, which learns
+  /// whether the plan took the write lock (`writes`).
   void AcquireLockPlan(TxnId id, NodeId node,
                        std::shared_ptr<std::vector<LockPlanStep>> plan,
-                       size_t next, TxnCallback done, const TxnSpec& spec,
+                       size_t next, TxnCallback done, bool writes,
                        std::function<void(bool x_preacquired)> run);
   void FailLockPlan(TxnId id, NodeId node,
                     const std::vector<LockPlanStep>& plan, size_t acquired,
@@ -502,27 +503,28 @@ class Cluster {
 
   /// Normal-path execution (§4.1–§4.3 updates and local reads): prepare,
   /// commit at once, then broadcast.
-  void ExecuteAndPropagate(TxnId id, NodeId node, const TxnSpec& spec,
+  void ExecuteAndPropagate(TxnId id, NodeId node, TxnSpec spec,
                            bool x_preacquired, TxnCallback done,
                            std::function<void()> after);
   /// The home's steps after a §4.1–§4.3 or §4.4.3 commit was applied:
   /// mark it committed, write the local commit record, and send the
   /// quasi-transaction to the fragment's other replicas.
-  void BroadcastLocalCommit(NodeId home, QuasiTxn quasi);
+  void BroadcastLocalCommit(NodeId home, QuasiRef quasi);
   /// Continuation of a successful PrepareUpdate: the result (with its seq
-  /// for an update), the quasi-transaction to commit (empty for a read),
+  /// for an update), the quasi-transaction to commit (null for a read),
   /// and the caller's `done` and `after`, handed on.
-  using PreparedFn = std::function<void(TxnResult, QuasiTxn, TxnCallback,
+  using PreparedFn = std::function<void(TxnResult, QuasiRef, TxnCallback,
                                         std::function<void()>)>;
   /// The front half of every home-side transaction: prepare `spec` at
   /// `node`. A failed prepare is aborted, traced, and reported (after
   /// `after`), and takes no seq. A successful update takes the fragment's
-  /// next seq, in the body's event, before `prepared` runs.
-  void PrepareUpdate(TxnId id, NodeId node, const TxnSpec& spec,
-                     bool x_preacquired, TxnCallback done,
-                     std::function<void()> after, PreparedFn prepared);
+  /// next seq, in the body's event, and builds the commit's one shared
+  /// quasi-transaction record before `prepared` runs.
+  void PrepareUpdate(TxnId id, NodeId node, TxnSpec spec, bool x_preacquired,
+                     TxnCallback done, std::function<void()> after,
+                     PreparedFn prepared);
   /// §4.4.1 execution: prepare, collect majority acks, commit, broadcast.
-  void ExecuteMajority(TxnId id, NodeId node, const TxnSpec& spec,
+  void ExecuteMajority(TxnId id, NodeId node, TxnSpec spec,
                        bool x_preacquired, TxnCallback done,
                        std::function<void()> after);
   /// A majority acked: commit at the home, broadcast the commit, report.
@@ -532,7 +534,7 @@ class Cluster {
   /// kQuorum read-only execution: gather versions from R replicas per
   /// fragment and serve each object's freshest version. Bypasses the
   /// scheduler (no local read), so it works at non-replica nodes too.
-  void ExecuteQuorumRead(TxnId id, NodeId node, const TxnSpec& spec,
+  void ExecuteQuorumRead(TxnId id, NodeId node, TxnSpec spec,
                          TxnCallback done);
   /// Completes a finished quorum read: freshest versions, body, records.
   void FinishQuorumRead(TxnId id, NodeId node, QuorumReadWait wait);
@@ -543,7 +545,7 @@ class Cluster {
   /// several slots per fragment can be in flight, and only the client ack
   /// waits for the decide. Never aborts; a proposer timeout reports
   /// Unavailable and leaves the recovery rounds to finish the commit.
-  void ExecutePaxosCommit(TxnId id, NodeId node, const TxnSpec& spec,
+  void ExecutePaxosCommit(TxnId id, NodeId node, TxnSpec spec,
                           bool x_preacquired, TxnCallback done,
                           std::function<void()> after);
   /// Marks a Paxos slot decided at `node` and applies the value: the

@@ -76,7 +76,9 @@ struct TaggedPayload : MessagePayload {
 /// Wire size of one quasi-transaction as carried by any message type:
 /// fixed header (ids, sequence, origin, timestamps) plus 16 bytes per
 /// write. Every ByteSize() below goes through this helper so the
-/// accounting cannot drift between message types.
+/// accounting cannot drift between message types. The messages hold the
+/// shared record (QuasiRef), but the wire size is that of its contents,
+/// as if each message carried its own copy.
 inline size_t QuasiTxnWireSize(const QuasiTxn& q) {
   return 48 + q.writes.size() * 16;
 }
@@ -84,10 +86,10 @@ inline size_t QuasiTxnWireSize(const QuasiTxn& q) {
 /// A quasi-transaction plus its stream position, as broadcast by the home
 /// node (§2.2: "(T; d1,v1; d2,v2; ...)").
 struct QuasiTxnMsg : TaggedPayload<MsgType::kQuasi> {
-  QuasiTxn quasi;
+  QuasiRef quasi;
   Epoch epoch = 0;
 
-  size_t ByteSize() const override { return QuasiTxnWireSize(quasi); }
+  size_t ByteSize() const override { return QuasiTxnWireSize(*quasi); }
 };
 
 /// §4.1 remote read-lock protocol.
@@ -107,9 +109,9 @@ struct ReadLockRelease : TaggedPayload<MsgType::kReadLockRelease> {
 
 /// §4.4.1 majority-commit protocol: prepare / ack / commit.
 struct QuasiPrepare : TaggedPayload<MsgType::kPrepare> {
-  QuasiTxn quasi;
+  QuasiRef quasi;
   Epoch epoch = 0;
-  size_t ByteSize() const override { return QuasiTxnWireSize(quasi); }
+  size_t ByteSize() const override { return QuasiTxnWireSize(*quasi); }
 };
 struct QuasiAck : TaggedPayload<MsgType::kAck> {
   TxnId txn = kInvalidTxn;  // the prepared transaction being acknowledged
@@ -130,10 +132,10 @@ struct M0Msg : TaggedPayload<MsgType::kM0> {
   NodeId new_home = kInvalidNode;
   Epoch new_epoch = 0;
   SeqNum base_seq = 0;  // "i": last old-stream txn installed at new home
-  std::vector<QuasiTxn> old_stream;  // T1..Ti
+  std::vector<QuasiRef> old_stream;  // T1..Ti
   size_t ByteSize() const override {
     size_t n = 48;
-    for (const auto& q : old_stream) n += QuasiTxnWireSize(q);
+    for (const QuasiRef& q : old_stream) n += QuasiTxnWireSize(*q);
     return n;
   }
 };
@@ -141,9 +143,9 @@ struct M0Msg : TaggedPayload<MsgType::kM0> {
 /// §4.4.3: a third node forwards a missing old-stream transaction to the
 /// new home instead of processing it (protocol step B(2)).
 struct ForwardMissing : TaggedPayload<MsgType::kForwardMissing> {
-  QuasiTxn quasi;
+  QuasiRef quasi;
   Epoch old_epoch = 0;
-  size_t ByteSize() const override { return QuasiTxnWireSize(quasi); }
+  size_t ByteSize() const override { return QuasiTxnWireSize(*quasi); }
 };
 
 /// Quorum reads (ControlOption::kQuorum): the reading node asks each
@@ -183,10 +185,10 @@ struct QuorumAppliedAck : TaggedPayload<MsgType::kQuorumAppliedAck> {
 /// fragment's replica set to accept the quasi-transaction at its slot.
 struct PaxosAccept : TaggedPayload<MsgType::kPaxosAccept> {
   uint64_t ballot = 0;
-  QuasiTxn quasi;
+  QuasiRef quasi;
   Epoch epoch = 0;
   NodeId proposer = kInvalidNode;
-  size_t ByteSize() const override { return 16 + QuasiTxnWireSize(quasi); }
+  size_t ByteSize() const override { return 16 + QuasiTxnWireSize(*quasi); }
 };
 
 struct PaxosAccepted : TaggedPayload<MsgType::kPaxosAccepted> {
@@ -230,7 +232,7 @@ struct RecoveryFragmentState {
   Epoch epoch = 0;
   SeqNum epoch_base = 0;
   SeqNum applied_seq = 0;
-  std::vector<QuasiTxn> quasis;
+  std::vector<QuasiRef> quasis;
 };
 
 struct RecoveryReply : TaggedPayload<MsgType::kRecoveryReply> {
@@ -241,7 +243,7 @@ struct RecoveryReply : TaggedPayload<MsgType::kRecoveryReply> {
     size_t n = 24;
     for (const auto& f : fragments) {
       n += 28;
-      for (const auto& q : f.quasis) n += QuasiTxnWireSize(q);
+      for (const QuasiRef& q : f.quasis) n += QuasiTxnWireSize(*q);
     }
     return n;
   }

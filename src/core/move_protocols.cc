@@ -72,7 +72,7 @@ Status Cluster::MoveAgent(AgentId agent, NodeId to_node, MoveCallback done) {
   // transaction at the old home completed there).
   for (FragmentId f : catalog_.TokensOf(agent)) {
     if (majority_acks_.Any(
-            [f](const MajorityWait& w) { return w.quasi.fragment == f; })) {
+            [f](const MajorityWait& w) { return w.quasi->fragment == f; })) {
       return Status::FailedPrecondition(
           "an update on the agent's fragment is awaiting majority acks");
     }

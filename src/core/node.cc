@@ -33,8 +33,10 @@ NodeRuntime::NodeRuntime(Cluster* cluster, NodeId id)
       }
     }
   };
-  hooks.on_install = [this](NodeId node, const QuasiTxn& quasi, SimTime at) {
-    cluster_->HistorySink(id_).RecordInstall(node, quasi, at, incarnation_);
+  hooks.on_install = [this](NodeId node, const QuasiTxn& quasi, SimTime at,
+                            SimTime origin_time) {
+    cluster_->HistorySink(id_).RecordInstall(node, quasi, at, incarnation_,
+                                             origin_time);
   };
   scheduler_ = std::make_unique<Scheduler>(id, cluster->engine(), store_.get(),
                                            locks_.get(),
@@ -103,16 +105,17 @@ void NodeRuntime::OnQuasi(const QuasiTxnMsg& msg) {
   EnqueueQuasi(msg.quasi, msg.epoch);
 }
 
-void NodeRuntime::EnqueueQuasi(const QuasiTxn& quasi, Epoch epoch) {
+void NodeRuntime::EnqueueQuasi(const QuasiRef& ref, Epoch epoch) {
+  const QuasiTxn& quasi = *ref;
   FragmentStream& s = streams_[quasi.fragment];
   if (epoch < s.epoch) {
     // §4.4.3: an old-stream straggler arriving after the epoch moved on.
     Result<NodeId> home = cluster_->catalog().HomeOfFragment(quasi.fragment);
     if (home.ok() && *home == id_) {
-      RepackageMissing(quasi);
+      RepackageMissing(ref);
     } else if (home.ok()) {
       auto fwd = std::make_shared<ForwardMissing>();
-      fwd->quasi = quasi;
+      fwd->quasi = ref;
       fwd->old_epoch = epoch;
       cluster_->network().Send(id_, *home, fwd);
     }
@@ -121,14 +124,14 @@ void NodeRuntime::EnqueueQuasi(const QuasiTxn& quasi, Epoch epoch) {
   if (epoch > s.epoch) {
     // New-epoch traffic before the M0 that opens the epoch (defensive:
     // per-channel FIFO normally prevents this).
-    s.future[epoch].push_back(quasi);
+    s.future[epoch].push_back(ref);
     return;
   }
   // During a pending transition, old-stream transactions past the base are
   // already doomed; forward them to the new home (§4.4.3 B(2)).
   if (s.transition.active && quasi.seq > s.transition.base_seq) {
     auto fwd = std::make_shared<ForwardMissing>();
-    fwd->quasi = quasi;
+    fwd->quasi = ref;
     fwd->old_epoch = epoch;
     cluster_->network().Send(id_, s.transition.new_home, fwd);
     return;
@@ -137,7 +140,7 @@ void NodeRuntime::EnqueueQuasi(const QuasiTxn& quasi, Epoch epoch) {
       s.holdback.Contains(quasi.seq)) {
     return;  // duplicate
   }
-  s.holdback.Put(quasi.seq, quasi);
+  s.holdback.Put(ref);
   gap_repair_strikes_[quasi.fragment] = 0;  // new evidence; repair retries
   if (ClusterInstruments* ins = cluster_->instruments()) {
     ins->HoldbackDepth(id_, quasi.fragment)
@@ -149,8 +152,8 @@ void NodeRuntime::EnqueueQuasi(const QuasiTxn& quasi, Epoch epoch) {
 void NodeRuntime::TryInstallNext(FragmentId f) {
   FragmentStream& s = streams_[f];
   if (s.install_in_flight) return;
-  QuasiTxn next;
-  if (!s.holdback.Take(s.applied_seq + 1, &next)) {
+  QuasiRef next = s.holdback.Take(s.applied_seq + 1);
+  if (!next) {
     // Later sequences are waiting but the next expected one is missing —
     // with a lossy network that may be a dropped message, never to arrive.
     if (!s.holdback.empty()) MaybeScheduleGapRepair(f);
@@ -160,14 +163,15 @@ void NodeRuntime::TryInstallNext(FragmentId f) {
   s.install_in_flight = true;
   UpdateGapState(f);
   TxnId install_id = cluster_->NewTxnId();
-  scheduler_->Install(std::move(next), install_id, [this, f](QuasiTxn&& quasi) {
+  scheduler_->Install(std::move(next), install_id, [this, f](QuasiRef quasi) {
     FragmentStream& stream = streams_[f];
-    const SeqNum seq = quasi.seq;
-    const TxnId origin_txn = quasi.origin_txn;
-    const NodeId origin_node = quasi.origin_node;
-    const SimTime origin_time = quasi.origin_time;
+    const SeqNum seq = quasi->seq;
+    const TxnId origin_txn = quasi->origin_txn;
+    const NodeId origin_node = quasi->origin_node;
+    const SimTime origin_time = quasi->origin_time;
     stream.applied_seq = seq;
-    const QuasiTxn& logged = stream.log.Put(seq, std::move(quasi));
+    const QuasiTxn& logged = *quasi;  // the log keeps the record alive
+    stream.log.Put(std::move(quasi));
     stream.install_in_flight = false;
     if (durability_) durability_->OnQuasiApplied(logged, stream.epoch);
     // Replication lag: commit at the origin to install here. The home's
@@ -244,8 +248,8 @@ void NodeRuntime::MaybeCompleteTransition(FragmentId f) {
   }
   // Old-stream holdback entries past the base leave the lineage: forward
   // them to the new home so it can repackage (§4.4.3 B(2)).
-  for (const auto& [seq, quasi] : s.holdback) {
-    if (seq > t.base_seq) {
+  for (const QuasiRef& quasi : s.holdback) {
+    if (quasi->seq > t.base_seq) {
       auto fwd = std::make_shared<ForwardMissing>();
       fwd->quasi = quasi;
       fwd->old_epoch = s.epoch;
@@ -267,9 +271,9 @@ void NodeRuntime::MaybeCompleteTransition(FragmentId f) {
   if (durability_) durability_->OnEpochChanged(f, s.epoch, s.epoch_base);
   auto fut = s.future.find(s.epoch);
   if (fut != s.future.end()) {
-    for (const QuasiTxn& quasi : fut->second) {
-      if (quasi.seq > s.applied_seq && !s.holdback.Contains(quasi.seq)) {
-        s.holdback.Put(quasi.seq, quasi);
+    for (const QuasiRef& quasi : fut->second) {
+      if (quasi->seq > s.applied_seq && !s.holdback.Contains(quasi->seq)) {
+        s.holdback.Put(quasi);
       }
     }
     s.future.erase(fut);
@@ -277,13 +281,14 @@ void NodeRuntime::MaybeCompleteTransition(FragmentId f) {
   TryInstallNext(f);
 }
 
-void NodeRuntime::RecordLocalCommit(const QuasiTxn& quasi) {
-  FragmentStream& s = streams_[quasi.fragment];
-  s.log.Put(quasi.seq, quasi);
-  s.applied_seq = std::max(s.applied_seq, quasi.seq);
-  if (durability_) durability_->OnQuasiApplied(quasi, s.epoch);
+void NodeRuntime::RecordLocalCommit(const QuasiRef& quasi) {
+  const FragmentId f = quasi->fragment;
+  FragmentStream& s = streams_[f];
+  s.log.Put(quasi);
+  s.applied_seq = std::max(s.applied_seq, quasi->seq);
+  if (durability_) durability_->OnQuasiApplied(*quasi, s.epoch);
   if (ClusterInstruments* ins = cluster_->instruments()) {
-    ins->AppliedSeq(id_, quasi.fragment)->Set(s.applied_seq);
+    ins->AppliedSeq(id_, f)->Set(s.applied_seq);
   }
 }
 
@@ -316,20 +321,21 @@ void NodeRuntime::OnReadLockRelease(const ReadLockRelease& msg) {
 // --------------------------------------------------------------------------
 
 void NodeRuntime::OnPrepare(NodeId from, const QuasiPrepare& msg) {
-  FragmentStream& s = streams_[msg.quasi.fragment];
-  SeqNum seq = msg.quasi.seq;
+  const QuasiTxn& quasi = *msg.quasi;
+  FragmentStream& s = streams_[quasi.fragment];
+  SeqNum seq = quasi.seq;
   if (seq <= s.applied_seq || s.log.Contains(seq)) {
     // Already installed (duplicate); still acknowledge.
   } else if (s.early_commits.count(seq) > 0) {
     s.early_commits.erase(seq);
-    s.holdback.Put(seq, msg.quasi);
-    TryInstallNext(msg.quasi.fragment);
+    s.holdback.Put(msg.quasi);
+    TryInstallNext(quasi.fragment);
   } else {
-    s.prepared.Put(seq, msg.quasi);
+    s.prepared.Put(msg.quasi);
   }
   auto ack = std::make_shared<QuasiAck>();
-  ack->txn = msg.quasi.origin_txn;
-  ack->fragment = msg.quasi.fragment;
+  ack->txn = quasi.origin_txn;
+  ack->fragment = quasi.fragment;
   ack->seq = seq;
   ack->acker = id_;
   cluster_->network().Send(id_, from, ack);
@@ -337,16 +343,16 @@ void NodeRuntime::OnPrepare(NodeId from, const QuasiPrepare& msg) {
 
 void NodeRuntime::OnCommit(const QuasiCommit& msg) {
   FragmentStream& s = streams_[msg.fragment];
-  QuasiTxn quasi;
-  if (!s.prepared.Take(msg.seq, &quasi)) {
+  QuasiRef quasi = s.prepared.Take(msg.seq);
+  if (!quasi) {
     if (msg.seq > s.applied_seq && !s.log.Contains(msg.seq)) {
       s.early_commits.insert(msg.seq);
     }
     return;
   }
-  if (quasi.seq > s.applied_seq && !s.holdback.Contains(quasi.seq) &&
-      !s.log.Contains(quasi.seq)) {
-    s.holdback.Put(quasi.seq, std::move(quasi));
+  if (quasi->seq > s.applied_seq && !s.holdback.Contains(quasi->seq) &&
+      !s.log.Contains(quasi->seq)) {
+    s.holdback.Put(std::move(quasi));
   }
   TryInstallNext(msg.fragment);
 }
@@ -377,16 +383,13 @@ void NodeRuntime::BeginOmitPrepEpoch(FragmentId fragment) {
   m0->new_home = id_;
   m0->new_epoch = s.epoch;
   m0->base_seq = s.epoch_base;
-  for (const auto& [seq, quasi] : s.log) {
-    if (seq <= s.epoch_base) m0->old_stream.push_back(quasi);
+  for (const QuasiRef& quasi : s.log) {
+    if (quasi->seq <= s.epoch_base) m0->old_stream.push_back(quasi);
   }
   Status st = cluster_->SendToReplicas(id_, fragment, m0);
   FRAGDB_CHECK(st.ok());
 
-  for (const auto& [seq, quasi] : leftover) {
-    (void)seq;
-    RepackageMissing(quasi);
-  }
+  for (const QuasiRef& quasi : leftover) RepackageMissing(quasi);
 }
 
 void NodeRuntime::OnM0(const M0Msg& msg) {
@@ -396,7 +399,7 @@ void NodeRuntime::OnM0(const M0Msg& msg) {
 
 bool NodeRuntime::BeginEpochTransition(
     FragmentId fragment, Epoch new_epoch, SeqNum base_seq, NodeId new_home,
-    const std::vector<QuasiTxn>& old_stream) {
+    const std::vector<QuasiRef>& old_stream) {
   FragmentStream& s = streams_[fragment];
   if (new_epoch <= s.epoch) return false;  // duplicate / superseded
   if (s.transition.active && new_epoch <= s.transition.new_epoch) {
@@ -407,10 +410,10 @@ bool NodeRuntime::BeginEpochTransition(
   s.transition.new_home = new_home;
   s.transition.active = true;
   // Catch up from the M0 content (§4.4.3 B(1)).
-  for (const QuasiTxn& quasi : old_stream) {
-    if (quasi.seq > s.applied_seq && !s.log.Contains(quasi.seq) &&
-        !s.holdback.Contains(quasi.seq)) {
-      s.holdback.Put(quasi.seq, quasi);
+  for (const QuasiRef& quasi : old_stream) {
+    if (quasi->seq > s.applied_seq && !s.log.Contains(quasi->seq) &&
+        !s.holdback.Contains(quasi->seq)) {
+      s.holdback.Put(quasi);
     }
   }
   MaybeCompleteTransition(fragment);
@@ -419,7 +422,7 @@ bool NodeRuntime::BeginEpochTransition(
 
 void NodeRuntime::OnForwardMissing(const ForwardMissing& msg) {
   Result<NodeId> home =
-      cluster_->catalog().HomeOfFragment(msg.quasi.fragment);
+      cluster_->catalog().HomeOfFragment(msg.quasi->fragment);
   if (!home.ok()) return;
   if (*home == id_) {
     RepackageMissing(msg.quasi);
@@ -430,7 +433,8 @@ void NodeRuntime::OnForwardMissing(const ForwardMissing& msg) {
   }
 }
 
-void NodeRuntime::RepackageMissing(const QuasiTxn& missing) {
+void NodeRuntime::RepackageMissing(const QuasiRef& ref) {
+  const QuasiTxn& missing = *ref;
   if (repackaged_.count(missing.origin_txn) > 0) return;
   repackaged_.insert(missing.origin_txn);
   FragmentId f = missing.fragment;
@@ -445,7 +449,7 @@ void NodeRuntime::RepackageMissing(const QuasiTxn& missing) {
       kept.push_back(w);
     }
   }
-  cluster_->CommitRepackaged(id_, f, missing, kept);
+  cluster_->CommitRepackaged(id_, f, ref, std::move(kept));
 }
 
 // --------------------------------------------------------------------------
@@ -569,9 +573,7 @@ void NodeRuntime::OnRecoveryQuery(const RecoveryQuery& msg) {
     SeqNum from = pos.epoch == s.epoch
                       ? pos.applied_seq
                       : std::min(pos.applied_seq, s.epoch_base);
-    for (auto it = s.log.UpperBound(from); it != s.log.end(); ++it) {
-      state.quasis.push_back(it->value);
-    }
+    state.quasis.assign(s.log.UpperBound(from), s.log.end());
     reply->fragments.push_back(std::move(state));
   }
   cluster_->network().Send(id_, msg.requester, reply);
@@ -611,12 +613,12 @@ bool NodeRuntime::ApplyCatchUpState(NodeId replier,
     BeginEpochTransition(fs.fragment, fs.epoch, fs.epoch_base,
                          home.ok() ? *home : replier, {});
   }
-  for (const QuasiTxn& q : fs.quasis) {
+  for (const QuasiRef& q : fs.quasis) {
     // Old-lineage entries enqueue under the node's current epoch,
     // new-stream entries under the reply's; EnqueueQuasi's epoch rules
     // route both correctly (including mid-transition).
-    Epoch at = (fs.epoch > s.epoch && q.seq <= fs.epoch_base) ? s.epoch
-                                                              : fs.epoch;
+    Epoch at = (fs.epoch > s.epoch && q->seq <= fs.epoch_base) ? s.epoch
+                                                               : fs.epoch;
     EnqueueQuasi(q, at);
   }
   return true;

@@ -23,12 +23,6 @@ namespace fragdb {
 class Cluster;
 class NodeDurability;
 
-/// Seq-ordered quasi-transaction collection (holdback windows, stream
-/// logs, prepared sets). Flat sorted-vector storage: sequence numbers are
-/// dense and mostly arrive in order, so the hot operations are appends
-/// and front lookups over contiguous memory (see docs/PERFORMANCE.md).
-using QuasiSeqMap = SeqMap<QuasiTxn>;
-
 /// Per-node, per-fragment state of the update stream: where this replica
 /// is in the fragment's quasi-transaction sequence, what is held back, and
 /// the log of everything applied (kept for §4.4 catch-up and M0 content).
@@ -47,7 +41,7 @@ struct FragmentStream {
   QuasiSeqMap holdback;
   /// Quasi-transactions from a future epoch, waiting for the M0 that opens
   /// it (defensive; FIFO channels normally deliver M0 first).
-  std::map<Epoch, std::vector<QuasiTxn>> future;
+  std::map<Epoch, std::vector<QuasiRef>> future;
   /// Applied lineage: seq -> quasi-transaction. Entries past an epoch
   /// transition's base are discarded (they left the official lineage).
   QuasiSeqMap log;
@@ -94,16 +88,16 @@ class NodeRuntime {
   /// or from §4.4 catch-up paths). Applies epoch rules: stale-epoch
   /// transactions are forwarded to the fragment's current home (§4.4.3
   /// B(2)) or repackaged if this node is the home (A(2)).
-  void EnqueueQuasi(const QuasiTxn& quasi, Epoch epoch);
+  void EnqueueQuasi(const QuasiRef& quasi, Epoch epoch);
 
   /// Records a locally committed transaction in this node's stream log
   /// (the home node's own install).
-  void RecordLocalCommit(const QuasiTxn& quasi);
+  void RecordLocalCommit(const QuasiRef& quasi);
 
   /// §4.4.3 A(2): repackage a missing old-stream transaction at the (new)
   /// home: drop overwritten writes, commit the rest as a fresh update
   /// transaction, then run the fragment's corrective action if configured.
-  void RepackageMissing(const QuasiTxn& missing);
+  void RepackageMissing(const QuasiRef& missing);
 
   /// §4.4.2A arrival: atomically replaces the fragment contents and stream
   /// position with the snapshot the agent carried.
@@ -146,7 +140,7 @@ class NodeRuntime {
   /// epoch). Returns false if the transition is stale.
   bool BeginEpochTransition(FragmentId fragment, Epoch new_epoch,
                             SeqNum base_seq, NodeId new_home,
-                            const std::vector<QuasiTxn>& old_stream);
+                            const std::vector<QuasiRef>& old_stream);
 
   /// Anti-entropy: queries each remote home for the log suffix of every
   /// fragment this node replicates, unconditionally (no gap evidence

@@ -6,84 +6,78 @@
 #include <utility>
 #include <vector>
 
+#include "cc/transaction.h"
 #include "common/types.h"
 
 namespace fragdb {
 
-/// Ordered map keyed by SeqNum, stored as a sorted vector. The fragment
-/// stream structures (holdback, log, prepared) hold dense, mostly
-/// in-order sequence numbers: the overwhelmingly common insertion is an
-/// append at the back, and lookups cluster at the front (the next
-/// sequence to install). A sorted vector turns every hot operation into
-/// a push_back or a binary search over contiguous memory, where the
-/// node-heavy simulations previously spent their time rebalancing
-/// red-black trees and chasing per-entry heap allocations.
+/// Seq-ordered collection of shared quasi-transactions (holdback windows,
+/// stream logs, prepared sets), stored as a vector of QuasiRef sorted by
+/// the record's own `seq`. Each entry is the bare 16-byte pointer: the
+/// key lives in the record it points to, and the record is shared with
+/// the message that carried it and with every other replica's entry for
+/// the same commit.
 ///
-/// Iteration yields entries in ascending seq order; `Entry` has exactly
-/// two public members so structured bindings (`for (auto& [seq, v] : m)`)
-/// keep working at the former std::map call sites.
-template <typename T>
-class SeqMap {
+/// The fragment stream structures hold dense, mostly in-order sequence
+/// numbers: the overwhelmingly common insertion is an append at the back,
+/// and lookups cluster at the front (the next sequence to install). A
+/// sorted vector turns every hot operation into a push_back or a binary
+/// search over contiguous memory. Iteration yields the QuasiRefs in
+/// ascending seq order.
+class QuasiSeqMap {
  public:
-  struct Entry {
-    SeqNum seq;
-    T value;
-  };
-  using const_iterator = typename std::vector<Entry>::const_iterator;
-  using iterator = typename std::vector<Entry>::iterator;
+  using const_iterator = std::vector<QuasiRef>::const_iterator;
 
   bool empty() const { return entries_.empty(); }
   size_t size() const { return entries_.size(); }
   void clear() { entries_.clear(); }
-  void swap(SeqMap& other) { entries_.swap(other.entries_); }
+  void swap(QuasiSeqMap& other) { entries_.swap(other.entries_); }
 
   const_iterator begin() const { return entries_.begin(); }
   const_iterator end() const { return entries_.end(); }
-  iterator begin() { return entries_.begin(); }
-  iterator end() { return entries_.end(); }
 
   bool Contains(SeqNum seq) const { return Find(seq) != nullptr; }
 
-  /// The entry for `seq`, or nullptr. O(1) when `seq` is past the back
+  /// The record for `seq`, or nullptr. O(1) when `seq` is past the back
   /// (an in-order arrival probing the never-truncated log).
-  const T* Find(SeqNum seq) const {
-    if (entries_.empty() || entries_.back().seq < seq) return nullptr;
+  const QuasiTxn* Find(SeqNum seq) const {
+    if (entries_.empty() || entries_.back()->seq < seq) return nullptr;
     size_t i = LowerBound(seq);
-    if (entries_[i].seq == seq) return &entries_[i].value;
+    if (entries_[i]->seq == seq) return entries_[i].get();
     return nullptr;
   }
 
-  /// Moves the entry for `seq` into `*out` and removes it; returns false
-  /// (leaving `*out` alone) if absent.
-  bool Take(SeqNum seq, T* out) {
-    if (entries_.empty() || entries_.back().seq < seq) return false;
+  /// Removes and returns the entry for `seq`; null if absent.
+  QuasiRef Take(SeqNum seq) {
+    if (entries_.empty() || entries_.back()->seq < seq) return nullptr;
     size_t i = LowerBound(seq);
-    if (entries_[i].seq != seq) return false;
-    *out = std::move(entries_[i].value);
+    if (entries_[i]->seq != seq) return nullptr;
+    QuasiRef out = std::move(entries_[i]);
     entries_.erase(entries_.begin() + i);
-    return true;
+    return out;
   }
 
-  /// Inserts or overwrites the entry for `seq`. Appends in O(1) when
-  /// `seq` is past the current back (the common, in-order case).
-  T& Put(SeqNum seq, T value) {
-    if (entries_.empty() || entries_.back().seq < seq) {
-      entries_.push_back(Entry{seq, std::move(value)});
-      return entries_.back().value;
+  /// Inserts `quasi` at its seq, replacing any entry already there.
+  /// Appends in O(1) when the seq is past the current back (the common,
+  /// in-order case).
+  void Put(QuasiRef quasi) {
+    const SeqNum seq = quasi->seq;
+    if (entries_.empty() || entries_.back()->seq < seq) {
+      entries_.push_back(std::move(quasi));
+      return;
     }
     size_t i = LowerBound(seq);
-    if (i < entries_.size() && entries_[i].seq == seq) {
-      entries_[i].value = std::move(value);
-      return entries_[i].value;
+    if (i < entries_.size() && entries_[i]->seq == seq) {
+      entries_[i] = std::move(quasi);
+      return;
     }
-    return entries_.insert(entries_.begin() + i, Entry{seq, std::move(value)})
-        ->value;
+    entries_.insert(entries_.begin() + i, std::move(quasi));
   }
 
   /// Removes the entry for `seq`; returns false if absent.
   bool Erase(SeqNum seq) {
     size_t i = LowerBound(seq);
-    if (i >= entries_.size() || entries_[i].seq != seq) return false;
+    if (i >= entries_.size() || entries_[i]->seq != seq) return false;
     entries_.erase(entries_.begin() + i);
     return true;
   }
@@ -109,11 +103,13 @@ class SeqMap {
   size_t LowerBound(SeqNum seq) const {
     return static_cast<size_t>(
         std::lower_bound(entries_.begin(), entries_.end(), seq,
-                         [](const Entry& e, SeqNum s) { return e.seq < s; }) -
+                         [](const QuasiRef& q, SeqNum s) {
+                           return q->seq < s;
+                         }) -
         entries_.begin());
   }
 
-  std::vector<Entry> entries_;
+  std::vector<QuasiRef> entries_;
 };
 
 }  // namespace fragdb

@@ -1,5 +1,6 @@
 #include "recovery/checkpoint.h"
 
+#include <memory>
 #include <utility>
 
 #include "recovery/codec.h"
@@ -50,7 +51,8 @@ void PutStreams(std::string* p, const std::vector<StreamCheckpoint>& streams) {
     PutI64(p, s.applied_seq);
     PutI64(p, s.next_seq);
     PutU32(p, static_cast<uint32_t>(s.log.size()));
-    for (const QuasiTxn& q : s.log) {
+    for (const QuasiRef& ref : s.log) {
+      const QuasiTxn& q = *ref;
       PutI64(p, q.origin_txn);
       PutI64(p, q.seq);
       PutI32(p, q.origin_node);
@@ -101,20 +103,22 @@ class FrameReader {
       s.next_seq = r_.I64();
       uint32_t nlog = r_.U32();
       if (!Fits(nlog, kQuasiBytes)) return false;
-      s.log.resize(nlog);
-      for (QuasiTxn& q : s.log) {
-        q.fragment = s.fragment;
-        q.origin_txn = r_.I64();
-        q.seq = r_.I64();
-        q.origin_node = r_.I32();
-        q.origin_time = r_.I64();
+      s.log.reserve(nlog);
+      for (uint32_t i = 0; i < nlog; ++i) {
+        auto q = std::make_shared<QuasiTxn>();
+        q->fragment = s.fragment;
+        q->origin_txn = r_.I64();
+        q->seq = r_.I64();
+        q->origin_node = r_.I32();
+        q->origin_time = r_.I64();
         uint32_t nwrites = r_.U32();
         if (!Fits(nwrites, kWriteBytes)) return false;
-        q.writes.resize(nwrites);
-        for (WriteOp& w : q.writes) {
+        q->writes.resize(nwrites);
+        for (WriteOp& w : q->writes) {
           w.object = r_.I64();
           w.value = r_.I64();
         }
+        s.log.push_back(std::move(q));
       }
     }
     return r_.ok;
@@ -154,7 +158,7 @@ bool ApplyDelta(FrameReader& f, CheckpointImage* image) {
     for (StreamCheckpoint& old : image->streams) {
       if (old.fragment != s.fragment) continue;
       if (!old.log.empty() && !s.log.empty() &&
-          s.log.front().seq <= old.log.back().seq) {
+          s.log.front()->seq <= old.log.back()->seq) {
         return false;
       }
       old.log.insert(old.log.end(), std::make_move_iterator(s.log.begin()),

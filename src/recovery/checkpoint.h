@@ -22,8 +22,9 @@ struct StreamCheckpoint {
   /// could no longer serve catch-up suffixes to replicas that fell behind
   /// before its crash (recovery replies and gap repair both read the
   /// stream log, which is otherwise volatile). In a captured delta, only
-  /// the entries past the previous frame's LogMark.
-  std::vector<QuasiTxn> log;
+  /// the entries past the previous frame's LogMark. Capture shares the
+  /// live log's records; Decode builds fresh ones.
+  std::vector<QuasiRef> log;
 };
 
 /// Where one fragment's stream log ended in the last checkpoint frame: the

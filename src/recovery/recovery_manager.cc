@@ -66,7 +66,7 @@ void RecoveryManager::RestoreLocal(NodeId node, Session* session) {
   if (CheckpointImage::Decode(stable->Read(kCheckpointFile), &image)) {
     session->stats.checkpoint_loaded = true;
     rt.store().RestoreAll(image.versions);
-    for (const StreamCheckpoint& sc : image.streams) {
+    for (StreamCheckpoint& sc : image.streams) {
       FragmentStream& s = rt.stream(sc.fragment);
       s.epoch = sc.epoch;
       s.epoch_base = sc.epoch_base;
@@ -74,13 +74,15 @@ void RecoveryManager::RestoreLocal(NodeId node, Session* session) {
       s.next_seq = sc.next_seq;
       // Reseat the applied lineage so the revived node can serve catch-up
       // suffixes (recovery replies, gap repair) for pre-crash seqs again.
-      for (const QuasiTxn& q : sc.log) s.log.Put(q.seq, q);
+      for (QuasiRef& q : sc.log) s.log.Put(std::move(q));
     }
   }
 
   WalScan scan = ScanWal(stable->Read(kWalFile));
   session->stats.wal_torn_tail = scan.torn;
-  for (const WalRecord& record : scan.records) {
+  // The decoded records are this replay's own: their quasis move into the
+  // shared records the stream log and Paxos slots keep.
+  for (WalRecord& record : scan.records) {
     FragmentStream& s = rt.stream(record.fragment);
     if (record.type == WalRecord::Type::kEpochChange) {
       if (record.epoch <= s.epoch) {
@@ -103,7 +105,9 @@ void RecoveryManager::RestoreLocal(NodeId node, Session* session) {
       // when the crash beat the accept broadcast.
       if (record.epoch == s.epoch && record.quasi.seq > s.applied_seq) {
         s.next_seq = std::max(s.next_seq, record.quasi.seq + 1);
-        cluster_->NotePaxosInDoubt(node, record.quasi, record.epoch);
+        cluster_->NotePaxosInDoubt(
+            node, std::make_shared<const QuasiTxn>(std::move(record.quasi)),
+            record.epoch);
         ++session->stats.wal_records_replayed;
       } else {
         ++session->stats.wal_records_skipped;
@@ -121,7 +125,7 @@ void RecoveryManager::RestoreLocal(NodeId node, Session* session) {
       rt.store().Write(w.object, w.value, q.origin_txn, q.seq, now);
     }
     s.applied_seq = q.seq;
-    s.log.Put(q.seq, q);
+    s.log.Put(std::make_shared<const QuasiTxn>(std::move(record.quasi)));
     ++session->stats.wal_records_replayed;
   }
   for (FragmentId f = 0; f < cluster_->catalog().fragment_count(); ++f) {

@@ -292,7 +292,7 @@ void History::RecordDecision(const CommitDecisionRecord& record) {
 }
 
 void History::RecordInstall(NodeId node, const QuasiTxn& quasi, SimTime at,
-                            int incarnation) {
+                            int incarnation, SimTime origin_time) {
   DropLookups();
   InstallRecord rec;
   rec.node = node;
@@ -305,7 +305,7 @@ void History::RecordInstall(NodeId node, const QuasiTxn& quasi, SimTime at,
   rec.write_count = static_cast<uint32_t>(quasi.writes.size());
   rec.at = at;
   rec.node_order = next_node_order_[node]++;
-  rec.origin_time = quasi.origin_time;
+  rec.origin_time = origin_time;
   writes_.insert(writes_.end(), quasi.writes.begin(), quasi.writes.end());
   CheckArenaSize(writes_.size());
   installs_.push_back(rec);

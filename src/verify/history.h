@@ -181,9 +181,15 @@ class History {
 
   void RecordRead(const ReadRecord& read);
 
-  /// Records an install; assigns node_order automatically.
+  /// Records an install; assigns node_order automatically. The record's
+  /// origin_time is `origin_time` (the home stamps its own commit
+  /// instant), or the quasi's own when omitted.
   void RecordInstall(NodeId node, const QuasiTxn& quasi, SimTime at,
-                     int incarnation = 0);
+                     int incarnation, SimTime origin_time);
+  void RecordInstall(NodeId node, const QuasiTxn& quasi, SimTime at,
+                     int incarnation = 0) {
+    RecordInstall(node, quasi, at, incarnation, quasi.origin_time);
+  }
 
   void RecordQuorumWrite(const QuorumWriteRecord& record);
   void RecordQuorumRead(const QuorumReadRecord& record);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,14 +19,14 @@
 namespace fragdb {
 namespace {
 
-QuasiTxn Quasi(FragmentId fragment, SeqNum seq, ObjectId object, Value v) {
-  QuasiTxn q;
-  q.fragment = fragment;
-  q.origin_txn = 100 + seq;
-  q.seq = seq;
-  q.origin_node = 1;
-  q.origin_time = Millis(seq);
-  q.writes = {{object, v}};
+QuasiRef Quasi(FragmentId fragment, SeqNum seq, ObjectId object, Value v) {
+  auto q = std::make_shared<QuasiTxn>();
+  q->fragment = fragment;
+  q->origin_txn = 100 + seq;
+  q->seq = seq;
+  q->origin_node = 1;
+  q->origin_time = Millis(seq);
+  q->writes = {{object, v}};
   return q;
 }
 
@@ -56,12 +57,12 @@ std::string ImageDiff(const CheckpointImage& want, const CheckpointImage& got) {
              std::to_string(b.log.size());
     }
     for (size_t j = 0; j < a.log.size(); ++j) {
-      if (!(a.log[j] == b.log[j])) {
+      if (!(*a.log[j] == *b.log[j])) {
         return f + "log entry " + std::to_string(j) + ": T" +
-               std::to_string(a.log[j].origin_txn) + " seq " +
-               std::to_string(a.log[j].seq) + " vs T" +
-               std::to_string(b.log[j].origin_txn) + " seq " +
-               std::to_string(b.log[j].seq);
+               std::to_string(a.log[j]->origin_txn) + " seq " +
+               std::to_string(a.log[j]->seq) + " vs T" +
+               std::to_string(b.log[j]->origin_txn) + " seq " +
+               std::to_string(b.log[j]->seq);
       }
     }
   }
@@ -233,9 +234,9 @@ TEST_P(CheckpointDifferential, StableImageEqualsFullCaptureAtEveryCommit) {
         for (size_t i = 0; i < full.streams.size(); ++i) {
           const StreamCheckpoint& before = w.expected.StreamFor(
               full.streams[i].fragment);
-          const std::vector<QuasiTxn>& now = full.streams[i].log;
+          const std::vector<QuasiRef>& now = full.streams[i].log;
           for (size_t j = 0; j < before.log.size(); ++j) {
-            if (j >= now.size() || !(before.log[j] == now[j])) {
+            if (j >= now.size() || !(*before.log[j] == *now[j])) {
               ++truncations;
               break;
             }

@@ -154,12 +154,12 @@ TEST_F(HandleMessageFixture, RequestsReachTheirHandlers) {
   read->objects = {x};
   EXPECT_EQ(Exchange(read), (Replies{{"quorum-read-reply", 1}}));
 
-  QuasiTxn quasi;
-  quasi.origin_txn = 902;
-  quasi.fragment = frag;
-  quasi.seq = 1;
-  quasi.origin_node = 0;
-  quasi.writes = {{x, 41}};
+  auto quasi = std::make_shared<QuasiTxn>();
+  quasi->origin_txn = 902;
+  quasi->fragment = frag;
+  quasi->seq = 1;
+  quasi->origin_node = 0;
+  quasi->writes = {{x, 41}};
   auto prepare = std::make_shared<QuasiPrepare>();
   prepare->quasi = quasi;
   EXPECT_EQ(Exchange(prepare), (Replies{{"ack", 1}}));

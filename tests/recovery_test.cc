@@ -187,7 +187,7 @@ TEST(CheckpointTest, EncodeDecodeRoundTrip) {
   applied.origin_node = 1;
   applied.origin_time = 777;
   applied.writes = {{3, 64}, {4, -1}};
-  stream.log.push_back(applied);
+  stream.log.push_back(std::make_shared<QuasiTxn>(applied));
   image.streams = {stream};
 
   CheckpointImage out;
@@ -205,14 +205,14 @@ TEST(CheckpointTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(out.StreamFor(0).next_seq, 10);
   // The applied lineage rides along so a revived node can serve suffixes.
   ASSERT_EQ(out.streams[0].log.size(), 1u);
-  EXPECT_EQ(out.streams[0].log[0].origin_txn, 41);
-  EXPECT_EQ(out.streams[0].log[0].fragment, 0);
-  EXPECT_EQ(out.streams[0].log[0].seq, 9);
-  EXPECT_EQ(out.streams[0].log[0].origin_node, 1);
-  EXPECT_EQ(out.streams[0].log[0].origin_time, 777);
-  ASSERT_EQ(out.streams[0].log[0].writes.size(), 2u);
-  EXPECT_EQ(out.streams[0].log[0].writes[1].object, 4);
-  EXPECT_EQ(out.streams[0].log[0].writes[1].value, -1);
+  EXPECT_EQ(out.streams[0].log[0]->origin_txn, 41);
+  EXPECT_EQ(out.streams[0].log[0]->fragment, 0);
+  EXPECT_EQ(out.streams[0].log[0]->seq, 9);
+  EXPECT_EQ(out.streams[0].log[0]->origin_node, 1);
+  EXPECT_EQ(out.streams[0].log[0]->origin_time, 777);
+  ASSERT_EQ(out.streams[0].log[0]->writes.size(), 2u);
+  EXPECT_EQ(out.streams[0].log[0]->writes[1].object, 4);
+  EXPECT_EQ(out.streams[0].log[0]->writes[1].value, -1);
   // Absent fragments decode to defaults.
   EXPECT_EQ(out.StreamFor(3).epoch, 0);
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 namespace fragdb {
@@ -19,7 +20,8 @@ struct SchedFixture : ::testing::Test {
                            SimTime) {
       reads_seen.push_back({txn, o, v.value});
     };
-    hooks.on_install = [this](NodeId n, const QuasiTxn& q, SimTime) {
+    hooks.on_install = [this](NodeId n, const QuasiTxn& q, SimTime,
+                              SimTime) {
       installs.push_back({n, q.fragment, q.seq});
     };
     Scheduler::Config cfg;
@@ -43,8 +45,12 @@ struct SchedFixture : ::testing::Test {
                        sched->AbortPrepared(id, update);
                      } else if (update) {
                        r.frag_seq = NextSeq();
-                       sched->CommitPrepared(id, wf, r.writes, r.frag_seq,
-                                             /*release_locks=*/true);
+                       QuasiTxn q;
+                       q.origin_txn = id;
+                       q.fragment = wf;
+                       q.seq = r.frag_seq;
+                       q.writes = r.writes;
+                       sched->CommitPrepared(q, /*release_locks=*/true);
                      }
                      done(std::move(r));
                    });
@@ -184,21 +190,21 @@ TEST_F(SchedFixture, UpdatesOnSameFragmentSerialize) {
 }
 
 TEST_F(SchedFixture, InstallAppliesQuasiAtomically) {
-  QuasiTxn q;
-  q.origin_txn = 77;
-  q.fragment = f0;
-  q.seq = 1;
-  q.origin_node = 3;
-  q.writes = {{a, 55}};
+  auto q = std::make_shared<QuasiTxn>();
+  q->origin_txn = 77;
+  q->fragment = f0;
+  q->seq = 1;
+  q->origin_node = 3;
+  q->writes = {{a, 55}};
   bool done = false;
-  QuasiTxn received;
-  sched->Install(q, 1000, [&](QuasiTxn&& installed) {
+  QuasiRef received;
+  sched->Install(q, 1000, [&](QuasiRef installed) {
     done = true;
     received = std::move(installed);
   });
   engine.RunToQuiescence();
   EXPECT_TRUE(done);
-  EXPECT_EQ(received, q);  // handed over intact
+  EXPECT_EQ(received, q);  // handed over: the same record, not a copy
   EXPECT_EQ(locks.held_count(), 0u);
   EXPECT_EQ(store->Read(a), 55);
   EXPECT_EQ(store->Info(a).writer, 77);
@@ -218,12 +224,12 @@ TEST_F(SchedFixture, InstallWaitsForLocalTransaction) {
   };
   SimTime txn_done = -1, install_done = -1;
   Run(1, spec, [&](TxnResult r) { txn_done = r.finished_at; });
-  QuasiTxn q;
-  q.origin_txn = 88;
-  q.fragment = f0;
-  q.seq = 2;
-  q.writes = {{a, 9}};
-  sched->Install(q, 1000, [&](QuasiTxn&&) { install_done = engine.Now(); });
+  auto q = std::make_shared<QuasiTxn>();
+  q->origin_txn = 88;
+  q->fragment = f0;
+  q->seq = 2;
+  q->writes = {{a, 9}};
+  sched->Install(q, 1000, [&](QuasiRef) { install_done = engine.Now(); });
   engine.RunToQuiescence();
   EXPECT_GE(install_done, txn_done);
   EXPECT_EQ(store->Read(a), 9);  // install applied after the local commit
@@ -244,7 +250,12 @@ TEST_F(SchedFixture, PrepareDoesNotApplyUntilCommit) {
   ASSERT_TRUE(prep.status.ok());
   EXPECT_EQ(store->Read(a), 100);            // not yet applied
   EXPECT_GE(locks.held_count(), 1u);         // lock still held
-  sched->CommitPrepared(1, f0, prep.writes, 4, /*release_locks=*/true);
+  QuasiTxn q;
+  q.origin_txn = 1;
+  q.fragment = f0;
+  q.seq = 4;
+  q.writes = prep.writes;
+  sched->CommitPrepared(q, /*release_locks=*/true);
   EXPECT_EQ(store->Read(a), 200);
   EXPECT_EQ(store->Info(a).frag_seq, 4);
   EXPECT_EQ(locks.held_count(), 0u);

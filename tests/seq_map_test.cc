@@ -2,88 +2,98 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
+#include <memory>
 #include <vector>
 
 namespace fragdb {
 namespace {
 
-std::vector<SeqNum> Keys(const SeqMap<std::string>& m) {
+/// A record at `seq` whose one write carries `v`, so tests can tell two
+/// records at one seq apart.
+QuasiRef Q(SeqNum seq, Value v) {
+  auto q = std::make_shared<QuasiTxn>();
+  q->seq = seq;
+  q->writes = {{0, v}};
+  return q;
+}
+
+Value ValueOf(const QuasiTxn* q) { return q->writes[0].value; }
+
+std::vector<SeqNum> Keys(const QuasiSeqMap& m) {
   std::vector<SeqNum> keys;
-  for (const auto& [seq, value] : m) keys.push_back(seq);
+  for (const QuasiRef& q : m) keys.push_back(q->seq);
   return keys;
 }
 
-SeqMap<std::string> OneToFive() {
-  SeqMap<std::string> m;
-  for (SeqNum s = 1; s <= 5; ++s) m.Put(s, "v" + std::to_string(s));
+QuasiSeqMap OneToFive() {
+  QuasiSeqMap m;
+  for (SeqNum s = 1; s <= 5; ++s) m.Put(Q(s, s * 10));
   return m;
 }
 
 TEST(SeqMapTest, EmptyMapFindsNothing) {
-  SeqMap<std::string> m;
+  QuasiSeqMap m;
   EXPECT_TRUE(m.empty());
   EXPECT_EQ(m.size(), 0u);
   EXPECT_FALSE(m.Contains(1));
   EXPECT_EQ(m.Find(1), nullptr);
   EXPECT_FALSE(m.Erase(1));
-  std::string out = "untouched";
-  EXPECT_FALSE(m.Take(1, &out));
-  EXPECT_EQ(out, "untouched");
+  EXPECT_EQ(m.Take(1), nullptr);
   EXPECT_EQ(m.UpperBound(0), m.end());
 }
 
 TEST(SeqMapTest, LookupPastTheBackMisses) {
-  SeqMap<std::string> m = OneToFive();
+  QuasiSeqMap m = OneToFive();
   EXPECT_FALSE(m.Contains(6));
   EXPECT_EQ(m.Find(6), nullptr);
   EXPECT_EQ(m.Find(1000), nullptr);
-  std::string out;
-  EXPECT_FALSE(m.Take(6, &out));
+  EXPECT_EQ(m.Take(6), nullptr);
   EXPECT_EQ(m.size(), 5u);
 }
 
 TEST(SeqMapTest, HitsAndMissesInTheMiddle) {
-  SeqMap<std::string> m;
-  for (SeqNum s : {2, 4, 6, 8}) m.Put(s, "v" + std::to_string(s));
+  QuasiSeqMap m;
+  for (SeqNum s : {2, 4, 6, 8}) m.Put(Q(s, s * 10));
   ASSERT_NE(m.Find(2), nullptr);
-  EXPECT_EQ(*m.Find(2), "v2");
+  EXPECT_EQ(ValueOf(m.Find(2)), 20);
   ASSERT_NE(m.Find(6), nullptr);
-  EXPECT_EQ(*m.Find(6), "v6");
+  EXPECT_EQ(ValueOf(m.Find(6)), 60);
   EXPECT_TRUE(m.Contains(8));
   EXPECT_FALSE(m.Contains(1));  // before the front
   EXPECT_FALSE(m.Contains(5));  // a hole in the middle
   EXPECT_EQ(m.Find(7), nullptr);
-  EXPECT_EQ(m.UpperBound(4)->seq, 6);
+  EXPECT_EQ((*m.UpperBound(4))->seq, 6);
 }
 
 TEST(SeqMapTest, PutOverwritesAndInserts) {
-  SeqMap<std::string> m = OneToFive();
-  m.Put(3, "three");  // overwrite in place
+  QuasiSeqMap m = OneToFive();
+  m.Put(Q(3, 333));  // overwrite in place
   EXPECT_EQ(m.size(), 5u);
-  EXPECT_EQ(*m.Find(3), "three");
+  EXPECT_EQ(ValueOf(m.Find(3)), 333);
 
-  SeqMap<std::string> gaps;
-  gaps.Put(10, "a");
-  gaps.Put(30, "c");
-  gaps.Put(20, "b");  // insert before the back
-  gaps.Put(5, "front");
+  QuasiSeqMap gaps;
+  gaps.Put(Q(10, 1));
+  gaps.Put(Q(30, 3));
+  gaps.Put(Q(20, 2));  // insert before the back
+  gaps.Put(Q(5, 0));
   EXPECT_EQ(Keys(gaps), (std::vector<SeqNum>{5, 10, 20, 30}));
-  EXPECT_EQ(*gaps.Find(20), "b");
+  EXPECT_EQ(ValueOf(gaps.Find(20)), 2);
 }
 
 TEST(SeqMapTest, TakeMovesTheEntryOut) {
-  SeqMap<std::string> m = OneToFive();
-  std::string out;
-  ASSERT_TRUE(m.Take(3, &out));
-  EXPECT_EQ(out, "v3");
+  QuasiSeqMap m = OneToFive();
+  const QuasiTxn* held = m.Find(3);
+  QuasiRef out = m.Take(3);
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(out.get(), held);  // the same record, not a copy
+  EXPECT_EQ(ValueOf(out.get()), 30);
   EXPECT_FALSE(m.Contains(3));
   EXPECT_EQ(Keys(m), (std::vector<SeqNum>{1, 2, 4, 5}));
-  EXPECT_FALSE(m.Take(3, &out));
+  EXPECT_EQ(m.Take(3), nullptr);
 }
 
 TEST(SeqMapTest, EraseGreaterThanTruncatesTheTail) {
-  SeqMap<std::string> m = OneToFive();
+  QuasiSeqMap m = OneToFive();
   m.EraseGreaterThan(3);
   EXPECT_EQ(Keys(m), (std::vector<SeqNum>{1, 2, 3}));
   m.EraseGreaterThan(10);  // nothing past the back
@@ -93,7 +103,7 @@ TEST(SeqMapTest, EraseGreaterThanTruncatesTheTail) {
 }
 
 TEST(SeqMapTest, EraseLessEqualDropsThePrefix) {
-  SeqMap<std::string> m = OneToFive();
+  QuasiSeqMap m = OneToFive();
   m.EraseLessEqual(2);
   EXPECT_EQ(Keys(m), (std::vector<SeqNum>{3, 4, 5}));
   m.EraseLessEqual(0);  // nothing at or below
