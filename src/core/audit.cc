@@ -8,25 +8,51 @@ namespace fragdb {
 AuditReport AuditRun(const Cluster& cluster) {
   AuditReport report;
   const History& history = cluster.history();
-  report.global_serializability = CheckGlobalSerializability(history);
-  // Single per-fragment sweep: the first failure doubles as the
-  // fragmentwise verdict, and every failure is collected for the report.
-  for (FragmentId f = 0; f < cluster.catalog().fragment_count(); ++f) {
-    CheckReport p1 = CheckProperty1(history, f);
-    if (!p1.ok) {
-      if (report.fragmentwise.ok) report.fragmentwise = p1;
-      report.fragment_failures.push_back("F" + std::to_string(f) + " P1: " +
-                                         p1.detail);
+  const int fragments = cluster.catalog().fragment_count();
+  // The replica checks and the counts run as one more task beside the
+  // history checks.
+  auto replicas_and_counts = [&] {
+    report.replica_consistency = cluster.CheckReplicaSetConsistency();
+    // Majority-commit legitimately strands prepared entries when the home
+    // dies mid-broadcast (no abort message exists); only Paxos Commit
+    // promises — and is held to — non-blocking termination.
+    report.commit_nonblocking =
+        cluster.config().move_protocol == MoveProtocol::kPaxosCommit
+            ? cluster.CheckCommitNonBlocking()
+            : CheckReport::Pass();
+    for (const auto& [id, rec] : history.txns()) {
+      (void)id;
+      if (rec.committed) {
+        ++report.committed_txns;
+      } else {
+        ++report.uncommitted_txns;
+      }
     }
-    CheckReport p2 = CheckProperty2(history, f);
-    if (!p2.ok) {
-      if (report.fragmentwise.ok) report.fragmentwise = p2;
-      report.fragment_failures.push_back("F" + std::to_string(f) + " P2: " +
-                                         p2.detail);
+    report.installs = static_cast<int>(history.installs().size());
+    report.reads = static_cast<int>(history.reads().size());
+    report.messages_sent = cluster.net_stats().messages_sent;
+    for (const InstallRecord& rec : history.installs()) {
+      if (rec.node == rec.origin_node) continue;  // the home's own install
+      report.max_replication_lag_us =
+          std::max(report.max_replication_lag_us, rec.at - rec.origin_time);
+    }
+  };
+  HistoryAudit checks = AuditHistory(history, fragments,
+                                     cluster.task_runner(),
+                                     replicas_and_counts);
+  report.global_serializability = std::move(checks.global_serializability);
+  // The first per-fragment failure, in fragment order, doubles as the
+  // fragmentwise verdict, and every failure is collected for the report.
+  for (FragmentId f = 0; f < fragments; ++f) {
+    for (int p = 1; p <= 2; ++p) {
+      CheckReport& r = p == 1 ? checks.property1[f] : checks.property2[f];
+      if (r.ok) continue;
+      report.fragment_failures.push_back("F" + std::to_string(f) + " P" +
+                                         std::to_string(p) + ": " + r.detail);
+      if (report.fragmentwise.ok) report.fragmentwise = std::move(r);
     }
   }
-  report.replica_consistency = cluster.CheckReplicaSetConsistency();
-  report.quorum_freshness = CheckQuorumFreshness(history);
+  report.quorum_freshness = std::move(checks.quorum_freshness);
   // The configured property is one of the checks above: pick its report
   // instead of running it again.
   switch (cluster.promise()) {
@@ -45,30 +71,7 @@ AuditReport AuditRun(const Cluster& cluster) {
                                        : report.fragmentwise;
       break;
   }
-  report.commit_atomicity = CheckCommitAtomicity(history);
-  // Majority-commit legitimately strands prepared entries when the home
-  // dies mid-broadcast (no abort message exists); only Paxos Commit
-  // promises — and is held to — non-blocking termination.
-  report.commit_nonblocking =
-      cluster.config().move_protocol == MoveProtocol::kPaxosCommit
-          ? cluster.CheckCommitNonBlocking()
-          : CheckReport::Pass();
-  for (const auto& [id, rec] : history.txns()) {
-    (void)id;
-    if (rec.committed) {
-      ++report.committed_txns;
-    } else {
-      ++report.uncommitted_txns;
-    }
-  }
-  report.installs = static_cast<int>(history.installs().size());
-  report.reads = static_cast<int>(history.reads().size());
-  report.messages_sent = cluster.net_stats().messages_sent;
-  for (const InstallRecord& rec : history.installs()) {
-    if (rec.node == rec.origin_node) continue;  // the home's own install
-    report.max_replication_lag_us =
-        std::max(report.max_replication_lag_us, rec.at - rec.origin_time);
-  }
+  report.commit_atomicity = std::move(checks.commit_atomicity);
   return report;
 }
 

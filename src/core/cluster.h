@@ -200,6 +200,9 @@ class Cluster {
   /// schedule submissions with AtNode (on the submitting node) and faults
   /// with AtGlobal.
   SimEngine* engine() { return engine_.get(); }
+  /// Runs independent tasks on the engine's worker threads
+  /// (SimEngine::ParallelFor): for end-of-run work between runs.
+  TaskRunner task_runner() const;
   /// The windowed scheduler: mid-run plan reassignment and window/merge
   /// stats.
   PdesScheduler* pdes_scheduler() { return &engine_->scheduler(); }

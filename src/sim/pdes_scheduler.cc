@@ -22,6 +22,9 @@ thread_local bool tl_have_now = false;
 /// Node whose event this thread is executing; kInvalidNode during
 /// globals, merges, and outside phases.
 thread_local NodeId tl_node = kInvalidNode;
+/// True while this thread runs a pool task: a ParallelFor from inside one
+/// runs inline, since every worker may be busy.
+thread_local bool tl_in_task = false;
 
 /// Max-heap comparator turning std::push_heap into a (when, seq) min-heap
 /// over global events.
@@ -371,25 +374,43 @@ void PdesScheduler::SerialStep() {
   ApplyReassignments();
 }
 
-void PdesScheduler::ForEachPartition(const std::function<void(int)>& fn) {
-  int pc = plan_.partition_count();
+void PdesScheduler::ForEachPartition(const std::function<void(size_t)>& fn) {
+  const size_t pc = static_cast<size_t>(plan_.partition_count());
   if (workers_.empty()) {
-    for (int p = 0; p < pc; ++p) fn(p);
+    for (size_t p = 0; p < pc; ++p) fn(p);
     return;
   }
+  RunOnPool(pc, fn);
+}
+
+void PdesScheduler::ParallelFor(size_t n,
+                                const std::function<void(size_t)>& fn) {
+  FRAGDB_CHECK(!running_phase_);
+  if (workers_.empty() || n < 2 || tl_in_task) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  RunOnPool(n, fn);
+}
+
+void PdesScheduler::RunOnPool(size_t n,
+                              const std::function<void(size_t)>& fn) {
   {
     std::lock_guard<std::mutex> lk(pool_mu_);
     phase_fn_ = &fn;
+    phase_tasks_ = n;
     claim_.store(0, std::memory_order_relaxed);
     done_count_ = 0;
     ++phase_epoch_;
   }
   pool_cv_.notify_all();
+  tl_in_task = true;
   while (true) {
-    int i = claim_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= pc) break;
+    size_t i = claim_.fetch_add(1, std::memory_order_relaxed);
+    if (i >= n) break;
     fn(i);
   }
+  tl_in_task = false;
   std::unique_lock<std::mutex> lk(pool_mu_);
   done_cv_.wait(lk, [&] {
     return done_count_ == static_cast<int>(workers_.size());
@@ -400,20 +421,23 @@ void PdesScheduler::ForEachPartition(const std::function<void(int)>& fn) {
 void PdesScheduler::WorkerLoop() {
   uint64_t seen = 0;
   while (true) {
-    const std::function<void(int)>* job = nullptr;
+    const std::function<void(size_t)>* job = nullptr;
+    size_t tasks = 0;
     {
       std::unique_lock<std::mutex> lk(pool_mu_);
       pool_cv_.wait(lk, [&] { return shutdown_ || phase_epoch_ != seen; });
       if (shutdown_) return;
       seen = phase_epoch_;
       job = phase_fn_;
+      tasks = phase_tasks_;
     }
-    int pc = plan_.partition_count();
+    tl_in_task = true;
     while (true) {
-      int i = claim_.fetch_add(1, std::memory_order_relaxed);
-      if (i >= pc) break;
+      size_t i = claim_.fetch_add(1, std::memory_order_relaxed);
+      if (i >= tasks) break;
       (*job)(i);
     }
+    tl_in_task = false;
     {
       std::lock_guard<std::mutex> lk(pool_mu_);
       if (++done_count_ == static_cast<int>(workers_.size())) {
@@ -447,8 +471,9 @@ void PdesScheduler::Drive(SimTime deadline) {
     if (deadline != kSimTimeMax && we > deadline) we = deadline + 1;
     window_end_ = we;
     running_phase_ = true;
-    ForEachPartition([this, we](int p) { ExecuteWindow(p, we); });
-    ForEachPartition([this](int p) { MergeInbound(p); });
+    ForEachPartition(
+        [this, we](size_t p) { ExecuteWindow(static_cast<int>(p), we); });
+    ForEachPartition([this](size_t p) { MergeInbound(static_cast<int>(p)); });
     running_phase_ = false;
     SimTime executed_max = 0;
     for (auto& part : partitions_) {

@@ -40,15 +40,19 @@ std::string JoinTxns(const std::vector<TxnId>& txns,
   return os.str();
 }
 
-}  // namespace
-
-CheckReport CheckGlobalSerializability(const History& history) {
-  TxnGraph g = BuildGlobalSerializationGraph(history);
+/// The verdict on a global serialization graph.
+CheckReport GlobalGraphReport(const History& history, const TxnGraph& g) {
   std::vector<TxnId> cycle = g.FindCycle();
   if (cycle.empty()) return CheckReport::Pass();
   return CheckReport::Fail("global serialization graph has cycle: " +
                                JoinTxns(cycle, &history),
                            cycle);
+}
+
+}  // namespace
+
+CheckReport CheckGlobalSerializability(const History& history) {
+  return GlobalGraphReport(history, BuildGlobalSerializationGraph(history));
 }
 
 CheckReport CheckProperty1(const History& history, FragmentId fragment) {
@@ -199,7 +203,7 @@ struct DecidedSlots {
 };
 
 DecidedSlots GroupDecisions(const History& history) {
-  const std::vector<CommitDecisionRecord>& decisions = history.decisions();
+  const std::span<const CommitDecisionRecord> decisions = history.decisions();
   // Stable, so each slot's records stay in record order.
   const SortedRecords order(decisions.size(), [&decisions](uint32_t i) {
     return std::array<int64_t, 2>{decisions[i].fragment, decisions[i].seq};
@@ -231,7 +235,7 @@ CheckReport CheckInstallsAgainst(const History& history,
   // Installs by (fragment, seq, node, incarnation), merged against the
   // slots: a decided slot's installs must carry its transaction, once per
   // node lifetime.
-  const std::vector<InstallRecord>& installs = history.installs();
+  const std::span<const InstallRecord> installs = history.installs();
   const SortedRecords order(installs.size(), [&installs](uint32_t i) {
     const InstallRecord& rec = installs[i];
     return std::array<int64_t, 4>{rec.fragment, rec.seq, rec.node,
@@ -325,6 +329,41 @@ CheckReport CheckCommitAtomicity(const History& history) {
 
 CheckReport CheckDecidedInstalls(const History& history) {
   return CheckInstallsAgainst(history, GroupDecisions(history));
+}
+
+HistoryAudit AuditHistory(const History& history, int fragment_count,
+                          const TaskRunner& run,
+                          const std::function<void()>& alongside) {
+  history.PrepareLookups(run);
+  GlobalGraphTasks gsr(history);
+  HistoryAudit audit;
+  const size_t fragments = static_cast<size_t>(std::max(fragment_count, 0));
+  audit.property1.resize(fragments);
+  audit.property2.resize(fragments);
+  // Tasks: the global graph's chunks, each fragment's P1, each
+  // fragment's P2, then quorum freshness, commit atomicity, `alongside`.
+  const size_t p1 = gsr.tasks();
+  const size_t p2 = p1 + fragments;
+  const size_t rest = p2 + fragments;
+  RunTasks(run, rest + 3, [&](size_t task) {
+    if (task < p1) {
+      gsr.Run(task);
+    } else if (task < p2) {
+      const FragmentId f = static_cast<FragmentId>(task - p1);
+      audit.property1[f] = CheckProperty1(history, f);
+    } else if (task < rest) {
+      const FragmentId f = static_cast<FragmentId>(task - p2);
+      audit.property2[f] = CheckProperty2(history, f);
+    } else if (task == rest) {
+      audit.quorum_freshness = CheckQuorumFreshness(history);
+    } else if (task == rest + 1) {
+      audit.commit_atomicity = CheckCommitAtomicity(history);
+    } else if (alongside) {
+      alongside();
+    }
+  });
+  audit.global_serializability = GlobalGraphReport(history, gsr.Graph());
+  return audit;
 }
 
 CheckReport CheckMutualConsistency(

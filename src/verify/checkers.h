@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/tasks.h"
 #include "common/types.h"
 #include "net/message.h"
 #include "obs/availability.h"
@@ -68,6 +69,27 @@ CheckReport CheckCommitAtomicity(const History& history);
 /// node installs it again). Slots without decision records are not
 /// checked.
 CheckReport CheckDecidedInstalls(const History& history);
+
+/// Every history check an audit makes, each report the one its checker
+/// above returns.
+struct HistoryAudit {
+  CheckReport global_serializability;
+  /// Properties 1 and 2 of each fragment, by fragment id.
+  std::vector<CheckReport> property1;
+  std::vector<CheckReport> property2;
+  CheckReport quorum_freshness;
+  CheckReport commit_atomicity;
+};
+
+/// Runs the history checks of fragments 0..fragment_count-1 as
+/// independent tasks on `run`: the lookup tables first, then the global
+/// graph's edge chunks, each fragment's Property 1 and Property 2, quorum
+/// freshness, commit atomicity and `alongside` (when set) together, and
+/// last the one cycle search over the merged global graph. Every report
+/// is byte-identical at any worker count.
+HistoryAudit AuditHistory(const History& history, int fragment_count,
+                          const TaskRunner& run,
+                          const std::function<void()>& alongside = nullptr);
 
 /// Mutual consistency: all replicas hold identical contents. Valid only at
 /// quiescence (all propagation drained).

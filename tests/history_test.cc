@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
 #include <span>
@@ -40,6 +41,45 @@ TEST(HistoryTest, RegisterAndCommit) {
   EXPECT_TRUE(h.FindTxn(1)->committed);
   EXPECT_EQ(h.FindTxn(1)->frag_seq, 5);
   EXPECT_EQ(h.FindTxn(99), nullptr);
+}
+
+TEST(HistoryTest, TxnIndexFindsSparseAndNegativeIds) {
+  // The O(1) index buckets ids by range; ids far apart, negative ones and
+  // a striped run must all resolve, and ids between them must not.
+  const std::vector<TxnId> ids = {-7,      3,         4,
+                                  1 << 20, TxnId{1} << 40, TxnId{1} << 62};
+  const std::vector<TxnId> striped = [] {
+    std::vector<TxnId> out;
+    for (TxnId k = 0; k < 200; ++k) out.push_back(1 + k * 49 + k % 49);
+    return out;
+  }();
+  for (const std::vector<TxnId>* set : {&ids, &striped}) {
+    History h;
+    for (TxnId id : *set) {
+      TxnRecord rec;
+      rec.id = id;
+      rec.label = "T" + std::to_string(id);
+      h.RegisterTxn(rec);
+    }
+    for (bool built : {false, true}) {
+      if (built) h.PrepareLookups({});
+      for (size_t i = 0; i < set->size(); ++i) {
+        const TxnId id = (*set)[i];
+        ASSERT_NE(h.FindTxn(id), nullptr) << id;
+        EXPECT_EQ(h.FindTxn(id)->label, "T" + std::to_string(id));
+        EXPECT_EQ(h.txns()[h.TxnIndex(id)].first, id);
+        for (TxnId miss : {id - 1, id + 1}) {
+          if (std::find(set->begin(), set->end(), miss) != set->end()) {
+            continue;
+          }
+          EXPECT_EQ(h.FindTxn(miss), nullptr) << miss;
+          EXPECT_EQ(h.TxnIndex(miss), History::kNoTxn) << miss;
+        }
+      }
+      EXPECT_EQ(h.FindTxn(std::numeric_limits<TxnId>::max()), nullptr);
+      EXPECT_EQ(h.FindTxn(std::numeric_limits<TxnId>::min()), nullptr);
+    }
+  }
 }
 
 TEST(HistoryTest, InstallOrderPerNode) {

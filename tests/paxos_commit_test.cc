@@ -268,6 +268,38 @@ TEST_F(PaxosCommitFixture, InDoubtSlotBlocksNewWorkUntilDecided) {
   EXPECT_TRUE(CheckCommitAtomicity(cluster->history()).ok);
 }
 
+TEST_F(PaxosCommitFixture, AmnesiaCancelsThePreCrashRecoveryTick) {
+  // The schedule above: the home crashes with its slot's recovery tick
+  // armed, and revival re-seats the slot from the WAL. Only the tick
+  // revival arms may drive it: the pre-crash one must die with the wipe,
+  // or the revived home runs two recovery rounds (two ballots) for it.
+  Build(MoveProtocol::kPaxosCommit, /*durable=*/true);
+  std::vector<uint64_t> home_ballots;
+  cluster->network().SetSendObserver(
+      [&home_ballots](const MessagePayload& p, size_t) {
+        const auto* accept = dynamic_cast<const PaxosAccept*>(&p);
+        if (accept == nullptr || accept->proposer != 0 ||
+            accept->ballot == 0) {
+          return;
+        }
+        if (home_ballots.empty() || home_ballots.back() != accept->ballot) {
+          home_ballots.push_back(accept->ballot);
+        }
+      });
+  Update(7);
+  cluster->RunFor(Millis(7));
+  ASSERT_TRUE(cluster->CrashNode(0, CrashMode::kAmnesia).ok());
+  cluster->RunFor(Millis(1));
+  ASSERT_TRUE(cluster->ReviveNode(0).ok());
+  cluster->RunToQuiescence();
+  EXPECT_EQ(home_ballots.size(), 1u);
+  for (NodeId n = 0; n < 5; ++n) {
+    EXPECT_EQ(cluster->ReadAt(n, x), 7) << "node " << n;
+  }
+  EXPECT_TRUE(CheckCommitAtomicity(cluster->history()).ok);
+  EXPECT_TRUE(cluster->CheckCommitNonBlocking().ok);
+}
+
 TEST_F(PaxosCommitFixture, BackToBackUpdatesEachAckAfterOneRoundTrip) {
   Build(MoveProtocol::kPaxosCommit);
   std::vector<SimTime> held;
